@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .partitions import EMPTY, Partition, partitions_of
+from .partitions import EMPTY, Partition, even_columns, even_rows, partitions_of
 from .symfunc import LambdaSeries, SymFunc, lr_coefficient, _render_parts
 
 
@@ -45,6 +45,7 @@ def restrict_coeffs(lam: Partition, epsilon: int) -> tuple[tuple[Partition, int]
     """
     lam = Partition(lam)
     _check_epsilon(epsilon)
+    even = even_rows if epsilon == 1 else even_columns
     out: list[tuple[Partition, int]] = []
     for m in range(lam.size - 2, -1, -2):
         for mu in partitions_of(m):
@@ -52,13 +53,8 @@ def restrict_coeffs(lam: Partition, epsilon: int) -> tuple[tuple[Partition, int]
                 continue
             a = 0
             for delta in partitions_of(lam.size - m):
-                if epsilon == 1:
-                    if not all(part % 2 == 0 for part in delta):
-                        continue
-                else:
-                    if not all(part % 2 == 0 for part in delta.conjugate()):
-                        continue
-                a += lr_coefficient(lam, mu, delta)
+                if even(delta):
+                    a += lr_coefficient(lam, mu, delta)
             if a:
                 out.append((mu, a))
     return tuple(out)

@@ -1,22 +1,24 @@
 """Character theory of symmetric groups.
 
-Murnaghan-Nakayama evaluation, the Frobenius characteristic map into
-symmetric functions, and decomposition of class functions into
-irreducibles. This module is the independent oracle for the plethysm
-pipeline: it never touches Schur expansions of power sums, only the
-border-strip recursion, so agreement between ch_q of an irreducible
-and the Schur basis is a genuine cross-check.
+Class functions, the Frobenius characteristic map into symmetric
+functions, and decomposition of class functions into irreducibles.
+Character values come from the rim-hook table
+`partitions.murnaghan_nakayama`, which is re-exported here under the same
+name; the plethysm layer reads the same table for its power-sum
+conversions, so the table itself is checked against an independent
+border-strip scan in the tests. The enumeration oracle built on this
+module stays independent of the plethysm route through what it
+decomposes: fixed-point characters of the labelled-partition basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Mapping
 
-from .partitions import EMPTY, Partition, partitions_of, z_lambda
-from .symfunc import SymFunc, _is_border_strip, from_p_monomials
+from .partitions import Partition, murnaghan_nakayama, partitions_of, z_lambda
+from .symfunc import SymFunc, from_p_monomials
 
 
 class NonIntegralMultiplicity(ValueError):
@@ -76,32 +78,6 @@ class ClassFunction:
 
     def __repr__(self) -> str:
         return f"ClassFunction(q={self.q}, {self.values!r})"
-
-
-@lru_cache(maxsize=None)
-def murnaghan_nakayama(lam: Partition, mu: Partition) -> int:
-    """Value of the irreducible character chi^lam on the class mu.
-
-    Recursion: strip a border strip whose size is the first part of mu,
-    with sign (-1)^height, and recurse on what remains.
-    """
-    lam, mu = Partition(lam), Partition(mu)
-    if lam.size != mu.size:
-        raise ValueError("character argument must have matching size")
-    if not lam:
-        return 1
-    k = mu[0]
-    rest = Partition(mu[1:])
-    total = 0
-    for inner in partitions_of(lam.size - k):
-        if not lam.contains(inner):
-            continue
-        if not _is_border_strip(lam, inner):
-            continue
-        inner_padded = list(inner) + [0] * (len(lam) - len(inner))
-        height = sum(1 for r in range(len(lam)) if lam[r] > inner_padded[r]) - 1
-        total += (-1) ** height * murnaghan_nakayama(inner, rest)
-    return total
 
 
 def irreducible_character(lam) -> ClassFunction:

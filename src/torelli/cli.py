@@ -11,6 +11,7 @@ from .graphs import parse_graph, reduce as reduce_graph
 from .invariants import matching_span_rank
 from .labels import l_class, l_class_image, render_label_combination
 from .pipeline import (
+    STAGES,
     ConfigError,
     NegativeMultiplicity,
     PipelineConfig,
@@ -21,7 +22,7 @@ from .pipeline import (
 )
 from .symfunc import LambdaSeries, render_series
 
-STAGES = ("chB", "plethysm", "pre-D", "post-D", "final")
+FORMATS = ("text", "json", "latex")
 
 
 def _fail_config(message: str):
@@ -69,9 +70,9 @@ def main():
 def cohomology(two_n, max_degree, variant, genus, fmt):
     """Decompose each degree into irreducible classes."""
     try:
-        cfg = PipelineConfig(
-            two_n=two_n, max_degree=max_degree, variant=variant, g=genus, output=fmt
-        )
+        cfg = PipelineConfig(two_n=two_n, max_degree=max_degree, variant=variant, g=genus)
+        if fmt not in FORMATS:
+            raise ConfigError(f"output must be one of {FORMATS}, got {fmt!r}")
         table = compute_cohomology(cfg)
     except ConfigError as exc:
         _fail_config(str(exc))

@@ -132,13 +132,6 @@ class EpsForm:
     def lam(self, x: int, y: int) -> Fraction:
         return self.gram[x][y]
 
-    def omega_entry(self, x: int, y: int) -> Fraction:
-        return self.dual[x][y]
-
-    def sharp(self, i: int) -> list[Fraction]:
-        """Coordinates of a_i_sharp in the basis."""
-        return list(self.dual[i])
-
     def __repr__(self) -> str:
         return f"EpsForm(g={self.g}, epsilon={self.epsilon:+d})"
 

@@ -194,3 +194,35 @@ def symmetric_group_irrep_dim(lam: Partition) -> int:
     for h in hook_lengths(lam):
         denom *= h
     return factorial(n) // denom
+
+
+@lru_cache(maxsize=None)
+def murnaghan_nakayama(lam: Partition, mu: Partition) -> int:
+    """Value of the irreducible character chi^lam on the class mu.
+
+    The rim-hook rule on beta-sets (abacus): with beads at the first-column
+    hook lengths lam_i + (l - i) of lam, removing a rim hook of size k
+    slides one bead from position b to the empty position b - k, and the
+    hook's leg length is the number of beads it jumps over. Peel off the
+    largest part of mu this way, with sign (-1)^leg, and recurse on what
+    remains. This is the one character table of the package: Schur and
+    power-sum expansions and class-function decompositions all read it.
+    """
+    lam, mu = Partition(lam), Partition(mu)
+    if lam.size != mu.size:
+        raise ValueError("character argument must have matching size")
+    if not mu:
+        return 1
+    k, rest = mu[0], Partition(mu[1:])
+    top = len(lam) - 1
+    beads = [part + top - i for i, part in enumerate(lam)]
+    occupied = set(beads)
+    total = 0
+    for i, b in enumerate(beads):
+        if b < k or b - k in occupied:
+            continue
+        leg = sum(1 for c in beads if b - k < c < b)
+        moved = sorted(beads[:i] + beads[i + 1:] + [b - k], reverse=True)
+        inner = Partition([c - top + j for j, c in enumerate(moved)])
+        total += (-1) ** leg * murnaghan_nakayama(inner, rest)
+    return total

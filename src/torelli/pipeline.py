@@ -7,12 +7,11 @@ quotient, then applies the requested bundle variant.
 
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .branching import ClassSeries, D_series, OrthSympClass
 from .characters import decompose
-from .labels import ch_B
+from .labels import _geometric, ch_B
 from .partitions import Partition
 from .setparts import quotient_series_by_L, sigma_character
 from .symfunc import LambdaSeries, SymFunc, exp_h, omega
@@ -39,7 +38,8 @@ class LimitOnlyCaveat(UserWarning):
 
 
 VARIANTS = ("disc", "point", "closed")
-OUTPUTS = ("text", "json", "latex")
+# Snapshot names of CohomologyTable.snapshots, in pipeline order.
+STAGES = ("chB", "plethysm", "pre-D", "post-D", "final")
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class PipelineConfig:
     max_degree: int
     variant: str = "disc"
     g: Optional[int] = None
-    output: str = "text"
 
     def __post_init__(self):
         if not isinstance(self.two_n, int) or self.two_n < 2 or self.two_n % 2:
@@ -59,8 +58,6 @@ class PipelineConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.g is not None and (not isinstance(self.g, int) or self.g < 1):
             raise ConfigError(f"genus must be a positive integer, got {self.g}")
-        if self.output not in OUTPUTS:
-            raise ConfigError(f"output must be one of {OUTPUTS}, got {self.output!r}")
         if self.two_n == 4:
             warnings.warn(
                 "dimension 4 tables are limit-only; no finite stable range is known",
@@ -105,17 +102,12 @@ def stable_range(two_n: int, g: int) -> int:
     return (g - 3) // 2
 
 
-def _scalar_geometric(step: int, trunc: int) -> LambdaSeries:
-    coeffs = {k: Fraction(1) for k in range(0, trunc + 1, step)}
-    return LambdaSeries.from_rational_coeffs(coeffs, trunc)
-
-
 def bundle_scalar_series(n: int, trunc: int) -> LambdaSeries:
     """Poincare series of the full polynomial ring on the Euler class and
     all Pontrjagin classes below the top, as a scalar t-series."""
-    out = _scalar_geometric(2 * n, trunc)
+    out = _geometric(2 * n, trunc)
     for i in range(1, n):
-        out = out * _scalar_geometric(4 * i, trunc)
+        out = out * _geometric(4 * i, trunc)
     return out
 
 
@@ -158,24 +150,24 @@ def _validate_entries(series: ClassSeries, max_degree: int) -> tuple[OrthSympCla
     return tuple(entries)
 
 
+def _pre_d_snapshots(n: int, max_degree: int) -> dict[str, LambdaSeries]:
+    """The chain shared by the table and the oracle: ch_B, its plethystic
+    exponential, and that series after omega when n is odd."""
+    chb = ch_B(n, max_degree)
+    pleth = exp_h(chb)
+    pre_d = pleth.map_coefficients(omega) if n % 2 else pleth
+    return {"chB": chb, "plethysm": pleth, "pre-D": pre_d}
+
+
 def compute_cohomology(cfg: PipelineConfig) -> CohomologyTable:
     """Decompose each cohomology degree into irreducible classes."""
     n = cfg.n
     epsilon = cfg.epsilon
-    chb = ch_B(n, cfg.max_degree)
-    pleth = exp_h(chb)
-    pre_d = pleth.map_coefficients(omega) if n % 2 else pleth
-    post_d = D_series(pre_d, epsilon)
-    quotiented = quotient_series_by_L(post_d, n)
-    final = variant_adjust(quotiented, cfg)
+    snapshots = _pre_d_snapshots(n, cfg.max_degree)
+    snapshots["post-D"] = D_series(snapshots["pre-D"], epsilon)
+    quotiented = quotient_series_by_L(snapshots["post-D"], n)
+    snapshots["final"] = final = variant_adjust(quotiented, cfg)
     entries = _validate_entries(final, cfg.max_degree)
-    snapshots = {
-        "chB": chb,
-        "plethysm": pleth,
-        "pre-D": pre_d,
-        "post-D": post_d,
-        "final": final,
-    }
     footnotes = []
     if cfg.g is None:
         trusted: Optional[int] = cfg.max_degree
@@ -242,11 +234,7 @@ def oracle_check(two_n: int, d_max: int, q_max: int) -> OracleReport:
     if d_max < 0 or q_max < 0:
         raise ConfigError("bounds must be nonnegative")
     n = two_n // 2
-    chb = ch_B(n, d_max)
-    pre_d = exp_h(chb)
-    if n % 2:
-        pre_d = pre_d.map_coefficients(omega)
-    rhs_series = quotient_series_by_L(pre_d, n)
+    rhs_series = quotient_series_by_L(_pre_d_snapshots(n, d_max)["pre-D"], n)
     cells = []
     for q in range(q_max + 1):
         terms = {}

@@ -268,11 +268,6 @@ class BrauerMorphism:
     def is_downward(self) -> bool:
         return not self.target_pairs
 
-    @staticmethod
-    def identity(ground: Iterable[int]) -> "BrauerMorphism":
-        ground = tuple(sorted(ground))
-        return BrauerMorphism(ground, ground, {x: x for x in ground})
-
     def __repr__(self) -> str:
         return (
             f"BrauerMorphism({self.source}->{self.target}, "

@@ -13,9 +13,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional
 
-from .partitions import EMPTY, Partition, partitions_of, z_lambda
+from .partitions import EMPTY, Partition, murnaghan_nakayama, partitions_of, z_lambda
 
 
 class PlethysmDivergence(ValueError):
@@ -99,70 +100,23 @@ def _schur_product_table(mu: Partition, nu: Partition) -> tuple[tuple[Partition,
 
 
 # ---------------------------------------------------------------------------
-# Border strips: multiplication by power sums, and basis conversions
+# Power sums: Schur expansions are columns of the character table
 # ---------------------------------------------------------------------------
 
-def _is_border_strip(outer: Partition, inner: Partition) -> bool:
-    inner_padded = list(inner) + [0] * (len(outer) - len(inner))
-    cells = set()
-    for r, row_end in enumerate(outer):
-        for c in range(inner_padded[r], row_end):
-            cells.add((r, c))
-    if not cells:
-        return False
-    # No 2x2 block.
-    for (r, c) in cells:
-        if (r + 1, c) in cells and (r, c + 1) in cells and (r + 1, c + 1) in cells:
-            return False
-    # Edge-connected.
-    seen = {next(iter(cells))}
-    frontier = list(seen)
-    while frontier:
-        r, c = frontier.pop()
-        for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    return seen == cells
-
-
 @lru_cache(maxsize=None)
-def _p_times_schur(k: int, lam: Partition) -> tuple[tuple[Partition, int], ...]:
-    """Expansion of p_k * s_lam: add border strips of size k with sign."""
-    out = []
-    for outer in partitions_of(lam.size + k):
-        if not outer.contains(lam):
-            continue
-        if not _is_border_strip(outer, lam):
-            continue
-        inner_padded = list(lam) + [0] * (len(outer) - len(lam))
-        height = sum(1 for r in range(len(outer)) if outer[r] > inner_padded[r]) - 1
-        out.append((outer, (-1) ** height))
-    return tuple(out)
+def _p_monomial_schur(mu: Partition) -> Mapping[Partition, int]:
+    """Schur expansion of the power-sum monomial p_mu.
 
-
-@lru_cache(maxsize=None)
-def _p_monomial_schur(mu: Partition) -> tuple[tuple[Partition, int], ...]:
-    """Schur expansion of the power-sum monomial p_mu."""
-    acc: dict[Partition, int] = {EMPTY: 1}
-    for part in mu:
-        nxt: dict[Partition, int] = {}
-        for lam, coeff in acc.items():
-            for outer, sign in _p_times_schur(part, lam):
-                nxt[outer] = nxt.get(outer, 0) + coeff * sign
-        acc = {k: v for k, v in nxt.items() if v}
-    return tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key()))
-
-
-def character_value(lam: Partition, mu: Partition) -> int:
-    """Irreducible symmetric group character chi^lam evaluated on class mu.
-
-    Read off as the coefficient of s_lam in the Schur expansion of p_mu.
+    This is the column {lam: chi^lam(mu)} of the character table, nonzero
+    entries only, in the order of partitions_of; read-only, since every
+    caller shares the cached mapping.
     """
-    for shape, value in _p_monomial_schur(Partition(mu)):
-        if shape == lam:
-            return value
-    return 0
+    column = {}
+    for lam in partitions_of(mu.size):
+        value = murnaghan_nakayama(lam, mu)
+        if value:
+            column[lam] = value
+    return MappingProxyType(column)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +233,10 @@ class SymFunc:
         out: dict[Partition, Fraction] = {}
         for d, piece in self.homogeneous_components().items():
             for mu in partitions_of(d):
+                column = _p_monomial_schur(mu)
                 total = Fraction(0)
                 for lam, c in piece.coeffs.items():
-                    total += c * character_value(lam, mu)
+                    total += c * column.get(lam, 0)
                 if total:
                     out[mu] = out.get(mu, Fraction(0)) + total / z_lambda(mu)
         return out
@@ -319,14 +274,14 @@ def p_sym(k: int) -> SymFunc:
     """Power sum p_k, expanded into hook Schur functions."""
     if k == 0:
         return SymFunc.scalar(1)
-    return SymFunc(dict((lam, Fraction(c)) for lam, c in _p_monomial_schur(Partition((k,)))))
+    return SymFunc({lam: Fraction(c) for lam, c in _p_monomial_schur(Partition((k,))).items()})
 
 
 def from_p_monomials(terms: Mapping[Partition, Fraction]) -> SymFunc:
     out = SymFunc.zero()
     for mu, c in terms.items():
         out = out + SymFunc(
-            {lam: Fraction(c) * v for lam, v in _p_monomial_schur(Partition(mu))}
+            {lam: Fraction(c) * v for lam, v in _p_monomial_schur(Partition(mu)).items()}
         )
     return out
 
@@ -471,12 +426,6 @@ class LambdaSeries:
     def monomial(f, exp: int, trunc: int) -> "LambdaSeries":
         return LambdaSeries({exp: _as_symfunc(f)}, trunc)
 
-    @staticmethod
-    def from_rational_coeffs(coeffs: Mapping[int, Fraction], trunc: int) -> "LambdaSeries":
-        return LambdaSeries(
-            {k: SymFunc.scalar(c) for k, c in coeffs.items()}, trunc
-        )
-
     # -- queries -------------------------------------------------------------
 
     def coefficient(self, k: int) -> SymFunc:
@@ -489,12 +438,6 @@ class LambdaSeries:
     def valuation(self) -> Optional[int]:
         """Smallest exponent present, or None for the (truncated) zero series."""
         return min(self.terms) if self.terms else None
-
-    def require_valuation(self, bound: int) -> "LambdaSeries":
-        v = self.valuation()
-        if v is not None and v < bound:
-            raise ValuationViolation(f"series has valuation {v}, needs >= {bound}")
-        return self
 
     def exponents(self) -> list[int]:
         return sorted(self.terms)

@@ -15,7 +15,55 @@ from torelli.characters import (
     trivial_character,
 )
 from torelli.partitions import EMPTY, Partition, partitions_of, symmetric_group_irrep_dim, z_lambda
-from torelli.symfunc import SymFunc, character_value, change_basis
+from torelli.symfunc import SymFunc, change_basis
+
+
+# Test oracle: the border-strip scan that computed character values before
+# the rim-hook table. It tries every partition of the remaining size as
+# the inner shape, so it is slow, but it shares no code with the table.
+
+def _is_border_strip(outer: Partition, inner: Partition) -> bool:
+    inner_padded = list(inner) + [0] * (len(outer) - len(inner))
+    cells = set()
+    for r, row_end in enumerate(outer):
+        for c in range(inner_padded[r], row_end):
+            cells.add((r, c))
+    if not cells:
+        return False
+    # No 2x2 block.
+    for (r, c) in cells:
+        if (r + 1, c) in cells and (r, c + 1) in cells and (r + 1, c + 1) in cells:
+            return False
+    # Edge-connected.
+    seen = {next(iter(cells))}
+    frontier = list(seen)
+    while frontier:
+        r, c = frontier.pop()
+        for nb in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1)):
+            if nb in cells and nb not in seen:
+                seen.add(nb)
+                frontier.append(nb)
+    return seen == cells
+
+
+def _strip_scan(lam: Partition, mu: Partition, memo: dict) -> int:
+    """chi^lam(mu): strip a border strip of size mu[0] with sign
+    (-1)^height, found by scanning all partitions, and recurse."""
+    if not lam:
+        return 1
+    key = (lam, mu)
+    if key not in memo:
+        k = mu[0]
+        rest = Partition(mu[1:])
+        total = 0
+        for inner in partitions_of(lam.size - k):
+            if not lam.contains(inner) or not _is_border_strip(lam, inner):
+                continue
+            inner_padded = list(inner) + [0] * (len(lam) - len(inner))
+            height = sum(1 for r in range(len(lam)) if lam[r] > inner_padded[r]) - 1
+            total += (-1) ** height * _strip_scan(inner, rest, memo)
+        memo[key] = total
+    return memo[key]
 
 
 def test_murnaghan_nakayama_table():
@@ -30,11 +78,12 @@ def test_murnaghan_nakayama_table():
 
 
 def test_two_routes_agree():
-    # strip removal against the strip-addition recursion
-    for q in range(7):
+    # the rim-hook table against the border-strip scan oracle
+    memo = {}
+    for q in range(9):
         for lam in partitions_of(q):
             for mu in partitions_of(q):
-                assert murnaghan_nakayama(lam, mu) == character_value(lam, mu)
+                assert murnaghan_nakayama(lam, mu) == _strip_scan(lam, mu, memo), (lam, mu)
 
 
 def test_orthogonality():

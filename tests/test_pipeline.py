@@ -233,6 +233,14 @@ def test_cli_rejects_bad_dimension():
     assert result.exit_code == 3
 
 
+def test_cli_rejects_unknown_format():
+    result = CliRunner().invoke(
+        main, ["cohomology", "--dim", "6", "--max-degree", "2", "--format", "bogus"]
+    )
+    assert result.exit_code == 3
+    assert "output must be one of ('text', 'json', 'latex'), got 'bogus'" in result.output
+
+
 def test_cli_series_stage():
     result = _run(["series", "--dim", "6", "--max-degree", "3", "--stage", "chB"])
     assert result.exit_code == 0

@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from torelli.partitions import EMPTY, Partition, partitions_of
+from torelli.partitions import EMPTY, Partition, murnaghan_nakayama, partitions_of
 from torelli.symfunc import (
     LambdaSeries,
     NotAUnit,
     PlethysmDivergence,
     SymFunc,
     change_basis,
-    character_value,
     e_sym,
     exp_h,
     from_p_monomials,
@@ -89,12 +88,12 @@ def test_power_sum_round_trip():
 
 def test_character_value_against_strips():
     # contents of the character table for q = 3 and q = 4
-    assert character_value(Partition((2, 1)), Partition((1, 1, 1))) == 2
-    assert character_value(Partition((2, 1)), Partition((3,))) == -1
-    assert character_value(Partition((2, 2)), Partition((2, 1, 1))) == 0
-    assert character_value(Partition((2, 2)), Partition((4,))) == 0
-    assert character_value(Partition((2, 2)), Partition((2, 2))) == 2
-    assert character_value(Partition((3, 1)), Partition((4,))) == -1
+    assert murnaghan_nakayama(Partition((2, 1)), Partition((1, 1, 1))) == 2
+    assert murnaghan_nakayama(Partition((2, 1)), Partition((3,))) == -1
+    assert murnaghan_nakayama(Partition((2, 2)), Partition((2, 1, 1))) == 0
+    assert murnaghan_nakayama(Partition((2, 2)), Partition((4,))) == 0
+    assert murnaghan_nakayama(Partition((2, 2)), Partition((2, 2))) == 2
+    assert murnaghan_nakayama(Partition((3, 1)), Partition((4,))) == -1
 
 
 def test_homogeneous_split():
