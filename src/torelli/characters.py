@@ -4,11 +4,12 @@ Class functions, the Frobenius characteristic map into symmetric
 functions, and decomposition of class functions into irreducibles.
 Character values come from the rim-hook table
 `partitions.murnaghan_nakayama`, which is re-exported here under the same
-name; the plethysm layer reads the same table for its power-sum
-conversions, so the table itself is checked against an independent
-border-strip scan in the tests. The enumeration oracle built on this
-module stays independent of the plethysm route through what it
-decomposes: fixed-point characters of the labelled-partition basis.
+name; the plethysm layer's power-sum to Schur conversion runs the same
+rim-hook rule (`partitions.rim_hooks`) forwards, so the table is checked
+against an independent border-strip scan in the tests. The enumeration
+oracle built on this module stays independent of the plethysm route
+through what it decomposes: fixed-point characters of the
+labelled-partition basis.
 """
 
 from __future__ import annotations

@@ -197,32 +197,48 @@ def symmetric_group_irrep_dim(lam: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
+def rim_hooks(lam: Partition, k: int) -> tuple[tuple[Partition, int], ...]:
+    """The partitions one rim hook of size |k| away from lam, with signs.
+
+    The bead slide on beta-sets (abacus): put beads at lam_i + (l - 1 - i),
+    l being the number of parts plus k zero parts of padding when k > 0.
+    A rim hook of size |k| is one bead slid from b to the empty position
+    b + k; k > 0 adds the hook, k < 0 removes it. The sign is (-1)^leg,
+    the leg length being the number of beads the slide jumps over. This is
+    the one rim-hook rule of the package: the character table below runs
+    it backwards, and the power-sum to Schur conversion runs it forwards.
+    """
+    padded = tuple(lam) + (0,) * max(k, 0)
+    top = len(padded) - 1
+    beads = [part + top - i for i, part in enumerate(padded)]
+    occupied = set(beads)
+    out = []
+    for i, b in enumerate(beads):
+        c = b + k
+        if c < 0 or c in occupied:
+            continue
+        low, high = min(b, c), max(b, c)
+        leg = sum(1 for x in beads if low < x < high)
+        moved = sorted(beads[:i] + beads[i + 1:] + [c], reverse=True)
+        shape = Partition([x - top + j for j, x in enumerate(moved)])
+        out.append((shape, -1 if leg % 2 else 1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def murnaghan_nakayama(lam: Partition, mu: Partition) -> int:
     """Value of the irreducible character chi^lam on the class mu.
 
-    The rim-hook rule on beta-sets (abacus): with beads at the first-column
-    hook lengths lam_i + (l - i) of lam, removing a rim hook of size k
-    slides one bead from position b to the empty position b - k, and the
-    hook's leg length is the number of beads it jumps over. Peel off the
-    largest part of mu this way, with sign (-1)^leg, and recurse on what
-    remains. This is the one character table of the package: Schur and
-    power-sum expansions and class-function decompositions all read it.
+    The Murnaghan-Nakayama rule: remove every rim hook of size mu_1 from
+    lam (`rim_hooks` with k = -mu_1), with its sign, and recurse on the
+    rest of mu. This is the one character table of the package:
+    class-function decompositions and the Schur expansion of a power sum
+    read it.
     """
     lam, mu = Partition(lam), Partition(mu)
     if lam.size != mu.size:
         raise ValueError("character argument must have matching size")
     if not mu:
         return 1
-    k, rest = mu[0], Partition(mu[1:])
-    top = len(lam) - 1
-    beads = [part + top - i for i, part in enumerate(lam)]
-    occupied = set(beads)
-    total = 0
-    for i, b in enumerate(beads):
-        if b < k or b - k in occupied:
-            continue
-        leg = sum(1 for c in beads if b - k < c < b)
-        moved = sorted(beads[:i] + beads[i + 1:] + [b - k], reverse=True)
-        inner = Partition([c - top + j for j, c in enumerate(moved)])
-        total += (-1) ** leg * murnaghan_nakayama(inner, rest)
-    return total
+    rest = Partition(mu[1:])
+    return sum(sign * murnaghan_nakayama(inner, rest) for inner, sign in rim_hooks(lam, -mu[0]))

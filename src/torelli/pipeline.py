@@ -5,6 +5,7 @@ change of basis into symplectic or orthogonal classes, and the scalar
 quotient, then applies the requested bundle variant.
 """
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -62,7 +63,7 @@ class PipelineConfig:
             warnings.warn(
                 "dimension 4 tables are limit-only; no finite stable range is known",
                 LimitOnlyCaveat,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass-generated __init__
             )
 
     @property
@@ -121,6 +122,15 @@ def closed_fiber_series(n: int, epsilon: int, trunc: int) -> ClassSeries:
     return ClassSeries(epsilon, terms, trunc)
 
 
+def _outside_this_module() -> int:
+    """The warnings stacklevel of the nearest caller outside this module,
+    for a warning issued by the function that calls this one."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename == __file__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def variant_adjust(series: ClassSeries, cfg: PipelineConfig) -> ClassSeries:
     if cfg.variant == "disc":
         return series
@@ -131,7 +141,7 @@ def variant_adjust(series: ClassSeries, cfg: PipelineConfig) -> ClassSeries:
         warnings.warn(
             "closed tables above dimension 2 extrapolate the fibre division",
             ExtrapolationWarning,
-            stacklevel=2,
+            stacklevel=_outside_this_module(),
         )
     fiber = closed_fiber_series(cfg.n, cfg.epsilon, series.trunc)
     return adjusted * fiber.invert()

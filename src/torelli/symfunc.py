@@ -6,6 +6,12 @@ helpers. Truncated t-series over the ring carry a hard truncation order:
 no operation ever claims a coefficient beyond what its inputs determine.
 Negative t-exponents are tolerated inside a series because some inputs
 are assembled from shifted pieces that only cancel at the end.
+
+The power-sum basis is the working basis of `plethysm` and `exp_h`:
+there plethysm only relabels partitions and a product merges them, so
+no Littlewood-Richardson coefficient is computed. `SymFunc.to_p` brings
+each input coefficient in, and `from_p_monomials` takes each result
+coefficient back to Schur once, by adding rim hooks.
 """
 
 from __future__ import annotations
@@ -13,10 +19,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
-from .partitions import EMPTY, Partition, murnaghan_nakayama, partitions_of, z_lambda
+from .partitions import EMPTY, Partition, murnaghan_nakayama, partitions_of, rim_hooks, z_lambda
 
 
 class PlethysmDivergence(ValueError):
@@ -278,11 +285,36 @@ def p_sym(k: int) -> SymFunc:
 
 
 def from_p_monomials(terms: Mapping[Partition, Fraction]) -> SymFunc:
-    out = SymFunc.zero()
+    """Schur expansion of sum_mu c_mu p_mu, of any mix of weights.
+
+    Horner's rule over the parts of mu: group the terms by their smallest
+    part k, convert what remains of each group in one recursive pass, then
+    multiply by p_k, which adds every rim hook of size k with its sign
+    (`partitions.rim_hooks` run forwards). Terms that share their smaller
+    parts share all the work on them. The pass only adds signed copies of
+    coefficients, so it runs on integers: every coefficient is scaled by
+    the common denominator, which is divided out at the end.
+    """
+    terms = {Partition(mu): Fraction(c) for mu, c in terms.items()}
+    den = lcm(*(c.denominator for c in terms.values()))
+    scaled = {mu: c.numerator * (den // c.denominator) for mu, c in terms.items()}
+    return SymFunc({lam: Fraction(c, den) for lam, c in _horner(scaled).items()})
+
+
+def _horner(terms: Mapping[tuple, int]) -> dict[Partition, int]:
+    out: dict[Partition, int] = {}
+    groups: dict[int, dict[tuple, int]] = {}
     for mu, c in terms.items():
-        out = out + SymFunc(
-            {lam: Fraction(c) * v for lam, v in _p_monomial_schur(Partition(mu)).items()}
-        )
+        if mu:
+            groups.setdefault(mu[-1], {})[mu[:-1]] = c
+        else:
+            out[EMPTY] = out.get(EMPTY, 0) + c
+    for k, rest in groups.items():
+        for lam, c in _horner(rest).items():
+            if not c:
+                continue
+            for nu, sign in rim_hooks(lam, k):
+                out[nu] = out.get(nu, 0) + sign * c
     return out
 
 
@@ -475,12 +507,7 @@ class LambdaSeries:
             f = _as_symfunc(other)
             return LambdaSeries({k: g * f for k, g in self.terms.items()}, self.trunc)
         other = self._coerce(other)
-        # With Laurent terms present, a product coefficient near the cut
-        # may need factors beyond the other input's truncation, so the
-        # claimed order shrinks accordingly.
-        val_s = min(self.terms) if self.terms else self.trunc + 1
-        val_o = min(other.terms) if other.terms else other.trunc + 1
-        trunc = min(self.trunc, other.trunc, val_s + other.trunc, val_o + self.trunc)
+        trunc = _product_trunc(self.terms, self.trunc, other.terms, other.trunc)
         out: dict[int, SymFunc] = {}
         for a, f in self.terms.items():
             for b, g in other.terms.items():
@@ -522,6 +549,20 @@ class LambdaSeries:
         return f"LambdaSeries({self.terms!r}, trunc={self.trunc})"
 
 
+def _product_trunc(
+    x: Mapping[int, object], x_trunc: int, y: Mapping[int, object], y_trunc: int
+) -> int:
+    """Truncation order of a product of two series, given their nonzero terms.
+
+    With Laurent terms present, a product coefficient near the cut may
+    need factors beyond the other input's truncation, so the claimed order
+    shrinks accordingly.
+    """
+    val_x = min(x) if x else x_trunc + 1
+    val_y = min(y) if y else y_trunc + 1
+    return min(x_trunc, y_trunc, val_x + y_trunc, val_y + x_trunc)
+
+
 def series_invert(g: LambdaSeries) -> LambdaSeries:
     """Multiplicative inverse, term by term, up to g's truncation order."""
     if any(k < 0 for k in g.terms):
@@ -547,70 +588,105 @@ def series_invert(g: LambdaSeries) -> LambdaSeries:
 
 
 # ---------------------------------------------------------------------------
-# Plethysm
+# Plethysm on the power-sum core
 # ---------------------------------------------------------------------------
+#
+# In the p basis plethysm is a relabelling, p_k[p_mu] = p_{k mu} and
+# p_k[t] = t^k, and a product merges partitions, so no Littlewood-Richardson
+# coefficient is needed. A p-series maps t-exponents to dicts
+# {mu: coefficient}; every coefficient of g is expanded once with `to_p`,
+# and each coefficient of the result is converted to Schur once, at the end.
 
-def _pk_compose(k: int, g: LambdaSeries) -> LambdaSeries:
-    """p_k composed with g: p_m -> p_{km} in coefficients, t -> t^k."""
-    if k == 1:
-        return g
-    out: dict[int, SymFunc] = {}
-    for a, f in g.terms.items():
-        if k * a > g.trunc:
-            continue
-        stretched: dict[Partition, Fraction] = {}
-        for mu, c in f.to_p().items():
-            stretched[Partition(tuple(k * part for part in mu))] = c
-        target = from_p_monomials(stretched)
-        key = k * a
-        out[key] = out.get(key, SymFunc.zero()) + target
-    return LambdaSeries(out, g.trunc)
+def _stretch(x: Mapping[Partition, Fraction], k: int) -> dict[Partition, Fraction]:
+    """p_k[x]: every part of every mu multiplied by k."""
+    return {tuple.__new__(Partition, [k * part for part in mu]): c for mu, c in x.items()}
+
+
+def _p_mul_into(
+    out: dict, x: Mapping[Partition, Fraction], y: Mapping[Partition, Fraction]
+) -> None:
+    """out += x * y, where p_mu * p_nu = p_{mu merged with nu}."""
+    for mu, a in x.items():
+        for nu, b in y.items():
+            # Both keys are partitions already, so Partition's cleaning is skipped.
+            key = tuple.__new__(Partition, sorted(mu + nu, reverse=True))
+            out[key] = out.get(key, 0) + a * b
+
+
+def _p_series_mul(
+    x: dict[int, dict], x_trunc: int, y: dict[int, dict], y_trunc: int
+) -> tuple[dict[int, dict], int]:
+    """Product of two p-series, with the truncation rule of LambdaSeries."""
+    trunc = _product_trunc(x, x_trunc, y, y_trunc)
+    out: dict[int, dict] = {}
+    for a, f in x.items():
+        for b, g in y.items():
+            if a + b <= trunc:
+                _p_mul_into(out.setdefault(a + b, {}), f, g)
+    nonzero = {k: {mu: c for mu, c in f.items() if c} for k, f in out.items()}
+    return {k: f for k, f in nonzero.items() if f}, trunc
+
+
+def _to_schur_series(x: dict[int, dict], trunc: int) -> LambdaSeries:
+    return LambdaSeries({k: from_p_monomials(c) for k, c in x.items()}, trunc)
 
 
 def plethysm(f: SymFunc, g: LambdaSeries) -> LambdaSeries:
     """Composition f of g for a finite symmetric function f."""
-    pk_cache: dict[int, LambdaSeries] = {}
+    pg = {a: c.to_p() for a, c in g.terms.items()}
+    pk_cache: dict[int, dict[int, dict]] = {}
 
-    def pk(k: int) -> LambdaSeries:
+    def pk(k: int) -> dict[int, dict]:
+        # p_k[g]; its truncation order stays that of g.
         if k not in pk_cache:
-            pk_cache[k] = _pk_compose(k, g)
+            pk_cache[k] = {k * a: _stretch(x, k) for a, x in pg.items() if k * a <= g.trunc}
         return pk_cache[k]
 
-    total = LambdaSeries.zero(g.trunc)
+    one = {0: {EMPTY: Fraction(1)}} if g.trunc >= 0 else {}
+    total: dict[int, dict] = {}
+    trunc = g.trunc
     for mu, c in f.to_p().items():
-        term = LambdaSeries.one(g.trunc)
+        term, term_trunc = one, g.trunc
         for part in mu:
-            term = term * pk(part)
-        total = total + term * c
-    return total
+            term, term_trunc = _p_series_mul(term, term_trunc, pk(part), g.trunc)
+        trunc = min(trunc, term_trunc)
+        for k, x in term.items():
+            acc = total.setdefault(k, {})
+            for nu, a in x.items():
+                acc[nu] = acc.get(nu, 0) + a * c
+    return _to_schur_series(total, trunc)
 
 
 def exp_h(g: LambdaSeries) -> LambdaSeries:
-    """Sum over q of h_q composed with g.
+    """Sum over q of h_q composed with g: the plethystic exponential.
 
     Only finitely many q contribute below the truncation order because g
-    must have positive t-valuation; otherwise the sum diverges.
+    must have positive t-valuation; otherwise the sum diverges. With
+    L = sum_k p_k[g]/k and E = exp(L) = sum_m E_m t^m, the log-derivative
+    recurrence m E_m = sum_j (j L_j) E_{m-j} (Macdonald I.2) gives E in
+    the p basis, where j L_j = sum over k a = j of a p_k[g_a].
     """
     v = g.valuation()
     if v is not None and v < 1:
         raise PlethysmDivergence(
             "composing the full homogeneous family needs t-valuation >= 1"
         )
-    pk_cache: dict[int, LambdaSeries] = {}
-
-    def pk(k: int) -> LambdaSeries:
-        if k not in pk_cache:
-            pk_cache[k] = _pk_compose(k, g)
-        return pk_cache[k]
-
-    total = LambdaSeries.one(g.trunc)
-    for q in range(1, g.trunc + 1):
-        for mu in partitions_of(q):
-            term = LambdaSeries.one(g.trunc)
-            for part in mu:
-                term = term * pk(part)
-            total = total + term * Fraction(1, z_lambda(mu))
-    return total
+    trunc = g.trunc
+    dlog: dict[int, dict[Partition, Fraction]] = {}
+    for a, c in g.terms.items():
+        pa = c.to_p()
+        for k in range(1, trunc // a + 1):
+            dj = dlog.setdefault(k * a, {})
+            for mu, x in _stretch(pa, k).items():
+                dj[mu] = dj.get(mu, 0) + a * x
+    exp_terms = [{EMPTY: Fraction(1)}]
+    for m in range(1, trunc + 1):
+        acc: dict[Partition, Fraction] = {}
+        for j, dj in dlog.items():
+            if j <= m:
+                _p_mul_into(acc, dj, exp_terms[m - j])
+        exp_terms.append({mu: c / m for mu, c in acc.items() if c})
+    return _to_schur_series(dict(enumerate(exp_terms)), trunc)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from torelli.pipeline import (
     compute_cohomology,
     oracle_check,
     stable_range,
+    variant_adjust,
 )
 from torelli.symfunc import change_basis
 
@@ -146,6 +147,19 @@ def test_closed_extrapolation_warns():
         warnings.simplefilter("always")
         compute_cohomology(PipelineConfig(two_n=6, max_degree=2, variant="closed"))
     assert any(issubclass(w.category, ExtrapolationWarning) for w in caught)
+
+
+def test_warnings_point_at_the_caller():
+    closed = PipelineConfig(two_n=6, max_degree=2, variant="closed")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        PipelineConfig(two_n=4, max_degree=1)
+        compute_cohomology(closed)
+        variant_adjust(ClassSeries.zero(-1, 2), closed)
+    assert [w.category for w in caught] == [
+        LimitOnlyCaveat, ExtrapolationWarning, ExtrapolationWarning
+    ]
+    assert [w.filename for w in caught] == [__file__] * 3
 
 
 def test_truncation_consistency():

@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from torelli.partitions import EMPTY, Partition, murnaghan_nakayama, partitions_of
+from torelli import symfunc
+from torelli.labels import ch_B
+from torelli.partitions import (
+    EMPTY,
+    Partition,
+    murnaghan_nakayama,
+    partitions_of,
+    partitions_upto,
+    z_lambda,
+)
 from torelli.symfunc import (
     LambdaSeries,
     NotAUnit,
@@ -24,6 +33,69 @@ from torelli.symfunc import (
 
 def sf(text):
     return change_basis(text)
+
+
+# Test oracle: the Schur-basis route that exp_h and plethysm took before
+# the power-sum core. p_k[g] is converted back to Schur through the
+# columns of the character table, and every product of series goes
+# through Littlewood-Richardson coefficients. It is slow and kept only to
+# check the power-sum core against.
+
+def _column_sum(terms) -> SymFunc:
+    """sum_mu c_mu p_mu, one character-table column per mu."""
+    out = SymFunc.zero()
+    for mu, c in terms.items():
+        column = symfunc._p_monomial_schur(Partition(mu))
+        out = out + SymFunc({lam: Fraction(c) * v for lam, v in column.items()})
+    return out
+
+
+def _lr_pk_compose(k: int, g: LambdaSeries) -> LambdaSeries:
+    """p_k composed with g: p_m -> p_{km} in coefficients, t -> t^k."""
+    if k == 1:
+        return g
+    out = {}
+    for a, f in g.terms.items():
+        if k * a > g.trunc:
+            continue
+        stretched = {Partition(tuple(k * part for part in mu)): c for mu, c in f.to_p().items()}
+        out[k * a] = out.get(k * a, SymFunc.zero()) + _column_sum(stretched)
+    return LambdaSeries(out, g.trunc)
+
+
+def _lr_plethysm(f: SymFunc, g: LambdaSeries) -> LambdaSeries:
+    total = LambdaSeries.zero(g.trunc)
+    for mu, c in f.to_p().items():
+        term = LambdaSeries.one(g.trunc)
+        for part in mu:
+            term = term * _lr_pk_compose(part, g)
+        total = total + term * c
+    return total
+
+
+def _lr_exp_h(g: LambdaSeries) -> LambdaSeries:
+    """sum over q and |mu| = q of prod_i p_{mu_i}[g] / z_mu."""
+    pk = {k: _lr_pk_compose(k, g) for k in range(1, g.trunc + 1)}
+    total = LambdaSeries.one(g.trunc)
+    for q in range(1, g.trunc + 1):
+        for mu in partitions_of(q):
+            term = LambdaSeries.one(g.trunc)
+            for part in mu:
+                term = term * pk[part]
+            total = total + term * Fraction(1, z_lambda(mu))
+    return total
+
+
+def _hand_made_series() -> LambdaSeries:
+    # negative and fractional coefficients, several weights per degree
+    return LambdaSeries(
+        {
+            1: sf("s[1] - 1/2*s[2] + 3"),
+            2: sf("-2*s[1^2] + 2/3*s[2,1] - 1/5"),
+            3: sf("s[3] - 3/4*s[1]"),
+        },
+        5,
+    )
 
 
 def test_lr_small_products():
@@ -84,6 +156,43 @@ def test_power_sum_round_trip():
             )
         f = from_p_monomials(coeffs)
         assert from_p_monomials(f.to_p()) == f
+
+
+def test_horner_matches_character_columns():
+    for mu in partitions_upto(10):
+        assert from_p_monomials({mu: 1}) == _column_sum({mu: 1}), mu
+    rng = random.Random(41)
+    mixed = {}
+    for _ in range(40):
+        mu = rng.choice(partitions_of(rng.randrange(0, 11)))
+        mixed[mu] = Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+    assert from_p_monomials(mixed) == _column_sum(mixed)
+
+
+def test_power_sum_core_matches_lr_oracle():
+    for g in (ch_B(1, 5), ch_B(3, 9), _hand_made_series()):
+        fast, slow = exp_h(g), _lr_exp_h(g)
+        assert (fast.terms, fast.trunc) == (slow.terms, slow.trunc)
+        for f in (sf("h2"), sf("e3 - 2/3*p2*h1 + 1/2")):
+            fast, slow = plethysm(f, g), _lr_plethysm(f, g)
+            assert (fast.terms, fast.trunc) == (slow.terms, slow.trunc)
+
+
+def test_plethysm_laurent_truncation_matches_lr_oracle():
+    # A t^-1 term shrinks the claimed order of every product.
+    g = LambdaSeries({-1: sf("s[1]"), 0: sf("-1/2*s[2]"), 2: sf("s[1^2] + 2")}, 4)
+    for f in (sf("h2"), sf("p3"), sf("e2*h1 - 3"), SymFunc.zero()):
+        fast, slow = plethysm(f, g), _lr_plethysm(f, g)
+        assert (fast.terms, fast.trunc) == (slow.terms, slow.trunc)
+
+
+def test_exp_h_stays_off_the_lr_route():
+    chb = ch_B(3, 8)
+    symfunc.lr_coefficient.cache_clear()
+    symfunc._schur_product_table.cache_clear()
+    exp_h(chb)
+    assert symfunc.lr_coefficient.cache_info().misses == 0
+    assert symfunc._schur_product_table.cache_info().misses == 0
 
 
 def test_character_value_against_strips():
@@ -177,6 +286,8 @@ def test_exp_h_exponential_law():
 def test_exp_h_divergence():
     with pytest.raises(PlethysmDivergence):
         exp_h(LambdaSeries.one(3))
+    with pytest.raises(PlethysmDivergence):
+        exp_h(LambdaSeries({-1: sf("s[1]"), 2: sf("s[2]")}, 3))
 
 
 def test_render():
