@@ -82,10 +82,6 @@ class OrthSympClass:
     def unit(epsilon: int) -> "OrthSympClass":
         return OrthSympClass(epsilon, {EMPTY: Fraction(1)})
 
-    @staticmethod
-    def irreducible(lam, epsilon: int) -> "OrthSympClass":
-        return OrthSympClass(epsilon, {Partition(lam): Fraction(1)})
-
     def coeff(self, lam) -> Fraction:
         return self.coeffs.get(Partition(lam), Fraction(0))
 
@@ -191,51 +187,10 @@ class ClassSeries:
     def zero(epsilon: int, trunc: int) -> "ClassSeries":
         return ClassSeries(epsilon, {}, trunc)
 
-    @staticmethod
-    def one(epsilon: int, trunc: int) -> "ClassSeries":
-        return ClassSeries(epsilon, {0: OrthSympClass.unit(epsilon)}, trunc)
-
     def coefficient(self, k: int) -> OrthSympClass:
         if k > self.trunc:
             raise ValueError(f"coefficient of t^{k} beyond truncation {self.trunc}")
         return self.terms.get(k, OrthSympClass.zero(self.epsilon))
-
-    def exponents(self) -> list[int]:
-        return sorted(self.terms)
-
-    def truncate(self, d: int) -> "ClassSeries":
-        if d > self.trunc:
-            raise ValueError("cannot extend a truncated series")
-        return ClassSeries(self.epsilon, self.terms, d)
-
-    def __add__(self, other: "ClassSeries") -> "ClassSeries":
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            merged[k] = merged.get(k, OrthSympClass.zero(self.epsilon)) + c
-        return ClassSeries(self.epsilon, merged, min(self.trunc, other.trunc))
-
-    def __sub__(self, other: "ClassSeries") -> "ClassSeries":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "ClassSeries":
-        return ClassSeries(
-            self.epsilon, {k: v * c for k, v in self.terms.items()}, self.trunc
-        )
-
-    def __mul__(self, other: "ClassSeries") -> "ClassSeries":
-        if not isinstance(other, ClassSeries):
-            return NotImplemented
-        if self.epsilon != other.epsilon:
-            raise EpsilonMismatch("cannot multiply series of opposite epsilon")
-        trunc = min(self.trunc, other.trunc)
-        out: dict[int, OrthSympClass] = {}
-        for i, a in self.terms.items():
-            for j, b in other.terms.items():
-                if i + j > trunc:
-                    continue
-                prod = nl_product(a, b)
-                out[i + j] = out.get(i + j, OrthSympClass.zero(self.epsilon)) + prod
-        return ClassSeries(self.epsilon, out, trunc)
 
     def mul_scalar_series(self, scalar: LambdaSeries) -> "ClassSeries":
         """Multiply by a series whose coefficients are scalar symmetric functions."""
@@ -250,21 +205,6 @@ class ClassSeries:
                     continue
                 out[i + j] = out.get(i + j, OrthSympClass.zero(self.epsilon)) + a * c
         return ClassSeries(self.epsilon, out, trunc)
-
-    def invert(self) -> "ClassSeries":
-        """Multiplicative inverse; the constant term must be the unit class."""
-        c0 = self.terms.get(0)
-        if c0 is None or c0.coeffs != {EMPTY: Fraction(1)}:
-            raise ValueError("inverse requires constant term equal to 1")
-        inv: dict[int, OrthSympClass] = {0: OrthSympClass.unit(self.epsilon)}
-        for k in range(1, self.trunc + 1):
-            acc = OrthSympClass.zero(self.epsilon)
-            for j in range(1, k + 1):
-                if j in self.terms and (k - j) in inv:
-                    acc = acc + nl_product(self.terms[j], inv[k - j])
-            if not acc.is_zero():
-                inv[k] = acc * -1
-        return ClassSeries(self.epsilon, inv, self.trunc)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassSeries):
@@ -322,14 +262,6 @@ def restrict_schur(f: SymFunc, epsilon: int) -> OrthSympClass:
         out[top] = out.get(top, Fraction(0)) + c
         rem = rem - _class_in_schur(top, epsilon) * c
     return OrthSympClass(epsilon, out)
-
-
-def restrict_series(series: LambdaSeries, epsilon: int) -> ClassSeries:
-    return ClassSeries(
-        epsilon,
-        {k: restrict_schur(c, epsilon) for k, c in series.terms.items()},
-        series.trunc,
-    )
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ here through honest linear maps.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat
 from typing import Callable, Iterable, Sequence
 
 from .characters import NonIntegralMultiplicity, murnaghan_nakayama
@@ -253,16 +253,31 @@ def perfect_matchings(elems: Iterable[int]):
     return list(rec(tuple(elems)))
 
 
+def _check_dense_budget(size: int, dim: int) -> None:
+    """Reject before any matching is built when the (size-1)!! matching
+    tensors, dim**size dense entries each, exceed TENSOR_ENTRY_CAP in
+    total; the product stops at the first factor past the cap."""
+    total = 1
+    for factor in chain(range(size - 1, 0, -2), repeat(dim, size)):
+        total *= factor
+        if total > TENSOR_ENTRY_CAP:
+            raise ValueError(
+                f"{size}-point matching tensors in dimension {dim} exceed "
+                f"the oracle cap of {TENSOR_ENTRY_CAP} entries"
+            )
+
+
 def matching_span_rank(S, g: int, epsilon: int) -> tuple[int, int]:
     """Exact rank of the matching invariants, with the dimension of the
     formal matching space they come from."""
     if isinstance(S, int):
-        elems = list(range(1, S + 1))
+        elems = range(1, S + 1)
     else:
         elems = sorted(int(x) for x in S)
     if len(elems) % 2:
         raise ValueError("the set size must be even")
     form = EpsForm(g, epsilon)
+    _check_dense_budget(len(elems), form.dim)
     matchings = perfect_matchings(elems)
     vectors = [omega_m(m, form).entries for m in matchings]
     return _rank(vectors), len(matchings)

@@ -2,7 +2,11 @@
 
 Chains the label-ring character through plethysm, the involution, the
 change of basis into symplectic or orthogonal classes, and the scalar
-quotient, then applies the requested bundle variant.
+quotient, then applies the requested bundle variant. The point and
+closed variants multiply by the scalar Poincare series of the bundle
+classes; the closed one then divides by the fibre series
+1 + V_1 t^n + t^{2n} (divide_by_fiber), a three-term recurrence whose
+only class product is V_1 (x) V_lam, the size-1 rim hooks of lam.
 """
 
 import sys
@@ -13,7 +17,7 @@ from typing import Optional
 from .branching import ClassSeries, D_series, OrthSympClass
 from .characters import decompose
 from .labels import _geometric, ch_B
-from .partitions import Partition
+from .partitions import rim_hooks
 from .setparts import quotient_series_by_L, sigma_character
 from .symfunc import LambdaSeries, SymFunc, exp_h, omega
 
@@ -112,16 +116,6 @@ def bundle_scalar_series(n: int, trunc: int) -> LambdaSeries:
     return out
 
 
-def closed_fiber_series(n: int, epsilon: int, trunc: int) -> ClassSeries:
-    """Class-valued Poincare series of the fibre, 1 + V_1 t^n + t^{2n}."""
-    terms = {0: OrthSympClass.unit(epsilon)}
-    if n <= trunc:
-        terms[n] = OrthSympClass.irreducible(Partition((1,)), epsilon)
-    if 2 * n <= trunc:
-        terms[2 * n] = OrthSympClass.unit(epsilon)
-    return ClassSeries(epsilon, terms, trunc)
-
-
 def _outside_this_module() -> int:
     """The warnings stacklevel of the nearest caller outside this module,
     for a warning issued by the function that calls this one."""
@@ -143,8 +137,28 @@ def variant_adjust(series: ClassSeries, cfg: PipelineConfig) -> ClassSeries:
             ExtrapolationWarning,
             stacklevel=_outside_this_module(),
         )
-    fiber = closed_fiber_series(cfg.n, cfg.epsilon, series.trunc)
-    return adjusted * fiber.invert()
+    return divide_by_fiber(adjusted, cfg.n)
+
+
+def divide_by_fiber(series: ClassSeries, n: int) -> ClassSeries:
+    """Divide a series in nonnegative powers of t by the fibre's
+    class-valued Poincare series 1 + V_1 t^n + t^{2n}.
+
+    The quotient R satisfies R_k = A_k - V_1 (x) R_{k-n} - R_{k-2n}. The
+    stable product V_1 (x) V_lam adds one box to lam plus removes one box
+    (Koike-Terada 1987): the rim hooks of size 1, whose signs are all +1.
+    """
+    zero = OrthSympClass.zero(series.epsilon)
+    out: dict[int, OrthSympClass] = {}
+    for k in range(series.trunc + 1):
+        coeffs = dict(series.coefficient(k).coeffs)
+        for lam, c in out.get(k - n, zero).coeffs.items():
+            for mu, _ in rim_hooks(lam, 1) + rim_hooks(lam, -1):
+                coeffs[mu] = coeffs.get(mu, 0) - c
+        for lam, c in out.get(k - 2 * n, zero).coeffs.items():
+            coeffs[lam] = coeffs.get(lam, 0) - c
+        out[k] = OrthSympClass(series.epsilon, coeffs)
+    return ClassSeries(series.epsilon, out, series.trunc)
 
 
 def _validate_entries(series: ClassSeries, max_degree: int) -> tuple[OrthSympClass, ...]:
@@ -249,10 +263,7 @@ def oracle_check(two_n: int, d_max: int, q_max: int) -> OracleReport:
     for q in range(q_max + 1):
         terms = {}
         for d in range(d_max + 1):
-            mults = decompose(sigma_character(q, n, d, "Pprime"))
-            f = SymFunc.zero()
-            for lam, m in sorted(mults.items(), key=lambda kv: kv[0].sort_key()):
-                f = f + SymFunc.schur(lam) * SymFunc.scalar(m)
+            f = SymFunc(decompose(sigma_character(q, n, d, "Pprime")))
             if not f.is_zero():
                 terms[d] = f
         lhs_series = quotient_series_by_L(LambdaSeries(terms, d_max), n)

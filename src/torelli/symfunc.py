@@ -212,10 +212,14 @@ class SymFunc:
         return _as_symfunc(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, SymFunc) and other.is_scalar():
+            other = other.coeff(EMPTY)
         if isinstance(other, (int, Fraction)):
             return SymFunc({lam: c * other for lam, c in self.coeffs.items()})
         if not isinstance(other, SymFunc):
             return NotImplemented
+        if self.is_scalar():
+            return other * self.coeff(EMPTY)
         out: dict[Partition, Fraction] = {}
         for mu, a in self.coeffs.items():
             for nu, b in other.coeffs.items():

@@ -14,7 +14,7 @@ from torelli.branching import (
     restrict_schur,
     render_class,
 )
-from torelli.partitions import EMPTY, Partition, partitions_of
+from torelli.partitions import EMPTY, Partition, partitions_of, rim_hooks
 from torelli.symfunc import SymFunc, change_basis, omega
 
 
@@ -48,6 +48,13 @@ def test_nl_product_squares():
     v1 = cls(-1, {(1,): 1})
     sq = nl_product(v1, v1)
     assert sq == cls(-1, {(2,): 1, (1, 1): 1, (): 1})
+    # Pieri: V_1 times V_lam adds a box plus removes a box, the rim hooks
+    # of size 1 that the closed variant's fibre division uses
+    for eps in (-1, 1):
+        for q in range(9):
+            for lam in partitions_of(q):
+                pieri = {mu: 1 for mu, _ in rim_hooks(lam, 1) + rim_hooks(lam, -1)}
+                assert nl_product(cls(eps, {(1,): 1}), cls(eps, {lam: 1})) == cls(eps, pieri)
 
 
 def test_nl_coefficient_frozen():

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
+from torelli import invariants
 from torelli.branching import dim_irrep
+from torelli.cli import main
 from torelli.invariants import (
     DenseTensor,
     EpsForm,
@@ -74,6 +77,24 @@ def test_matching_span_ranks():
                 assert rank <= dim
                 if 2 * g >= size:
                     assert rank == dim, (size, g, eps)
+
+
+def test_matching_span_rank_fails_fast(monkeypatch):
+    # 19!! * 2^20 and 7!! * 6^8 = 176,359,680 dense entries, both over the
+    # cap; no matching may be built before the budget is checked
+    def refuse(elems):
+        raise AssertionError("matchings built before the budget check")
+
+    monkeypatch.setattr(invariants, "perfect_matchings", refuse)
+    for size, g in ((20, 1), (8, 3)):
+        with pytest.raises(ValueError, match="oracle cap"):
+            matching_span_rank(size, g, -1)
+        result = CliRunner().invoke(
+            main, ["invariants", "rank", "--g", str(g), "--set-size", str(size),
+                   "--epsilon", "-1"]
+        )
+        assert result.exit_code == 3
+        assert "oracle cap" in result.output
 
 
 def test_circle_scalar():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from torelli.branching import ClassSeries, OrthSympClass
+from torelli.branching import ClassSeries, OrthSympClass, nl_product
 from torelli.cli import main
 from torelli.partitions import Partition, parse_partition
 from torelli.pipeline import (
@@ -17,8 +17,8 @@ from torelli.pipeline import (
     Unsupported,
     _validate_entries,
     bundle_scalar_series,
-    closed_fiber_series,
     compute_cohomology,
+    divide_by_fiber,
     oracle_check,
     stable_range,
     variant_adjust,
@@ -121,12 +121,82 @@ def test_point_variant():
     assert point.entries[3] == cls(-1, p3)
 
 
+# Test oracle for divide_by_fiber: the generic route it replaced. It builds
+# the fibre series, inverts it term by term and multiplies class series
+# coefficient by coefficient through Newell-Littlewood products.
+
+
+def _oracle_fiber_series(n, epsilon, trunc):
+    """Class-valued Poincare series of the fibre, 1 + V_1 t^n + t^{2n}."""
+    terms = {0: OrthSympClass.unit(epsilon)}
+    if n <= trunc:
+        terms[n] = OrthSympClass(epsilon, {Partition((1,)): 1})
+    if 2 * n <= trunc:
+        terms[2 * n] = OrthSympClass.unit(epsilon)
+    return ClassSeries(epsilon, terms, trunc)
+
+
+def _oracle_invert(series):
+    """Inverse of a class series whose constant term is the unit class."""
+    assert series.coefficient(0) == OrthSympClass.unit(series.epsilon)
+    inv = {0: OrthSympClass.unit(series.epsilon)}
+    for k in range(1, series.trunc + 1):
+        acc = OrthSympClass.zero(series.epsilon)
+        for j in range(1, k + 1):
+            if j in series.terms:
+                acc = acc + nl_product(series.terms[j], inv[k - j])
+        inv[k] = -acc
+    return ClassSeries(series.epsilon, inv, series.trunc)
+
+
+def _oracle_product(a, b):
+    trunc = min(a.trunc, b.trunc)
+    out = {}
+    for i, x in a.terms.items():
+        for j, y in b.terms.items():
+            if i + j <= trunc:
+                out[i + j] = out.get(i + j, OrthSympClass.zero(a.epsilon)) + nl_product(x, y)
+    return ClassSeries(a.epsilon, out, trunc)
+
+
+def _oracle_divide_by_fiber(series, n):
+    fiber = _oracle_fiber_series(n, series.epsilon, series.trunc)
+    return _oracle_product(series, _oracle_invert(fiber))
+
+
 def test_closed_fiber_inverse_series():
-    inv = closed_fiber_series(1, -1, 3).invert()
-    assert inv.coefficient(0) == OrthSympClass.unit(-1)
-    assert inv.coefficient(1) == -cls(-1, "1")
-    assert inv.coefficient(2) == cls(-1, "1^2 + 2")
-    assert inv.coefficient(3) == -cls(-1, "1 + 1^3 + 2*2,1 + 3")
+    unit = ClassSeries(-1, {0: OrthSympClass.unit(-1)}, 3)
+    for inv in (divide_by_fiber(unit, 1), _oracle_invert(_oracle_fiber_series(1, -1, 3))):
+        assert inv.coefficient(0) == OrthSympClass.unit(-1)
+        assert inv.coefficient(1) == -cls(-1, "1")
+        assert inv.coefficient(2) == cls(-1, "1^2 + 2")
+        assert inv.coefficient(3) == -cls(-1, "1 + 1^3 + 2*2,1 + 3")
+
+
+def test_divide_by_fiber_matches_nl_oracle():
+    cases = []
+    for two_n, max_degree in ((2, 6), (4, 8), (6, 9), (10, 12)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LimitOnlyCaveat)
+            cfg = PipelineConfig(two_n=two_n, max_degree=max_degree)
+        # the disc variant leaves the post-quotient series as it is
+        cases.append((compute_cohomology(cfg).snapshots["final"], cfg.n))
+    ragged = ClassSeries(
+        1,
+        {
+            0: cls(1, "0 + 2,1") * Fraction(1, 2),
+            1: -cls(1, "1^2"),
+            3: cls(1, "3") * Fraction(2, 3) - cls(1, "1"),
+            5: cls(1, "2^2") * Fraction(-7, 4),
+        },
+        trunc=7,
+    )
+    cases += [(ragged, 2), (ragged, 3), (ragged, 8)]
+    for series, n in cases:
+        got = divide_by_fiber(series, n)
+        assert got == _oracle_divide_by_fiber(series, n), (series, n)
+    # below n nothing is divided
+    assert divide_by_fiber(ragged, 8) == ragged
 
 
 def test_closed_variant():

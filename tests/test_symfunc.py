@@ -187,9 +187,11 @@ def test_plethysm_laurent_truncation_matches_lr_oracle():
 
 
 def test_exp_h_stays_off_the_lr_route():
-    chb = ch_B(3, 8)
+    # ch_B multiplies h_q by scalar SymFuncs, which scale coefficients
     symfunc.lr_coefficient.cache_clear()
     symfunc._schur_product_table.cache_clear()
+    chb = ch_B(3, 8)
+    assert symfunc._schur_product_table.cache_info().misses == 0
     exp_h(chb)
     assert symfunc.lr_coefficient.cache_info().misses == 0
     assert symfunc._schur_product_table.cache_info().misses == 0
