@@ -6,12 +6,19 @@ tensors built from the form's copairing, matchings span the invariant
 subspace (injectively once 2g reaches the set size), and the same
 contract-relabel-insert recipe that acts on labelled partitions acts
 here through honest linear maps.
+
+`matching_span_rank` builds no dense tensor.  A matching tensor is a
+product of copairings, and the copairing has one nonzero per row, so
+it has exactly (2g)^(S/2) nonzero entries out of (2g)^S.  It is built
+on those alone, under the flat indices of `DenseTensor.index`, and the
+rank comes from fraction-free elimination on sparse integer rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, product, repeat
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .characters import NonIntegralMultiplicity, murnaghan_nakayama
@@ -23,36 +30,6 @@ TENSOR_ENTRY_CAP = 10**7
 
 class NotPerfect(ValueError):
     """The matching misses or repeats elements of the index set."""
-
-
-def _identity(size: int) -> list[list[Fraction]]:
-    return [
-        [Fraction(1) if i == j else Fraction(0) for j in range(size)]
-        for i in range(size)
-    ]
-
-
-def _invert(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    size = len(matrix)
-    work = [list(row) for row in matrix]
-    inv = _identity(size)
-    for col in range(size):
-        pivot = next(
-            (r for r in range(col, size) if work[r][col]), None
-        )
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = work[col][col]
-        work[col] = [v / scale for v in work[col]]
-        inv[col] = [v / scale for v in inv[col]]
-        for r in range(size):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
-                inv[r] = [v - factor * w for v, w in zip(inv[r], inv[col])]
-    return inv
 
 
 def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -79,10 +56,6 @@ def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[
         if row == len(work):
             break
     return work[:row], pivots
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    return len(_row_reduce(rows)[0])
 
 
 def _kernel_basis(
@@ -127,7 +100,9 @@ class EpsForm:
             gram[i][g + i] = Fraction(1)
             gram[g + i][i] = Fraction(epsilon)
         self.gram = tuple(tuple(row) for row in gram)
-        self.dual = tuple(tuple(row) for row in _invert(gram))
+        # the gram matrix is a signed permutation with gram * gram^T = I,
+        # so its inverse is its transpose
+        self.dual = tuple(zip(*self.gram))
 
     def lam(self, x: int, y: int) -> Fraction:
         return self.gram[x][y]
@@ -232,6 +207,62 @@ def omega_m(matching: Iterable[tuple[int, int]], form: EpsForm) -> DenseTensor:
     return out
 
 
+def _omega_nonzeros(
+    matching: Iterable[tuple[int, int]], form: EpsForm
+) -> dict[int, Fraction]:
+    """The nonzero entries of omega_m(matching, form), as {flat index:
+    value}, built without the dense tensor: each pair (a, b) contributes
+    dual[x][y] at the one y where it is nonzero, for every x."""
+    pairs = [(int(a), int(b)) for a, b in matching]
+    positions = sorted(x for pair in pairs for x in pair)
+    stride = {
+        p: form.dim ** (len(positions) - 1 - k) for k, p in enumerate(positions)
+    }
+    copairing = [
+        (x, y, v) for x, row in enumerate(form.dual) for y, v in enumerate(row) if v
+    ]
+    entries = {0: Fraction(1)}
+    for a, b in pairs:
+        sa, sb = stride[a], stride[b]
+        entries = {
+            idx + x * sa + y * sb: value * v
+            for idx, value in entries.items()
+            for x, y, v in copairing
+        }
+    return entries
+
+
+def _sparse_rank(rows: Iterable[dict[int, Fraction]]) -> int:
+    """Exact rank of sparse rational rows {column: value}, by
+    fraction-free elimination on integers.  Each row is cleared of
+    denominators, then reduced at its smallest column against the pivot
+    row stored there (row := lead * row - row[col] * pivot); what
+    survives becomes a new pivot row, divided by its content."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        den = lcm(*(v.denominator for v in row.values()))
+        row = {k: int(v * den) for k, v in row.items() if v}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                content = gcd(*row.values())
+                if row[col] < 0:
+                    content = -content
+                pivots[col] = {k: v // content for k, v in row.items()}
+                break
+            lead, scale = pivot[col], row[col]
+            if lead != 1:
+                row = {k: lead * v for k, v in row.items()}
+            for k, v in pivot.items():
+                value = row.get(k, 0) - scale * v
+                if value:
+                    row[k] = value
+                else:
+                    row.pop(k, None)
+    return len(pivots)
+
+
 def perfect_matchings(elems: Iterable[int]):
     """Canonically oriented perfect matchings: each pair starts at the
     least remaining element."""
@@ -279,8 +310,8 @@ def matching_span_rank(S, g: int, epsilon: int) -> tuple[int, int]:
     form = EpsForm(g, epsilon)
     _check_dense_budget(len(elems), form.dim)
     matchings = perfect_matchings(elems)
-    vectors = [omega_m(m, form).entries for m in matchings]
-    return _rank(vectors), len(matchings)
+    rank = _sparse_rank(_omega_nonzeros(m, form) for m in matchings)
+    return rank, len(matchings)
 
 
 def K_on_morphism(

@@ -480,6 +480,7 @@ def _set_partitions(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], .
             yield blocks[:i] + (((head,) + b),) + blocks[i + 1 :]
 
 
+@lru_cache(maxsize=None)
 def _block_floor(n: int, size: int, variant: str) -> int:
     """Least possible degree of a part of the given size."""
     if size == 1:

@@ -12,13 +12,15 @@ from torelli.invariants import (
     EpsForm,
     K_on_morphism,
     NotPerfect,
+    _omega_nonzeros,
+    _row_reduce,
     harmonic_multiplicity,
     harmonic_projection,
     matching_span_rank,
     omega_m,
     perfect_matchings,
 )
-from torelli.partitions import Partition, partitions_of
+from torelli.partitions import Partition, partitions_of, symmetric_group_irrep_dim
 from torelli.setparts import BrauerMorphism, compose
 
 
@@ -95,6 +97,81 @@ def test_matching_span_rank_fails_fast(monkeypatch):
         )
         assert result.exit_code == 3
         assert "oracle cap" in result.output
+
+
+def _dense_rank(rows):
+    """Test oracle: the rank of the dense (2g)^S matching tensors, by
+    the exact Gauss-Jordan reduction behind the harmonic kernel.  Columns
+    that are zero in every row cannot change the rank and are dropped."""
+    live = [c for c in range(len(rows[0])) if any(row[c] for row in rows)]
+    return len(_row_reduce([[row[c] for c in live] for row in rows])[0])
+
+
+def _invariant_dimension(size, g, eps):
+    """Test oracle: the dimension of the invariants of V^(x)S, V being
+    2g-dimensional with an eps-symmetric form, with no tensor at all.
+    The matchings span the invariants (Brauer 1937; Weyl's second
+    fundamental theorem), and as an S_S-representation with k = S/2 the
+    invariants are the sum of the irreducibles 2*lam over lam |- k with
+    at most 2g rows (eps = +1), or (2*lam)' with lam_1 <= g (eps = -1)."""
+    total = 0
+    for lam in partitions_of(size // 2):
+        double = Partition([2 * part for part in lam])
+        if eps == 1 and lam.length <= 2 * g:
+            total += symmetric_group_irrep_dim(double)
+        if eps == -1 and lam.conjugate().length <= g:
+            total += symmetric_group_irrep_dim(double.conjugate())
+    return total
+
+
+def test_sparse_omega_matches_dense():
+    for size in (2, 4, 6):
+        matchings = perfect_matchings(range(1, size + 1))
+        for g in (1, 2):
+            for eps in (1, -1):
+                form = EpsForm(g, eps)
+                dense = [omega_m(m, form).entries for m in matchings]
+                for m, entries in zip(matchings, dense):
+                    nonzeros = {k: v for k, v in enumerate(entries) if v}
+                    assert len(nonzeros) == (2 * g) ** (size // 2)
+                    assert _omega_nonzeros(m, form) == nonzeros, (m, g, eps)
+                rank = matching_span_rank(size, g, eps)
+                assert rank == (_dense_rank(dense), len(matchings)), (size, g, eps)
+    # reversed pairs and a ground set that is not 1..S index the same way
+    form = EpsForm(2, -1)
+    for m in ([(3, 1), (2, 4)], [(9, 2), (5, 7)]):
+        nonzeros = {k: v for k, v in enumerate(omega_m(m, form).entries) if v}
+        assert _omega_nonzeros(m, form) == nonzeros
+
+
+def test_matching_span_rank_is_the_invariant_dimension():
+    ranks = {}
+    for size in (2, 4, 6, 8):
+        for g in (1, 2):
+            for eps in (1, -1):
+                rank, count = matching_span_rank(size, g, eps)
+                assert rank == _invariant_dimension(size, g, eps), (size, g, eps)
+                ranks[size, g, eps] = (rank, count)
+    assert ranks[8, 1, 1] == (35, 105)
+    assert ranks[8, 1, -1] == (14, 105)
+    assert ranks[8, 2, -1] == (84, 105)
+    assert ranks[6, 2, -1] == (14, 15)
+    assert ranks[8, 2, 1] == (105, 105)
+
+
+def test_matching_span_rank_stays_off_dense_tensors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense tensor built for a rank")
+
+    monkeypatch.setattr(invariants, "omega_m", refuse)
+    monkeypatch.setattr(invariants, "DenseTensor", refuse)
+    for eps in (1, -1):
+        assert matching_span_rank(6, 3, eps) == (15, 15)
+    result = CliRunner().invoke(
+        main, ["invariants", "rank", "--g", "2", "--set-size", "8", "--epsilon", "-1"]
+    )
+    assert result.exit_code == 0
+    assert "rank 84 of 105 matchings" in result.output
 
 
 def test_circle_scalar():
