@@ -11,7 +11,8 @@ here through honest linear maps.
 product of copairings, and the copairing has one nonzero per row, so
 it has exactly (2g)^(S/2) nonzero entries out of (2g)^S.  It is built
 on those alone, under the flat indices of `DenseTensor.index`, and the
-rank comes from fraction-free elimination on sparse integer rows.
+rank comes from fraction-free elimination on sparse integer rows.  Its
+budget is on those nonzeros, MATCHING_NONZERO_CAP in all.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .partitions import Partition, partitions_of, z_lambda
 from .setparts import BrauerMorphism, _perm_from_cycle_type, _perm_parity
 
 TENSOR_ENTRY_CAP = 10**7
+# Sparse ranks within this many nonzeros in all take up to about 20 s:
+# (10, g=2) has 967,680 and (12, g=1) 665,280; (10, g=3) has 7,348,320.
+MATCHING_NONZERO_CAP = 10**6
 
 
 class NotPerfect(ValueError):
@@ -284,17 +288,18 @@ def perfect_matchings(elems: Iterable[int]):
     return list(rec(tuple(elems)))
 
 
-def _check_dense_budget(size: int, dim: int) -> None:
+def _check_nonzero_budget(size: int, dim: int) -> None:
     """Reject before any matching is built when the (size-1)!! matching
-    tensors, dim**size dense entries each, exceed TENSOR_ENTRY_CAP in
-    total; the product stops at the first factor past the cap."""
+    tensors, dim**(size/2) nonzero entries each, exceed
+    MATCHING_NONZERO_CAP in total; the product stops at the first factor
+    past the cap."""
     total = 1
-    for factor in chain(range(size - 1, 0, -2), repeat(dim, size)):
+    for factor in chain(range(size - 1, 0, -2), repeat(dim, size // 2)):
         total *= factor
-        if total > TENSOR_ENTRY_CAP:
+        if total > MATCHING_NONZERO_CAP:
             raise ValueError(
                 f"{size}-point matching tensors in dimension {dim} exceed "
-                f"the oracle cap of {TENSOR_ENTRY_CAP} entries"
+                f"the oracle cap of {MATCHING_NONZERO_CAP} nonzero entries"
             )
 
 
@@ -308,7 +313,7 @@ def matching_span_rank(S, g: int, epsilon: int) -> tuple[int, int]:
     if len(elems) % 2:
         raise ValueError("the set size must be even")
     form = EpsForm(g, epsilon)
-    _check_dense_budget(len(elems), form.dim)
+    _check_nonzero_budget(len(elems), form.dim)
     matchings = perfect_matchings(elems)
     rank = _sparse_rank(_omega_nonzeros(m, form) for m in matchings)
     return rank, len(matchings)

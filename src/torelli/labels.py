@@ -36,7 +36,7 @@ def generator_window(n: int) -> tuple[int, int]:
 class LabelMonomial:
     """A monomial in e and the p_i, immutable and hashable."""
 
-    __slots__ = ("n", "e_exp", "p_exps")
+    __slots__ = ("n", "e_exp", "p_exps", "degree")
 
     def __init__(self, n: int, e_exp: int = 0, p_exps=()):
         if n < 1:
@@ -56,6 +56,7 @@ class LabelMonomial:
                 raise ValueError(f"p_{i} is not a generator for n={n}")
             cleaned.append((int(i), int(k)))
         self.p_exps = tuple(cleaned)
+        self.degree = 2 * self.n * self.e_exp + sum(4 * i * k for i, k in self.p_exps)
 
     @staticmethod
     def unit(n: int) -> "LabelMonomial":
@@ -68,10 +69,6 @@ class LabelMonomial:
     @staticmethod
     def p(n: int, i: int, k: int = 1) -> "LabelMonomial":
         return LabelMonomial(n, p_exps=((i, k),))
-
-    @property
-    def degree(self) -> int:
-        return 2 * self.n * self.e_exp + sum(4 * i * k for i, k in self.p_exps)
 
     def is_unit(self) -> bool:
         return self.e_exp == 0 and not self.p_exps

@@ -8,7 +8,10 @@ freshly matched pairs; in the signed flavours an orientation of the
 ground set is part of the data and reorderings contribute the parity
 sign raised to n.  The degree pieces are symmetric-group
 representations, and their characters feed the brute-force check of
-the main computation.
+the main computation: `sigma_characters` enumerates the basis of one
+ground set once, for every degree up to a cap, and counts the fixed
+points of each cycle type in place, from the part of each element,
+without building a moved partition.
 """
 
 from __future__ import annotations
@@ -97,13 +100,6 @@ class LabelledPartition:
             if variant == "Pprime" and len(elems) == 2 and label.is_unit():
                 return False
         return True
-
-    def relabel(self, mapping: Mapping[int, int]) -> "LabelledPartition":
-        """Transport along a plain bijection of ground elements."""
-        return LabelledPartition(
-            self.n,
-            [(tuple(mapping[x] for x in elems), c) for elems, c in self.parts],
-        )
 
     def sort_key(self):
         return (
@@ -573,26 +569,63 @@ def _perm_from_cycle_type(q: int, mu: Partition) -> dict[int, int]:
     return sigma
 
 
+def sigma_characters(
+    q: int, n: int, d_max: int, variant: str = "Pprime"
+) -> dict[int, ClassFunction]:
+    """Characters of the symmetric group on every degree piece up to d_max.
+
+    Permutations act on the ground set and, through the orientation
+    line, by their sign raised to n.  The basis is enumerated once and
+    bucketed by degree, and fixed points are counted in place, with no
+    partition built.  Once per P, each element gets the index of its part
+    and a colour naming the size and label of that part.  A permutation
+    sigma fixes P when it keeps every colour and sends each part into one
+    part, that is when the pairs (part of x, part of sigma x) are no more
+    than the parts; being a bijection, it then maps each part onto a part
+    of the same size and label.  Empty parts are always fixed.
+    """
+    classes = partitions_of(q)
+    sigmas = []
+    for mu in classes:
+        sigma = _perm_from_cycle_type(q, mu)
+        sigmas.append([sigma[x] - 1 for x in range(1, q + 1)])
+    fixed = {d: [0] * len(classes) for d in range(d_max + 1)}
+    for P in enumerate_basis(q, n, variant, d_max):
+        counts = fixed[P.degree]
+        part = [0] * q
+        colour = [0] * q
+        colours: dict[tuple, int] = {}
+        nonempty = 0
+        for elems, label in P.parts:
+            if not elems:
+                break  # empty parts come last
+            c = colours.setdefault((len(elems), label), len(colours))
+            for x in elems:
+                part[x - 1] = nonempty
+                colour[x - 1] = c
+            nonempty += 1
+        part_of, colour_of = part.__getitem__, colour.__getitem__
+        for k, sigma in enumerate(sigmas):
+            if (
+                list(map(colour_of, sigma)) == colour
+                and len(set(zip(part, map(part_of, sigma)))) == nonempty
+            ):
+                counts[k] += 1
+    signs = [(-1) ** ((q - len(mu)) * n) for mu in classes]
+    return {
+        d: ClassFunction(
+            q, {mu: Fraction(c * s) for mu, c, s in zip(classes, counts, signs)}
+        )
+        for d, counts in fixed.items()
+    }
+
+
 def sigma_character(
     q: int, n: int, degree: int, variant: str = "Pprime"
 ) -> ClassFunction:
-    """Character of the symmetric group on one degree piece.
-
-    Permutations act on the ground set and, through the orientation
-    line, by their sign raised to n.
-    """
-    basis = [
-        P
-        for P in enumerate_basis(q, n, variant, degree)
-        if P.degree == degree
-    ]
-    values: dict[Partition, Fraction] = {}
-    for mu in partitions_of(q):
-        sigma = _perm_from_cycle_type(q, mu)
-        fixed = sum(1 for P in basis if P.relabel(sigma) == P)
-        sgn = (-1) ** ((q - len(mu)) * n)
-        values[mu] = Fraction(fixed * sgn)
-    return ClassFunction(q, values)
+    """Character of the symmetric group on one degree piece, read from
+    sigma_characters."""
+    return sigma_characters(q, n, degree, variant)[degree]
 
 
 @lru_cache(maxsize=None)

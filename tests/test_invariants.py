@@ -82,13 +82,13 @@ def test_matching_span_ranks():
 
 
 def test_matching_span_rank_fails_fast(monkeypatch):
-    # 19!! * 2^20 and 7!! * 6^8 = 176,359,680 dense entries, both over the
-    # cap; no matching may be built before the budget is checked
+    # 19!! * 2^10 and 9!! * 6^5 = 7,348,320 nonzeros, both over the cap;
+    # no matching may be built before the budget is checked
     def refuse(elems):
         raise AssertionError("matchings built before the budget check")
 
     monkeypatch.setattr(invariants, "perfect_matchings", refuse)
-    for size, g in ((20, 1), (8, 3)):
+    for size, g in ((20, 1), (10, 3)):
         with pytest.raises(ValueError, match="oracle cap"):
             matching_span_rank(size, g, -1)
         result = CliRunner().invoke(
@@ -157,6 +157,13 @@ def test_matching_span_rank_is_the_invariant_dimension():
     assert ranks[8, 2, -1] == (84, 105)
     assert ranks[6, 2, -1] == (14, 15)
     assert ranks[8, 2, 1] == (105, 105)
+    # past the old dense-entry cap (7!! * 6^8 entries), inside the nonzero one
+    result = CliRunner().invoke(
+        main, ["invariants", "rank", "--g", "3", "--set-size", "8", "--epsilon", "-1"]
+    )
+    assert result.exit_code == 0
+    assert "rank 104 of 105 matchings" in result.output
+    assert _invariant_dimension(8, 3, -1) == 104
 
 
 def test_matching_span_rank_stays_off_dense_tensors(monkeypatch):

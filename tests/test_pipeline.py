@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+from torelli import setparts
 from torelli.branching import ClassSeries, OrthSympClass, nl_product
 from torelli.cli import main
 from torelli.partitions import Partition, parse_partition
@@ -273,6 +274,31 @@ def test_oracle_small_windows():
         if cell.q == 3 and cell.d == 3:
             assert cell.lhs == change_basis("2*s[1^3]")
     assert oracle_check(2, 2, 4).ok
+
+
+@pytest.mark.parametrize("two_n, d_max, q_max", [(6, 8, 8), (2, 6, 6), (10, 9, 9)])
+def test_oracle_wider_windows(two_n, d_max, q_max):
+    report = oracle_check(two_n, d_max, q_max)
+    assert report.ok, report.failures()
+    assert len(report.cells) == (d_max + 1) * (q_max + 1)
+
+
+def test_oracle_fails_fast(monkeypatch):
+    # Bell(12) = 4,213,597 set partitions is over the cap; nothing may be
+    # enumerated before the request is rejected, and a huge qmax is
+    # rejected as fast
+    def refuse(*args, **kwargs):
+        raise AssertionError("basis enumerated before the budget check")
+
+    monkeypatch.setattr(setparts, "enumerate_basis", refuse)
+    for q_max in (12, 10**9):
+        with pytest.raises(ConfigError, match="oracle cap"):
+            oracle_check(6, 2, q_max)
+    result = CliRunner().invoke(
+        main, ["oracle", "--dim", "6", "--qmax", "12", "--dmax", "2"]
+    )
+    assert result.exit_code == 3
+    assert "4213597 set partitions" in result.output
 
 
 def _run(args):

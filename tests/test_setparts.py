@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from torelli.characters import decompose
+from torelli import setparts
+from torelli.characters import ClassFunction, decompose
 from torelli.labels import LabelMonomial, parse_label
-from torelli.partitions import Partition
+from torelli.partitions import Partition, partitions_of
+from torelli.pipeline import oracle_check
 from torelli.setparts import (
     BrauerMorphism,
     GroundSetOverlap,
@@ -16,8 +18,10 @@ from torelli.setparts import (
     compose,
     day_product,
     enumerate_basis,
+    _perm_from_cycle_type,
     quotient_factor,
     sigma_character,
+    sigma_characters,
 )
 from torelli.symfunc import SymFunc
 
@@ -107,6 +111,63 @@ def test_sigma_character_triples():
     for d in (1, 2):
         chi = sigma_character(9, 1, d)
         assert decompose(chi).get(lam, 0) == 0
+
+
+def _transport_character(q, n, degree, variant):
+    """Test oracle: the character by transport, on the basis enumerated
+    for this degree alone.  sigma fixes P when moving the elements of
+    every nonempty part by sigma gives back the same parts, each with
+    the same label."""
+    basis = [
+        {frozenset(elems): c for elems, c in P.parts if elems}
+        for P in enumerate_basis(q, n, variant, degree)
+        if P.degree == degree
+    ]
+    values = {}
+    for mu in partitions_of(q):
+        sigma = _perm_from_cycle_type(q, mu)
+        fixed = sum(
+            {frozenset(map(sigma.get, part)): c for part, c in parts.items()} == parts
+            for parts in basis
+        )
+        values[mu] = Fraction(fixed * (-1) ** ((q - len(mu)) * n))
+    return ClassFunction(q, values)
+
+
+def test_sigma_characters_match_transport_oracle():
+    for variant in ("P0", "Pprime"):
+        for n in (1, 3, 5):
+            for q in range(8):
+                chis = sigma_characters(q, n, 8, variant)
+                assert sorted(chis) == list(range(9))
+                for d, chi in chis.items():
+                    assert chi == _transport_character(q, n, d, variant), (
+                        variant, n, q, d,
+                    )
+
+
+def test_oracle_enumerates_each_weight_once(monkeypatch):
+    # one enumeration per weight q, and no partition built beyond it:
+    # fixed points are counted without transporting any basis element
+    calls, listed, built = [], [0], [0]
+    enumerate_once = setparts.enumerate_basis
+    init = LabelledPartition.__init__
+
+    def counted_enumeration(ground, n, variant="Pprime", degree_cap=0):
+        calls.append(ground)
+        basis = enumerate_once(ground, n, variant, degree_cap)
+        listed[0] += len(basis)
+        return basis
+
+    def counted_init(self, n, parts):
+        built[0] += 1
+        init(self, n, parts)
+
+    monkeypatch.setattr(setparts, "enumerate_basis", counted_enumeration)
+    monkeypatch.setattr(LabelledPartition, "__init__", counted_init)
+    assert oracle_check(6, 6, 6).ok
+    assert calls == list(range(7))
+    assert built[0] == listed[0] > 0
 
 
 def test_day_product_sign():
