@@ -4,9 +4,10 @@ Elements here live in the free abelian group on irreducibles V_lambda of
 Sp(2g) (epsilon = -1) or O(2g) (epsilon = +1), in the stable range where
 the labelling by partitions is uniform in g. The bridge to symmetric
 functions is the unitriangular change of basis between the Schur basis
-and the classes s_<lambda>, whose transition coefficients are sums of
-Littlewood-Richardson numbers over partitions with even rows or even
-columns depending on epsilon.
+and the classes s_<lambda>. Its transition coefficients are Littlewood's
+skew Schur functions s_{lambda/delta}, summed over partitions delta with
+even rows or even columns depending on epsilon; like the skews in the
+Newell-Littlewood product, they are computed by removing rim hooks.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 from .partitions import EMPTY, Partition, even_columns, even_rows, partitions_of
-from .symfunc import LambdaSeries, SymFunc, lr_coefficient, _render_parts
+from .symfunc import LambdaSeries, SymFunc, _p_action, _render_parts
 
 
 class EpsilonMismatch(ValueError):
@@ -35,29 +37,31 @@ def _check_epsilon(epsilon: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _even_sum_p(m: int, epsilon: int) -> Mapping[Partition, Fraction]:
+    """p-expansion of the sum of s_delta over partitions delta of m with
+    even rows (epsilon = +1) or even columns (epsilon = -1); read-only."""
+    even = even_rows if epsilon == 1 else even_columns
+    return MappingProxyType(SymFunc({delta: 1 for delta in partitions_of(m) if even(delta)}).to_p())
+
+
+@lru_cache(maxsize=None)
 def restrict_coeffs(lam: Partition, epsilon: int) -> tuple[tuple[Partition, int], ...]:
     """Branching multiplicities of the Schur functor S_lam restricted down.
 
-    Returns pairs (mu, a) with |mu| < |lam| such that the restriction is
-    V_lam plus the sum of a * V_mu. The sum runs over partitions delta
-    with even rows (epsilon = +1) or even columns (epsilon = -1), and
-    a = sum over delta of the LR coefficient c^lam_{mu delta}.
+    Returns pairs (mu, a) with |mu| < |lam|, size descending and then in
+    partitions_of order, such that the restriction is V_lam plus the sum
+    of a * V_mu. By Littlewood, the sum is the skew of s_lam by the sum
+    of s_delta over nonempty partitions delta with even rows
+    (epsilon = +1) or even columns (epsilon = -1).
     """
     lam = Partition(lam)
     _check_epsilon(epsilon)
-    even = even_rows if epsilon == 1 else even_columns
-    out: list[tuple[Partition, int]] = []
-    for m in range(lam.size - 2, -1, -2):
-        for mu in partitions_of(m):
-            if not lam.contains(mu):
-                continue
-            a = 0
-            for delta in partitions_of(lam.size - m):
-                if even(delta):
-                    a += lr_coefficient(lam, mu, delta)
-            if a:
-                out.append((mu, a))
-    return tuple(out)
+    deltas: dict[Partition, Fraction] = {}
+    for m in range(2, lam.size + 1, 2):
+        deltas.update(_even_sum_p(m, epsilon))
+    skew = _p_action(deltas, lam, -1)
+    out = sorted(skew.coeffs.items(), key=lambda kv: (-kv[0].size, kv[0].sort_key()))
+    return tuple((mu, int(a)) for mu, a in out)
 
 
 class OrthSympClass:
@@ -266,16 +270,11 @@ def restrict_schur(f: SymFunc, epsilon: int) -> OrthSympClass:
 
 @lru_cache(maxsize=None)
 def _skew_schur(lam: Partition, alpha: Partition) -> SymFunc:
-    """s_{lam/alpha} expanded in the Schur basis."""
+    """s_{lam/alpha}: the p-expansion of s_alpha removes rim hooks from s_lam."""
     lam, alpha = Partition(lam), Partition(alpha)
     if not lam.contains(alpha):
         return SymFunc.zero()
-    terms: dict[Partition, Fraction] = {}
-    for beta in partitions_of(lam.size - alpha.size):
-        c = lr_coefficient(lam, alpha, beta)
-        if c:
-            terms[beta] = Fraction(c)
-    return SymFunc(terms)
+    return _p_action(SymFunc.schur(alpha).to_p(), lam, -1)
 
 
 @lru_cache(maxsize=None)
@@ -365,5 +364,4 @@ def render_class_series(s: ClassSeries, letter: str = "V") -> str:
     return _render_series_parts(
         {k: render_class(c, letter) for k, c in s.terms.items()},
         {k: len(c.coeffs) for k, c in s.terms.items()},
-        s.trunc,
     )

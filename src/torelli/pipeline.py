@@ -17,7 +17,7 @@ from typing import Optional
 from .branching import ClassSeries, D_series, OrthSympClass
 from .characters import decompose
 from .labels import _geometric, ch_B
-from .partitions import rim_hooks
+from .partitions import rim_hooks, symmetric_group_irrep_dim
 from .setparts import quotient_series_by_L, sigma_characters
 from .symfunc import LambdaSeries, SymFunc, exp_h, omega
 
@@ -250,6 +250,11 @@ class OracleReport:
 # 11 (Bell 678,570) about 9 s and 12 (Bell 4,213,597) about 50 s.
 ORACLE_SET_PARTITION_CAP = 10**6
 
+# At dim 2 the basis, not the walk, sets time and memory: its largest
+# weight holds 31,816 elements at qmax 8 (4.5 s), 232,653 at qmax 9
+# (30 s, 400 MiB) and 1,829,426 at qmax 10.
+ORACLE_BASIS_CAP = 3 * 10**5
+
 
 def _bell(q: int, cap: int) -> int:
     """Number of set partitions of a q-element set, by the Bell triangle,
@@ -274,7 +279,10 @@ def oracle_check(two_n: int, d_max: int, q_max: int) -> OracleReport:
     action twisted by the orientation sign in every degree, and
     decomposes it by orthogonality. It must agree with the
     weight-graded slice of the plethysm route. A q_max whose Bell number
-    exceeds ORACLE_SET_PARTITION_CAP is rejected before any work.
+    exceeds ORACLE_SET_PARTITION_CAP is rejected before any work, and a
+    weight whose basis exceeds ORACLE_BASIS_CAP before any enumeration.
+    The basis size of weight q is the dimension sum_lam c_lam f^lam of
+    the weight-q slice of the pre-D series, summed over the degrees.
     """
     if two_n < 2 or two_n % 2:
         raise ConfigError(f"dimension must be a positive even integer, got {two_n}")
@@ -287,7 +295,18 @@ def oracle_check(two_n: int, d_max: int, q_max: int) -> OracleReport:
             f"oracle cap of {ORACLE_SET_PARTITION_CAP}"
         )
     n = two_n // 2
-    rhs_series = quotient_series_by_L(_pre_d_snapshots(n, d_max)["pre-D"], n)
+    pre_d = _pre_d_snapshots(n, d_max)["pre-D"]
+    basis = {q: 0 for q in range(q_max + 1)}
+    for f in pre_d.terms.values():
+        for lam, c in f.coeffs.items():
+            if lam.size <= q_max:
+                basis[lam.size] += int(c) * symmetric_group_irrep_dim(lam)
+    q, size = max(basis.items(), key=lambda qs: qs[1])
+    if size > ORACLE_BASIS_CAP:
+        raise ConfigError(
+            f"weight {q} has {size} basis elements, over the oracle cap of {ORACLE_BASIS_CAP}"
+        )
+    rhs_series = quotient_series_by_L(pre_d, n)
     cells = []
     for q in range(q_max + 1):
         terms = {}

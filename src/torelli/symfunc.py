@@ -8,10 +8,12 @@ Negative t-exponents are tolerated inside a series because some inputs
 are assembled from shifted pieces that only cancel at the end.
 
 The power-sum basis is the working basis of `plethysm` and `exp_h`:
-there plethysm only relabels partitions and a product merges them, so
-no Littlewood-Richardson coefficient is computed. `SymFunc.to_p` brings
-each input coefficient in, and `from_p_monomials` takes each result
-coefficient back to Schur once, by adding rim hooks.
+there plethysm only relabels partitions and a product merges them.
+`SymFunc.to_p` brings each input coefficient in, and `from_p_monomials`
+takes each result coefficient back to Schur once, by adding rim hooks.
+The same rim-hook pass is the one Schur product: s_mu * s_nu applies
+the p-expansion of s_nu to s_mu, and run backwards, removing rim hooks,
+it gives the skew Schur functions that `branching` reads.
 """
 
 from __future__ import annotations
@@ -30,80 +32,8 @@ class PlethysmDivergence(ValueError):
     """Composition with an infinite sum requires positive valuation."""
 
 
-class NotAUnit(ValueError):
-    """Series inversion needs a nonzero scalar constant term."""
-
-
 class ValuationViolation(ValueError):
     """A series failed a required lower bound on its t-valuation."""
-
-
-# ---------------------------------------------------------------------------
-# Littlewood-Richardson coefficients
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """The coefficient of s_lam in s_mu * s_nu.
-
-    Counted as the number of semistandard skew tableaux of shape lam/mu
-    and content nu whose reverse reading word is a lattice word.
-    """
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    if mu.size + nu.size != lam.size:
-        return 0
-    if not (lam.contains(mu) and lam.contains(nu)):
-        return 0
-    if not nu:
-        return 1
-
-    # Cells in reverse reading order: top row first, right to left.
-    cells = []
-    mu_padded = list(mu) + [0] * (len(lam) - len(mu))
-    for r, row_end in enumerate(lam):
-        for c in range(row_end - 1, mu_padded[r] - 1, -1):
-            cells.append((r, c))
-
-    fill: dict[tuple[int, int], int] = {}
-    counts = [0] * (len(nu) + 1)
-    total = 0
-
-    def place(idx: int) -> None:
-        nonlocal total
-        if idx == len(cells):
-            total += 1
-            return
-        r, c = cells[idx]
-        right = fill.get((r, c + 1))
-        above = fill.get((r - 1, c)) if r > 0 and c >= mu_padded[r - 1] else None
-        for v in range(1, len(nu) + 1):
-            if counts[v] >= nu[v - 1]:
-                continue
-            if v > 1 and counts[v] + 1 > counts[v - 1]:
-                continue
-            if right is not None and v > right:
-                continue
-            if above is not None and v <= above:
-                continue
-            counts[v] += 1
-            fill[(r, c)] = v
-            place(idx + 1)
-            del fill[(r, c)]
-            counts[v] -= 1
-
-    place(0)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _schur_product_table(mu: Partition, nu: Partition) -> tuple[tuple[Partition, int], ...]:
-    n = mu.size + nu.size
-    out = []
-    for lam in partitions_of(n):
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            out.append((lam, c))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -299,27 +229,53 @@ def from_p_monomials(terms: Mapping[Partition, Fraction]) -> SymFunc:
     coefficients, so it runs on integers: every coefficient is scaled by
     the common denominator, which is divided out at the end.
     """
+    return _p_action(terms, EMPTY, 1)
+
+
+def _p_action(terms: Mapping[Partition, Fraction], start: Partition, direction: int) -> SymFunc:
+    """sum_mu c_mu p_mu s_start (direction 1) or sum_mu c_mu p_mu^perp s_start
+    (direction -1), where p_k^perp, the adjoint of multiplication by p_k,
+    removes every rim hook of size k with its sign (Macdonald I.3, I.5)."""
     terms = {Partition(mu): Fraction(c) for mu, c in terms.items()}
     den = lcm(*(c.denominator for c in terms.values()))
     scaled = {mu: c.numerator * (den // c.denominator) for mu, c in terms.items()}
-    return SymFunc({lam: Fraction(c, den) for lam, c in _horner(scaled).items()})
+    return SymFunc({lam: Fraction(c, den) for lam, c in _horner(scaled, start, direction).items()})
 
 
-def _horner(terms: Mapping[tuple, int]) -> dict[Partition, int]:
+def _horner(terms: Mapping[tuple, int], start: Partition, direction: int) -> dict[Partition, int]:
     out: dict[Partition, int] = {}
     groups: dict[int, dict[tuple, int]] = {}
     for mu, c in terms.items():
         if mu:
             groups.setdefault(mu[-1], {})[mu[:-1]] = c
         else:
-            out[EMPTY] = out.get(EMPTY, 0) + c
+            out[start] = out.get(start, 0) + c
     for k, rest in groups.items():
-        for lam, c in _horner(rest).items():
+        for lam, c in _horner(rest, start, direction).items():
             if not c:
                 continue
-            for nu, sign in rim_hooks(lam, k):
+            for nu, sign in rim_hooks(lam, direction * k):
                 out[nu] = out.get(nu, 0) + sign * c
     return out
+
+
+# ---------------------------------------------------------------------------
+# Schur products: the same rim-hook pass, started at a partition
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _schur_product_table(mu: Partition, nu: Partition) -> tuple[tuple[Partition, int], ...]:
+    """s_mu * s_nu as (lam, c) pairs in partitions_of order: the p-expansion
+    of s_nu applied to s_mu, adding rim hooks."""
+    prod = _p_action(SymFunc.schur(nu).to_p(), mu, 1)
+    return tuple((lam, int(prod.coeffs[lam])) for lam in prod.support())
+
+
+@lru_cache(maxsize=None)
+def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """The Littlewood-Richardson coefficient of s_lam in s_mu * s_nu."""
+    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    return dict(_schur_product_table(mu, nu)).get(lam, 0)
 
 
 def omega(f: SymFunc) -> SymFunc:
@@ -567,30 +523,6 @@ def _product_trunc(
     return min(x_trunc, y_trunc, val_x + y_trunc, val_y + x_trunc)
 
 
-def series_invert(g: LambdaSeries) -> LambdaSeries:
-    """Multiplicative inverse, term by term, up to g's truncation order."""
-    if any(k < 0 for k in g.terms):
-        raise NotAUnit("cannot invert a series with negative exponents")
-    c0 = g.terms.get(0, SymFunc.zero())
-    if not c0.is_scalar() or c0.is_zero():
-        raise NotAUnit("constant term must be a nonzero scalar")
-    inv0 = Fraction(1) / c0.coeff(EMPTY)
-    out: dict[int, SymFunc] = {0: SymFunc.scalar(inv0)}
-    for k in range(1, g.trunc + 1):
-        acc = SymFunc.zero()
-        for j in range(1, k + 1):
-            aj = g.terms.get(j)
-            if aj is None:
-                continue
-            bk = out.get(k - j)
-            if bk is None:
-                continue
-            acc = acc + aj * bk
-        if not acc.is_zero():
-            out[k] = acc * (-inv0)
-    return LambdaSeries(out, g.trunc)
-
-
 # ---------------------------------------------------------------------------
 # Plethysm on the power-sum core
 # ---------------------------------------------------------------------------
@@ -722,7 +654,7 @@ def _render_parts(items, letter: str) -> str:
     return _join_signed(pieces)
 
 
-def _render_series_parts(bodies: dict[int, str], nterms: dict[int, int], trunc: int) -> str:
+def _render_series_parts(bodies: dict[int, str], nterms: dict[int, int]) -> str:
     if not bodies:
         return "0"
     pieces = []
@@ -753,5 +685,4 @@ def render_series(s: LambdaSeries, letter: str = "s") -> str:
     return _render_series_parts(
         {k: render_symfunc(s.terms[k], letter) for k in s.exponents()},
         {k: len(s.terms[k].coeffs) for k in s.exponents()},
-        s.trunc,
     )

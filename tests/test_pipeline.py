@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from torelli import setparts
+from torelli import pipeline, setparts
 from torelli.branching import ClassSeries, OrthSympClass, nl_product
 from torelli.cli import main
 from torelli.partitions import Partition, parse_partition
@@ -299,6 +299,28 @@ def test_oracle_fails_fast(monkeypatch):
     )
     assert result.exit_code == 3
     assert "4213597 set partitions" in result.output
+
+
+def test_oracle_refuses_a_basis_over_the_cap(monkeypatch):
+    # The largest basis of a weight is counted from the pre-D series, as
+    # the dimensions of its weight-q slices, before anything is enumerated
+    sizes = {q: len(setparts.enumerate_basis(q, 1, "Pprime", 5)) for q in range(7)}
+    q, size = max(sizes.items(), key=lambda qs: qs[1])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("basis enumerated before the budget check")
+
+    monkeypatch.setattr(setparts, "enumerate_basis", refuse)
+    monkeypatch.setattr(pipeline, "ORACLE_BASIS_CAP", size - 1)
+    result = CliRunner().invoke(
+        main, ["oracle", "--dim", "2", "--qmax", "6", "--dmax", "5"]
+    )
+    assert result.exit_code == 3
+    assert f"weight {q} has {size} basis elements" in result.output
+    # at the cap the budget admits the run, and enumeration starts
+    monkeypatch.setattr(pipeline, "ORACLE_BASIS_CAP", size)
+    with pytest.raises(AssertionError, match="basis enumerated"):
+        oracle_check(2, 5, 6)
 
 
 def _run(args):
