@@ -5,7 +5,7 @@ functions, and decomposition of class functions into irreducibles.
 Character values come from the rim-hook table
 `partitions.murnaghan_nakayama`, which is re-exported here under the same
 name; the plethysm layer's power-sum to Schur conversion runs the same
-rim-hook rule (`partitions.rim_hooks`) forwards, so the table is checked
+rim-hook rule (`partitions.slide_beads`) forwards, so the table is checked
 against an independent border-strip scan in the tests. The enumeration
 oracle built on this module stays independent of the plethysm route
 through what it decomposes: fixed-point characters of the

@@ -5,13 +5,19 @@ characters, orthogonal/symplectic weights, and the rows of the output
 tables. They are immutable value types with a deterministic total order
 (by size, then reverse-lexicographic) so that every printed table and
 JSON document comes out in the same order on every run.
+
+The one rim-hook rule, `slide_beads`, works on beta-sets kept as integer
+bitmasks, one bit per bead, and on integer combinations of them, so that
+a pass over many shapes builds no Partition until its end. `rim_hooks`
+is its cached form on a single Partition, which the character table
+`murnaghan_nakayama` reads.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 
 class Partition(tuple):
@@ -196,33 +202,86 @@ def symmetric_group_irrep_dim(lam: Partition) -> int:
     return factorial(n) // denom
 
 
+def beta_mask(lam: Sequence[int], beads: int) -> int:
+    """The beta-set of lam with `beads` beads (at least len(lam)) as a
+    bitmask: bit lam_i + (beads - 1 - i) is set for each i < beads."""
+    mask = 0
+    for i in range(beads):
+        mask |= 1 << ((lam[i] if i < len(lam) else 0) + beads - 1 - i)
+    return mask
+
+
+def mask_partition(mask: int) -> Partition:
+    """Inverse of beta_mask: the j-th lowest bead, at position b, is the
+    part b - j; the bead count is the number of set bits."""
+    parts = []
+    j = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        part = low.bit_length() - 1 - j
+        if part:
+            parts.append(part)
+        j += 1
+    parts.reverse()
+    return tuple.__new__(Partition, parts)
+
+
+def slide_beads(terms: Mapping[int, int], k: int, out: dict[int, int]) -> dict[int, int]:
+    """Add to out, for each beta-set mask in terms with its coefficient c,
+    sign * c at every beta-set one rim hook of size |k| away; return out.
+
+    A rim hook of size |k| is one bead slid from b to the empty position
+    b + k: k > 0 adds the hook, k < 0 removes it. The sign is (-1)^leg,
+    the leg length being the number of beads strictly between b and b + k.
+    The bead count never changes, so adding a hook needs at least |k|
+    beads below the last part; removing one moves only beads at b >= |k|.
+    This is the one rim-hook rule of the package. On Schur functions it is
+    multiplication by the power sum p_k, or for k < 0 its adjoint
+    (Macdonald I.3, I.5).
+    """
+    get = out.get
+    if k > 0:
+        for mask, c in terms.items():
+            if not c:
+                continue
+            movable = mask & ~(mask >> k)
+            while movable:
+                bit = movable & -movable
+                movable ^= bit
+                moved = mask ^ bit ^ (bit << k)
+                if (mask & ((bit << k) - (bit << 1))).bit_count() & 1:
+                    out[moved] = get(moved, 0) - c
+                else:
+                    out[moved] = get(moved, 0) + c
+    elif k < 0:
+        k = -k
+        for mask, c in terms.items():
+            if not c:
+                continue
+            movable = mask & ~(mask << k) & -(1 << k)
+            while movable:
+                bit = movable & -movable
+                movable ^= bit
+                moved = mask ^ bit ^ (bit >> k)
+                if (mask & (bit - (bit >> (k - 1)))).bit_count() & 1:
+                    out[moved] = get(moved, 0) - c
+                else:
+                    out[moved] = get(moved, 0) + c
+    return out
+
+
 @lru_cache(maxsize=None)
 def rim_hooks(lam: Partition, k: int) -> tuple[tuple[Partition, int], ...]:
     """The partitions one rim hook of size |k| away from lam, with signs.
 
-    The bead slide on beta-sets (abacus): put beads at lam_i + (l - 1 - i),
-    l being the number of parts plus k zero parts of padding when k > 0.
-    A rim hook of size |k| is one bead slid from b to the empty position
-    b + k; k > 0 adds the hook, k < 0 removes it. The sign is (-1)^leg,
-    the leg length being the number of beads the slide jumps over. This is
-    the one rim-hook rule of the package: the character table below runs
-    it backwards, and the power-sum to Schur conversion runs it forwards.
+    `slide_beads` on the beta-set of lam with len(lam) + max(k, 0) beads;
+    k > 0 adds the hook, k < 0 removes it. The pairs come with the moved
+    bead in descending position. The character table below runs the rule
+    backwards, and `divide_by_fiber` reads its size-1 hooks.
     """
-    padded = tuple(lam) + (0,) * max(k, 0)
-    top = len(padded) - 1
-    beads = [part + top - i for i, part in enumerate(padded)]
-    occupied = set(beads)
-    out = []
-    for i, b in enumerate(beads):
-        c = b + k
-        if c < 0 or c in occupied:
-            continue
-        low, high = min(b, c), max(b, c)
-        leg = sum(1 for x in beads if low < x < high)
-        moved = sorted(beads[:i] + beads[i + 1:] + [c], reverse=True)
-        shape = Partition([x - top + j for j, x in enumerate(moved)])
-        out.append((shape, -1 if leg % 2 else 1))
-    return tuple(out)
+    slides = slide_beads({beta_mask(lam, len(lam) + max(k, 0)): 1}, k, {})
+    return tuple((mask_partition(m), sign) for m, sign in reversed(slides.items()))
 
 
 @lru_cache(maxsize=None)

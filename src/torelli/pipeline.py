@@ -12,12 +12,14 @@ only class product is V_1 (x) V_lam, the size-1 rim hooks of lam.
 import sys
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import factorial
 from typing import Optional
 
 from .branching import ClassSeries, D_series, OrthSympClass
 from .characters import decompose
 from .labels import _geometric, ch_B
-from .partitions import rim_hooks, symmetric_group_irrep_dim
+from .partitions import EMPTY, rim_hooks, symmetric_group_irrep_dim
 from .setparts import quotient_series_by_L, sigma_characters
 from .symfunc import LambdaSeries, SymFunc, exp_h, omega
 
@@ -174,10 +176,9 @@ def _validate_entries(series: ClassSeries, max_degree: int) -> tuple[OrthSympCla
     return tuple(entries)
 
 
-def _pre_d_snapshots(n: int, max_degree: int) -> dict[str, LambdaSeries]:
+def _pre_d_snapshots(chb: LambdaSeries, n: int) -> dict[str, LambdaSeries]:
     """The chain shared by the table and the oracle: ch_B, its plethystic
     exponential, and that series after omega when n is odd."""
-    chb = ch_B(n, max_degree)
     pleth = exp_h(chb)
     pre_d = pleth.map_coefficients(omega) if n % 2 else pleth
     return {"chB": chb, "plethysm": pleth, "pre-D": pre_d}
@@ -187,7 +188,7 @@ def compute_cohomology(cfg: PipelineConfig) -> CohomologyTable:
     """Decompose each cohomology degree into irreducible classes."""
     n = cfg.n
     epsilon = cfg.epsilon
-    snapshots = _pre_d_snapshots(n, cfg.max_degree)
+    snapshots = _pre_d_snapshots(ch_B(n, cfg.max_degree), n)
     snapshots["post-D"] = D_series(snapshots["pre-D"], epsilon)
     quotiented = quotient_series_by_L(snapshots["post-D"], n)
     snapshots["final"] = final = variant_adjust(quotiented, cfg)
@@ -271,6 +272,40 @@ def _bell(q: int, cap: int) -> int:
     return row[0]
 
 
+def _basis_sizes(chb: LambdaSeries, q_max: int) -> dict[int, int]:
+    """Dimension of the weight-q part of exp_h(chb), summed over all its
+    t-degrees, for each q <= q_max: the size of the oracle's basis.
+
+    The exponential specialisation ex (p_1 -> x, p_k -> 0 for k >= 2) is a
+    ring map that sends s_lam to f^lam x^|lam| / |lam|!, so the dimension
+    of the weight-q part of f is q! [x^q] ex(f). It kills p_k[s_lam] for
+    k >= 2 unless lam is empty, so ex(exp_h(g)) = exp(ex(L)) with
+    ex(L) = sum_a ex(g_a) t^a + sum_{k>=2} sum_a c_0(a) t^{ka} / k, c_0(a)
+    being the constant term of g_a. The log-derivative recurrence of
+    exp_h gives it degree by degree, on polynomials in x of degree q_max,
+    without building exp_h(chb) itself. Omega keeps every dimension.
+    """
+    trunc = chb.trunc
+    # dlog[j][i]: the coefficient of x^i in j ex(L)_j.
+    dlog = [[Fraction(0)] * (q_max + 1) for _ in range(trunc + 1)]
+    for a, f in chb.terms.items():
+        for lam, c in f.coeffs.items():
+            if lam.size <= q_max:
+                dlog[a][lam.size] += a * c * symmetric_group_irrep_dim(lam) / factorial(lam.size)
+        for k in range(2, trunc // a + 1):
+            dlog[k * a][0] += a * f.coeff(EMPTY)
+    exp = [[Fraction(1)] + [Fraction(0)] * q_max]
+    for m in range(1, trunc + 1):
+        acc = [Fraction(0)] * (q_max + 1)
+        for j in range(1, m + 1):
+            for i, u in enumerate(dlog[j]):
+                if u:
+                    for i2, v in enumerate(exp[m - j][: q_max + 1 - i]):
+                        acc[i + i2] += u * v
+        exp.append([c / m for c in acc])
+    return {q: int(factorial(q) * sum(e[q] for e in exp)) for q in range(q_max + 1)}
+
+
 def oracle_check(two_n: int, d_max: int, q_max: int) -> OracleReport:
     """Recompute the series one symmetric-group weight at a time.
 
@@ -280,9 +315,8 @@ def oracle_check(two_n: int, d_max: int, q_max: int) -> OracleReport:
     decomposes it by orthogonality. It must agree with the
     weight-graded slice of the plethysm route. A q_max whose Bell number
     exceeds ORACLE_SET_PARTITION_CAP is rejected before any work, and a
-    weight whose basis exceeds ORACLE_BASIS_CAP before any enumeration.
-    The basis size of weight q is the dimension sum_lam c_lam f^lam of
-    the weight-q slice of the pre-D series, summed over the degrees.
+    weight whose basis exceeds ORACLE_BASIS_CAP before exp_h and any
+    enumeration; `_basis_sizes` counts each weight from ch_B alone.
     """
     if two_n < 2 or two_n % 2:
         raise ConfigError(f"dimension must be a positive even integer, got {two_n}")
@@ -295,17 +329,13 @@ def oracle_check(two_n: int, d_max: int, q_max: int) -> OracleReport:
             f"oracle cap of {ORACLE_SET_PARTITION_CAP}"
         )
     n = two_n // 2
-    pre_d = _pre_d_snapshots(n, d_max)["pre-D"]
-    basis = {q: 0 for q in range(q_max + 1)}
-    for f in pre_d.terms.values():
-        for lam, c in f.coeffs.items():
-            if lam.size <= q_max:
-                basis[lam.size] += int(c) * symmetric_group_irrep_dim(lam)
-    q, size = max(basis.items(), key=lambda qs: qs[1])
+    chb = ch_B(n, d_max)
+    q, size = max(_basis_sizes(chb, q_max).items(), key=lambda qs: qs[1])
     if size > ORACLE_BASIS_CAP:
         raise ConfigError(
             f"weight {q} has {size} basis elements, over the oracle cap of {ORACLE_BASIS_CAP}"
         )
+    pre_d = _pre_d_snapshots(chb, n)["pre-D"]
     rhs_series = quotient_series_by_L(pre_d, n)
     cells = []
     for q in range(q_max + 1):

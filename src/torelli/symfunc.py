@@ -11,9 +11,12 @@ The power-sum basis is the working basis of `plethysm` and `exp_h`:
 there plethysm only relabels partitions and a product merges them.
 `SymFunc.to_p` brings each input coefficient in, and `from_p_monomials`
 takes each result coefficient back to Schur once, by adding rim hooks.
-The same rim-hook pass is the one Schur product: s_mu * s_nu applies
-the p-expansion of s_nu to s_mu, and run backwards, removing rim hooks,
-it gives the skew Schur functions that `branching` reads.
+That pass and the `exp_h` recurrence run on plain integers: shapes are
+beta-set bitmasks (`partitions.slide_beads`) and coefficients share one
+denominator, so only the final Schur keys become Partitions and
+Fractions. The same rim-hook pass is the one Schur product: s_mu * s_nu
+applies the p-expansion of s_nu to s_mu, and run backwards, removing
+rim hooks, it gives the skew Schur functions that `branching` reads.
 """
 
 from __future__ import annotations
@@ -21,11 +24,20 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm, perm
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
-from .partitions import EMPTY, Partition, murnaghan_nakayama, partitions_of, rim_hooks, z_lambda
+from .partitions import (
+    EMPTY,
+    Partition,
+    beta_mask,
+    mask_partition,
+    murnaghan_nakayama,
+    partitions_of,
+    slide_beads,
+    z_lambda,
+)
 
 
 class PlethysmDivergence(ValueError):
@@ -224,10 +236,11 @@ def from_p_monomials(terms: Mapping[Partition, Fraction]) -> SymFunc:
     Horner's rule over the parts of mu: group the terms by their smallest
     part k, convert what remains of each group in one recursive pass, then
     multiply by p_k, which adds every rim hook of size k with its sign
-    (`partitions.rim_hooks` run forwards). Terms that share their smaller
-    parts share all the work on them. The pass only adds signed copies of
-    coefficients, so it runs on integers: every coefficient is scaled by
-    the common denominator, which is divided out at the end.
+    (`partitions.slide_beads` run forwards). Terms that share their smaller
+    parts share all the work on them. The pass runs on plain integers:
+    shapes are beta-set bitmasks with one bead count for the whole pass,
+    and coefficients are scaled by their common denominator, which is
+    divided out at the end. Only the final shapes become Partitions.
     """
     return _p_action(terms, EMPTY, 1)
 
@@ -236,14 +249,33 @@ def _p_action(terms: Mapping[Partition, Fraction], start: Partition, direction: 
     """sum_mu c_mu p_mu s_start (direction 1) or sum_mu c_mu p_mu^perp s_start
     (direction -1), where p_k^perp, the adjoint of multiplication by p_k,
     removes every rim hook of size k with its sign (Macdonald I.3, I.5)."""
-    terms = {Partition(mu): Fraction(c) for mu, c in terms.items()}
+    terms = {
+        mu if isinstance(mu, Partition) else Partition(mu): Fraction(c) for mu, c in terms.items()
+    }
     den = lcm(*(c.denominator for c in terms.values()))
     scaled = {mu: c.numerator * (den // c.denominator) for mu, c in terms.items()}
-    return SymFunc({lam: Fraction(c, den) for lam, c in _horner(scaled, start, direction).items()})
+    return _scaled_p_action(scaled, den, start, direction)
 
 
-def _horner(terms: Mapping[tuple, int], start: Partition, direction: int) -> dict[Partition, int]:
-    out: dict[Partition, int] = {}
+def _scaled_p_action(
+    terms: Mapping[tuple, int], den: int, start: Partition, direction: int
+) -> SymFunc:
+    """_p_action of sum_mu (c_mu / den) p_mu, with integer c_mu."""
+    # Adding hooks of total size w lengthens start by at most w rows.
+    beads = len(start) + (max(map(sum, terms), default=0) if direction > 0 else 0)
+    out = SymFunc()
+    out.coeffs = {
+        mask_partition(mask): Fraction(c, den)
+        for mask, c in _horner(terms, beta_mask(start, beads), direction).items()
+        if c
+    }
+    return out
+
+
+def _horner(terms: Mapping[tuple, int], start: int, direction: int) -> dict[int, int]:
+    """sum_mu c_mu p_mu (or p_mu^perp) applied to the beta-set mask start,
+    as {mask: integer coefficient}; the largest parts act first."""
+    out: dict[int, int] = {}
     groups: dict[int, dict[tuple, int]] = {}
     for mu, c in terms.items():
         if mu:
@@ -251,11 +283,7 @@ def _horner(terms: Mapping[tuple, int], start: Partition, direction: int) -> dic
         else:
             out[start] = out.get(start, 0) + c
     for k, rest in groups.items():
-        for lam, c in _horner(rest, start, direction).items():
-            if not c:
-                continue
-            for nu, sign in rim_hooks(lam, direction * k):
-                out[nu] = out.get(nu, 0) + sign * c
+        slide_beads(_horner(rest, start, direction), direction * k, out)
     return out
 
 
@@ -600,7 +628,11 @@ def exp_h(g: LambdaSeries) -> LambdaSeries:
     must have positive t-valuation; otherwise the sum diverges. With
     L = sum_k p_k[g]/k and E = exp(L) = sum_m E_m t^m, the log-derivative
     recurrence m E_m = sum_j (j L_j) E_{m-j} (Macdonald I.2) gives E in
-    the p basis, where j L_j = sum over k a = j of a p_k[g_a].
+    the p basis, where j L_j = sum over k a = j of a p_k[g_a]. It runs on
+    integers: with D the common denominator of the j L_j and A_j = D j L_j,
+    F_m = m! D^m E_m satisfies
+    F_m = sum_j A_j F_{m-j} (m-1)!/(m-j)! D^{j-1},
+    and each F_m goes to Schur with the denominator m! D^m.
     """
     v = g.valuation()
     if v is not None and v < 1:
@@ -615,14 +647,23 @@ def exp_h(g: LambdaSeries) -> LambdaSeries:
             dj = dlog.setdefault(k * a, {})
             for mu, x in _stretch(pa, k).items():
                 dj[mu] = dj.get(mu, 0) + a * x
-    exp_terms = [{EMPTY: Fraction(1)}]
+    den = lcm(*(c.denominator for dj in dlog.values() for c in dj.values()))
+    scaled = {
+        j: {mu: c.numerator * (den // c.denominator) for mu, c in dj.items() if c}
+        for j, dj in dlog.items()
+    }
+    f_terms: list[dict[Partition, int]] = [{EMPTY: 1}]
     for m in range(1, trunc + 1):
-        acc: dict[Partition, Fraction] = {}
-        for j, dj in dlog.items():
+        acc: dict[Partition, int] = {}
+        for j, aj in scaled.items():
             if j <= m:
-                _p_mul_into(acc, dj, exp_terms[m - j])
-        exp_terms.append({mu: c / m for mu, c in acc.items() if c})
-    return _to_schur_series(dict(enumerate(exp_terms)), trunc)
+                s = perm(m - 1, j - 1) * den ** (j - 1)
+                _p_mul_into(acc, {mu: a * s for mu, a in aj.items()}, f_terms[m - j])
+        f_terms.append({mu: c for mu, c in acc.items() if c})
+    return LambdaSeries(
+        {m: _scaled_p_action(f, factorial(m) * den**m, EMPTY, 1) for m, f in enumerate(f_terms)},
+        trunc,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from click.testing import CliRunner
 from torelli import pipeline, setparts
 from torelli.branching import ClassSeries, OrthSympClass, nl_product
 from torelli.cli import main
-from torelli.partitions import Partition, parse_partition
+from torelli.labels import ch_B
+from torelli.partitions import Partition, parse_partition, symmetric_group_irrep_dim
 from torelli.pipeline import (
     ConfigError,
     ExtrapolationWarning,
@@ -16,6 +17,8 @@ from torelli.pipeline import (
     NegativeMultiplicity,
     PipelineConfig,
     Unsupported,
+    _basis_sizes,
+    _pre_d_snapshots,
     _validate_entries,
     bundle_scalar_series,
     compute_cohomology,
@@ -301,9 +304,46 @@ def test_oracle_fails_fast(monkeypatch):
     assert "4213597 set partitions" in result.output
 
 
+# Test oracle for _basis_sizes: the count it replaced, the dimensions
+# sum_lam c_lam f^lam of the weight-q slices of the whole pre-D series.
+# It needs exp_h of ch_B, which is what the count avoids; kept only to
+# check the exponential specialisation against.
+
+def _pre_d_basis_sizes(n, d_max, q_max):
+    pre_d = _pre_d_snapshots(ch_B(n, d_max), n)["pre-D"]
+    sizes = {q: 0 for q in range(q_max + 1)}
+    for f in pre_d.terms.values():
+        for lam, c in f.coeffs.items():
+            if lam.size <= q_max:
+                sizes[lam.size] += int(c) * symmetric_group_irrep_dim(lam)
+    return sizes
+
+
+@pytest.mark.parametrize("two_n, d_max, q_max", [(2, 6, 8), (6, 8, 8), (10, 9, 9), (2, 8, 8)])
+def test_basis_sizes_match_the_pre_d_count(two_n, d_max, q_max):
+    n = two_n // 2
+    assert _basis_sizes(ch_B(n, d_max), q_max) == _pre_d_basis_sizes(n, d_max, q_max)
+
+
+def test_oracle_refuses_a_large_basis_before_exp_h(monkeypatch):
+    # dim 2 at weight 10 has 1,829,426 basis elements; the count needs
+    # only ch_B, so neither exp_h nor the enumeration may run
+    def refuse(*args, **kwargs):
+        raise AssertionError("exp_h or the basis ran before the budget check")
+
+    monkeypatch.setattr(pipeline, "exp_h", refuse)
+    monkeypatch.setattr(setparts, "enumerate_basis", refuse)
+    result = CliRunner().invoke(
+        main, ["oracle", "--dim", "2", "--qmax", "10", "--dmax", "10"]
+    )
+    assert result.exit_code == 3
+    assert "weight 10 has 1829426 basis elements, over the oracle cap of 300000" in result.output
+
+
 def test_oracle_refuses_a_basis_over_the_cap(monkeypatch):
-    # The largest basis of a weight is counted from the pre-D series, as
-    # the dimensions of its weight-q slices, before anything is enumerated
+    # The largest basis of a weight is counted from ch_B, as the
+    # dimensions of the weight-q slices of its plethystic exponential,
+    # before anything is enumerated
     sizes = {q: len(setparts.enumerate_basis(q, 1, "Pprime", 5)) for q in range(7)}
     q, size = max(sizes.items(), key=lambda qs: qs[1])
 

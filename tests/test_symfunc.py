@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from torelli import symfunc
+from torelli import partitions, symfunc
 from torelli.branching import _skew_schur, restrict_coeffs
 from torelli.labels import ch_B
 from torelli.partitions import (
@@ -15,6 +15,7 @@ from torelli.partitions import (
     murnaghan_nakayama,
     partitions_of,
     partitions_upto,
+    rim_hooks,
     z_lambda,
 )
 from torelli.symfunc import (
@@ -31,6 +32,7 @@ from torelli.symfunc import (
     p_sym,
     plethysm,
 )
+from torelli.symfunc import _p_action
 
 
 def sf(text):
@@ -171,6 +173,71 @@ def _lr_exp_h(g: LambdaSeries) -> LambdaSeries:
     return total
 
 
+# Test oracle: the rim-hook rule on Partitions, an abacus kept as a list
+# of bead positions. The program slides beads on beta-set bitmasks
+# (`partitions.slide_beads`); this shares no code with that and is kept
+# only to check it against.
+
+@lru_cache(maxsize=None)
+def _abacus_rim_hooks(lam: Partition, k: int) -> tuple:
+    padded = tuple(lam) + (0,) * max(k, 0)
+    top = len(padded) - 1
+    beads = [part + top - i for i, part in enumerate(padded)]
+    occupied = set(beads)
+    out = []
+    for i, b in enumerate(beads):
+        c = b + k
+        if c < 0 or c in occupied:
+            continue
+        low, high = min(b, c), max(b, c)
+        leg = sum(1 for x in beads if low < x < high)
+        moved = sorted(beads[:i] + beads[i + 1:] + [c], reverse=True)
+        shape = Partition([x - top + j for j, x in enumerate(moved)])
+        out.append((shape, -1 if leg % 2 else 1))
+    return tuple(out)
+
+
+# Test oracle: the Horner p -> s pass keyed on Partitions, every step
+# through the abacus above, as it ran before shapes became bitmasks.
+
+def _partition_horner(terms, start: Partition, direction: int) -> dict:
+    out = {}
+    groups = {}
+    for mu, c in terms.items():
+        if mu:
+            groups.setdefault(mu[-1], {})[mu[:-1]] = c
+        else:
+            out[start] = out.get(start, 0) + c
+    for k, rest in groups.items():
+        for lam, c in _partition_horner(rest, start, direction).items():
+            for nu, sign in _abacus_rim_hooks(lam, direction * k):
+                out[nu] = out.get(nu, 0) + sign * c
+    return out
+
+
+# Test oracle: exp_h's log-derivative recurrence m E_m = sum_j j L_j E_{m-j}
+# on Fraction coefficients, as it ran before the integer recurrence.
+
+def _fraction_exp_h(g: LambdaSeries) -> LambdaSeries:
+    dlog = {}
+    for a, c in g.terms.items():
+        for k in range(1, g.trunc // a + 1):
+            dj = dlog.setdefault(k * a, {})
+            for mu, x in c.to_p().items():
+                key = Partition(tuple(k * part for part in mu))
+                dj[key] = dj.get(key, 0) + a * x
+    exp_terms = [{EMPTY: Fraction(1)}]
+    for m in range(1, g.trunc + 1):
+        acc = {}
+        for j, dj in dlog.items():
+            for mu, x in dj.items() if j <= m else ():
+                for nu, y in exp_terms[m - j].items():
+                    key = Partition(mu + nu)
+                    acc[key] = acc.get(key, 0) + x * y
+        exp_terms.append({mu: c / m for mu, c in acc.items() if c})
+    return LambdaSeries({m: from_p_monomials(e) for m, e in enumerate(exp_terms)}, g.trunc)
+
+
 def _hand_made_series() -> LambdaSeries:
     # negative and fractional coefficients, several weights per degree
     return LambdaSeries(
@@ -292,6 +359,75 @@ def test_horner_matches_character_columns():
         mu = rng.choice(partitions_of(rng.randrange(0, 11)))
         mixed[mu] = Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
     assert from_p_monomials(mixed) == _column_sum(mixed)
+
+
+def test_rim_hooks_match_the_abacus_oracle():
+    for lam in partitions_upto(10):
+        for k in [*range(-10, 0), *range(1, 11)]:
+            assert rim_hooks(lam, k) == _abacus_rim_hooks(lam, k), (lam, k)
+
+
+def test_p_action_matches_the_partition_horner():
+    starts = (EMPTY, Partition((2, 1)), Partition((3, 3, 1)))
+    for start in starts:
+        for direction in (1, -1):
+            for mu in partitions_upto(10):
+                oracle = SymFunc(_partition_horner({mu: 1}, start, direction))
+                assert _p_action({mu: 1}, start, direction) == oracle, (mu, start, direction)
+    rng = random.Random(29)
+    mixed = {rng.choice(partitions_upto(8)): Fraction(rng.randrange(-9, 10), rng.randrange(1, 8))
+             for _ in range(30)}
+    for start in starts:
+        for direction in (1, -1):
+            oracle = SymFunc.zero()
+            for mu, c in mixed.items():
+                oracle = oracle + SymFunc(_partition_horner({mu: 1}, start, direction)) * c
+            assert _p_action(mixed, start, direction) == oracle, (start, direction)
+
+
+def test_exp_h_matches_the_fraction_recurrence():
+    for n in (1, 3, 5):
+        for d in range(1, 8):
+            g = ch_B(n, d)
+            fast, slow = exp_h(g), _fraction_exp_h(g)
+            assert (fast.terms, fast.trunc) == (slow.terms, slow.trunc), (n, d)
+    fast, slow = exp_h(_hand_made_series()), _fraction_exp_h(_hand_made_series())
+    assert (fast.terms, fast.trunc) == (slow.terms, slow.trunc)
+
+
+def test_p_to_s_builds_only_the_final_shapes(monkeypatch):
+    # The Horner pass keeps its intermediate shapes as bitmasks: no
+    # rim_hooks lookup, and no more Partitions than result keys.
+    rng = random.Random(12)
+    weight12 = partitions_of(12)
+    cases = (
+        {mu: Fraction(1, z_lambda(mu)) for mu in weight12},  # h_12
+        {mu: Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)) for mu in weight12},
+    )
+    calls = {"rim_hooks": 0, "Partition": 0}
+    original_rim_hooks, original_new = partitions.rim_hooks, Partition.__new__
+
+    def counted_rim_hooks(*args):
+        calls["rim_hooks"] += 1
+        return original_rim_hooks(*args)
+
+    def counted_new(cls, parts=()):
+        calls["Partition"] += 1
+        return original_new(cls, parts)
+
+    results = []
+    with monkeypatch.context() as patch:
+        patch.setattr(partitions, "rim_hooks", counted_rim_hooks)
+        patch.setattr(symfunc, "rim_hooks", counted_rim_hooks, raising=False)
+        patch.setattr(Partition, "__new__", staticmethod(counted_new))
+        for terms in cases:
+            calls.update(rim_hooks=0, Partition=0)
+            out = from_p_monomials(terms)
+            results.append(out)
+            assert calls["rim_hooks"] == 0
+            assert calls["Partition"] <= len(out.coeffs)
+    assert results[0] == h_sym(12)
+    assert len(results[1].coeffs) > 1
 
 
 def test_power_sum_core_matches_lr_oracle():
