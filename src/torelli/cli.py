@@ -9,7 +9,7 @@ import click
 from .branching import ClassSeries, render_class, render_class_series
 from .graphs import parse_graph, reduce as reduce_graph
 from .invariants import matching_span_rank
-from .labels import l_class, l_class_image, render_label_combination
+from .labels import L_CLASS_INDEX_CAP, l_class, l_class_image, render_label_combination
 from .pipeline import (
     STAGES,
     ConfigError,
@@ -160,6 +160,8 @@ def lclass(max_index, two_n):
     """Print the Hirzebruch polynomials, optionally with their images."""
     if max_index < 1:
         _fail_config(f"--max must be positive, got {max_index}")
+    if max_index > L_CLASS_INDEX_CAP:
+        _fail_config(f"--max {max_index} exceeds the L-class cap of {L_CLASS_INDEX_CAP}")
     n = None
     if two_n is not None:
         if two_n < 2 or two_n % 2:

@@ -13,6 +13,11 @@ it has exactly (2g)^(S/2) nonzero entries out of (2g)^S.  It is built
 on those alone, under the flat indices of `DenseTensor.index`, and the
 rank comes from fraction-free elimination on sparse integer rows.  Its
 budget is on those nonzeros, MATCHING_NONZERO_CAP in all.
+
+The harmonic subspace is the kernel of the pairwise contractions, and
+it comes from the same elimination: each contraction row holds the 2g
+nonzeros of the form, and back-substituting the pivot rows gives the
+reduced row echelon basis, one sparse vector per free column.
 """
 
 from __future__ import annotations
@@ -34,50 +39,6 @@ MATCHING_NONZERO_CAP = 10**6
 
 class NotPerfect(ValueError):
     """The matching misses or repeats elements of the index set."""
-
-
-def _row_reduce(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and its pivot columns."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    work = [list(r) for r in rows]
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        scale = work[row][col]
-        work[row] = [v / scale for v in work[row]]
-        for r in range(len(work)):
-            if r != row and work[r][col]:
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(work):
-            break
-    return work[:row], pivots
-
-
-def _kernel_basis(
-    rows: list[list[Fraction]], ncols: int
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Basis of the joint kernel, one vector per free column, plus the
-    free columns themselves (where each basis vector has its 1)."""
-    reduced, pivots = _row_reduce(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in zip(reduced, pivots):
-            vec[p] = -r[f]
-        basis.append(vec)
-    return basis, free
 
 
 class EpsForm:
@@ -236,12 +197,36 @@ def _omega_nonzeros(
     return entries
 
 
-def _sparse_rank(rows: Iterable[dict[int, Fraction]]) -> int:
-    """Exact rank of sparse rational rows {column: value}, by
-    fraction-free elimination on integers.  Each row is cleared of
-    denominators, then reduced at its smallest column against the pivot
-    row stored there (row := lead * row - row[col] * pivot); what
-    survives becomes a new pivot row, divided by its content."""
+def _eliminate(row: dict[int, int], col: int, pivot: dict[int, int]) -> dict[int, int]:
+    """Clear column col of an integer row against a pivot row led there,
+    fraction-free: row := lead * row - row[col] * pivot."""
+    lead, scale = pivot[col], row[col]
+    if lead != 1:
+        row = {k: lead * v for k, v in row.items()}
+    for k, v in pivot.items():
+        value = row.get(k, 0) - scale * v
+        if value:
+            row[k] = value
+        else:
+            row.pop(k, None)
+    return row
+
+
+def _primitive(row: dict[int, int], col: int) -> dict[int, int]:
+    """The row divided by its content, signed so that its entry at col is positive."""
+    content = gcd(*row.values())
+    if row[col] < 0:
+        content = -content
+    return {k: v // content for k, v in row.items()}
+
+
+def _pivot_rows(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, int]]:
+    """Echelon form of sparse rational rows {column: value}, by
+    fraction-free elimination on integers: {lead column: pivot row}, so
+    the rank is its length.  Each row is cleared of denominators, then
+    reduced at its smallest column against the pivot row stored there;
+    what survives becomes a new pivot row, divided by its content.
+    Every pivot row holds only columns at or after its lead."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         den = lcm(*(v.denominator for v in row.values()))
@@ -250,21 +235,34 @@ def _sparse_rank(rows: Iterable[dict[int, Fraction]]) -> int:
             col = min(row)
             pivot = pivots.get(col)
             if pivot is None:
-                content = gcd(*row.values())
-                if row[col] < 0:
-                    content = -content
-                pivots[col] = {k: v // content for k, v in row.items()}
+                pivots[col] = _primitive(row, col)
                 break
-            lead, scale = pivot[col], row[col]
-            if lead != 1:
-                row = {k: lead * v for k, v in row.items()}
-            for k, v in pivot.items():
-                value = row.get(k, 0) - scale * v
-                if value:
-                    row[k] = value
-                else:
-                    row.pop(k, None)
-    return len(pivots)
+            row = _eliminate(row, col, pivot)
+    return pivots
+
+
+def _sparse_kernel(
+    rows: Iterable[dict[int, Fraction]], ncols: int
+) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Basis of the joint kernel of sparse rational rows, one sparse
+    vector {column: value} per free column, plus the free columns
+    themselves (where each vector has its 1 and the others their 0):
+    the reduced row echelon basis.  The pivot rows are back-substituted
+    in descending lead order, so each keeps only its lead and free
+    columns; then the vector of free column f holds -row[f] / row[lead]
+    at each lead."""
+    pivots = _pivot_rows(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    vectors: dict[int, dict[int, Fraction]] = {f: {f: Fraction(1)} for f in free}
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for col in [k for k in row if k != lead and k in pivots]:
+            row = _eliminate(row, col, pivots[col])
+        row = pivots[lead] = _primitive(row, lead)
+        for f, v in row.items():
+            if f != lead:
+                vectors[f][lead] = Fraction(-v, row[lead])
+    return [vectors[f] for f in free], free
 
 
 def perfect_matchings(elems: Iterable[int]):
@@ -315,7 +313,7 @@ def matching_span_rank(S, g: int, epsilon: int) -> tuple[int, int]:
     form = EpsForm(g, epsilon)
     _check_nonzero_budget(len(elems), form.dim)
     matchings = perfect_matchings(elems)
-    rank = _sparse_rank(_omega_nonzeros(m, form) for m in matchings)
+    rank = len(_pivot_rows(_omega_nonzeros(m, form) for m in matchings))
     return rank, len(matchings)
 
 
@@ -386,31 +384,25 @@ def K_on_morphism(
     return apply
 
 
-def contraction_rows(q: int, form: EpsForm) -> list[list[Fraction]]:
-    """Constraint matrix whose kernel is the harmonic subspace."""
+def contraction_rows(q: int, form: EpsForm) -> list[dict[int, Fraction]]:
+    """Constraint rows {flat index: value}, whose joint kernel is the
+    harmonic subspace: one row per pair of positions i < j and per
+    assignment of the other positions, holding the 2g nonzero entries
+    of the form in slots i and j."""
     d = form.dim
-    size = d**q
-    if size > TENSOR_ENTRY_CAP:
+    if d**q > TENSOR_ENTRY_CAP:
         raise ValueError("tensor power exceeds the oracle cap")
-    rows: list[list[Fraction]] = []
+    strides = [d ** (q - 1 - k) for k in range(q)]
+    pairing = [(x, y, v) for x, row in enumerate(form.gram) for y, v in enumerate(row) if v]
+    rows: list[dict[int, Fraction]] = []
     for i in range(q):
         for j in range(i + 1, q):
             others = [k for k in range(q) if k not in (i, j)]
             for rest in product(range(d), repeat=len(others)):
-                row = [Fraction(0)] * size
-                for x, y in product(range(d), repeat=2):
-                    if not form.gram[x][y]:
-                        continue
-                    full = [0] * q
-                    for pos, v in zip(others, rest):
-                        full[pos] = v
-                    full[i] = x
-                    full[j] = y
-                    idx = 0
-                    for v in full:
-                        idx = idx * d + v
-                    row[idx] += form.gram[x][y]
-                rows.append(row)
+                base = sum(strides[k] * v for k, v in zip(others, rest))
+                rows.append(
+                    {base + x * strides[i] + y * strides[j]: v for x, y, v in pairing}
+                )
     return rows
 
 
@@ -420,8 +412,14 @@ def harmonic_projection(q: int, form: EpsForm) -> list[DenseTensor]:
         raise ValueError("tensor power must be nonnegative")
     if q == 0:
         return [DenseTensor.scalar(form.dim, 1)]
-    basis, _ = _kernel_basis(contraction_rows(q, form), form.dim**q)
-    return [DenseTensor(form.dim, range(1, q + 1), vec) for vec in basis]
+    basis, _ = _sparse_kernel(contraction_rows(q, form), form.dim**q)
+    tensors = []
+    for vec in basis:
+        tensor = DenseTensor(form.dim, range(1, q + 1))
+        for k, v in vec.items():
+            tensor.entries[k] = v
+        tensors.append(tensor)
+    return tensors
 
 
 def harmonic_multiplicity(lam, form: EpsForm) -> int:
@@ -432,7 +430,7 @@ def harmonic_multiplicity(lam, form: EpsForm) -> int:
     if q == 0:
         return 1
     d = form.dim
-    basis, free = _kernel_basis(contraction_rows(q, form), d**q)
+    basis, free = _sparse_kernel(contraction_rows(q, form), d**q)
     if not basis:
         return 0
     total = Fraction(0)
@@ -448,7 +446,7 @@ def harmonic_multiplicity(lam, form: EpsForm) -> int:
                 digits.append(x // s)
                 x %= s
             moved = sum(digits[perm[k]] * strides[k] for k in range(q))
-            trace += vec[moved]
+            trace += vec.get(moved, 0)
         total += Fraction(murnaghan_nakayama(lam, mu), z_lambda(mu)) * trace
     if total.denominator != 1:
         raise NonIntegralMultiplicity(

@@ -5,23 +5,38 @@ where lo = ceil((n+1)/4). Provides the monomial basis B with its
 Poincare series under several degree selectors, the generating series
 ch(B) feeding the plethysm pipeline, and Hirzebruch L-polynomials with
 their images in B.
+
+An L-polynomial is the degree-i part of exp(sum_k a_k p_k(z)), the
+p_k(z) being power sums of the squared Chern roots z, written in the
+e-basis, since the j-th Pontrjagin class is e_j(z).  No linear system
+is solved: Newton-Girard gives each p_k in the e-basis, and the
+exponential is built by its log-derivative recurrence, multiplying
+e-monomials by merging partitions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Iterator
 
-from .partitions import Partition, partitions_of
+from .partitions import EMPTY, Partition, partitions_of
 from .symfunc import (
     LambdaSeries,
     SymFunc,
     ValuationViolation,
-    e_sym,
-    from_p_monomials,
+    _join_signed,
+    _p_mul_into,
+    _render_coeff,
     h_sym,
 )
+
+
+# `lclass --max` above this is refused before any work: --max 20 / 24 / 26
+# / 28 / 30 take about 1.0 / 3.5 / 6.7 / 12.7 / 23 s cold on a shared
+# 2-vCPU host, growing about 1.35x per index.
+L_CLASS_INDEX_CAP = 26
 
 
 class IndexOutOfRange(ValueError):
@@ -258,47 +273,25 @@ def _series_log(q: list[Fraction]) -> list[Fraction]:
 def _l_genus_p_coefficients(max_index: int) -> tuple[Fraction, ...]:
     """Coefficients a_k with log prod Q(z_j) = sum a_k p_k(z)."""
     length = max_index + 1
-    sinh_over_x = [Fraction(1, _factorial(2 * k + 1)) for k in range(length)]
-    cosh = [Fraction(1, _factorial(2 * k)) for k in range(length)]
+    sinh_over_x = [Fraction(1, factorial(2 * k + 1)) for k in range(length)]
+    cosh = [Fraction(1, factorial(2 * k)) for k in range(length)]
     q = _series_div(cosh, sinh_over_x, length)
     return tuple(_series_log(q))
 
 
-def _factorial(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
-
-
 @lru_cache(maxsize=None)
-def _e_basis_matrix(d: int) -> tuple[tuple[Partition, ...], list[list[Fraction]]]:
-    parts = list(partitions_of(d))
-    cols = []
-    for mu in parts:
-        prod = SymFunc.scalar(1)
-        for part in mu:
-            prod = prod * e_sym(part)
-        cols.append(prod)
-    matrix = [[col.coeff(lam) for col in cols] for lam in parts]
-    return tuple(parts), matrix
-
-
-def _to_e_basis(f: SymFunc, d: int) -> dict[Partition, Fraction]:
-    """Solve for the e-monomial coordinates of a degree-d symmetric function."""
-    parts, matrix = _e_basis_matrix(d)
-    rows = [list(row) + [f.coeff(lam)] for lam, row in zip(parts, matrix)]
-    m = len(parts)
-    for col in range(m):
-        pivot = next(r for r in range(col, m) if rows[r][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = Fraction(1) / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(m):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return {parts[r]: rows[r][m] for r in range(m) if rows[r][m]}
+def _newton_girard(k: int) -> tuple[tuple[Partition, int], ...]:
+    """p_k in the e-basis (Newton-Girard; Macdonald I.2):
+    p_k = sum over nu |- k of (-1)^(k - l(nu)) k (l(nu) - 1)! / prod_j m_j(nu)!
+    times e_nu, where m_j(nu) is the multiplicity of j in nu, as
+    (nu, coefficient) pairs."""
+    out = []
+    for nu in partitions_of(k):
+        c = k * factorial(len(nu) - 1)
+        for j in set(nu):
+            c //= factorial(nu.count(j))
+        out.append((nu, -c if (k - len(nu)) % 2 else c))
+    return tuple(out)
 
 
 class LPolynomial:
@@ -340,16 +333,8 @@ class LPolynomial:
                 f"p{j}" if k == 1 else f"p{j}^{k}"
                 for j, k in sorted(mult.items(), reverse=True)
             )
-            if c == 1:
-                pieces.append(mono)
-            elif c == -1:
-                pieces.append(f"-{mono}")
-            else:
-                pieces.append(f"{c}*{mono}")
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return out
+            pieces.append(_render_coeff(c, mono))
+        return _join_signed(pieces)
 
     def __repr__(self) -> str:
         return f"LPolynomial(i={self.i}, {self!s})"
@@ -357,23 +342,21 @@ class LPolynomial:
 
 @lru_cache(maxsize=None)
 def l_class(i: int) -> LPolynomial:
-    """The i-th L-polynomial, from the multiplicative sequence of sqrt(z)/tanh(sqrt(z))."""
+    """The i-th L-polynomial, from the multiplicative sequence of sqrt(z)/tanh(sqrt(z)).
+
+    L = exp(G) with G = sum_k a_k p_k, so i L_i = sum_k k a_k p_k L_{i-k};
+    each p_k is expanded in the e-basis by Newton-Girard and multiplied
+    into L_{i-k} by merging partitions.
+    """
     if i < 1:
         raise ValueError("index must be positive")
     a = _l_genus_p_coefficients(i)
-    # exp(sum a_k p_k), degree-i part: coefficient of p_mu is prod a_k^{m_k} / m_k!
-    terms: dict[Partition, Fraction] = {}
-    for mu in partitions_of(i):
-        c = Fraction(1)
-        mult: dict[int, int] = {}
-        for part in mu:
-            mult[part] = mult.get(part, 0) + 1
-        for k, m in mult.items():
-            c *= a[k] ** m / _factorial(m)
-        if c:
-            terms[mu] = c
-    f = from_p_monomials(terms)
-    return LPolynomial(i, _to_e_basis(f, i))
+    acc: dict[Partition, Fraction] = {}
+    for k in range(1, i + 1):
+        lower = l_class(i - k).terms if k < i else {EMPTY: Fraction(1)}
+        p_k = {nu: k * a[k] * c for nu, c in _newton_girard(k)}
+        _p_mul_into(acc, p_k, lower)
+    return LPolynomial(i, {nu: c / i for nu, c in acc.items()})
 
 
 def l_class_image(i: int, n: int) -> dict[LabelMonomial, Fraction]:
@@ -406,18 +389,7 @@ def l_class_image(i: int, n: int) -> dict[LabelMonomial, Fraction]:
 def render_label_combination(terms: dict[LabelMonomial, Fraction]) -> str:
     if not terms:
         return "0"
-    pieces = []
-    for mono in sorted(terms, key=LabelMonomial.sort_key):
-        c = terms[mono]
-        if mono.is_unit():
-            pieces.append(str(c))
-        elif c == 1:
-            pieces.append(str(mono))
-        elif c == -1:
-            pieces.append(f"-{mono}")
-        else:
-            pieces.append(f"{c}*{mono}")
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-    return out
+    return _join_signed([
+        _render_coeff(terms[mono], None if mono.is_unit() else str(mono))
+        for mono in sorted(terms, key=LabelMonomial.sort_key)
+    ])

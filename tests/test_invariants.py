@@ -12,8 +12,9 @@ from torelli.invariants import (
     EpsForm,
     K_on_morphism,
     NotPerfect,
+    _sparse_kernel,
     _omega_nonzeros,
-    _row_reduce,
+    contraction_rows,
     harmonic_multiplicity,
     harmonic_projection,
     matching_span_rank,
@@ -22,6 +23,51 @@ from torelli.invariants import (
 )
 from torelli.partitions import Partition, partitions_of, symmetric_group_irrep_dim
 from torelli.setparts import BrauerMorphism, compose
+
+
+def _row_reduce(rows):
+    """Test oracle: the dense reduced row echelon form of rational rows
+    and its pivot columns, by exact Gauss-Jordan elimination on
+    Fractions.  `invariants` eliminates sparse integer rows instead."""
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    work = [list(r) for r in rows]
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[row], work[pivot] = work[pivot], work[row]
+        scale = work[row][col]
+        work[row] = [v / scale for v in work[row]]
+        for r in range(len(work)):
+            if r != row and work[r][col]:
+                factor = work[r][col]
+                work[r] = [v - factor * w for v, w in zip(work[r], work[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(work):
+            break
+    return work[:row], pivots
+
+
+def _dense_kernel_basis(rows, ncols):
+    """Test oracle: the dense kernel basis read off `_row_reduce`, one
+    vector per free column, plus the free columns themselves (where each
+    basis vector has its 1)."""
+    reduced, pivots = _row_reduce(rows)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, p in zip(reduced, pivots):
+            vec[p] = -r[f]
+        basis.append(vec)
+    return basis, free
 
 
 def test_form_invariants():
@@ -243,6 +289,42 @@ def test_harmonic_projection_dimensions():
     assert len(harmonic_projection(0, form)) == 1
     # harmonic 2-tensors: V_{1,1} (5) plus V_2 (10)
     assert len(harmonic_projection(2, form)) == 15
+
+
+def test_contraction_rows_hold_one_entry_per_basis_vector():
+    for g in (1, 2, 3):
+        for eps in (1, -1):
+            form = EpsForm(g, eps)
+            for q in (2, 3):
+                rows = contraction_rows(q, form)
+                assert len(rows) == q * (q - 1) // 2 * form.dim ** (q - 2)
+                for row in rows:
+                    assert len(row) == 2 * g
+                    assert set(row.values()) <= {Fraction(1), Fraction(eps)}
+
+
+def test_sparse_kernel_matches_the_dense_oracle():
+    cases = [(g, q) for g in (1, 2, 3) for q in (1, 2, 3)] + [(2, 4)]
+    for g, q in cases:
+        for eps in (1, -1):
+            form = EpsForm(g, eps)
+            size = form.dim**q
+            rows = contraction_rows(q, form)
+            dense_rows = []
+            for row in rows:
+                dense = [Fraction(0)] * size
+                for k, v in row.items():
+                    dense[k] = v
+                dense_rows.append(dense)
+            dense_basis, dense_free = _dense_kernel_basis(dense_rows, size)
+            basis, free = _sparse_kernel(rows, size)
+            assert free == dense_free, (g, q, eps)
+            assert basis == [
+                {k: v for k, v in enumerate(vec) if v} for vec in dense_basis
+            ], (g, q, eps)
+            tensors = harmonic_projection(q, form)
+            assert [t.entries for t in tensors] == dense_basis, (g, q, eps)
+            assert all(t.positions == tuple(range(1, q + 1)) for t in tensors)
 
 
 def test_harmonic_multiplicities_are_weyl_dimensions():

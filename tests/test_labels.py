@@ -1,11 +1,17 @@
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from click.testing import CliRunner
 
+from torelli import cli
+from torelli.cli import main
 from torelli.labels import (
+    L_CLASS_INDEX_CAP,
     IndexOutOfRange,
     LabelMonomial,
+    _l_genus_p_coefficients,
     ch_B,
     generator_window,
     l_class,
@@ -15,8 +21,8 @@ from torelli.labels import (
     poincare_series,
     render_label_combination,
 )
-from torelli.partitions import Partition
-from torelli.symfunc import SymFunc, change_basis
+from torelli.partitions import Partition, partitions_of
+from torelli.symfunc import SymFunc, change_basis, e_sym, from_p_monomials
 
 
 def test_generator_window():
@@ -107,6 +113,48 @@ def test_l_class_frozen():
     }
 
 
+def _schur_route_l_class(i):
+    """Test oracle: the terms of L_i by a route through Schur functions.
+    exp(sum a_k p_k) is taken in the p-basis (the coefficient of p_mu is
+    prod_k a_k^{m_k} / m_k!), converted to Schur, and solved for its
+    e-monomial coordinates by Gauss-Jordan elimination against the Schur
+    expansions of the e_mu.  `labels.l_class` expands each p_k in the
+    e-basis directly instead."""
+    a = _l_genus_p_coefficients(i)
+    terms = {}
+    for mu in partitions_of(i):
+        c = Fraction(1)
+        for k in set(mu):
+            m = mu.count(k)
+            c *= a[k] ** m / factorial(m)
+        terms[mu] = c
+    f = from_p_monomials(terms)
+    parts = list(partitions_of(i))
+    cols = []
+    for mu in parts:
+        prod = SymFunc.scalar(1)
+        for part in mu:
+            prod = prod * e_sym(part)
+        cols.append(prod)
+    rows = [[col.coeff(lam) for col in cols] + [f.coeff(lam)] for lam in parts]
+    m = len(parts)
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = Fraction(1) / rows[col][col]
+        rows[col] = [v * inv for v in rows[col]]
+        for r in range(m):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return {parts[r]: rows[r][m] for r in range(m) if rows[r][m]}
+
+
+def test_l_class_matches_the_schur_route():
+    for i in range(1, 13):
+        assert l_class(i).terms == _schur_route_l_class(i), i
+
+
 def _poly_mul(a, b, cap):
     out = {}
     for ma, ca in a.items():
@@ -119,10 +167,13 @@ def _poly_mul(a, b, cap):
 
 
 def test_l_class_against_genus_product():
-    # sqrt(z)/tanh(sqrt(z)) = 1 + z/3 - z^2/45 + 2 z^3/945 + ...
-    cap = 3
-    q_coeffs = [Fraction(1), Fraction(1, 3), Fraction(-1, 45), Fraction(2, 945)]
-    nvars = 3
+    # sqrt(z)/tanh(sqrt(z)) = sum_k 2^{2k} B_{2k} z^k / (2k)!
+    cap = 6
+    q_coeffs = [
+        Fraction(1), Fraction(1, 3), Fraction(-1, 45), Fraction(2, 945),
+        Fraction(-1, 4725), Fraction(2, 93555), Fraction(-1382, 638512875),
+    ]
+    nvars = 6
     product = {(0,) * nvars: Fraction(1)}
     for var in range(nvars):
         factor = {}
@@ -187,3 +238,15 @@ def test_render_label_combination():
     text = render_label_combination(l_class_image(2, 3))
     assert "7/45" in text
     assert "p2" in text
+
+
+def test_lclass_refuses_a_large_index_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("L-class computed before the cap check")
+
+    monkeypatch.setattr(cli, "l_class", refuse)
+    monkeypatch.setattr(cli, "l_class_image", refuse)
+    for args in (["--max", str(L_CLASS_INDEX_CAP + 1)], ["--max", "30", "--dim", "6"]):
+        result = CliRunner().invoke(main, ["lclass", *args])
+        assert result.exit_code == 3
+        assert f"exceeds the L-class cap of {L_CLASS_INDEX_CAP}" in result.output
