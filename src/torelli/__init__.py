@@ -1,4 +1,10 @@
-"""Exact stable cohomology of Torelli groups as symplectic or orthogonal classes."""
+"""Exact stable cohomology of Torelli groups as symplectic or orthogonal classes.
+
+The exports of `graphs` and `invariants` are resolved on first use
+(PEP 562), so that `import torelli.cli` loads neither.
+"""
+
+from importlib import import_module
 
 from .branching import (
     ClassSeries,
@@ -20,24 +26,6 @@ from .characters import (
     decompose,
     irreducible_character,
     murnaghan_nakayama,
-)
-from .graphs import (
-    MarkedGraph,
-    SignedGraphVector,
-    corolla,
-    parse_graph,
-    presentation_audit,
-    reduce,
-    reduce_trivalent,
-)
-from .invariants import (
-    DenseTensor,
-    EpsForm,
-    harmonic_multiplicity,
-    harmonic_projection,
-    matching_span_rank,
-    omega_m,
-    perfect_matchings,
 )
 from .labels import (
     LabelMonomial,
@@ -161,3 +149,28 @@ __all__ = [
     "variant_adjust",
     "z_lambda",
 ]
+
+_LAZY = {
+    "MarkedGraph": "graphs",
+    "SignedGraphVector": "graphs",
+    "corolla": "graphs",
+    "parse_graph": "graphs",
+    "presentation_audit": "graphs",
+    "reduce": "graphs",
+    "reduce_trivalent": "graphs",
+    "DenseTensor": "invariants",
+    "EpsForm": "invariants",
+    "harmonic_multiplicity": "invariants",
+    "harmonic_projection": "invariants",
+    "matching_span_rank": "invariants",
+    "omega_m": "invariants",
+    "perfect_matchings": "invariants",
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

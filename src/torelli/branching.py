@@ -197,18 +197,20 @@ class ClassSeries:
         return self.terms.get(k, OrthSympClass.zero(self.epsilon))
 
     def mul_scalar_series(self, scalar: LambdaSeries) -> "ClassSeries":
-        """Multiply by a series whose coefficients are scalar symmetric functions."""
+        """Multiply by a series whose coefficients are scalar symmetric
+        functions, adding into one coefficient dict per degree."""
         trunc = min(self.trunc, scalar.trunc)
-        out: dict[int, OrthSympClass] = {}
+        factors = [(j, f.coeff(EMPTY)) for j, f in scalar.terms.items()]
+        out: dict[int, dict[Partition, Fraction]] = {}
         for i, a in self.terms.items():
-            for j in scalar.exponents():
-                if i + j > trunc:
-                    continue
-                c = scalar.coefficient(j).coeff(EMPTY)
-                if not c:
-                    continue
-                out[i + j] = out.get(i + j, OrthSympClass.zero(self.epsilon)) + a * c
-        return ClassSeries(self.epsilon, out, trunc)
+            for j, c in factors:
+                if c and i + j <= trunc:
+                    acc = out.setdefault(i + j, {})
+                    for lam, x in a.coeffs.items():
+                        acc[lam] = acc.get(lam, 0) + x * c
+        return ClassSeries(
+            self.epsilon, {k: OrthSympClass(self.epsilon, acc) for k, acc in out.items()}, trunc
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassSeries):

@@ -1,14 +1,16 @@
-"""Command-line front end for the cohomology tables and their checks."""
+"""Command-line front end for the cohomology tables and their checks.
 
-import json
+Each command runs in a fresh interpreter, so this module imports only
+what `cohomology`, `series` and `oracle` need; `json`, `graphs` and
+`invariants` are imported by the commands that use them.
+"""
+
 import sys
 from fractions import Fraction
 
 import click
 
 from .branching import ClassSeries, render_class, render_class_series
-from .graphs import parse_graph, reduce as reduce_graph
-from .invariants import matching_span_rank
 from .labels import L_CLASS_INDEX_CAP, l_class, l_class_image, render_label_combination
 from .pipeline import (
     STAGES,
@@ -79,6 +81,8 @@ def cohomology(two_n, max_degree, variant, genus, fmt):
     except NegativeMultiplicity as exc:
         _fail_internal(str(exc))
     if fmt == "json":
+        import json
+
         payload = {
             "dim": table.two_n,
             "variant": table.variant,
@@ -189,6 +193,10 @@ def graph():
 @click.option("--variant", default="P0", help="P0, P or Pprime.")
 def graph_reduce(file, variant):
     """Contract a graph file down to labelled partitions."""
+    import json
+
+    from .graphs import parse_graph, reduce as reduce_graph
+
     try:
         with open(file, "r", encoding="utf-8") as fh:
             g = parse_graph(fh.read())
@@ -220,6 +228,8 @@ def invariants():
 @click.option("--epsilon", type=int, required=True)
 def invariants_rank(genus, set_size, epsilon):
     """Rank of the span of matching tensors inside the full tensor power."""
+    from .invariants import matching_span_rank
+
     if genus < 1:
         _fail_config(f"genus must be positive, got {genus}")
     if epsilon not in (1, -1):

@@ -23,6 +23,7 @@ reduced row echelon basis, one sparse vector per free column.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, product, repeat
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
@@ -422,22 +423,20 @@ def harmonic_projection(q: int, form: EpsForm) -> list[DenseTensor]:
     return tensors
 
 
-def harmonic_multiplicity(lam, form: EpsForm) -> int:
-    """Multiplicity of one symmetric-group irreducible inside the
-    harmonic subspace, computed from exact traces."""
-    lam = Partition(lam)
-    q = sum(lam)
-    if q == 0:
-        return 1
-    d = form.dim
-    basis, free = _sparse_kernel(contraction_rows(q, form), d**q)
-    if not basis:
-        return 0
-    total = Fraction(0)
+@lru_cache(maxsize=None)
+def _harmonic_traces(q: int, g: int, epsilon: int) -> tuple[tuple[Partition, Fraction], ...]:
+    """The trace of a permutation of each cycle type mu of S_q on the
+    harmonic q-tensors of EpsForm(g, epsilon), as (mu, trace) pairs.
+    In the reduced row echelon basis the vector of free column f has its
+    1 at f and 0 at every other free column, so the trace of sigma is the
+    sum over f of the entry of vec_f at sigma(f)."""
+    d = 2 * g
+    basis, free = _sparse_kernel(contraction_rows(q, EpsForm(g, epsilon)), d**q)
+    strides = [d ** (q - 1 - k) for k in range(q)]
+    traces = []
     for mu in partitions_of(q):
         sigma = _perm_from_cycle_type(q, mu)
         perm = [sigma[k + 1] - 1 for k in range(q)]
-        strides = [d ** (q - 1 - k) for k in range(q)]
         trace = Fraction(0)
         for vec, f in zip(basis, free):
             digits = []
@@ -447,6 +446,20 @@ def harmonic_multiplicity(lam, form: EpsForm) -> int:
                 x %= s
             moved = sum(digits[perm[k]] * strides[k] for k in range(q))
             trace += vec.get(moved, 0)
+        traces.append((mu, trace))
+    return tuple(traces)
+
+
+def harmonic_multiplicity(lam, form: EpsForm) -> int:
+    """Multiplicity of one symmetric-group irreducible inside the
+    harmonic subspace: the traces of `_harmonic_traces`, computed once
+    per (q, g, epsilon), weighted by the characters of lam."""
+    lam = Partition(lam)
+    q = sum(lam)
+    if q == 0:
+        return 1
+    total = Fraction(0)
+    for mu, trace in _harmonic_traces(q, form.g, form.epsilon):
         total += Fraction(murnaghan_nakayama(lam, mu), z_lambda(mu)) * trace
     if total.denominator != 1:
         raise NonIntegralMultiplicity(

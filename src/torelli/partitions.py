@@ -30,6 +30,8 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts: Sequence[int] = ()) -> "Partition":
+        if type(parts) is cls:  # already clean, and immutable
+            return parts
         cleaned = sorted((int(p) for p in parts if p != 0), reverse=True)
         if cleaned and cleaned[-1] < 0:
             raise ValueError("partition parts must be nonnegative")
@@ -214,6 +216,8 @@ def beta_mask(lam: Sequence[int], beads: int) -> int:
 def mask_partition(mask: int) -> Partition:
     """Inverse of beta_mask: the j-th lowest bead, at position b, is the
     part b - j; the bead count is the number of set bits."""
+    # The run of beads at 0, 1, 2, ... holds the zero parts: drop it.
+    mask >>= (mask ^ (mask + 1)).bit_length() - 1
     parts = []
     j = 0
     while mask:

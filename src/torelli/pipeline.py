@@ -11,7 +11,6 @@ only class product is V_1 (x) V_lam, the size-1 rim hooks of lam.
 
 import sys
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import Optional
@@ -19,9 +18,9 @@ from typing import Optional
 from .branching import ClassSeries, D_series, OrthSympClass
 from .characters import decompose
 from .labels import _geometric, ch_B
-from .partitions import EMPTY, rim_hooks, symmetric_group_irrep_dim
+from .partitions import EMPTY, partition_count, rim_hooks, symmetric_group_irrep_dim
 from .setparts import quotient_series_by_L, sigma_characters
-from .symfunc import LambdaSeries, SymFunc, exp_h, omega
+from .symfunc import LambdaSeries, SymFunc, exp_h, exp_h_weight_bound, omega
 
 
 class ConfigError(ValueError):
@@ -49,28 +48,49 @@ VARIANTS = ("disc", "point", "closed")
 STAGES = ("chB", "plethysm", "pre-D", "post-D", "final")
 
 
-@dataclass(frozen=True)
 class PipelineConfig:
-    two_n: int
-    max_degree: int
-    variant: str = "disc"
-    g: Optional[int] = None
+    """One validated request: immutable, equal by value and hashable."""
 
-    def __post_init__(self):
-        if not isinstance(self.two_n, int) or self.two_n < 2 or self.two_n % 2:
-            raise ConfigError(f"dimension must be a positive even integer, got {self.two_n}")
-        if not isinstance(self.max_degree, int) or self.max_degree < 0:
-            raise ConfigError(f"max degree must be a nonnegative integer, got {self.max_degree}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.g is not None and (not isinstance(self.g, int) or self.g < 1):
-            raise ConfigError(f"genus must be a positive integer, got {self.g}")
-        if self.two_n == 4:
+    __slots__ = ("two_n", "max_degree", "variant", "g")
+
+    def __init__(self, two_n: int, max_degree: int, variant: str = "disc", g: Optional[int] = None):
+        if not isinstance(two_n, int) or two_n < 2 or two_n % 2:
+            raise ConfigError(f"dimension must be a positive even integer, got {two_n}")
+        if not isinstance(max_degree, int) or max_degree < 0:
+            raise ConfigError(f"max degree must be a nonnegative integer, got {max_degree}")
+        if variant not in VARIANTS:
+            raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        if g is not None and (not isinstance(g, int) or g < 1):
+            raise ConfigError(f"genus must be a positive integer, got {g}")
+        if two_n == 4:
             warnings.warn(
                 "dimension 4 tables are limit-only; no finite stable range is known",
                 LimitOnlyCaveat,
-                stacklevel=3,  # past the dataclass-generated __init__
+                stacklevel=2,
             )
+        for name, value in zip(self.__slots__, (two_n, max_degree, variant, g)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PipelineConfig is immutable; cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PipelineConfig is immutable; cannot delete {name}")
+
+    def _fields(self) -> tuple:
+        return (self.two_n, self.max_degree, self.variant, self.g)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PipelineConfig):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
+        return f"PipelineConfig({fields})"
 
     @property
     def n(self) -> int:
@@ -81,15 +101,28 @@ class PipelineConfig:
         return -1 if self.n % 2 else 1
 
 
-@dataclass
 class CohomologyTable:
-    two_n: int
-    variant: str
-    epsilon: int
-    entries: tuple[OrthSympClass, ...]
-    trusted_up_to: Optional[int]
-    snapshots: dict = field(repr=False)
-    footnotes: tuple[str, ...] = ()
+    """The decomposed degrees 0..max_degree, with the stage snapshots."""
+
+    __slots__ = ("two_n", "variant", "epsilon", "entries", "trusted_up_to", "snapshots", "footnotes")
+
+    def __init__(
+        self,
+        two_n: int,
+        variant: str,
+        epsilon: int,
+        entries: tuple[OrthSympClass, ...],
+        trusted_up_to: Optional[int],
+        snapshots: dict,
+        footnotes: tuple[str, ...] = (),
+    ):
+        self.two_n = two_n
+        self.variant = variant
+        self.epsilon = epsilon
+        self.entries = entries
+        self.trusted_up_to = trusted_up_to
+        self.snapshots = snapshots
+        self.footnotes = footnotes
 
     @property
     def max_degree(self) -> int:
@@ -184,11 +217,42 @@ def _pre_d_snapshots(chb: LambdaSeries, n: int) -> dict[str, LambdaSeries]:
     return {"chB": chb, "plethysm": pleth, "pre-D": pre_d}
 
 
+# exp_h holds at most one coefficient per partition of weight up to
+# exp_h_weight_bound(ch_B). At dim 2 closed, degree 12 (99,133 shapes) takes
+# about 14 s and 110 MiB, degree 13 (177,970) about 32 s and 200 MiB, and
+# degree 14 has 313,065.
+EXP_H_SHAPE_CAP = 2 * 10**5
+
+
+def _shape_count(weight: int, cap: int) -> int:
+    """Number of partitions of weight at most `weight`, or the first
+    running total past cap when that comes first."""
+    total = 0
+    for w in range(weight + 1):
+        total += partition_count(w)
+        if total > cap:
+            break
+    return total
+
+
 def compute_cohomology(cfg: PipelineConfig) -> CohomologyTable:
-    """Decompose each cohomology degree into irreducible classes."""
+    """Decompose each cohomology degree into irreducible classes.
+
+    A request whose plethystic exponential could hold more than
+    EXP_H_SHAPE_CAP shapes, counted from ch_B alone, is rejected before
+    exp_h runs.
+    """
     n = cfg.n
     epsilon = cfg.epsilon
-    snapshots = _pre_d_snapshots(ch_B(n, cfg.max_degree), n)
+    chb = ch_B(n, cfg.max_degree)
+    weight = exp_h_weight_bound(chb)
+    shapes = _shape_count(weight, EXP_H_SHAPE_CAP)
+    if shapes > EXP_H_SHAPE_CAP:
+        raise ConfigError(
+            f"max degree {cfg.max_degree} allows at least {shapes} Schur shapes of weight "
+            f"up to {weight} in the plethystic exponential, over the cap of {EXP_H_SHAPE_CAP}"
+        )
+    snapshots = _pre_d_snapshots(chb, n)
     snapshots["post-D"] = D_series(snapshots["pre-D"], epsilon)
     quotiented = quotient_series_by_L(snapshots["post-D"], n)
     snapshots["final"] = final = variant_adjust(quotiented, cfg)
@@ -219,24 +283,32 @@ def compute_cohomology(cfg: PipelineConfig) -> CohomologyTable:
     )
 
 
-@dataclass(frozen=True)
 class OracleCell:
-    q: int
-    d: int
-    lhs: SymFunc
-    rhs: SymFunc
+    """One (weight, degree) cell: the enumerated and the series side."""
+
+    __slots__ = ("q", "d", "lhs", "rhs")
+
+    def __init__(self, q: int, d: int, lhs: SymFunc, rhs: SymFunc):
+        self.q = q
+        self.d = d
+        self.lhs = lhs
+        self.rhs = rhs
 
     @property
     def ok(self) -> bool:
         return self.lhs == self.rhs
 
 
-@dataclass
 class OracleReport:
-    two_n: int
-    q_max: int
-    d_max: int
-    cells: tuple[OracleCell, ...]
+    """Every cell of one oracle run."""
+
+    __slots__ = ("two_n", "q_max", "d_max", "cells")
+
+    def __init__(self, two_n: int, q_max: int, d_max: int, cells: tuple[OracleCell, ...]):
+        self.two_n = two_n
+        self.q_max = q_max
+        self.d_max = d_max
+        self.cells = cells
 
     @property
     def ok(self) -> bool:

@@ -7,16 +7,19 @@ no operation ever claims a coefficient beyond what its inputs determine.
 Negative t-exponents are tolerated inside a series because some inputs
 are assembled from shifted pieces that only cancel at the end.
 
-The power-sum basis is the working basis of `plethysm` and `exp_h`:
-there plethysm only relabels partitions and a product merges them.
-`SymFunc.to_p` brings each input coefficient in, and `from_p_monomials`
-takes each result coefficient back to Schur once, by adding rim hooks.
-That pass and the `exp_h` recurrence run on plain integers: shapes are
-beta-set bitmasks (`partitions.slide_beads`) and coefficients share one
-denominator, so only the final Schur keys become Partitions and
-Fractions. The same rim-hook pass is the one Schur product: s_mu * s_nu
-applies the p-expansion of s_nu to s_mu, and run backwards, removing
-rim hooks, it gives the skew Schur functions that `branching` reads.
+The power-sum basis is the working basis of `plethysm`: there plethysm
+only relabels partitions and a product merges them. `SymFunc.to_p`
+brings each input coefficient in, reading the character table only in
+the rows it holds, and `from_p_monomials` takes each result coefficient
+back to Schur once, by adding rim hooks. That Horner pass runs on plain
+integers: shapes are beta-set bitmasks (`partitions.slide_beads`) and
+coefficients share one denominator, so only the final Schur keys become
+Partitions and Fractions. `exp_h` runs its recurrence on the Schur side
+with the same pass: multiplying by a p-polynomial adds rim hooks to
+every shape of an integer combination of bitmasks. The pass is also the
+one Schur product: s_mu * s_nu applies the p-expansion of s_nu to s_mu,
+and run backwards, removing rim hooks, it gives the skew Schur functions
+that `branching` reads.
 """
 
 from __future__ import annotations
@@ -182,16 +185,15 @@ class SymFunc:
     # -- basis conversions -----------------------------------------------------
 
     def to_p(self) -> dict[Partition, Fraction]:
-        """Expansion in power-sum monomials, via character orthogonality."""
+        """Expansion in power-sum monomials, via character orthogonality:
+        p_mu has the coefficient sum_lam c_lam chi^lam(mu) / z_mu, which
+        reads the character table only in the rows lam held here."""
         out: dict[Partition, Fraction] = {}
         for d, piece in self.homogeneous_components().items():
             for mu in partitions_of(d):
-                column = _p_monomial_schur(mu)
-                total = Fraction(0)
-                for lam, c in piece.coeffs.items():
-                    total += c * column.get(lam, 0)
+                total = sum(c * murnaghan_nakayama(lam, mu) for lam, c in piece.coeffs.items())
                 if total:
-                    out[mu] = out.get(mu, Fraction(0)) + total / z_lambda(mu)
+                    out[mu] = total / z_lambda(mu)
         return out
 
     def __str__(self) -> str:
@@ -263,27 +265,31 @@ def _scaled_p_action(
     """_p_action of sum_mu (c_mu / den) p_mu, with integer c_mu."""
     # Adding hooks of total size w lengthens start by at most w rows.
     beads = len(start) + (max(map(sum, terms), default=0) if direction > 0 else 0)
+    return _mask_symfunc(_horner(terms, {beta_mask(start, beads): 1}, direction, {}), den)
+
+
+def _mask_symfunc(combination: Mapping[int, int], den: int) -> SymFunc:
+    """sum c s_mask / den over an integer combination of beta-set masks."""
     out = SymFunc()
-    out.coeffs = {
-        mask_partition(mask): Fraction(c, den)
-        for mask, c in _horner(terms, beta_mask(start, beads), direction).items()
-        if c
-    }
+    out.coeffs = {mask_partition(mask): Fraction(c, den) for mask, c in combination.items() if c}
     return out
 
 
-def _horner(terms: Mapping[tuple, int], start: int, direction: int) -> dict[int, int]:
-    """sum_mu c_mu p_mu (or p_mu^perp) applied to the beta-set mask start,
-    as {mask: integer coefficient}; the largest parts act first."""
-    out: dict[int, int] = {}
+def _horner(
+    terms: Mapping[tuple, int], start: Mapping[int, int], direction: int, out: dict[int, int]
+) -> dict[int, int]:
+    """Add to out sum_mu c_mu p_mu (or p_mu^perp) applied to start, an
+    integer combination of beta-set masks; return out. The largest parts
+    act first, and terms that share their smaller parts share that work."""
     groups: dict[int, dict[tuple, int]] = {}
     for mu, c in terms.items():
         if mu:
             groups.setdefault(mu[-1], {})[mu[:-1]] = c
         else:
-            out[start] = out.get(start, 0) + c
+            for mask, a in start.items():
+                out[mask] = out.get(mask, 0) + c * a
     for k, rest in groups.items():
-        slide_beads(_horner(rest, start, direction), direction * k, out)
+        slide_beads(_horner(rest, start, direction, {}), direction * k, out)
     return out
 
 
@@ -621,18 +627,32 @@ def plethysm(f: SymFunc, g: LambdaSeries) -> LambdaSeries:
     return _to_schur_series(total, trunc)
 
 
+def exp_h_weight_bound(g: LambdaSeries) -> int:
+    """The largest weight a shape of exp_h(g) can have: the floor of
+    r g.trunc, where r is the largest ratio of the weight of g_a to a.
+    A p-monomial of j L_j comes from some p_k[g_a] with k a = j, so it
+    weighs at most r j, and a product of them of total degree m at most
+    r m."""
+    return max((f.degree() * g.trunc // a for a, f in g.terms.items()), default=0)
+
+
 def exp_h(g: LambdaSeries) -> LambdaSeries:
     """Sum over q of h_q composed with g: the plethystic exponential.
 
     Only finitely many q contribute below the truncation order because g
     must have positive t-valuation; otherwise the sum diverges. With
     L = sum_k p_k[g]/k and E = exp(L) = sum_m E_m t^m, the log-derivative
-    recurrence m E_m = sum_j (j L_j) E_{m-j} (Macdonald I.2) gives E in
-    the p basis, where j L_j = sum over k a = j of a p_k[g_a]. It runs on
-    integers: with D the common denominator of the j L_j and A_j = D j L_j,
-    F_m = m! D^m E_m satisfies
-    F_m = sum_j A_j F_{m-j} (m-1)!/(m-j)! D^{j-1},
-    and each F_m goes to Schur with the denominator m! D^m.
+    recurrence m E_m = sum_j (j L_j) E_{m-j} (Macdonald I.2) gives E,
+    where j L_j = sum over k a = j of a p_k[g_a], a few p-monomials each.
+    It runs on integers: with D the common denominator of the j L_j and
+    A_j = D j L_j, S_m = m! D^m E_m satisfies
+    S_m = sum_j (m-1)!/(m-j)! D^{j-1} (A_j acting on S_{m-j}),
+    and it runs in the Schur basis: multiplying by A_j adds rim hooks to
+    every shape of S_{m-j} (`_horner`, started at that combination of
+    beta-set masks). One bead count holds every shape: a partition of
+    weight w has at most w rows, and no shape weighs more than
+    `exp_h_weight_bound(g)`. Only the shapes of the final S_m become
+    Partitions, with the denominator m! D^m.
     """
     v = g.valuation()
     if v is not None and v < 1:
@@ -652,17 +672,17 @@ def exp_h(g: LambdaSeries) -> LambdaSeries:
         j: {mu: c.numerator * (den // c.denominator) for mu, c in dj.items() if c}
         for j, dj in dlog.items()
     }
-    f_terms: list[dict[Partition, int]] = [{EMPTY: 1}]
+    beads = exp_h_weight_bound(g)
+    s_terms: list[dict[int, int]] = [{beta_mask(EMPTY, beads): 1}]
     for m in range(1, trunc + 1):
-        acc: dict[Partition, int] = {}
+        acc: dict[int, int] = {}
         for j, aj in scaled.items():
-            if j <= m:
+            if j <= m and s_terms[m - j]:
                 s = perm(m - 1, j - 1) * den ** (j - 1)
-                _p_mul_into(acc, {mu: a * s for mu, a in aj.items()}, f_terms[m - j])
-        f_terms.append({mu: c for mu, c in acc.items() if c})
+                _horner({mu: a * s for mu, a in aj.items()}, s_terms[m - j], 1, acc)
+        s_terms.append({mask: c for mask, c in acc.items() if c})
     return LambdaSeries(
-        {m: _scaled_p_action(f, factorial(m) * den**m, EMPTY, 1) for m, f in enumerate(f_terms)},
-        trunc,
+        {m: _mask_symfunc(s, factorial(m) * den**m) for m, s in enumerate(s_terms)}, trunc
     )
 
 

@@ -1,8 +1,11 @@
 """The runtime footprint is pure Python plus `click`: every import in the
 package, at module level or inside a function, names the standard
-library, `click`, or `torelli` itself."""
+library, `click`, or `torelli` itself; and `import torelli.cli` loads
+only what its table-building commands run."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,3 +35,24 @@ def test_package_imports_only_stdlib_and_click():
             if root not in ALLOWED:
                 foreign.append(f"{path.name}:{lineno} imports {root}")
     assert not foreign, foreign
+
+
+def test_cli_import_loads_only_what_its_main_commands_run():
+    # Every command starts a fresh interpreter, so the import is paid per
+    # run: `json`, `dataclasses`, `graphs` and `invariants` wait until a
+    # command needs them, and the package still exports every name.
+    src = str(Path(torelli.__file__).parent.parent)
+    script = (
+        "import sys, torelli.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'json', 'torelli.graphs', "
+        "'torelli.invariants') if m in sys.modules))\n"
+        "import torelli\n"
+        "missing = [name for name in torelli.__all__ if getattr(torelli, name, None) is None]\n"
+        "from torelli import branching, characters, invariants, labels, pipeline, setparts, symfunc\n"
+        "print(missing, invariants.__name__, torelli.matching_span_rank.__module__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out == ["[]", "[] torelli.invariants torelli.invariants"]

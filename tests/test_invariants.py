@@ -335,6 +335,23 @@ def test_harmonic_multiplicities_are_weyl_dimensions():
                 assert harmonic_multiplicity(lam, form) == dim_irrep(lam, eps, 3)
 
 
+def test_harmonic_traces_are_computed_once_per_q(monkeypatch):
+    # Every lam of q reads the same traces; only the characters differ.
+    calls = []
+    kernel = invariants._sparse_kernel
+
+    def counted(*args):
+        calls.append(args[1])
+        return kernel(*args)
+
+    monkeypatch.setattr(invariants, "_sparse_kernel", counted)
+    invariants._harmonic_traces.cache_clear()
+    for eps in (1, -1):
+        values = [harmonic_multiplicity(lam, EpsForm(3, eps)) for lam in partitions_of(3)]
+        assert values == [dim_irrep(lam, eps, 3) for lam in partitions_of(3)]
+    assert calls == [6**3, 6**3]
+
+
 def test_perfect_matching_counts():
     assert len(perfect_matchings(range(1, 7))) == 15
     assert len(perfect_matchings([])) == 1

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from torelli.partitions import (
     EMPTY,
     Partition,
@@ -31,6 +33,16 @@ def test_enumeration_order_and_max_length():
     short = partitions_of(6, max_length=2)
     assert all(p.length <= 2 for p in short)
     assert len(short) == 4
+
+
+def test_constructor_cleans_its_input_once():
+    assert Partition([0, 1, 3, 0, 2]) == (3, 2, 1)
+    assert type(Partition([1])) is Partition
+    with pytest.raises(ValueError):
+        Partition([2, -1])
+    # a Partition is already clean and immutable, so it is returned as is
+    lam = Partition((2, 2, 1))
+    assert Partition(lam) is lam
 
 
 def test_conjugate():

@@ -19,6 +19,7 @@ from torelli.pipeline import (
     Unsupported,
     _basis_sizes,
     _pre_d_snapshots,
+    _shape_count,
     _validate_entries,
     bundle_scalar_series,
     compute_cohomology,
@@ -27,7 +28,7 @@ from torelli.pipeline import (
     stable_range,
     variant_adjust,
 )
-from torelli.symfunc import change_basis
+from torelli.symfunc import LambdaSeries, SymFunc, change_basis, exp_h_weight_bound
 
 
 def cls(epsilon, text):
@@ -201,6 +202,64 @@ def test_divide_by_fiber_matches_nl_oracle():
         assert got == _oracle_divide_by_fiber(series, n), (series, n)
     # below n nothing is divided
     assert divide_by_fiber(ragged, 8) == ragged
+
+
+def test_mul_scalar_series_matches_the_nl_oracle():
+    # The scalar series, as classes c * V_0, multiplied by Newell-Littlewood.
+    series = ClassSeries(
+        -1,
+        {
+            0: cls(-1, "0 + 2,1") * Fraction(-1, 2),
+            1: cls(-1, "1^2 + 3*2") - cls(-1, "1"),
+            2: cls(-1, "1 + 2,1") * Fraction(2, 3),
+            4: -cls(-1, "3,1 + 1^2"),
+        },
+        6,
+    )
+    scalar = LambdaSeries(
+        {0: SymFunc.scalar(1), 1: SymFunc.scalar(0), 2: SymFunc.scalar(Fraction(-3, 2)),
+         3: SymFunc.scalar(2), 5: SymFunc.scalar(Fraction(1, 7))},
+        5,
+    )
+    as_classes = ClassSeries(
+        -1, {k: OrthSympClass.unit(-1) * f.coeff(()) for k, f in scalar.terms.items()}, 5
+    )
+    got = series.mul_scalar_series(scalar)
+    assert got.trunc == 5
+    assert got == _oracle_product(series, as_classes)
+    # t^5 V[2,1]: -1/2 * 1/7 from t^0 * t^5, plus 2/3 * 2 from t^2 * t^3
+    assert got.coefficient(5).coeff((2, 1)) == Fraction(-1, 14) + Fraction(4, 3)
+
+
+def test_shape_bound_counts_partitions_up_to_the_weight_bound():
+    # dim 2: ch_B puts h_3 at t^1, so no shape of exp_h weighs over 3 d
+    for d, count in ((12, 99133), (13, 177970), (14, 313065)):
+        chb = ch_B(1, d)
+        assert exp_h_weight_bound(chb) == 3 * d
+        assert _shape_count(3 * d, 10**6) == count
+    assert _shape_count(exp_h_weight_bound(ch_B(3, 18)), 10**6) == 1597
+    # p(0) + ... + p(17) = 1212 is the first running total past 1000
+    assert _shape_count(40, 1000) == 1212
+
+
+def test_cohomology_refuses_a_large_exp_h_before_it_runs(monkeypatch):
+    # At dim 2 degree 14, exp_h could hold 313,065 shapes; the bound
+    # needs only ch_B, so exp_h must not start.
+    def refuse(*args, **kwargs):
+        raise AssertionError("exp_h ran before the shape budget check")
+
+    monkeypatch.setattr(pipeline, "exp_h", refuse)
+    for args in (
+        ["cohomology", "--dim", "2", "--max-degree", "14", "--variant", "closed"],
+        ["series", "--dim", "2", "--max-degree", "14", "--stage", "chB"],
+    ):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 3, args
+        assert "Schur shapes of weight up to 42" in result.output
+        assert "over the cap of 200000" in result.output
+    shapes = _shape_count(3 * 14, pipeline.EXP_H_SHAPE_CAP)
+    assert pipeline.EXP_H_SHAPE_CAP < shapes <= 313065
+    assert f"max degree 14 allows at least {shapes} Schur shapes" in result.output
 
 
 def test_closed_variant():

@@ -385,14 +385,45 @@ def test_p_action_matches_the_partition_horner():
             assert _p_action(mixed, start, direction) == oracle, (start, direction)
 
 
+def _steep_series() -> LambdaSeries:
+    # The largest weight per degree comes from degree 2 (s[1^4] weighs
+    # 2 per degree), and the t^4 coefficient of exp_h holds s[1^8], which
+    # needs every one of the floor(2 * 4) = 8 beads of the recurrence.
+    return LambdaSeries({1: sf("s[1] - 2/3"), 2: sf("s[1^4] - 1/2*s[2]")}, 4)
+
+
 def test_exp_h_matches_the_fraction_recurrence():
-    for n in (1, 3, 5):
-        for d in range(1, 8):
-            g = ch_B(n, d)
-            fast, slow = exp_h(g), _fraction_exp_h(g)
-            assert (fast.terms, fast.trunc) == (slow.terms, slow.trunc), (n, d)
-    fast, slow = exp_h(_hand_made_series()), _fraction_exp_h(_hand_made_series())
-    assert (fast.terms, fast.trunc) == (slow.terms, slow.trunc)
+    # _fraction_exp_h is the p-basis recurrence that exp_h replaced.
+    cases = [(n, d) for n in (1, 3, 5) for d in range(1, 8)] + [(1, 8)]
+    for n, d in cases:
+        g = ch_B(n, d)
+        fast, slow = exp_h(g), _fraction_exp_h(g)
+        assert (fast.terms, fast.trunc) == (slow.terms, slow.trunc), (n, d)
+    for g in (_hand_made_series(), _steep_series()):
+        fast, slow = exp_h(g), _fraction_exp_h(g)
+        assert (fast.terms, fast.trunc) == (slow.terms, slow.trunc)
+    assert exp_h(_steep_series()).coefficient(4).coeff((1,) * 8) != 0
+
+
+def test_exp_h_runs_on_the_schur_side(monkeypatch):
+    # The recurrence acts on Schur shapes; no p-basis product is formed.
+    def refuse(*args):
+        raise AssertionError("exp_h multiplied in the p basis")
+
+    inputs = (ch_B(1, 6), _steep_series())
+    expected = [_fraction_exp_h(g) for g in inputs]
+    monkeypatch.setattr(symfunc, "_p_mul_into", refuse)
+    assert [exp_h(g) for g in inputs] == expected
+
+
+def test_to_p_reads_only_its_characters():
+    # h_12 = s[12] = sum_mu p_mu / z_mu, read from the row of (12) alone,
+    # without filling any character-table column.
+    symfunc._p_monomial_schur.cache_clear()
+    murnaghan_nakayama.cache_clear()
+    expansion = SymFunc.schur((12,)).to_p()
+    assert symfunc._p_monomial_schur.cache_info().misses == 0
+    assert expansion == {mu: Fraction(1, z_lambda(mu)) for mu in partitions_of(12)}
 
 
 def test_p_to_s_builds_only_the_final_shapes(monkeypatch):
