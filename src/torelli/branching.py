@@ -18,8 +18,16 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .partitions import EMPTY, Partition, even_columns, even_rows, partitions_of
-from .symfunc import LambdaSeries, SymFunc, _p_action, _render_parts
+from .partitions import EMPTY, Partition, even_columns, even_rows, mask_partition, partitions_of
+from .symfunc import (
+    LambdaSeries,
+    SymFunc,
+    _encode_series,
+    _p_action,
+    _render_parts,
+    _scalar_factors,
+    _times_scalar,
+)
 
 
 class EpsilonMismatch(ValueError):
@@ -65,16 +73,23 @@ def restrict_coeffs(lam: Partition, epsilon: int) -> tuple[tuple[Partition, int]
 
 
 class OrthSympClass:
-    """An integer combination of stable irreducibles V_lambda."""
+    """An integer combination of stable irreducibles V_lambda.
+
+    Coefficients are exact: an integral one is kept as an int, any other
+    as a Fraction, so that a table's multiplicities are plain ints.
+    """
 
     __slots__ = ("epsilon", "coeffs")
 
     def __init__(self, epsilon: int, coeffs: Mapping[Partition, int | Fraction]):
         self.epsilon = _check_epsilon(epsilon)
-        cleaned: dict[Partition, Fraction] = {}
+        cleaned: dict[Partition, int | Fraction] = {}
         for lam, c in coeffs.items():
-            c = Fraction(c)
             if c:
+                if type(c) is not int:
+                    c = Fraction(c)
+                    if c.denominator == 1:
+                        c = c.numerator
                 cleaned[Partition(lam)] = c
         self.coeffs = cleaned
 
@@ -196,20 +211,23 @@ class ClassSeries:
             raise ValueError(f"coefficient of t^{k} beyond truncation {self.trunc}")
         return self.terms.get(k, OrthSympClass.zero(self.epsilon))
 
+    def longest_column(self) -> int:
+        """The largest number of rows of a shape in the series."""
+        return max((len(lam) for c in self.terms.values() for lam in c.coeffs), default=0)
+
+    def encode(self, beads: int) -> tuple[dict[int, dict[int, int]], int]:
+        """The coefficients as integer combinations of beta-set masks with
+        `beads` beads (at least `longest_column()`), and their denominator."""
+        return _encode_series({k: c.coeffs for k, c in self.terms.items()}, beads)
+
     def mul_scalar_series(self, scalar: LambdaSeries) -> "ClassSeries":
         """Multiply by a series whose coefficients are scalar symmetric
-        functions, adding into one coefficient dict per degree."""
+        functions, on the integer combinations of masks."""
         trunc = min(self.trunc, scalar.trunc)
-        factors = [(j, f.coeff(EMPTY)) for j, f in scalar.terms.items()]
-        out: dict[int, dict[Partition, Fraction]] = {}
-        for i, a in self.terms.items():
-            for j, c in factors:
-                if c and i + j <= trunc:
-                    acc = out.setdefault(i + j, {})
-                    for lam, x in a.coeffs.items():
-                        acc[lam] = acc.get(lam, 0) + x * c
-        return ClassSeries(
-            self.epsilon, {k: OrthSympClass(self.epsilon, acc) for k, acc in out.items()}, trunc
+        terms, den = self.encode(self.longest_column())
+        factors, scalar_den = _scalar_factors(scalar)
+        return _mask_class_series(
+            self.epsilon, _times_scalar(terms, factors, trunc), den * scalar_den, trunc
         )
 
     def __eq__(self, other) -> bool:
@@ -223,6 +241,28 @@ class ClassSeries:
 
     def __repr__(self) -> str:
         return f"ClassSeries(eps={self.epsilon:+d}, {render_class_series(self)!r})"
+
+
+def _mask_class(epsilon: int, combination: Mapping[int, int], den: int) -> OrthSympClass:
+    """sum c V_mask / den over an integer combination of beta-set masks."""
+    out = OrthSympClass.__new__(OrthSympClass)
+    out.epsilon = epsilon
+    if den == 1:
+        out.coeffs = {mask_partition(mask): c for mask, c in combination.items() if c}
+        return out
+    out.coeffs = {}
+    for mask, c in combination.items():
+        if c:
+            whole, rest = divmod(c, den)
+            out.coeffs[mask_partition(mask)] = Fraction(c, den) if rest else whole
+    return out
+
+
+def _mask_class_series(
+    epsilon: int, terms: Mapping[int, Mapping[int, int]], den: int, trunc: int
+) -> ClassSeries:
+    """The ClassSeries of {t-exponent: {beta-set mask: int}} over den."""
+    return ClassSeries(epsilon, {k: _mask_class(epsilon, c, den) for k, c in terms.items()}, trunc)
 
 
 def D_series(series: LambdaSeries, epsilon: int) -> ClassSeries:

@@ -15,7 +15,7 @@ labelled-partition basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping
 
 from .partitions import Partition, murnaghan_nakayama, partitions_of, z_lambda
@@ -116,18 +116,25 @@ def ch_q(chi: ClassFunction) -> SymFunc:
 def decompose(chi: ClassFunction) -> dict[Partition, int]:
     """Multiplicities of irreducibles in a virtual character.
 
-    Inner product with each irreducible, weighted by class sizes. A
-    fractional answer means the input was not a virtual character.
+    Inner product with each irreducible, weighted by class sizes, on
+    integers: the values over their common denominator, each times the
+    class size q!/z_mu, summed and divided by q! exactly. A remainder
+    means the input was not a virtual character.
     """
+    den = lcm(*(v.denominator for v in chi.values.values()))
+    order = factorial(chi.q) * den
+    weighted = [
+        (mu, v.numerator * (den // v.denominator) * (factorial(chi.q) // z_lambda(mu)))
+        for mu, v in chi.values.items()
+    ]
     out: dict[Partition, int] = {}
     for lam in partitions_of(chi.q):
-        total = Fraction(0)
-        for mu, v in chi.values.items():
-            total += v * murnaghan_nakayama(lam, mu) / z_lambda(mu)
-        if total.denominator != 1:
+        total = sum(w * murnaghan_nakayama(lam, mu) for mu, w in weighted)
+        mult, rest = divmod(total, order)
+        if rest:
             raise NonIntegralMultiplicity(
-                f"multiplicity of {lam} came out as {total}"
+                f"multiplicity of {lam} came out as {Fraction(total, order)}"
             )
-        if total:
-            out[lam] = int(total)
+        if mult:
+            out[lam] = mult
     return out

@@ -7,20 +7,39 @@ closed variants multiply by the scalar Poincare series of the bundle
 classes; the closed one then divides by the fibre series
 1 + V_1 t^n + t^{2n} (divide_by_fiber), a three-term recurrence whose
 only class product is V_1 (x) V_lam, the size-1 rim hooks of lam.
+
+After exp_h every stage runs as one integer pass (`_StagePass`) on
+{beta-set mask: int} per degree, with one denominator: omega conjugates
+the masks, D only relabels, the quotient and the bundle factor are one
+scalar series, and the fibre division slides beads by +1 and -1. Only
+the final shapes become Partitions and their multiplicities ints; the
+other snapshots are decoded when first read. `divide_by_fiber`,
+`variant_adjust` and the oracle's series side run the same kernels.
 """
 
 import sys
 import warnings
+from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial
-from typing import Optional
+from typing import Callable, Optional
 
-from .branching import ClassSeries, D_series, OrthSympClass
+from .branching import ClassSeries, OrthSympClass, _mask_class_series
 from .characters import decompose
 from .labels import _geometric, ch_B
-from .partitions import EMPTY, partition_count, rim_hooks, symmetric_group_irrep_dim
-from .setparts import quotient_series_by_L, sigma_characters
-from .symfunc import LambdaSeries, SymFunc, exp_h, exp_h_weight_bound, omega
+from .partitions import EMPTY, partition_count, slide_beads, symmetric_group_irrep_dim
+from .setparts import quotient_factor, quotient_series_by_L, sigma_characters
+from .symfunc import (
+    LambdaSeries,
+    SymFunc,
+    _conjugate_masks,
+    _exp_h_masks,
+    _mask_series,
+    _over_one_denominator,
+    _scalar_factors,
+    _times_scalar,
+    exp_h_weight_bound,
+)
 
 
 class ConfigError(ValueError):
@@ -160,40 +179,79 @@ def _outside_this_module() -> int:
     return level
 
 
-def variant_adjust(series: ClassSeries, cfg: PipelineConfig) -> ClassSeries:
-    if cfg.variant == "disc":
-        return series
-    adjusted = series.mul_scalar_series(bundle_scalar_series(cfg.n, series.trunc))
-    if cfg.variant == "point":
-        return adjusted
-    if cfg.n > 1:
+def _warn_extrapolation(n: int) -> None:
+    if n > 1:
         warnings.warn(
             "closed tables above dimension 2 extrapolate the fibre division",
             ExtrapolationWarning,
             stacklevel=_outside_this_module(),
         )
-    return divide_by_fiber(adjusted, cfg.n)
+
+
+def _fiber_beads(rows: int, trunc: int, n: int) -> int:
+    """Beads enough for the fibre division of shapes of at most `rows`
+    rows up to degree trunc: each V_1 product adds at most one row, and
+    it acts once per n degrees."""
+    return rows + trunc // n
+
+
+def _fiber_quotient(terms: dict[int, dict[int, int]], n: int, trunc: int) -> dict[int, dict[int, int]]:
+    """The fibre division on integer combinations of beta-set masks.
+
+    The quotient R satisfies R_k = A_k - V_1 (x) R_{k-n} - R_{k-2n} in
+    degrees 0..trunc. The stable product V_1 (x) V_lam adds one box to lam
+    plus removes one box (Koike-Terada 1987): the rim hooks of size 1,
+    whose signs are all +1, so it slides beads by +1 and by -1 on the
+    whole combination -R_{k-n}. Every mask needs `_fiber_beads` beads.
+    """
+    out: dict[int, dict[int, int]] = {}
+    for k in range(trunc + 1):
+        acc = dict(terms.get(k, {}))
+        previous = out.get(k - n)
+        if previous:
+            minus = {mask: -c for mask, c in previous.items()}
+            slide_beads(minus, 1, acc)
+            slide_beads(minus, -1, acc)
+        for mask, c in out.get(k - 2 * n, {}).items():
+            acc[mask] = acc.get(mask, 0) - c
+        out[k] = {mask: c for mask, c in acc.items() if c}
+    return out
+
+
+def _scale_and_divide(
+    terms: dict[int, dict[int, int]], scalar: LambdaSeries, n: int, closed: bool, trunc: int
+) -> tuple[dict[int, dict[int, int]], int]:
+    """terms times a series of scalars, then divided by the fibre when
+    closed; and the denominator of the scalars, which the result gains."""
+    factors, scalar_den = _scalar_factors(scalar)
+    terms = _times_scalar(terms, factors, trunc)
+    if closed:
+        terms = _fiber_quotient(terms, n, trunc)
+    return terms, scalar_den
+
+
+def variant_adjust(series: ClassSeries, cfg: PipelineConfig) -> ClassSeries:
+    """Apply the bundle variant: the point and closed variants multiply by
+    bundle_scalar_series, and the closed one then divides by the fibre."""
+    if cfg.variant == "disc":
+        return series
+    closed = cfg.variant == "closed"
+    if closed:
+        _warn_extrapolation(cfg.n)
+    rows = series.longest_column()
+    terms, den = series.encode(_fiber_beads(rows, series.trunc, cfg.n) if closed else rows)
+    terms, scalar_den = _scale_and_divide(
+        terms, bundle_scalar_series(cfg.n, series.trunc), cfg.n, closed, series.trunc
+    )
+    return _mask_class_series(series.epsilon, terms, den * scalar_den, series.trunc)
 
 
 def divide_by_fiber(series: ClassSeries, n: int) -> ClassSeries:
     """Divide a series in nonnegative powers of t by the fibre's
-    class-valued Poincare series 1 + V_1 t^n + t^{2n}.
-
-    The quotient R satisfies R_k = A_k - V_1 (x) R_{k-n} - R_{k-2n}. The
-    stable product V_1 (x) V_lam adds one box to lam plus removes one box
-    (Koike-Terada 1987): the rim hooks of size 1, whose signs are all +1.
-    """
-    zero = OrthSympClass.zero(series.epsilon)
-    out: dict[int, OrthSympClass] = {}
-    for k in range(series.trunc + 1):
-        coeffs = dict(series.coefficient(k).coeffs)
-        for lam, c in out.get(k - n, zero).coeffs.items():
-            for mu, _ in rim_hooks(lam, 1) + rim_hooks(lam, -1):
-                coeffs[mu] = coeffs.get(mu, 0) - c
-        for lam, c in out.get(k - 2 * n, zero).coeffs.items():
-            coeffs[lam] = coeffs.get(lam, 0) - c
-        out[k] = OrthSympClass(series.epsilon, coeffs)
-    return ClassSeries(series.epsilon, out, series.trunc)
+    class-valued Poincare series 1 + V_1 t^n + t^{2n}, by `_fiber_quotient`
+    on the coefficients as integer combinations of beta-set masks."""
+    terms, den = series.encode(_fiber_beads(series.longest_column(), series.trunc, n))
+    return _mask_class_series(series.epsilon, _fiber_quotient(terms, n, series.trunc), den, series.trunc)
 
 
 def _validate_entries(series: ClassSeries, max_degree: int) -> tuple[OrthSympClass, ...]:
@@ -209,12 +267,58 @@ def _validate_entries(series: ClassSeries, max_degree: int) -> tuple[OrthSympCla
     return tuple(entries)
 
 
-def _pre_d_snapshots(chb: LambdaSeries, n: int) -> dict[str, LambdaSeries]:
-    """The chain shared by the table and the oracle: ch_B, its plethystic
-    exponential, and that series after omega when n is odd."""
-    pleth = exp_h(chb)
-    pre_d = pleth.map_coefficients(omega) if n % 2 else pleth
-    return {"chB": chb, "plethysm": pleth, "pre-D": pre_d}
+class _StagePass:
+    """The stages after ch_B as one integer pass on beta-set masks.
+
+    `exp_h`'s integer core gives the S_m, brought to one denominator. For
+    odd n, omega conjugates the masks; D only relabels. Every degree is
+    then multiplied by one scalar series, quotient_factor times (outside
+    the disc variant) bundle_scalar_series, and the closed variant divides
+    by the fibre (`_fiber_quotient`). One bead count holds every shape.
+    The plethysm, pre-D and final series are kept as {degree: {mask: int}}
+    over `den`; nothing becomes a Partition until it is decoded.
+    """
+
+    __slots__ = ("plethysm", "pre_d", "den", "final", "final_den")
+
+    def __init__(self, chb: LambdaSeries, n: int, variant: str):
+        trunc = chb.trunc
+        beads = exp_h_weight_bound(chb)
+        if variant == "closed":
+            beads = _fiber_beads(beads, trunc, n)
+        s_terms, d = _exp_h_masks(chb, beads)
+        self.plethysm, self.den = _over_one_denominator(
+            dict(enumerate(s_terms)), {m: factorial(m) * d**m for m in range(len(s_terms))}
+        )
+        if n % 2:
+            self.pre_d = {m: _conjugate_masks(c, beads) for m, c in self.plethysm.items()}
+        else:
+            self.pre_d = self.plethysm
+        scalar = quotient_factor(n, trunc)
+        if variant != "disc":
+            scalar = scalar * bundle_scalar_series(n, trunc)
+        self.final, scalar_den = _scale_and_divide(self.pre_d, scalar, n, variant == "closed", trunc)
+        self.final_den = self.den * scalar_den
+
+
+class _Snapshots(Mapping):
+    """The stage series of one table by name; each is decoded from the
+    pass the first time it is read."""
+
+    def __init__(self, ready: dict, decoders: dict):
+        self._ready = ready
+        self._decoders = decoders
+
+    def __getitem__(self, stage: str):
+        if stage not in self._ready:
+            self._ready[stage] = self._decoders.pop(stage)()
+        return self._ready[stage]
+
+    def __iter__(self):
+        return (stage for stage in STAGES if stage in self._ready or stage in self._decoders)
+
+    def __len__(self) -> int:
+        return len(self._ready) + len(self._decoders)
 
 
 # exp_h holds at most one coefficient per partition of weight up to
@@ -235,27 +339,59 @@ def _shape_count(weight: int, cap: int) -> int:
     return total
 
 
+def _ch_B_within_budget(n: int, trunc: int, refuse: Callable[[LambdaSeries], None]) -> LambdaSeries:
+    """ch_B(n, trunc), once `refuse` has let it pass.
+
+    A ch_B of a smaller truncation has the same low coefficients, so it
+    gives a lower bound on each budget that ch_B sets. `refuse` sees those
+    of truncation 8, 16, 32, ... up to trunc / 2 first, so that a request
+    far over a budget is refused before the whole ch_B is built.
+    """
+    t = 8
+    while 2 * t <= trunc:
+        refuse(ch_B(n, t))
+        t *= 2
+    chb = ch_B(n, trunc)
+    refuse(chb)
+    return chb
+
+
 def compute_cohomology(cfg: PipelineConfig) -> CohomologyTable:
     """Decompose each cohomology degree into irreducible classes.
 
     A request whose plethystic exponential could hold more than
     EXP_H_SHAPE_CAP shapes, counted from ch_B alone, is rejected before
-    exp_h runs.
+    exp_h runs. The stages after ch_B run as one `_StagePass`; only the
+    final series is decoded into classes here, and the others when a
+    snapshot is read.
     """
     n = cfg.n
     epsilon = cfg.epsilon
-    chb = ch_B(n, cfg.max_degree)
-    weight = exp_h_weight_bound(chb)
-    shapes = _shape_count(weight, EXP_H_SHAPE_CAP)
-    if shapes > EXP_H_SHAPE_CAP:
-        raise ConfigError(
-            f"max degree {cfg.max_degree} allows at least {shapes} Schur shapes of weight "
-            f"up to {weight} in the plethystic exponential, over the cap of {EXP_H_SHAPE_CAP}"
-        )
-    snapshots = _pre_d_snapshots(chb, n)
-    snapshots["post-D"] = D_series(snapshots["pre-D"], epsilon)
-    quotiented = quotient_series_by_L(snapshots["post-D"], n)
-    snapshots["final"] = final = variant_adjust(quotiented, cfg)
+    trunc = cfg.max_degree
+
+    def refuse(chb: LambdaSeries) -> None:
+        # The largest weight exp_h_weight_bound can give at this degree.
+        weight = max((f.degree() * trunc // a for a, f in chb.terms.items()), default=0)
+        shapes = _shape_count(weight, EXP_H_SHAPE_CAP)
+        if shapes > EXP_H_SHAPE_CAP:
+            raise ConfigError(
+                f"max degree {trunc} allows at least {shapes} Schur shapes of weight "
+                f"up to {weight} in the plethystic exponential, over the cap of {EXP_H_SHAPE_CAP}"
+            )
+
+    chb = _ch_B_within_budget(n, trunc, refuse)
+    if cfg.variant == "closed":
+        _warn_extrapolation(n)
+    stages = _StagePass(chb, n, cfg.variant)
+    final = _mask_class_series(epsilon, stages.final, stages.final_den, trunc)
+    snapshots = _Snapshots(
+        {"chB": chb, "final": final},
+        {
+            "plethysm": lambda: _mask_series(stages.plethysm, stages.den, trunc),
+            "pre-D": lambda: _mask_series(stages.pre_d, stages.den, trunc),
+            "post-D": lambda: _mask_class_series(epsilon, stages.pre_d, stages.den, trunc),
+        },
+    )
     entries = _validate_entries(final, cfg.max_degree)
     footnotes = []
     if cfg.g is None:
@@ -385,10 +521,11 @@ def oracle_check(two_n: int, d_max: int, q_max: int) -> OracleReport:
     weight once, takes the fixed-point character of the permutation
     action twisted by the orientation sign in every degree, and
     decomposes it by orthogonality. It must agree with the
-    weight-graded slice of the plethysm route. A q_max whose Bell number
-    exceeds ORACLE_SET_PARTITION_CAP is rejected before any work, and a
-    weight whose basis exceeds ORACLE_BASIS_CAP before exp_h and any
-    enumeration; `_basis_sizes` counts each weight from ch_B alone.
+    weight-graded slice of the plethysm route, the disc `_StagePass`. A
+    q_max whose Bell number exceeds ORACLE_SET_PARTITION_CAP is rejected
+    before any work, and a weight whose basis exceeds ORACLE_BASIS_CAP
+    before exp_h and any enumeration; `_basis_sizes` counts each weight
+    from ch_B alone, first from the small ch_B of `_ch_B_within_budget`.
     """
     if two_n < 2 or two_n % 2:
         raise ConfigError(f"dimension must be a positive even integer, got {two_n}")
@@ -401,14 +538,18 @@ def oracle_check(two_n: int, d_max: int, q_max: int) -> OracleReport:
             f"oracle cap of {ORACLE_SET_PARTITION_CAP}"
         )
     n = two_n // 2
-    chb = ch_B(n, d_max)
-    q, size = max(_basis_sizes(chb, q_max).items(), key=lambda qs: qs[1])
-    if size > ORACLE_BASIS_CAP:
-        raise ConfigError(
-            f"weight {q} has {size} basis elements, over the oracle cap of {ORACLE_BASIS_CAP}"
-        )
-    pre_d = _pre_d_snapshots(chb, n)["pre-D"]
-    rhs_series = quotient_series_by_L(pre_d, n)
+
+    def refuse(chb: LambdaSeries) -> None:
+        q, size = max(_basis_sizes(chb, q_max).items(), key=lambda qs: qs[1])
+        if size > ORACLE_BASIS_CAP:
+            at_least = "at least " if chb.trunc < d_max else ""
+            raise ConfigError(
+                f"weight {q} has {at_least}{size} basis elements, over the oracle cap of "
+                f"{ORACLE_BASIS_CAP}"
+            )
+
+    stages = _StagePass(_ch_B_within_budget(n, d_max, refuse), n, "disc")
+    rhs_series = _mask_series(stages.final, stages.final_den, d_max)
     cells = []
     for q in range(q_max + 1):
         terms = {}

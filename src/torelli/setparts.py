@@ -24,7 +24,7 @@ from .branching import ClassSeries
 from .characters import ClassFunction
 from .labels import LabelMonomial, labels_up_to
 from .partitions import Partition, partitions_of
-from .symfunc import LambdaSeries, SymFunc
+from .symfunc import LambdaSeries, SymFunc, _scalar_product
 
 VARIANTS = ("P", "P0", "Pprime")
 MODES = ("dBr", "dsBr", "Br2g", "sBr2g")
@@ -648,10 +648,12 @@ def quotient_series_by_L(series, n: int):
     """Strike the polynomial generators above half weight from a series.
 
     Works for plain symmetric-function series and for series of
-    orthogonal or symplectic classes.
+    orthogonal or symplectic classes. Either way the coefficients become
+    integer combinations of beta-set masks, are multiplied by the scalar
+    series `quotient_factor` and are decoded once.
     """
     if isinstance(series, LambdaSeries):
-        return series * quotient_factor(n, series.trunc)
+        return _scalar_product(series, quotient_factor(n, series.trunc))
     if isinstance(series, ClassSeries):
         return series.mul_scalar_series(quotient_factor(n, series.trunc))
     raise TypeError("expected a truncated series")

@@ -16,7 +16,11 @@ integers: shapes are beta-set bitmasks (`partitions.slide_beads`) and
 coefficients share one denominator, so only the final Schur keys become
 Partitions and Fractions. `exp_h` runs its recurrence on the Schur side
 with the same pass: multiplying by a p-polynomial adds rim hooks to
-every shape of an integer combination of bitmasks. The pass is also the
+every shape of an integer combination of bitmasks. Its integer core,
+`_exp_h_masks`, hands those combinations to the table pass in
+`pipeline`, which multiplies them by scalar series and conjugates them
+(omega) with the helpers kept here, before any shape becomes a
+Partition. The pass is also the
 one Schur product: s_mu * s_nu applies the p-expansion of s_nu to s_mu,
 and run backwards, removing rim hooks, it gives the skew Schur functions
 that `branching` reads.
@@ -27,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, perm
+from math import factorial, gcd, lcm, perm
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional
 
@@ -644,21 +648,36 @@ def exp_h(g: LambdaSeries) -> LambdaSeries:
     L = sum_k p_k[g]/k and E = exp(L) = sum_m E_m t^m, the log-derivative
     recurrence m E_m = sum_j (j L_j) E_{m-j} (Macdonald I.2) gives E,
     where j L_j = sum over k a = j of a p_k[g_a], a few p-monomials each.
-    It runs on integers: with D the common denominator of the j L_j and
-    A_j = D j L_j, S_m = m! D^m E_m satisfies
-    S_m = sum_j (m-1)!/(m-j)! D^{j-1} (A_j acting on S_{m-j}),
-    and it runs in the Schur basis: multiplying by A_j adds rim hooks to
-    every shape of S_{m-j} (`_horner`, started at that combination of
-    beta-set masks). One bead count holds every shape: a partition of
+    The recurrence is `_exp_h_masks`, on integer combinations of beta-set
+    masks; only here do the shapes of E_m become Partitions, with the
+    denominator m! D^m.
+    """
+    s_terms, den = _exp_h_masks(g)
+    return LambdaSeries(
+        {m: _mask_symfunc(s, factorial(m) * den**m) for m, s in enumerate(s_terms)}, g.trunc
+    )
+
+
+def _exp_h_masks(g: LambdaSeries, beads: Optional[int] = None) -> tuple[list[dict[int, int]], int]:
+    """The integer core of exp_h: [S_0, ..., S_trunc] and D, such that
+    E_m = S_m / (m! D^m), each S_m a {beta-set mask: int} with `beads`
+    beads, at least (and by default) `exp_h_weight_bound(g)`.
+
+    With D the common denominator of the j L_j and A_j = D j L_j, the
+    recurrence is S_m = sum_j (m-1)!/(m-j)! D^{j-1} (A_j acting on
+    S_{m-j}), and it runs in the Schur basis: multiplying by A_j adds rim
+    hooks to every shape of S_{m-j} (`_horner`, started at that
+    combination). One bead count holds every shape: a partition of
     weight w has at most w rows, and no shape weighs more than
-    `exp_h_weight_bound(g)`. Only the shapes of the final S_m become
-    Partitions, with the denominator m! D^m.
+    `exp_h_weight_bound(g)`.
     """
     v = g.valuation()
     if v is not None and v < 1:
         raise PlethysmDivergence(
             "composing the full homogeneous family needs t-valuation >= 1"
         )
+    if beads is None:
+        beads = exp_h_weight_bound(g)
     trunc = g.trunc
     dlog: dict[int, dict[Partition, Fraction]] = {}
     for a, c in g.terms.items():
@@ -672,7 +691,6 @@ def exp_h(g: LambdaSeries) -> LambdaSeries:
         j: {mu: c.numerator * (den // c.denominator) for mu, c in dj.items() if c}
         for j, dj in dlog.items()
     }
-    beads = exp_h_weight_bound(g)
     s_terms: list[dict[int, int]] = [{beta_mask(EMPTY, beads): 1}]
     for m in range(1, trunc + 1):
         acc: dict[int, int] = {}
@@ -681,9 +699,98 @@ def exp_h(g: LambdaSeries) -> LambdaSeries:
                 s = perm(m - 1, j - 1) * den ** (j - 1)
                 _horner({mu: a * s for mu, a in aj.items()}, s_terms[m - j], 1, acc)
         s_terms.append({mask: c for mask, c in acc.items() if c})
-    return LambdaSeries(
-        {m: _mask_symfunc(s, factorial(m) * den**m) for m, s in enumerate(s_terms)}, trunc
-    )
+    return s_terms, den
+
+
+# ---------------------------------------------------------------------------
+# Series of integer combinations of beta-set masks
+# ---------------------------------------------------------------------------
+#
+# The stages after exp_h act on {t-exponent: {beta-set mask: int}} with
+# one denominator for the whole series: scalar series multiply every
+# coefficient, and the fibre division slides beads. A series of
+# Partition-keyed coefficients enters through `_encode_series` and leaves
+# through `_mask_series` or `branching._mask_class_series`.
+
+def _over_one_denominator(
+    terms: Mapping[int, Mapping[int, int]], dens: Mapping[int, int]
+) -> tuple[dict[int, dict[int, int]], int]:
+    """The series terms[k] / dens[k] over the least common denominator; a
+    combination that needs no scaling is returned itself, not copied."""
+    reduced = {}
+    for k, comb in terms.items():
+        common = gcd(dens[k], *comb.values())
+        reduced[k] = (comb, common, dens[k] // common)
+    den = lcm(*(r for _, _, r in reduced.values()))
+    out = {}
+    for k, (comb, common, r) in reduced.items():
+        scale = den // r
+        out[k] = comb if common == scale == 1 else {m: c // common * scale for m, c in comb.items()}
+    return out, den
+
+
+def _encode_series(
+    coeffs: Mapping[int, Mapping[Partition, Fraction]], beads: int
+) -> tuple[dict[int, dict[int, int]], int]:
+    """A series of Partition-keyed int or Fraction coefficients as integer
+    combinations of beta-set masks with `beads` beads, over one
+    denominator."""
+    den = lcm(*(c.denominator for f in coeffs.values() for c in f.values()))
+    out = {
+        k: {beta_mask(lam, beads): c.numerator * (den // c.denominator) for lam, c in f.items()}
+        for k, f in coeffs.items()
+    }
+    return out, den
+
+
+def _scalar_factors(scalar: LambdaSeries) -> tuple[list[tuple[int, int]], int]:
+    """The nonzero (exponent, integer) pairs of a series of scalars over
+    their common denominator, and that denominator."""
+    factors = {j: f.coeff(EMPTY) for j, f in scalar.terms.items()}
+    den = lcm(*(c.denominator for c in factors.values()))
+    return [(j, c.numerator * (den // c.denominator)) for j, c in factors.items() if c], den
+
+
+def _times_scalar(
+    terms: Mapping[int, Mapping[int, int]], factors: list[tuple[int, int]], trunc: int
+) -> dict[int, dict[int, int]]:
+    """sum_j c_j t^j times a series of mask combinations, up to trunc."""
+    out: dict[int, dict[int, int]] = {}
+    for i, comb in terms.items():
+        for j, c in factors:
+            if i + j <= trunc:
+                acc = out.setdefault(i + j, {})
+                get = acc.get
+                for mask, x in comb.items():
+                    acc[mask] = get(mask, 0) + x * c
+    return {k: {mask: c for mask, c in acc.items() if c} for k, acc in out.items()}
+
+
+def _scalar_product(series: LambdaSeries, scalar: LambdaSeries) -> LambdaSeries:
+    """series * scalar for a series of scalars, with the truncation rule
+    of LambdaSeries products, on integer combinations of masks."""
+    trunc = _product_trunc(series.terms, series.trunc, scalar.terms, scalar.trunc)
+    rows = max((len(lam) for f in series.terms.values() for lam in f.coeffs), default=0)
+    terms, den = _encode_series({k: f.coeffs for k, f in series.terms.items()}, rows)
+    factors, scalar_den = _scalar_factors(scalar)
+    return _mask_series(_times_scalar(terms, factors, trunc), den * scalar_den, trunc)
+
+
+def _mask_series(terms: Mapping[int, Mapping[int, int]], den: int, trunc: int) -> LambdaSeries:
+    """The LambdaSeries of {t-exponent: {beta-set mask: int}} over den."""
+    return LambdaSeries({k: _mask_symfunc(c, den) for k, c in terms.items()}, trunc)
+
+
+def _conjugate_masks(comb: Mapping[int, int], beads: int) -> dict[int, int]:
+    """omega on a combination of beta-set masks: s_lam to s_lam'.
+
+    In the window of the 2 * beads lowest positions, the beta-set of lam'
+    is the complement of the reversed beta-set of lam, again with `beads`
+    beads (Macdonald I.1.7), when no part and no length exceeds `beads`.
+    """
+    width = 2 * beads
+    full = (1 << width) - 1
+    return {full ^ int(f"{mask:0{width}b}"[::-1], 2): c for mask, c in comb.items()}
 
 
 # ---------------------------------------------------------------------------

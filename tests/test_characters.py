@@ -15,6 +15,7 @@ from torelli.characters import (
     trivial_character,
 )
 from torelli.partitions import EMPTY, Partition, partitions_of, symmetric_group_irrep_dim, z_lambda
+from torelli.setparts import sigma_characters
 from torelli.symfunc import SymFunc, change_basis
 
 
@@ -139,6 +140,53 @@ def test_decompose_rejects_non_characters():
     fake = ClassFunction(2, {Partition((2,)): Fraction(1, 2), Partition((1, 1)): Fraction(1)})
     with pytest.raises(NonIntegralMultiplicity):
         decompose(fake)
+
+
+# Test oracle for decompose: the Fraction inner product it replaced,
+# sum over classes of chi(mu) chi^lam(mu) / z_mu.
+def _fraction_decompose(chi):
+    out = {}
+    for lam in partitions_of(chi.q):
+        total = sum(
+            (v * murnaghan_nakayama(lam, mu) / z_lambda(mu) for mu, v in chi.values.items()),
+            Fraction(0),
+        )
+        if total.denominator != 1:
+            raise NonIntegralMultiplicity(f"multiplicity of {lam} came out as {total}")
+        if total:
+            out[lam] = int(total)
+    return out
+
+
+def test_decompose_matches_the_fraction_inner_product():
+    cases = 0
+    for variant in ("P0", "Pprime"):
+        for n in (1, 2, 3, 5):
+            for q in range(7):
+                for chi in sigma_characters(q, n, 7, variant).values():
+                    assert decompose(chi) == _fraction_decompose(chi), (variant, n, q)
+                    cases += 1
+    assert cases == 448
+    # Virtual characters and non-characters: the same result or message.
+    rng = random.Random(5)
+    outcomes = set()
+    for q in range(1, 7):
+        for _ in range(5):
+            chi = ClassFunction(
+                q,
+                {mu: Fraction(rng.randrange(-9, 10), rng.randrange(1, 3)) for mu in partitions_of(q)},
+            )
+            got, expected = _outcome(decompose, chi), _outcome(_fraction_decompose, chi)
+            assert got == expected
+            outcomes.add(type(got))
+    assert outcomes == {dict, str}
+
+
+def _outcome(decomposer, chi):
+    try:
+        return decomposer(chi)
+    except NonIntegralMultiplicity as exc:
+        return str(exc)
 
 
 def test_random_character_round_trip():

@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from torelli import pipeline, setparts
-from torelli.branching import ClassSeries, OrthSympClass, nl_product
+from torelli import branching, pipeline, setparts, symfunc
+from torelli.branching import ClassSeries, D_series, OrthSympClass, nl_product
 from torelli.cli import main
 from torelli.labels import ch_B
-from torelli.partitions import Partition, parse_partition, symmetric_group_irrep_dim
+from torelli.partitions import Partition, parse_partition, rim_hooks, symmetric_group_irrep_dim
 from torelli.pipeline import (
     ConfigError,
     ExtrapolationWarning,
@@ -18,7 +18,6 @@ from torelli.pipeline import (
     PipelineConfig,
     Unsupported,
     _basis_sizes,
-    _pre_d_snapshots,
     _shape_count,
     _validate_entries,
     bundle_scalar_series,
@@ -28,7 +27,8 @@ from torelli.pipeline import (
     stable_range,
     variant_adjust,
 )
-from torelli.symfunc import LambdaSeries, SymFunc, change_basis, exp_h_weight_bound
+from torelli.setparts import quotient_factor, quotient_series_by_L
+from torelli.symfunc import LambdaSeries, SymFunc, change_basis, exp_h, exp_h_weight_bound, omega
 
 
 def cls(epsilon, text):
@@ -231,6 +231,198 @@ def test_mul_scalar_series_matches_the_nl_oracle():
     assert got.coefficient(5).coeff((2, 1)) == Fraction(-1, 14) + Fraction(4, 3)
 
 
+# Test oracle for the stage pass after exp_h (`pipeline._StagePass`): the
+# Partition-keyed chain it replaced. omega acts on SymFuncs, D relabels
+# them into classes, the L-quotient and the bundle factor are two
+# products of class series by scalar series, coefficient by coefficient,
+# and the fibre division reads the size-1 rim hooks of one shape at a
+# time.
+
+
+def _oracle_pre_d(chb, n):
+    pleth = exp_h(chb)
+    return pleth.map_coefficients(omega) if n % 2 else pleth
+
+
+def _oracle_scalar_product(series, scalar):
+    trunc = min(series.trunc, scalar.trunc)
+    out = {}
+    for i, a in series.terms.items():
+        for j, f in scalar.terms.items():
+            c = f.coeff(())
+            if c and i + j <= trunc:
+                acc = out.setdefault(i + j, {})
+                for lam, x in a.coeffs.items():
+                    acc[lam] = acc.get(lam, 0) + x * c
+    return ClassSeries(
+        series.epsilon, {k: OrthSympClass(series.epsilon, acc) for k, acc in out.items()}, trunc
+    )
+
+
+def _oracle_rim_hook_division(series, n):
+    zero = OrthSympClass.zero(series.epsilon)
+    out = {}
+    for k in range(series.trunc + 1):
+        coeffs = dict(series.coefficient(k).coeffs)
+        for lam, c in out.get(k - n, zero).coeffs.items():
+            for mu, _ in rim_hooks(lam, 1) + rim_hooks(lam, -1):
+                coeffs[mu] = coeffs.get(mu, 0) - c
+        for lam, c in out.get(k - 2 * n, zero).coeffs.items():
+            coeffs[lam] = coeffs.get(lam, 0) - c
+        out[k] = OrthSympClass(series.epsilon, coeffs)
+    return ClassSeries(series.epsilon, out, series.trunc)
+
+
+def _oracle_post_exp_h(cfg):
+    """The pre-D, post-D and final series of a table, by the old chain."""
+    pre_d = _oracle_pre_d(ch_B(cfg.n, cfg.max_degree), cfg.n)
+    post_d = D_series(pre_d, cfg.epsilon)
+    final = _oracle_scalar_product(post_d, quotient_factor(cfg.n, cfg.max_degree))
+    if cfg.variant != "disc":
+        final = _oracle_scalar_product(final, bundle_scalar_series(cfg.n, cfg.max_degree))
+    if cfg.variant == "closed":
+        final = _oracle_rim_hook_division(final, cfg.n)
+    return pre_d, post_d, final
+
+
+def _quiet_config(two_n, max_degree, variant):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LimitOnlyCaveat)
+        return PipelineConfig(two_n=two_n, max_degree=max_degree, variant=variant)
+
+
+# dims 4 and 8 have even n, where omega must not act
+@pytest.mark.parametrize(
+    "two_n, max_degree", [(2, 5), (2, 8), (4, 10), (6, 14), (8, 14), (10, 14)]
+)
+def test_stage_pass_matches_the_partition_oracle(two_n, max_degree):
+    for variant in ("disc", "point", "closed"):
+        cfg = _quiet_config(two_n, max_degree, variant)
+        pre_d, post_d, final = _oracle_post_exp_h(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtrapolationWarning)
+            table = compute_cohomology(cfg)
+        assert table.snapshots["final"] == final, (two_n, max_degree, variant)
+        assert table.entries == tuple(final.coefficient(d) for d in range(max_degree + 1))
+        assert table.snapshots["post-D"] == post_d
+        assert table.snapshots["pre-D"] == pre_d
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExtrapolationWarning)
+            assert variant_adjust(quotient_series_by_L(post_d, cfg.n), cfg) == final
+
+
+def _column_at_the_bead_bound():
+    # V[1^5] at t^0 is the longest column: dividing by the fibre up to
+    # t^6 with n = 2 adds three rows, so it needs 5 + 6 // 2 = 8 beads,
+    # which V[1^8] at t^6 reaches.
+    return ClassSeries(
+        1,
+        {
+            0: cls(1, "1^5 + 2,1") * Fraction(-3, 4) + cls(1, "0"),
+            1: cls(1, "3,1^2") * Fraction(5, 6),
+            2: -cls(1, "2^2,1 + 1"),
+            4: cls(1, "4") * Fraction(1, 3) - cls(1, "1^3"),
+            5: cls(1, "1^4") * Fraction(-2, 7),
+        },
+        trunc=6,
+    )
+
+
+def test_mask_kernels_on_a_column_at_the_bead_bound():
+    series = _column_at_the_bead_bound()
+    assert series.longest_column() == 5
+    got = divide_by_fiber(series, 2)
+    assert got == _oracle_rim_hook_division(series, 2) == _oracle_divide_by_fiber(series, 2)
+    assert got.coefficient(6).coeff((1,) * 8) == Fraction(3, 4)
+    for n in (1, 3):
+        assert divide_by_fiber(series, n) == _oracle_rim_hook_division(series, n)
+    scalar = LambdaSeries(
+        {0: SymFunc.scalar(Fraction(1, 2)), 1: SymFunc.scalar(-3), 4: SymFunc.scalar(Fraction(2, 5))},
+        6,
+    )
+    assert series.mul_scalar_series(scalar) == _oracle_scalar_product(series, scalar)
+    cfg = _quiet_config(4, 6, "closed")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtrapolationWarning)
+        adjusted = variant_adjust(series, cfg)
+    expected = _oracle_rim_hook_division(
+        _oracle_scalar_product(series, bundle_scalar_series(2, 6)), 2
+    )
+    assert adjusted == expected
+
+
+def test_quotient_of_a_laurent_series_matches_the_series_product():
+    # LambdaSeries products shrink the claimed order by a t^-1 term.
+    series = LambdaSeries(
+        {
+            -1: change_basis("1/2*s[1^4] - s[2]"),
+            0: change_basis("3"),
+            2: change_basis("-2/3*s[3,1] + s[1^2]"),
+            5: change_basis("s[2^2,1]"),
+        },
+        9,
+    )
+    for n in (1, 2, 3):
+        got = quotient_series_by_L(series, n)
+        assert got == series * quotient_factor(n, series.trunc)
+        assert got.trunc == 8
+
+
+def test_the_table_builds_no_symmetric_function_after_exp_h(monkeypatch):
+    cfg = PipelineConfig(two_n=2, max_degree=6, variant="closed")
+    _, post_d, final = _oracle_post_exp_h(cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the table went through D_series or omega")
+
+    monkeypatch.setattr(branching, "D_series", refuse)
+    monkeypatch.setattr(symfunc, "omega", refuse)
+    table = compute_cohomology(cfg)
+    assert table.snapshots["final"] == final
+    assert all(type(c) is int for cls in table.entries for c in cls.coeffs.values())
+    assert table.snapshots["post-D"] == post_d
+    assert table.snapshots["post-D"] is table.snapshots["post-D"]
+    assert list(table.snapshots) == list(pipeline.STAGES)
+
+
+def test_a_final_division_with_a_remainder_is_refused(monkeypatch):
+    # Halving the bundle factor leaves an odd multiplicity over 2.
+    original = pipeline.bundle_scalar_series
+    monkeypatch.setattr(
+        pipeline, "bundle_scalar_series", lambda n, trunc: original(n, trunc) * Fraction(1, 2)
+    )
+    with pytest.raises(NegativeMultiplicity, match="not an integer"):
+        compute_cohomology(PipelineConfig(two_n=2, max_degree=3, variant="point"))
+    result = CliRunner().invoke(
+        main, ["cohomology", "--dim", "2", "--max-degree", "3", "--variant", "closed"]
+    )
+    assert result.exit_code == 2
+    assert "not an integer" in result.output
+
+
+def test_huge_requests_are_refused_from_a_small_ch_B(monkeypatch):
+    # The budgets read ch_B at truncations 8, 16, 32, ... first, so a
+    # huge degree is refused without the whole ch_B.
+    original = pipeline.ch_B
+
+    def small_only(n, trunc):
+        assert trunc <= 64, f"ch_B built to truncation {trunc}"
+        return original(n, trunc)
+
+    monkeypatch.setattr(pipeline, "ch_B", small_only)
+    for args in (
+        ["cohomology", "--dim", "2", "--max-degree", "1000"],
+        ["series", "--dim", "2", "--max-degree", "1000", "--stage", "final"],
+        ["cohomology", "--dim", "6", "--max-degree", "10000", "--variant", "closed"],
+    ):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 3, (args, result.output)
+        assert "max degree" in result.output and "allows at least" in result.output
+    result = CliRunner().invoke(main, ["oracle", "--dim", "6", "--qmax", "3", "--dmax", "10000"])
+    assert result.exit_code == 3, result.output
+    assert "has at least" in result.output and "over the oracle cap of 300000" in result.output
+
+
 def test_shape_bound_counts_partitions_up_to_the_weight_bound():
     # dim 2: ch_B puts h_3 at t^1, so no shape of exp_h weighs over 3 d
     for d, count in ((12, 99133), (13, 177970), (14, 313065)):
@@ -248,7 +440,7 @@ def test_cohomology_refuses_a_large_exp_h_before_it_runs(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("exp_h ran before the shape budget check")
 
-    monkeypatch.setattr(pipeline, "exp_h", refuse)
+    monkeypatch.setattr(pipeline, "_exp_h_masks", refuse)
     for args in (
         ["cohomology", "--dim", "2", "--max-degree", "14", "--variant", "closed"],
         ["series", "--dim", "2", "--max-degree", "14", "--stage", "chB"],
@@ -369,7 +561,7 @@ def test_oracle_fails_fast(monkeypatch):
 # check the exponential specialisation against.
 
 def _pre_d_basis_sizes(n, d_max, q_max):
-    pre_d = _pre_d_snapshots(ch_B(n, d_max), n)["pre-D"]
+    pre_d = _oracle_pre_d(ch_B(n, d_max), n)
     sizes = {q: 0 for q in range(q_max + 1)}
     for f in pre_d.terms.values():
         for lam, c in f.coeffs.items():
@@ -390,7 +582,7 @@ def test_oracle_refuses_a_large_basis_before_exp_h(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("exp_h or the basis ran before the budget check")
 
-    monkeypatch.setattr(pipeline, "exp_h", refuse)
+    monkeypatch.setattr(pipeline, "_exp_h_masks", refuse)
     monkeypatch.setattr(setparts, "enumerate_basis", refuse)
     result = CliRunner().invoke(
         main, ["oracle", "--dim", "2", "--qmax", "10", "--dmax", "10"]
