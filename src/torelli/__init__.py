@@ -97,7 +97,6 @@ __all__ = [
     "OrthSympClass",
     "Partition",
     "PipelineConfig",
-    "SignedGraphVector",
     "SignedPartitionVector",
     "SymFunc",
     "Unsupported",
@@ -133,10 +132,8 @@ __all__ = [
     "perfect_matchings",
     "plethysm",
     "poincare_series",
-    "presentation_audit",
     "quotient_series_by_L",
     "reduce",
-    "reduce_trivalent",
     "render_class",
     "render_class_series",
     "render_series",
@@ -152,12 +149,9 @@ __all__ = [
 
 _LAZY = {
     "MarkedGraph": "graphs",
-    "SignedGraphVector": "graphs",
     "corolla": "graphs",
     "parse_graph": "graphs",
-    "presentation_audit": "graphs",
     "reduce": "graphs",
-    "reduce_trivalent": "graphs",
     "DenseTensor": "invariants",
     "EpsForm": "invariants",
     "harmonic_multiplicity": "invariants",

@@ -7,42 +7,25 @@ contracting a loop multiplies the label by e; reorderings contribute
 parity signs (per-vertex slot permutations count with multiplicity n,
 odd-degree vertices anticommute, and reversing a matched pair costs
 the same parity).  Every graph contracts to a signed labelled
-partition of its legs.  The cubic fragment has its own rewriting to
-standard caterpillar trees, which the full contraction checks
-independently.
+partition of its legs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Iterable
 
 from .labels import LabelMonomial, parse_label
-from .setparts import (
-    LabelledPartition,
-    SignedPartitionVector,
-    _perm_parity,
-    enumerate_basis,
-)
+from .setparts import LabelledPartition, SignedPartitionVector, _perm_parity
 
 
 class ForbiddenResult(ValueError):
     """The contracted partition leaves the requested variant."""
 
 
-class NonTrivalentInput(ValueError):
-    """Cubic rewriting needs valences 0, 1, 3 with unit cubic labels."""
-
-
 def _end(tag: str, value: int) -> tuple[str, int]:
     if tag not in ("h", "L"):
         raise ValueError(f"bad matching end tag {tag!r}")
     return (tag, int(value))
-
-
-def _end_key(end: tuple[str, int]):
-    return (0, end[1]) if end[0] == "L" else (1, end[1])
 
 
 class MarkedGraph:
@@ -104,13 +87,6 @@ class MarkedGraph:
     def degree(self) -> int:
         return sum(self.vertex_degrees())
 
-    def is_trivalent_mode(self) -> bool:
-        for c, val in zip(self.labels, self.valences()):
-            if val == 2 or val > 3:
-                return False
-            if val == 3 and not c.is_unit():
-                return False
-        return True
 
     def _encoding(self):
         return (
@@ -144,83 +120,6 @@ class MarkedGraph:
             ],
         }
 
-    def canonical(self) -> tuple["MarkedGraph | None", int]:
-        """Minimal relabelling of this graph, and the sign relating them.
-
-        The original class equals sign times the canonical one.  Returns
-        (None, 0) when some relabelling reverses orientation, so the
-        class is zero.
-        """
-        degrees = self.vertex_degrees()
-        valences = self.valences()
-        nverts = len(self.labels)
-        fibers = [
-            [h for h, v in enumerate(self.half_edge_vertex) if v == i]
-            for i in range(nverts)
-        ]
-        groups: dict = {}
-        for i in range(nverts):
-            groups.setdefault(
-                (degrees[i], self.labels[i].sort_key(), valences[i]), []
-            ).append(i)
-        group_keys = sorted(groups)
-
-        best = None
-        best_signs: set[int] = set()
-        for choice in product(*(permutations(groups[k]) for k in group_keys)):
-            order = [i for block in choice for i in block]
-            odd = [i for i in order if degrees[i] % 2]
-            koszul = -1 if _perm_parity(odd) else 1
-            for fiber_choice in product(
-                *(permutations(fibers[i]) for i in order)
-            ):
-                sign = koszul
-                if self.n % 2:
-                    for pos, perm in enumerate(fiber_choice):
-                        base = fibers[order[pos]]
-                        if _perm_parity([base.index(h) for h in perm]):
-                            sign = -sign
-                new_id = {}
-                counter = 0
-                for perm in fiber_choice:
-                    for h in perm:
-                        new_id[h] = counter
-                        counter += 1
-                pairs = []
-                for a, b in self.matching:
-                    na = ("h", new_id[a[1]]) if a[0] == "h" else a
-                    nb = ("h", new_id[b[1]]) if b[0] == "h" else b
-                    if _end_key(na) > _end_key(nb):
-                        na, nb = nb, na
-                        if self.n % 2:
-                            sign = -sign
-                    pairs.append((na, nb))
-                pairs.sort(key=lambda p: (_end_key(p[0]), _end_key(p[1])))
-                enc = (
-                    tuple(str(self.labels[i]) for i in order),
-                    tuple(len(fibers[i]) for i in order),
-                    tuple(pairs),
-                )
-                if best is None or enc < best:
-                    best = enc
-                    best_signs = {sign}
-                elif enc == best:
-                    best_signs.add(sign)
-        if best_signs == {1, -1}:
-            return None, 0
-        sign = best_signs.pop()
-        labels_s, fiber_sizes, pairs = best
-        hev = []
-        for i, size in enumerate(fiber_sizes):
-            hev.extend([i] * size)
-        graph = MarkedGraph(
-            self.n,
-            self.legs,
-            [parse_label(s, self.n) for s in labels_s],
-            hev,
-            pairs,
-        )
-        return graph, sign
 
 
 def corolla(n: int, label: LabelMonomial, legs: Iterable[int]) -> MarkedGraph:
@@ -237,7 +136,11 @@ def parse_graph(data) -> MarkedGraph:
 
         data = json.loads(data)
     n = int(data["n"])
-    labels = [parse_label(v["label"], n) for v in data["vertices"]]
+    labels = []
+    for i, v in enumerate(data["vertices"]):
+        if not isinstance(v["label"], str):
+            raise ValueError(f"vertex {i} has label {v['label']!r}, not a string")
+        labels.append(parse_label(v["label"], n))
     hev = [int(h["vertex"]) for h in data["half_edges"]]
 
     def end(text: str) -> tuple[str, int]:
@@ -249,57 +152,6 @@ def parse_graph(data) -> MarkedGraph:
     return MarkedGraph(n, [int(x) for x in data["legs"]], labels, hev, matching)
 
 
-class SignedGraphVector:
-    """Rational combination of graphs, keyed by canonical form."""
-
-    __slots__ = ("n", "legs", "coeffs")
-
-    def __init__(self, n: int, legs: Iterable[int]) -> None:
-        self.n = int(n)
-        self.legs = tuple(sorted(legs))
-        self.coeffs: dict[MarkedGraph, Fraction] = {}
-
-    def add(self, graph: MarkedGraph, coeff) -> "SignedGraphVector":
-        if graph.n != self.n or graph.legs != self.legs:
-            raise ValueError("graph does not match the vector's legs")
-        canon, sign = graph.canonical()
-        if canon is None:
-            return self
-        c = self.coeffs.get(canon, Fraction(0)) + sign * Fraction(coeff)
-        if c:
-            self.coeffs[canon] = c
-        else:
-            self.coeffs.pop(canon, None)
-        return self
-
-    def items(self) -> list[tuple[MarkedGraph, Fraction]]:
-        return sorted(self.coeffs.items(), key=lambda kv: kv[0]._encoding())
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedGraphVector):
-            return NotImplemented
-        return (self.n, self.legs, self.coeffs) == (
-            other.n,
-            other.legs,
-            other.coeffs,
-        )
-
-    def __repr__(self) -> str:
-        return f"SignedGraphVector({len(self.coeffs)} graphs on {self.legs})"
-
-
-def compare_sign(first: MarkedGraph, second: MarkedGraph):
-    """Sign relating two presentations, None when not isomorphic."""
-    c1, s1 = first.canonical()
-    c2, s2 = second.canonical()
-    if c1 is None or c2 is None or c1 != c2:
-        return None
-    return s1 * s2
-
-
 class _Work:
     """Mutable graph with incremental sign tracking.
 
@@ -309,7 +161,7 @@ class _Work:
     presentation to the new one.
     """
 
-    def __init__(self, graph: MarkedGraph, coeff=Fraction(1)) -> None:
+    def __init__(self, graph: MarkedGraph) -> None:
         self.n = graph.n
         self.legs = graph.legs
         self.labels: list[LabelMonomial] = list(graph.labels)
@@ -320,7 +172,7 @@ class _Work:
         self.pairs: list[list[tuple[str, int]]] = [
             [a, b] for a, b in graph.matching
         ]
-        self.sign = Fraction(coeff)
+        self.sign = 1
 
     def owner(self, hid: int) -> int:
         for i, fiber in enumerate(self.slots):
@@ -360,20 +212,6 @@ class _Work:
         self.labels.insert(j, lab)
         self.slots.insert(j, slo)
 
-    def partner(self, hid: int) -> tuple[str, int]:
-        for a, b in self.pairs:
-            if a == ("h", hid):
-                return tuple(b)
-            if b == ("h", hid):
-                return tuple(a)
-        raise ValueError(f"half-edge {hid} unmatched")
-
-    def pair_index(self, hid: int) -> int:
-        for idx, (a, b) in enumerate(self.pairs):
-            if ("h", hid) in (a, b):
-                return idx
-        raise ValueError(f"half-edge {hid} unmatched")
-
     def contract_pair(self, idx: int) -> None:
         """Contract one matched pair of half-edges (edge or loop)."""
         a, b = self.pairs[idx]
@@ -402,576 +240,39 @@ class _Work:
         del self.slots[u + 1]
         del self.pairs[idx]
 
-    def to_graph(self) -> MarkedGraph:
-        new_id = {}
-        counter = 0
-        hev = []
-        for i, fiber in enumerate(self.slots):
-            for h in fiber:
-                new_id[h] = counter
-                counter += 1
-                hev.append(i)
-        pairs = []
-        for a, b in self.pairs:
-            na = ("h", new_id[a[1]]) if a[0] == "h" else tuple(a)
-            nb = ("h", new_id[b[1]]) if b[0] == "h" else tuple(b)
-            pairs.append((na, nb))
-        return MarkedGraph(self.n, self.legs, self.labels, hev, pairs)
 
-
-def _input_terms(x):
-    if isinstance(x, MarkedGraph):
-        return x.n, x.legs, [(x, Fraction(1))]
-    if isinstance(x, SignedGraphVector):
-        return x.n, x.legs, x.items()
-    raise TypeError("expected a graph or a graph vector")
-
-
-def reduce(x, variant: str = "P0", _rng=None) -> SignedPartitionVector:
-    """Contract all internal edges and loops down to labelled partitions.
+def reduce(graph: MarkedGraph, variant: str = "P0", _rng=None) -> SignedPartitionVector:
+    """Contract all internal edges and loops down to a labelled partition.
 
     After contraction the orientation word lists each slot's partner
     leg in half-edge order and then the leg-leg pairs in matching
     order; its parity against the sorted legs contributes the final
-    sign (with multiplicity n).
+    sign (with multiplicity n).  `_rng` picks the edge to contract at
+    each step, so that tests can check the order does not matter.
     """
-    n, legs, terms = _input_terms(x)
-    out = SignedPartitionVector.zero(n, legs)
-    for graph, coeff in terms:
-        w = _Work(graph, coeff)
-        while True:
-            hh = [
-                i
-                for i, (a, b) in enumerate(w.pairs)
-                if a[0] == "h" and b[0] == "h"
-            ]
-            if not hh:
-                break
-            w.contract_pair(hh[0] if _rng is None else _rng.choice(hh))
-        for idx, (a, b) in enumerate(w.pairs):
-            if a[0] == "L" and b[0] == "h":
-                w.flip_pair(idx)
-        leg_of = {a[1]: b[1] for a, b in w.pairs if a[0] == "h"}
-        word = [leg_of[h] for fiber in w.slots for h in fiber]
-        ll = [(a[1], b[1]) for a, b in w.pairs if a[0] == "L" and b[0] == "L"]
-        for pa, pb in ll:
-            word.extend((pa, pb))
-        if w.n % 2 and _perm_parity(word):
-            w.sign = -w.sign
-        parts = [
-            (tuple(leg_of[h] for h in fiber), w.labels[i])
-            for i, fiber in enumerate(w.slots)
-        ]
-        parts += [((pa, pb), LabelMonomial.unit(n)) for pa, pb in ll]
-        partition = LabelledPartition(n, parts)
-        if not partition.in_variant(variant):
-            raise ForbiddenResult(
-                f"reduced partition {partition} leaves variant {variant}"
-            )
-        out = out + SignedPartitionVector(n, legs, {partition: w.sign})
-    return out
-
-
-def _h_move(w: _Work, pair_idx: int, give_hid: int, take_hid: int) -> None:
-    """Rewire across one internal edge: give_hid crosses to the other
-    endpoint and take_hid crosses back.  Both endpoints stay cubic."""
-    a, b = w.pairs[pair_idx]
-    pu, pv = w.owner(a[1]), w.owner(b[1])
-    if pu > pv:
-        w.flip_pair(pair_idx)
-        a, b = w.pairs[pair_idx]
-        pu, pv = pv, pu
-    w.move_vertex(pv, pu + 1)
-    pv = pu + 1
-    x, y = a[1], b[1]
-    if give_hid in w.slots[pv]:
-        give_hid, take_hid = take_hid, give_hid
-    v1 = next(h for h in w.slots[pu] if h not in (x, give_hid))
-    w.arrange_slots(pu, [v1, give_hid, x])
-    v6 = next(h for h in w.slots[pv] if h not in (y, take_hid))
-    w.arrange_slots(pv, [y, take_hid, v6])
-    w.slots[pu] = [v1, take_hid, x]
-    w.slots[pv] = [y, v6, give_hid]
-
-
-def _delta(w: _Work, pair_idx: int) -> None:
-    """Replace a loop at a cubic unit vertex by the label e."""
-    a, b = w.pairs[pair_idx]
-    v = w.owner(a[1])
-    v1 = next(h for h in w.slots[v] if h not in (a[1], b[1]))
-    w.arrange_slots(v, [v1, a[1], b[1]])
-    w.slots[v] = [v1]
-    w.labels[v] = LabelMonomial.e(w.n)
-    del w.pairs[pair_idx]
-
-
-def _gamma(w: _Work, t: int, xv: int, yv: int) -> None:
-    """Absorb two labelled leaves at a cubic vertex into one label."""
-    hx = w.slots[xv][0]
-    hy = w.slots[yv][0]
-    ix = w.pair_index(hx)
-    if w.pairs[ix][0] == ("h", hx):
-        w.flip_pair(ix)
-    iy = w.pair_index(hy)
-    if w.pairs[iy][0] == ("h", hy):
-        w.flip_pair(iy)
-    hi = w.pairs[ix][0][1]
-    hj = w.pairs[iy][0][1]
-    v1 = next(h for h in w.slots[t] if h not in (hi, hj))
-    w.arrange_slots(t, [v1, hj, hi])
-    w.move_vertex(xv, t + 1 if xv > t else t)
-    t = w.owner(hi)
-    yv = w.owner(hy)
-    w.move_vertex(yv, t + 2 if yv > t else t + 1)
-    t = w.owner(hi)
-    w.labels[t] = w.labels[t + 1] * w.labels[t + 2]
-    w.slots[t] = [v1]
-    for pos in (t + 2, t + 1):
-        del w.labels[pos]
-        del w.slots[pos]
-    for idx in sorted((w.pair_index(hx), w.pair_index(hy)), reverse=True):
-        del w.pairs[idx]
-
-
-def _beta(w: _Work, xv: int, yv: int) -> None:
-    """Merge an edge between two labelled leaves into one closed label."""
-    if xv > yv:
-        xv, yv = yv, xv
-    hx = w.slots[xv][0]
-    idx = w.pair_index(hx)
-    if w.pairs[idx][0] != ("h", hx):
-        w.flip_pair(idx)
-    w.move_vertex(yv, xv + 1)
-    w.labels[xv] = w.labels[xv] * w.labels[xv + 1]
-    w.slots[xv] = []
-    del w.labels[xv + 1]
-    del w.slots[xv + 1]
-    del w.pairs[idx]
-
-
-def _adjacency(w: _Work) -> dict[int, list[tuple[int, int, int]]]:
-    """Internal-edge adjacency: vertex position to a list of (pair
-    index, own half-edge, other endpoint)."""
-    adj: dict[int, list[tuple[int, int, int]]] = {
-        i: [] for i in range(len(w.labels))
-    }
-    for idx, (a, b) in enumerate(w.pairs):
-        if a[0] == "h" and b[0] == "h":
-            u, v = w.owner(a[1]), w.owner(b[1])
-            adj[u].append((idx, a[1], v))
-            adj[v].append((idx, b[1], u))
-    return adj
-
-
-def _find_cycle(w: _Work):
-    """Shortest internal cycle, as (vertex list, index of the edge
-    joining its first and last vertices), or (None, None)."""
-    for idx, (a, b) in enumerate(w.pairs):
-        if a[0] == "h" and b[0] == "h" and w.owner(a[1]) == w.owner(b[1]):
-            return [w.owner(a[1])], idx
-    adj = _adjacency(w)
-    best = None
-    for idx, (a, b) in enumerate(w.pairs):
-        if a[0] != "h" or b[0] != "h":
-            continue
-        u, v = w.owner(a[1]), w.owner(b[1])
-        prev: dict[int, int | None] = {u: None}
-        queue = [u]
-        while queue:
-            cur = queue.pop(0)
-            for jdx, _, other in adj[cur]:
-                if jdx != idx and other not in prev:
-                    prev[other] = cur
-                    queue.append(other)
-        if v in prev:
-            path = [v]
-            while path[-1] != u:
-                path.append(prev[path[-1]])
-            cand = (len(path), tuple(path), idx)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        return None, None
-    return list(best[1]), best[2]
-
-
-def _path(w: _Work, start: int, goal: int) -> list[tuple[int, int, int]]:
-    """Edge steps from start to goal: (pair index, half-edge at the
-    current vertex, next vertex)."""
-    adj = _adjacency(w)
-    prev: dict[int, tuple] = {start: None}
-    queue = [start]
-    while queue:
-        cur = queue.pop(0)
-        if cur == goal:
+    n = graph.n
+    w = _Work(graph)
+    while True:
+        hh = [i for i, (a, b) in enumerate(w.pairs) if a[0] == "h" and b[0] == "h"]
+        if not hh:
             break
-        for step in adj[cur]:
-            if step[2] not in prev:
-                prev[step[2]] = (cur, step)
-                queue.append(step[2])
-    if goal not in prev:
-        raise ValueError("vertices are not connected")
-    steps = []
-    cur = goal
-    while prev[cur] is not None:
-        before, step = prev[cur]
-        steps.append(step)
-        cur = before
-    steps.reverse()
-    return steps
-
-
-def _move_leaf_step(w: _Work, leaf_hid: int, target: int, protect=()) -> None:
-    """One rewiring step carrying the subtree at leaf_hid toward target."""
-    steps = _path(w, w.owner(leaf_hid), target)
-    pair_idx, _, nxt = steps[0]
-    onward = {s[1] for s in steps[1:2]}
-    a, b = w.pairs[pair_idx]
-    other = a[1] if w.owner(a[1]) == nxt else b[1]
-    candidates = [
-        h
-        for h in w.slots[nxt]
-        if h != other and h not in protect and h not in onward
+        w.contract_pair(hh[0] if _rng is None else _rng.choice(hh))
+    for idx, (a, b) in enumerate(w.pairs):
+        if a[0] == "L" and b[0] == "h":
+            w.flip_pair(idx)
+    leg_of = {a[1]: b[1] for a, b in w.pairs if a[0] == "h"}
+    word = [leg_of[h] for fiber in w.slots for h in fiber]
+    ll = [(a[1], b[1]) for a, b in w.pairs if a[0] == "L" and b[0] == "L"]
+    for pa, pb in ll:
+        word.extend((pa, pb))
+    if n % 2 and _perm_parity(word):
+        w.sign = -w.sign
+    parts = [
+        (tuple(leg_of[h] for h in fiber), w.labels[i])
+        for i, fiber in enumerate(w.slots)
     ]
-    _h_move(w, pair_idx, leaf_hid, min(candidates))
-
-
-def _components(w: _Work) -> list[dict]:
-    adj = _adjacency(w)
-    seen: set[int] = set()
-    comps = []
-    for start in range(len(w.labels)):
-        if start in seen:
-            continue
-        stack = [start]
-        verts = []
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            verts.append(cur)
-            stack.extend(other for _, _, other in adj[cur] if other not in seen)
-        legs = []
-        for v in verts:
-            for h in w.slots[v]:
-                p = w.partner(h)
-                if p[0] == "L":
-                    legs.append(p[1])
-        comps.append({"verts": sorted(verts), "legs": sorted(legs)})
-    return comps
-
-
-def _labelled_leaves(w: _Work, comp: dict) -> list[int]:
-    return [
-        v
-        for v in comp["verts"]
-        if len(w.slots[v]) == 1 and not w.labels[v].is_unit()
-    ]
-
-
-def _check_trivalent(graph: MarkedGraph) -> None:
-    if not graph.is_trivalent_mode():
-        raise NonTrivalentInput(
-            "graphs must have valences 0, 1, 3 with unit labels at valence 3"
-        )
-
-
-def reduce_trivalent(x) -> SignedGraphVector:
-    """Rewrite cubic graphs into standard trees.
-
-    Cycles shorten through the rewiring relation until they are loops,
-    loops become e labels, labelled leaves are carried together and
-    absorbed pairwise, and each component is combed into the
-    caterpillar whose legs increase along the spine, a labelled leaf
-    coming last.
-    """
-    n, legs, terms = _input_terms(x)
-    for graph, _ in terms:
-        _check_trivalent(graph)
-    out = SignedGraphVector(n, legs)
-    for graph, coeff in terms:
-        w = _Work(graph, coeff)
-        _eliminate_cycles(w)
-        _absorb_labels(w)
-        _comb(w)
-        out.add(w.to_graph(), w.sign)
-    return out
-
-
-def _eliminate_cycles(w: _Work) -> None:
-    for _ in range(10_000):
-        cycle, pair_idx = _find_cycle(w)
-        if cycle is None:
-            return
-        if len(cycle) == 1:
-            _delta(w, pair_idx)
-            continue
-        first, last = cycle[0], cycle[-1]
-        a, b = w.pairs[pair_idx]
-        h_at_last = a[1] if w.owner(a[1]) == last else b[1]
-        adj = _adjacency(w)
-        give = next(
-            h
-            for idx, h, other in adj[first]
-            if other == cycle[1] and idx != pair_idx
-        )
-        keep = next(
-            h
-            for idx, h, other in adj[last]
-            if other == cycle[-2] and idx != pair_idx
-        )
-        take = next(h for h in w.slots[last] if h not in (keep, h_at_last))
-        _h_move(w, pair_idx, give, take)
-    raise RuntimeError("cycle elimination did not terminate")
-
-
-def _attach(w: _Work, leaf_vertex: int) -> int:
-    return w.owner(w.partner(w.slots[leaf_vertex][0])[1])
-
-
-def _absorb_labels(w: _Work) -> None:
-    for _ in range(10_000):
-        progress = False
-        for a, b in list(w.pairs):
-            if a[0] != "h" or b[0] != "h":
-                continue
-            u, v = w.owner(a[1]), w.owner(b[1])
-            if u != v and len(w.slots[u]) == 1 and len(w.slots[v]) == 1:
-                _beta(w, u, v)
-                progress = True
-                break
-        if progress:
-            continue
-        for t in range(len(w.labels)):
-            if len(w.slots[t]) != 3:
-                continue
-            nbrs = []
-            for h in w.slots[t]:
-                p = w.partner(h)
-                if p[0] == "h" and len(w.slots[w.owner(p[1])]) == 1:
-                    nbrs.append(w.owner(p[1]))
-            if len(nbrs) >= 2:
-                nbrs.sort(key=lambda v: w.labels[v].sort_key())
-                _gamma(w, t, nbrs[0], nbrs[1])
-                progress = True
-                break
-        if progress:
-            continue
-        for comp in _components(w):
-            leaves = _labelled_leaves(w, comp)
-            if len(leaves) >= 2:
-                leaves.sort(key=lambda v: w.labels[v].sort_key())
-                xv, yv = leaves[0], leaves[1]
-                _move_leaf_step(
-                    w,
-                    w.partner(w.slots[xv][0])[1],
-                    _attach(w, yv),
-                    protect=(w.partner(w.slots[yv][0])[1],),
-                )
-                progress = True
-                break
-        if not progress:
-            return
-    raise RuntimeError("leaf absorption did not terminate")
-
-
-def _leaf_hid(w: _Work, leaf) -> int:
-    """The cubic-side half-edge holding a leaf (a leg or a labelled
-    univalent vertex)."""
-    kind, val = leaf
-    if kind == "leg":
-        for a, b in w.pairs:
-            if a == ("L", val) and b[0] == "h":
-                return b[1]
-            if b == ("L", val) and a[0] == "h":
-                return a[1]
-        raise ValueError(f"leg {val} has no cubic attachment")
-    return w.partner(w.slots[val][0])[1]
-
-
-def _dist(w: _Work, u: int, v: int) -> int:
-    return 0 if u == v else len(_path(w, u, v))
-
-
-def _spine_out(w: _Work, vertex: int, placed_hid: int, anchor_hid: int) -> int:
-    """The half-edge continuing the spine past this vertex."""
-    anchored = {placed_hid}
-    u = w.owner(anchor_hid)
-    if u == vertex:
-        anchored.add(anchor_hid)
-    else:
-        for idx, h, other in _adjacency(w)[vertex]:
-            if other == u:
-                anchored.add(h)
-    return next(h for h in w.slots[vertex] if h not in anchored)
-
-
-def _comb(w: _Work) -> None:
-    """Comb every treelike component into the sorted caterpillar."""
-    for comp in _components(w):
-        if not any(len(w.slots[v]) == 3 for v in comp["verts"]):
-            continue
-        leaves = [("leg", x) for x in comp["legs"]]
-        leaves += [("lab", v) for v in _labelled_leaves(w, comp)]
-        leaves.sort(key=lambda t: (0, t[1]) if t[0] == "leg" else (1,))
-        anchor_hid = _leaf_hid(w, leaves[0])
-        for j in range(1, len(leaves) - 1):
-            hid = _leaf_hid(w, leaves[j])
-            target = w.owner(anchor_hid)
-            guard = 0
-            while (
-                w.owner(hid) != target and _dist(w, w.owner(hid), target) > 1
-            ):
-                _move_leaf_step(w, hid, target, protect=(anchor_hid,))
-                guard += 1
-                if guard > 10_000:
-                    raise RuntimeError("combing did not terminate")
-            if j == 1 and w.owner(hid) != target:
-                _move_leaf_step(w, hid, target, protect=(anchor_hid,))
-            anchor_hid = _spine_out(w, w.owner(hid), hid, anchor_hid)
-
-
-def presentation_audit(n: int, degree_cap: int, legs_cap: int = 3) -> dict:
-    """Check that low-degree graphs biject with labelled partitions.
-
-    Enumerates edge, cubic, and lollipop components whose ends are legs
-    or p-generator leaves, contracts each union, and compares against
-    the partition basis with the bare size-zero p-labels struck.
-    """
-    if degree_cap >= 2 * n:
-        raise ValueError("the correspondence only holds below twice the weight")
-    entries = []
-    ok = True
-    for q in range(legs_cap + 1):
-        by_degree: dict[int, list[MarkedGraph]] = {}
-        for graph in _audit_graphs(n, q, degree_cap):
-            by_degree.setdefault(graph.degree, []).append(graph)
-        quotient: dict[int, set[LabelledPartition]] = {}
-        for part in enumerate_basis(q, n, "P0", degree_cap):
-            if any(
-                not elems
-                and label.e_exp == 0
-                and len(label.p_exps) == 1
-                and label.p_exps[0][1] == 1
-                for elems, label in part.parts
-            ):
-                continue
-            quotient.setdefault(part.degree, set()).add(part)
-        for d in range(degree_cap + 1):
-            graphs = by_degree.get(d, [])
-            reduced = set()
-            for graph in graphs:
-                ((part, _),) = reduce(graph).items()
-                reduced.add(part)
-            expected = quotient.get(d, set())
-            match = reduced == expected and len(reduced) == len(graphs)
-            ok = ok and match
-            entries.append(
-                {
-                    "legs": q,
-                    "degree": d,
-                    "graphs": len(graphs),
-                    "partitions": len(expected),
-                    "match": match,
-                }
-            )
-    return {"n": n, "degree_cap": degree_cap, "entries": entries, "ok": ok}
-
-
-def _p_generators(n: int, max_degree: int) -> list[LabelMonomial]:
-    out = []
-    i = (n + 4) // 4
-    while 4 * i <= max_degree and i <= n - 1:
-        out.append(LabelMonomial.p(n, i))
-        i += 1
-    return out
-
-
-def _audit_graphs(n: int, q: int, cap: int) -> list[MarkedGraph]:
-    """Disjoint unions of edge, cubic, and lollipop components on q legs
-    with total degree at most cap."""
-    pgens = _p_generators(n, cap + 2 * n)
-    legs = tuple(range(1, q + 1))
-
-    comps: list[tuple[int, tuple]] = []
-    for r in range(min(q, 2) + 1):
-        for leg_choice in combinations(legs, r):
-            for ps in combinations_with_replacement(pgens, 2 - r):
-                d = sum(p.degree - n for p in ps)
-                if 0 <= d <= cap:
-                    comps.append((d, ("edge", leg_choice, ps)))
-    for r in range(min(q, 3) + 1):
-        for leg_choice in combinations(legs, r):
-            for ps in combinations_with_replacement(pgens, 3 - r):
-                d = n + sum(p.degree - n for p in ps)
-                if d <= cap:
-                    comps.append((d, ("cubic", leg_choice, ps)))
-    for r in range(min(q, 1) + 1):
-        for leg_choice in combinations(legs, r):
-            for ps in combinations_with_replacement(pgens, 1 - r):
-                d = n if r == 1 else ps[0].degree
-                if d <= cap:
-                    comps.append((d, ("lollipop", leg_choice, ps)))
-
-    results: list[MarkedGraph] = []
-
-    def rec(remaining: tuple, budget: int, acc: list, start: int) -> None:
-        if not remaining:
-            results.append(_build_audit_graph(n, q, acc))
-        for idx in range(start, len(comps)):
-            d, spec = comps[idx]
-            used = spec[1]
-            if d > budget or not set(used) <= set(remaining):
-                continue
-            if used:
-                rest = tuple(x for x in remaining if x not in used)
-                rec(rest, budget - d, acc + [spec], 0)
-            else:
-                rec(remaining, budget - d, acc + [spec], idx)
-
-    rec(legs, cap, [], 0)
-    seen = set()
-    unique = []
-    for graph in results:
-        key = graph.canonical()[0]
-        if key not in seen:
-            seen.add(key)
-            unique.append(graph)
-    return unique
-
-
-def _build_audit_graph(n: int, q: int, specs: list) -> MarkedGraph:
-    labels: list[LabelMonomial] = []
-    hev: list[int] = []
-    matching: list[tuple] = []
-
-    def new_vertex(label: LabelMonomial, valence: int) -> list[int]:
-        idx = len(labels)
-        labels.append(label)
-        start = len(hev)
-        hev.extend([idx] * valence)
-        return list(range(start, start + valence))
-
-    for kind, leg_choice, ps in specs:
-        ends: list[tuple] = [("L", x) for x in leg_choice]
-        if kind == "edge":
-            for p in ps:
-                (h,) = new_vertex(p, 1)
-                ends.append(("h", h))
-            matching.append((ends[0], ends[1]))
-        elif kind == "cubic":
-            hs = new_vertex(LabelMonomial.unit(n), 3)
-            for p in ps:
-                (h,) = new_vertex(p, 1)
-                ends.append(("h", h))
-            for slot, end in zip(hs, ends):
-                matching.append((("h", slot), end))
-        else:
-            hs = new_vertex(LabelMonomial.unit(n), 3)
-            matching.append((("h", hs[0]), ("h", hs[1])))
-            for p in ps:
-                (h,) = new_vertex(p, 1)
-                ends.append(("h", h))
-            matching.append((("h", hs[2]), ends[0]))
-    return MarkedGraph(n, range(1, q + 1), labels, hev, matching)
+    parts += [((pa, pb), LabelMonomial.unit(n)) for pa, pb in ll]
+    partition = LabelledPartition(n, parts)
+    if not partition.in_variant(variant):
+        raise ForbiddenResult(f"reduced partition {partition} leaves variant {variant}")
+    return SignedPartitionVector(n, graph.legs, {partition: w.sign})

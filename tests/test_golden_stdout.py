@@ -1,11 +1,14 @@
-"""Byte-for-byte pins of the CLI's stdout for a few tables and stage dumps.
+"""Byte-for-byte pins of the CLI's stdout for a few tables, stage dumps
+and graph reductions.
 
-Each sha256 was taken from the program before its stages after exp_h
-were moved onto beta-set masks, and must not be re-taken from later
-output: a change here means the printed tables changed.
+Each table and stage-dump sha256 was taken from the program before its
+stages after exp_h were moved onto beta-set masks; each graph sha256,
+before the graph oracle left the package.  None may be re-taken from
+later output: a change here means the printed output changed.
 """
 
 import hashlib
+import json
 
 import pytest
 from click.testing import CliRunner
@@ -53,3 +56,66 @@ def test_stdout_is_unchanged(command, digest):
     result = CliRunner().invoke(main, command.split())
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+def _graph(n, legs, labels, incidence, matching):
+    return {
+        "n": n,
+        "legs": legs,
+        "vertices": [{"label": label} for label in labels],
+        "half_edges": [{"vertex": v} for v in incidence],
+        "matching": [pair.split("-") for pair in matching.split()],
+    }
+
+
+# Five graph files for `graph reduce`, with the sha256 of its stdout under
+# P0 and P, and under Pprime where the contraction stays in that variant.
+GRAPH_FILES = {
+    "igraph": (
+        _graph(3, [1, 2, 5, 6], ["1", "1"], [0, 0, 0, 1, 1, 1], "h0-L1 h1-L2 h2-h3 h4-L5 h5-L6"),
+        "65a11fd925c01748f98300ddae1e8a2c4525c3a066a42d4eae7ed559457def10",
+    ),
+    "theta-with-tail": (
+        _graph(1, [1], ["1"] * 3, [0, 0, 0, 1, 1, 1, 2, 2, 2], "h0-L1 h1-h3 h2-h6 h4-h7 h5-h8"),
+        "1b6bb34ce400428d95ac2f47c335a143b1fd67a1b695bfca01f6849c4f2d104c",
+    ),
+    "lollipop": (
+        _graph(3, [1], ["1"], [0, 0, 0], "h0-h1 h2-L1"),
+        "34b1e432a166565639a0255382a17b5c3f315d6d4090bc801a14ec403fb23487",
+    ),
+    # the legs cross, so the contraction carries the sign -1
+    "p1-and-e-p2": (
+        _graph(3, [1, 2], ["p1", "e*p2"], [0, 0, 1, 1], "h0-L2 h1-h2 h3-L1"),
+        "f0d09beb42e19c13a95ccb55b8f6c556c8c68efb26ce0552d44f7aad34457bf0",
+    ),
+    "leg-pair": (
+        _graph(3, [1, 2], [], [], "L1-L2"),
+        "4e35fd5bfb7a249cd766d77a3001c9a147f3a24df33af7b090103e4cb79b7ef5",
+    ),
+}
+
+GRAPH_RUNS = [
+    (name, variant)
+    for name in GRAPH_FILES
+    for variant in ("P0", "P", "Pprime")
+    if (name, variant) != ("leg-pair", "Pprime")
+]
+
+
+def _reduce_file(tmp_path, name, variant):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(GRAPH_FILES[name][0]), encoding="utf-8")
+    return CliRunner().invoke(main, ["graph", "reduce", str(path), "--variant", variant])
+
+
+@pytest.mark.parametrize("name, variant", GRAPH_RUNS, ids=[f"{n}-{v}" for n, v in GRAPH_RUNS])
+def test_graph_reduce_stdout_is_unchanged(tmp_path, name, variant):
+    result = _reduce_file(tmp_path, name, variant)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == GRAPH_FILES[name][1]
+
+
+def test_a_leg_pair_leaves_pprime(tmp_path):
+    result = _reduce_file(tmp_path, "leg-pair", "Pprime")
+    assert result.exit_code == 3
+    assert "leaves variant Pprime" in result.output

@@ -2,18 +2,21 @@ import json
 import random
 
 import pytest
-
-from torelli.graphs import (
-    ForbiddenResult,
-    MarkedGraph,
+from click.testing import CliRunner
+from graph_oracle import (
     NonTrivalentInput,
     compare_sign,
-    corolla,
-    parse_graph,
+    igraph,
+    is_trivalent_mode,
     presentation_audit,
-    reduce,
+    random_graph,
     reduce_trivalent,
+    reduce_vector,
+    theta_with_tail,
 )
+
+from torelli.cli import main
+from torelli.graphs import ForbiddenResult, MarkedGraph, corolla, parse_graph, reduce
 from torelli.labels import LabelMonomial
 from torelli.setparts import LabelledPartition
 
@@ -22,6 +25,8 @@ E3 = LabelMonomial.e(3)
 P1 = LabelMonomial.p(3, 1)
 P2 = LabelMonomial.p(3, 2)
 P1SQ = P1 * P1
+# a cubic vertex with a loop and leg 1
+LOLLIPOP = MarkedGraph(3, (1,), [U3], [0, 0, 0], [(("h", 0), ("h", 1)), (("h", 2), ("L", 1))])
 
 
 def test_corolla_reduces_to_its_part():
@@ -55,15 +60,8 @@ def test_leg_order_sign():
 
 
 def test_loop_contracts_to_euler_label():
-    g_loop = MarkedGraph(
-        3,
-        (1,),
-        [U3],
-        [0, 0, 0],
-        [(("h", 0), ("h", 1)), (("h", 2), ("L", 1))],
-    )
     part_e = LabelledPartition(3, [((1,), E3)])
-    assert abs(reduce(g_loop).coefficient(part_e)) == 1
+    assert abs(reduce(LOLLIPOP).coefficient(part_e)) == 1
 
 
 def test_vertex_swap_sign():
@@ -89,40 +87,10 @@ def test_vertex_swap_sign():
     assert ca == -cb != 0
 
 
-def _random_trivalent(rng, n):
-    q = rng.randrange(0, 5)
-    k = rng.randrange(0, 4)
-    m = rng.randrange(0, 3)
-    if n == 3:
-        leaf_labels = [E3, P1, P2, P1SQ, P2 * P1]
-    else:
-        leaf_labels = [
-            LabelMonomial.e(2),
-            LabelMonomial.p(2, 1),
-            LabelMonomial.e(2, 2),
-        ]
-    labels = [LabelMonomial.unit(n)] * k
-    hev = []
-    for i in range(k):
-        hev.extend([i] * 3)
-    for j in range(m):
-        labels.append(rng.choice(leaf_labels))
-        hev.append(k + j)
-    pool = [("h", i) for i in range(len(hev))] + [
-        ("L", x) for x in range(1, q + 1)
-    ]
-    if len(pool) % 2:
-        labels.append(rng.choice(leaf_labels))
-        hev.append(len(labels) - 1)
-        pool.append(("h", len(hev) - 1))
-    if not pool:
-        return None
-    rng.shuffle(pool)
-    matching = [(pool[2 * i], pool[2 * i + 1]) for i in range(len(pool) // 2)]
-    try:
-        return MarkedGraph(n, range(1, q + 1), labels, hev, matching)
-    except ValueError:
-        return None
+LEAF_LABELS = {
+    3: [E3, P1, P2, P1SQ, P2 * P1],
+    2: [LabelMonomial.e(2), LabelMonomial.p(2, 1), LabelMonomial.e(2, 2)],
+}
 
 
 def test_contraction_order_confluence():
@@ -132,7 +100,7 @@ def test_contraction_order_confluence():
     while count < 120 and tries < 3000:
         tries += 1
         n = rng.choice([2, 3])
-        g = _random_trivalent(rng, n)
+        g = random_graph(rng, n, LEAF_LABELS[n])
         if g is None:
             continue
         base = reduce(g, variant="P")
@@ -143,73 +111,22 @@ def test_contraction_order_confluence():
     assert count == 120
 
 
-def _igraph():
-    return MarkedGraph(
-        3,
-        (1, 2, 5, 6),
-        [U3, U3],
-        [0, 0, 0, 1, 1, 1],
-        [
-            (("h", 0), ("L", 1)),
-            (("h", 1), ("L", 2)),
-            (("h", 2), ("h", 3)),
-            (("h", 4), ("L", 5)),
-            (("h", 5), ("L", 6)),
-        ],
-    )
-
-
-def _hgraph():
-    return MarkedGraph(
-        3,
-        (1, 2, 5, 6),
-        [U3, U3],
-        [0, 0, 0, 1, 1, 1],
-        [
-            (("h", 0), ("L", 1)),
-            (("h", 1), ("L", 5)),
-            (("h", 2), ("h", 3)),
-            (("h", 4), ("L", 6)),
-            (("h", 5), ("L", 2)),
-        ],
-    )
-
-
 def test_edge_slide_identity():
-    assert reduce_trivalent(_igraph()) == reduce_trivalent(_hgraph())
-    assert reduce(_igraph()) == reduce(_hgraph())
+    hgraph = igraph((1, 5, 6, 2))
+    assert reduce_trivalent(igraph()) == reduce_trivalent(hgraph)
+    assert reduce(igraph()) == reduce(hgraph)
 
 
 def test_lollipop_rewrites_to_euler_leaf():
-    lolli = MarkedGraph(
-        3,
-        (1,),
-        [U3],
-        [0, 0, 0],
-        [(("h", 0), ("h", 1)), (("h", 2), ("L", 1))],
-    )
-    normal = reduce_trivalent(lolli)
+    normal = reduce_trivalent(LOLLIPOP)
     ((g, c),) = normal.items()
     assert list(g.valences()) == [1]
     assert str(g.labels[0]) == "e"
-    assert reduce(normal) == reduce(lolli)
+    assert reduce_vector(normal) == reduce(LOLLIPOP)
 
 
 def test_theta_with_tail():
-    u1 = LabelMonomial.unit(1)
-    theta = MarkedGraph(
-        1,
-        (1,),
-        [u1, u1, u1],
-        [0, 0, 0, 1, 1, 1, 2, 2, 2],
-        [
-            (("h", 0), ("L", 1)),
-            (("h", 1), ("h", 3)),
-            (("h", 2), ("h", 6)),
-            (("h", 4), ("h", 7)),
-            (("h", 5), ("h", 8)),
-        ],
-    )
+    theta = theta_with_tail()
     vec = reduce(theta)
     part = LabelledPartition(1, [((1,), LabelMonomial.e(1, 2))])
     assert abs(vec.coefficient(part)) == 1
@@ -218,7 +135,7 @@ def test_theta_with_tail():
     assert list(g.valences()) == [1]
     assert str(g.labels[0]) == "e^2"
     assert abs(c) == 1
-    assert reduce(normal) == vec
+    assert reduce_vector(normal) == vec
 
 
 def test_trivalent_rewriting_commutes_with_contraction():
@@ -228,14 +145,29 @@ def test_trivalent_rewriting_commutes_with_contraction():
     while count < 60 and tries < 4000:
         tries += 1
         n = rng.choice([2, 3])
-        g = _random_trivalent(rng, n)
-        if g is None or not g.is_trivalent_mode():
+        g = random_graph(rng, n, LEAF_LABELS[n])
+        if g is None or not is_trivalent_mode(g):
             continue
-        lhs = reduce(reduce_trivalent(g), variant="P")
+        lhs = reduce_vector(reduce_trivalent(g), variant="P")
         rhs = reduce(g, variant="P")
         assert lhs.coeffs == rhs.coeffs, g.to_json()
         count += 1
     assert count == 60
+
+
+def test_rewriting_combs_a_tree_beside_a_closed_component():
+    # a tree on legs 1-4 and, apart from it, a loop whose vertex carries
+    # a p1 leaf; combing the tree moves the other component's vertices
+    u2 = LabelMonomial.unit(2)
+    ends = "h0-h6 h2-L1 h4-h9 h3-h5 L4-h8 L3-h1 h7-L2"
+    g = MarkedGraph(
+        2,
+        (1, 2, 3, 4),
+        [u2, u2, u2, LabelMonomial.p(2, 1)],
+        [0, 0, 0, 1, 1, 1, 2, 2, 2, 3],
+        [tuple((e[0], int(e[1:])) for e in pair.split("-")) for pair in ends.split()],
+    )
+    assert reduce_vector(reduce_trivalent(g)) == reduce(g)
 
 
 def test_rejects_non_trivalent():
@@ -254,10 +186,22 @@ def test_variant_gate():
 
 
 def test_json_round_trip():
-    g = _igraph()
+    g = igraph()
     blob = g.to_json()
     assert parse_graph(blob) == g
     assert parse_graph(json.dumps(blob)) == g
+
+
+@pytest.mark.parametrize("label", [5, None])
+def test_a_non_string_label_is_a_configuration_error(tmp_path, label):
+    blob = corolla(3, U3, (1, 2, 3)).to_json()
+    blob["vertices"][0]["label"] = label
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    result = CliRunner().invoke(main, ["graph", "reduce", str(path)])
+    assert result.exit_code == 3, result.output
+    assert "configuration error: cannot reduce" in result.output
+    assert f"vertex 0 has label {label!r}" in result.output
 
 
 def test_presentation_audit():
