@@ -18,14 +18,31 @@ from .labels import LabelMonomial, parse_label
 from .setparts import LabelledPartition, SignedPartitionVector, _perm_parity
 
 
+# A graph file may hold at most this many half-edges, its legs counted
+# as half-edges. Contraction is not linear: one vertex with many loops is
+# the slowest shape found, cubic in its valence through the slot parity.
+# With 318 loops and 2 legs (640 in all, n = 3) a cold `graph reduce`
+# takes 1.6-1.7 s on a shared 2-vCPU host; a path of 319 bivalent p1
+# vertices between 2 legs (also 640), about 0.17 s.
+HALF_EDGE_CAP = 640
+
+
 class ForbiddenResult(ValueError):
     """The contracted partition leaves the requested variant."""
+
+
+def _integer(value, field: str) -> int:
+    """value, when it is an int and not a bool; a ValueError naming field
+    otherwise, since int() would read 1.5, "1" or True silently."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 def _end(tag: str, value: int) -> tuple[str, int]:
     if tag not in ("h", "L"):
         raise ValueError(f"bad matching end tag {tag!r}")
-    return (tag, int(value))
+    return (tag, _integer(value, "matching id"))
 
 
 class MarkedGraph:
@@ -46,15 +63,15 @@ class MarkedGraph:
         half_edge_vertex: Iterable[int],
         matching: Iterable[tuple],
     ) -> None:
-        self.n = int(n)
-        self.legs = tuple(sorted(int(x) for x in legs))
+        self.n = _integer(n, "n")
+        self.legs = tuple(sorted(_integer(x, "leg") for x in legs))
         if len(set(self.legs)) != len(self.legs):
             raise ValueError("legs must be distinct")
         self.labels = tuple(labels)
         for c in self.labels:
             if not isinstance(c, LabelMonomial) or c.n != self.n:
                 raise ValueError("vertex labels must be monomials of matching weight")
-        self.half_edge_vertex = tuple(int(v) for v in half_edge_vertex)
+        self.half_edge_vertex = tuple(_integer(v, "half-edge vertex") for v in half_edge_vertex)
         prev = 0
         for v in self.half_edge_vertex:
             if v < prev or v >= len(self.labels):
@@ -130,18 +147,24 @@ def corolla(n: int, label: LabelMonomial, legs: Iterable[int]) -> MarkedGraph:
 
 
 def parse_graph(data) -> MarkedGraph:
-    """Read the JSON graph format."""
+    """Read the JSON graph format, refusing more than HALF_EDGE_CAP
+    half-edges and legs before anything is built."""
     if isinstance(data, str):
         import json
 
         data = json.loads(data)
-    n = int(data["n"])
+    ends = len(data["half_edges"]) + len(data["legs"])
+    if ends > HALF_EDGE_CAP:
+        raise ValueError(
+            f"the graph has {ends} half-edges and legs, over the cap of {HALF_EDGE_CAP}"
+        )
+    n = _integer(data["n"], "n")
     labels = []
     for i, v in enumerate(data["vertices"]):
         if not isinstance(v["label"], str):
             raise ValueError(f"vertex {i} has label {v['label']!r}, not a string")
         labels.append(parse_label(v["label"], n))
-    hev = [int(h["vertex"]) for h in data["half_edges"]]
+    hev = [_integer(h["vertex"], f"half-edge {i} vertex") for i, h in enumerate(data["half_edges"])]
 
     def end(text: str) -> tuple[str, int]:
         if text[:1] in ("h", "L"):
@@ -149,7 +172,7 @@ def parse_graph(data) -> MarkedGraph:
         raise ValueError(f"bad matching id {text!r}")
 
     matching = [(end(a), end(b)) for a, b in data["matching"]]
-    return MarkedGraph(n, [int(x) for x in data["legs"]], labels, hev, matching)
+    return MarkedGraph(n, data["legs"], labels, hev, matching)
 
 
 class _Work:

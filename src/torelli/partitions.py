@@ -6,11 +6,12 @@ tables. They are immutable value types with a deterministic total order
 (by size, then reverse-lexicographic) so that every printed table and
 JSON document comes out in the same order on every run.
 
-The one rim-hook rule, `slide_beads`, works on beta-sets kept as integer
+The rim-hook rule, `slide_beads`, works on beta-sets kept as integer
 bitmasks, one bit per bead, and on integer combinations of them, so that
 a pass over many shapes builds no Partition until its end. `rim_hooks`
 is its cached form on a single Partition, which the character table
-`murnaghan_nakayama` reads.
+`murnaghan_nakayama` reads. `ribbon_strips` generalises it from p_k to
+h_r[p_k]: r rim hooks of size k added at once, as a horizontal strip.
 """
 
 from __future__ import annotations
@@ -240,9 +241,9 @@ def slide_beads(terms: Mapping[int, int], k: int, out: dict[int, int]) -> dict[i
     the leg length being the number of beads strictly between b and b + k.
     The bead count never changes, so adding a hook needs at least |k|
     beads below the last part; removing one moves only beads at b >= |k|.
-    This is the one rim-hook rule of the package. On Schur functions it is
-    multiplication by the power sum p_k, or for k < 0 its adjoint
-    (Macdonald I.3, I.5).
+    On Schur functions it is multiplication by the power sum p_k, or for
+    k < 0 its adjoint (Macdonald I.3, I.5); `ribbon_strips` is its
+    generalisation to h_r[p_k].
     """
     get = out.get
     if k > 0:
@@ -272,6 +273,59 @@ def slide_beads(terms: Mapping[int, int], k: int, out: dict[int, int]) -> dict[i
                     out[moved] = get(moved, 0) - c
                 else:
                     out[moved] = get(moved, 0) + c
+    return out
+
+
+def ribbon_strips(terms: Mapping[int, int], k: int, r_max: int) -> list[dict[int, int]]:
+    """For r = 0, ..., r_max, the integer combination of beta-set masks
+    sum c s_mask * h_r[p_k] over the masks of terms with coefficients c.
+
+    Each bead moves m >= 0 steps of k along its runner (the positions
+    congruent to it mod k), strictly below the original next bead on that
+    runner, and the steps add up to r: a horizontal strip of r ribbons of
+    size k (Macdonald I.8; Lascoux, Leclerc and Thibon, J. Math. Phys. 38,
+    1997). Beads move top-down, and each move from b to b + m k carries
+    the sign (-1)^(beads strictly between them in the current mask).
+    Every strip is a distinct shape, so nothing cancels within one mask.
+    With r = 1 this is `slide_beads(terms, k, ...)`; the bead count needs
+    the same room, one bead per row of every result.
+    """
+    out: list[dict[int, int]] = [{} for _ in range(r_max + 1)]
+    for mask, c in terms.items():
+        if not c:
+            continue
+        acc = out[0]
+        acc[mask] = acc.get(mask, 0) + c
+        # Top-down, each movable bead's moves by m = 1, 2, ... steps: the
+        # bits it flips and the positions it passes.
+        moves = []
+        movable = mask & ~(mask >> k)
+        while movable:
+            bit = 1 << (movable.bit_length() - 1)
+            movable ^= bit
+            dest = bit << k
+            row = [(1, bit ^ dest, dest - (bit << 1))]
+            dest <<= k
+            while len(row) < r_max and not mask & dest:
+                row.append((len(row) + 1, bit ^ dest, dest - (bit << 1)))
+                dest <<= k
+            moves.append(row)
+        last = len(moves)
+        # Depth first over (next bead, mask, steps used, signed coefficient).
+        stack = [(0, mask, 0, c)]
+        while stack:
+            i, cur, used, v = stack.pop()
+            room = r_max - used
+            for nxt in range(i + 1, last + 1):
+                for m, flip, passed in moves[nxt - 1]:
+                    if m > room:
+                        break
+                    w = -v if (cur & passed).bit_count() & 1 else v
+                    moved = cur ^ flip
+                    acc = out[used + m]
+                    acc[moved] = acc.get(moved, 0) + w
+                    if m < room and nxt < last:
+                        stack.append((nxt, moved, used + m, w))
     return out
 
 

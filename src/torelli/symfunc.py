@@ -14,16 +14,21 @@ the rows it holds, and `from_p_monomials` takes each result coefficient
 back to Schur once, by adding rim hooks. That Horner pass runs on plain
 integers: shapes are beta-set bitmasks (`partitions.slide_beads`) and
 coefficients share one denominator, so only the final Schur keys become
-Partitions and Fractions. `exp_h` runs its recurrence on the Schur side
-with the same pass: multiplying by a p-polynomial adds rim hooks to
-every shape of an integer combination of bitmasks. Its integer core,
-`_exp_h_masks`, hands those combinations to the table pass in
-`pipeline`, which multiplies them by scalar series and conjugates them
-(omega) with the helpers kept here, before any shape becomes a
-Partition. The pass is also the
-one Schur product: s_mu * s_nu applies the p-expansion of s_nu to s_mu,
-and run backwards, removing rim hooks, it gives the skew Schur functions
-that `branching` reads.
+Partitions and Fractions. The pass is also the one Schur product:
+s_mu * s_nu applies the p-expansion of s_nu to s_mu, and run backwards,
+removing rim hooks, it gives the skew Schur functions that `branching`
+reads.
+
+`exp_h` runs its recurrence on the Schur side in the h-basis instead,
+without the character table: each coefficient of its input is written in
+h-monomials by Jacobi-Trudi (for ch_B, whose coefficients are h_q times
+scalars, that is the identity), and multiplying by h_r[p_k] adds a
+horizontal strip of r ribbons of size k to every shape of an integer
+combination of bitmasks (`partitions.ribbon_strips`), a sum with no
+cancellation. Its integer core, `_exp_h_masks`, hands those combinations
+to the table pass in `pipeline`, which multiplies them by scalar series
+and conjugates them (omega) with the helpers kept here, before any shape
+becomes a Partition.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .partitions import (
     mask_partition,
     murnaghan_nakayama,
     partitions_of,
+    ribbon_strips,
     slide_beads,
     z_lambda,
 )
@@ -634,9 +640,8 @@ def plethysm(f: SymFunc, g: LambdaSeries) -> LambdaSeries:
 def exp_h_weight_bound(g: LambdaSeries) -> int:
     """The largest weight a shape of exp_h(g) can have: the floor of
     r g.trunc, where r is the largest ratio of the weight of g_a to a.
-    A p-monomial of j L_j comes from some p_k[g_a] with k a = j, so it
-    weighs at most r j, and a product of them of total degree m at most
-    r m."""
+    A term of j L_j comes from some p_k[g_a] with k a = j, so it weighs
+    at most r j, and a product of them of total degree m at most r m."""
     return max((f.degree() * g.trunc // a for a, f in g.terms.items()), default=0)
 
 
@@ -647,10 +652,11 @@ def exp_h(g: LambdaSeries) -> LambdaSeries:
     must have positive t-valuation; otherwise the sum diverges. With
     L = sum_k p_k[g]/k and E = exp(L) = sum_m E_m t^m, the log-derivative
     recurrence m E_m = sum_j (j L_j) E_{m-j} (Macdonald I.2) gives E,
-    where j L_j = sum over k a = j of a p_k[g_a], a few p-monomials each.
-    The recurrence is `_exp_h_masks`, on integer combinations of beta-set
-    masks; only here do the shapes of E_m become Partitions, with the
-    denominator m! D^m.
+    where j L_j = sum over k a = j of a p_k[g_a]. Written in the h-basis,
+    each p_k[g_a] is a combination of products of h_r[p_k], which add
+    horizontal ribbon strips. The recurrence is `_exp_h_masks`, on integer
+    combinations of beta-set masks; only here do the shapes of E_m become
+    Partitions, with the denominator m! D^m.
     """
     s_terms, den = _exp_h_masks(g)
     return LambdaSeries(
@@ -658,16 +664,46 @@ def exp_h(g: LambdaSeries) -> LambdaSeries:
     )
 
 
+@lru_cache(maxsize=None)
+def _jacobi_trudi(lam: Partition) -> Mapping[tuple, int]:
+    """s_lam in the h-basis, det(h_{lam_i - i + j}) (Macdonald I.3.4), as
+    {h-parts in decreasing order, h_0 = 1 left out: int}; read-only.
+
+    The determinant is expanded row by row, and a column whose entry has
+    a negative index is dropped as soon as it is met, so the cost is the
+    number of terms kept (2^(l-1) for a column of length l), never l!.
+    """
+    out: dict[tuple, int] = {}
+
+    def expand(i: int, columns: tuple, sign: int, parts: tuple) -> None:
+        if i == len(lam):
+            key = tuple(sorted(parts, reverse=True))
+            out[key] = out.get(key, 0) + sign
+            return
+        for pos, j in enumerate(columns):
+            index = lam[i] - i + j
+            if index >= 0:
+                rest = columns[:pos] + columns[pos + 1:]
+                expand(i + 1, rest, -sign if pos & 1 else sign, parts + (index,) if index else parts)
+
+    expand(0, tuple(range(len(lam))), 1, ())
+    return MappingProxyType({mu: c for mu, c in out.items() if c})
+
+
 def _exp_h_masks(g: LambdaSeries, beads: Optional[int] = None) -> tuple[list[dict[int, int]], int]:
     """The integer core of exp_h: [S_0, ..., S_trunc] and D, such that
     E_m = S_m / (m! D^m), each S_m a {beta-set mask: int} with `beads`
     beads, at least (and by default) `exp_h_weight_bound(g)`.
 
-    With D the common denominator of the j L_j and A_j = D j L_j, the
-    recurrence is S_m = sum_j (m-1)!/(m-j)! D^{j-1} (A_j acting on
-    S_{m-j}), and it runs in the Schur basis: multiplying by A_j adds rim
-    hooks to every shape of S_{m-j} (`_horner`, started at that
-    combination). One bead count holds every shape: a partition of
+    Each g_a is written in the h-basis (`_jacobi_trudi`), and
+    p_k[h_mu] = prod_i h_{mu_i}[p_k]. D is the common denominator of the
+    coefficients of the j L_j in that basis, 1 for every ch_B, and A_j is
+    D j L_j. The recurrence S_m = sum_j (m-1)!/(m-j)! D^{j-1} (A_j acting
+    on S_{m-j}) runs in the Schur basis, with the sources in increasing
+    m: S_m is complete once every smaller source has acted. For each
+    source and each k, one walk over its ribbon strips of every size
+    (`partitions.ribbon_strips`) feeds every target S_{m+j} whose A_j
+    holds h_r[p_k]. One bead count holds every shape: a partition of
     weight w has at most w rows, and no shape weighs more than
     `exp_h_weight_bound(g)`.
     """
@@ -679,27 +715,57 @@ def _exp_h_masks(g: LambdaSeries, beads: Optional[int] = None) -> tuple[list[dic
     if beads is None:
         beads = exp_h_weight_bound(g)
     trunc = g.trunc
-    dlog: dict[int, dict[Partition, Fraction]] = {}
-    for a, c in g.terms.items():
-        pa = c.to_p()
-        for k in range(1, trunc // a + 1):
-            dj = dlog.setdefault(k * a, {})
-            for mu, x in _stretch(pa, k).items():
-                dj[mu] = dj.get(mu, 0) + a * x
+    # dlog[j][(k, mu)]: the coefficient of p_k[h_mu] in j L_j
+    dlog: dict[int, dict[tuple, Fraction]] = {}
+    for a, f in g.terms.items():
+        for lam, c in f.coeffs.items():
+            for mu, x in _jacobi_trudi(lam).items():
+                for k in range(1, trunc // a + 1):
+                    dj = dlog.setdefault(k * a, {})
+                    dj[k, mu] = dj.get((k, mu), 0) + a * c * x
     den = lcm(*(c.denominator for dj in dlog.values() for c in dj.values()))
-    scaled = {
-        j: {mu: c.numerator * (den // c.denominator) for mu, c in dj.items() if c}
-        for j, dj in dlog.items()
-    }
-    s_terms: list[dict[int, int]] = [{beta_mask(EMPTY, beads): 1}]
-    for m in range(1, trunc + 1):
-        acc: dict[int, int] = {}
-        for j, aj in scaled.items():
-            if j <= m and s_terms[m - j]:
-                s = perm(m - 1, j - 1) * den ** (j - 1)
-                _horner({mu: a * s for mu, a in aj.items()}, s_terms[m - j], 1, acc)
-        s_terms.append({mask: c for mask, c in acc.items() if c})
+    accs: list[dict[int, int]] = [{beta_mask(EMPTY, beads): 1}] + [{} for _ in range(trunc)]
+    s_terms: list[dict[int, int]] = []
+    for source, acc in enumerate(accs):
+        s = {mask: c for mask, c in acc.items() if c}
+        s_terms.append(s)
+        if not s:
+            continue
+        # by_k[k][mu]: the (target, integer factor) pairs that p_k[h_mu] feeds
+        by_k: dict[int, dict[tuple, list]] = {}
+        for j, dj in dlog.items():
+            m = source + j
+            if m <= trunc:
+                scale = perm(m - 1, j - 1) * den ** (j - 1)
+                for (k, mu), x in dj.items():
+                    if x:
+                        factor = x.numerator * (den // x.denominator) * scale
+                        by_k.setdefault(k, {}).setdefault(mu, []).append((accs[m], factor))
+        for k, targets in by_k.items():
+            _strip_horner(s, k, targets)
     return s_terms, den
+
+
+def _strip_horner(comb: Mapping[int, int], k: int, targets: Mapping[tuple, list]) -> None:
+    """Add factor * h_mu[p_k] comb to every (target, factor) of targets[mu].
+
+    Horner's rule over the h-parts, largest first: one `ribbon_strips`
+    walk of every size up to the largest first part, then the terms that
+    share a first part r go on from its strips of size r.
+    """
+    groups: dict[int, dict[tuple, list]] = {}
+    for mu, pairs in targets.items():
+        if mu:
+            groups.setdefault(mu[0], {})[mu[1:]] = pairs
+            continue
+        for acc, factor in pairs:
+            get = acc.get
+            for mask, c in comb.items():
+                acc[mask] = get(mask, 0) + c * factor
+    if groups:
+        strips = ribbon_strips(comb, k, max(groups))
+        for r, rest in groups.items():
+            _strip_horner(strips[r], k, rest)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from graph_oracle import (
 )
 
 from torelli.cli import main
-from torelli.graphs import ForbiddenResult, MarkedGraph, corolla, parse_graph, reduce
+from torelli import graphs
+from torelli.graphs import HALF_EDGE_CAP, ForbiddenResult, MarkedGraph, corolla, parse_graph, reduce
 from torelli.labels import LabelMonomial
 from torelli.setparts import LabelledPartition
 
@@ -192,16 +193,65 @@ def test_json_round_trip():
     assert parse_graph(json.dumps(blob)) == g
 
 
+def _reduce_blob(tmp_path, blob):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    return CliRunner().invoke(main, ["graph", "reduce", str(path)])
+
+
 @pytest.mark.parametrize("label", [5, None])
 def test_a_non_string_label_is_a_configuration_error(tmp_path, label):
     blob = corolla(3, U3, (1, 2, 3)).to_json()
     blob["vertices"][0]["label"] = label
-    path = tmp_path / "graph.json"
-    path.write_text(json.dumps(blob), encoding="utf-8")
-    result = CliRunner().invoke(main, ["graph", "reduce", str(path)])
+    result = _reduce_blob(tmp_path, blob)
     assert result.exit_code == 3, result.output
     assert "configuration error: cannot reduce" in result.output
     assert f"vertex 0 has label {label!r}" in result.output
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda b: b.update(legs=[1.5, 2]), "leg must be an integer, got 1.5"),
+        (lambda b: b.update(legs="12"), "leg must be an integer, got '1'"),
+        (lambda b: b["half_edges"][0].update(vertex=0.7), "half-edge 0 vertex must be an integer, got 0.7"),
+        (lambda b: b["half_edges"][1].update(vertex=False), "half-edge 1 vertex must be an integer, got False"),
+        (lambda b: b.update(n=3.0), "n must be an integer, got 3.0"),
+        (lambda b: b.update(n=True), "n must be an integer, got True"),
+    ],
+    ids=["float-leg", "string-legs", "float-vertex", "bool-vertex", "float-n", "bool-n"],
+)
+def test_a_malformed_id_is_a_configuration_error(tmp_path, edit, message):
+    blob = corolla(3, P1, (1, 2)).to_json()
+    assert _reduce_blob(tmp_path, blob).exit_code == 0
+    edit(blob)
+    result = _reduce_blob(tmp_path, blob)
+    assert result.exit_code == 3, result.output
+    assert message in result.output
+
+
+def test_a_graph_over_the_half_edge_cap_is_refused_before_reduce(tmp_path, monkeypatch):
+    def path_graph(vertices):
+        # bivalent p1 vertices in a row between legs 1 and 2
+        ends = ["L1"] + [f"h{i}" for i in range(2 * vertices)] + ["L2"]
+        return {
+            "n": 3,
+            "legs": [1, 2],
+            "vertices": [{"label": "p1"}] * vertices,
+            "half_edges": [{"vertex": i // 2} for i in range(2 * vertices)],
+            "matching": [ends[i:i + 2] for i in range(0, len(ends), 2)],
+        }
+
+    at_cap = (HALF_EDGE_CAP - 2) // 2
+    assert _reduce_blob(tmp_path, path_graph(at_cap)).exit_code == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reduce ran on a graph over the cap")
+
+    monkeypatch.setattr(graphs, "reduce", refuse)
+    result = _reduce_blob(tmp_path, path_graph(at_cap + 1))
+    assert result.exit_code == 3, result.output
+    assert f"over the cap of {HALF_EDGE_CAP}" in result.output
 
 
 def test_presentation_audit():

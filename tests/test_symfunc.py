@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, lcm, perm
 
 import pytest
 
@@ -15,7 +16,10 @@ from torelli.partitions import (
     murnaghan_nakayama,
     partitions_of,
     partitions_upto,
+    beta_mask,
+    ribbon_strips,
     rim_hooks,
+    slide_beads,
     z_lambda,
 )
 from torelli.symfunc import (
@@ -32,7 +36,7 @@ from torelli.symfunc import (
     p_sym,
     plethysm,
 )
-from torelli.symfunc import _p_action
+from torelli.symfunc import _exp_h_masks, _horner, _jacobi_trudi, _p_action, _stretch
 
 
 def sf(text):
@@ -238,6 +242,45 @@ def _fraction_exp_h(g: LambdaSeries) -> LambdaSeries:
     return LambdaSeries({m: from_p_monomials(e) for m, e in enumerate(exp_terms)}, g.trunc)
 
 
+# Test oracle: exp_h's integer core as it ran before the h-basis, on
+# p-monomials. Each coefficient of g enters through `to_p`, and A_j adds
+# the rim hooks of its p-monomials one at a time (`_horner`), so most
+# intermediate shapes cancel again; kept only to check the ribbon-strip
+# route against. Its D is the common denominator of the p-coefficients.
+
+def _p_monomial_exp_h_masks(g: LambdaSeries, beads: int):
+    trunc = g.trunc
+    dlog = {}
+    for a, c in g.terms.items():
+        pa = c.to_p()
+        for k in range(1, trunc // a + 1):
+            dj = dlog.setdefault(k * a, {})
+            for mu, x in _stretch(pa, k).items():
+                dj[mu] = dj.get(mu, 0) + a * x
+    den = lcm(*(c.denominator for dj in dlog.values() for c in dj.values()))
+    scaled = {
+        j: {mu: c.numerator * (den // c.denominator) for mu, c in dj.items() if c}
+        for j, dj in dlog.items()
+    }
+    s_terms = [{beta_mask(EMPTY, beads): 1}]
+    for m in range(1, trunc + 1):
+        acc = {}
+        for j, aj in scaled.items():
+            if j <= m and s_terms[m - j]:
+                s = perm(m - 1, j - 1) * den ** (j - 1)
+                _horner({mu: a * s for mu, a in aj.items()}, s_terms[m - j], 1, acc)
+        s_terms.append({mask: c for mask, c in acc.items() if c})
+    return s_terms, den
+
+
+def _normalised_masks(s_terms, den):
+    """[E_0, E_1, ...] with E_m = S_m / (m! D^m) as {mask: Fraction}."""
+    return [
+        {mask: Fraction(c, factorial(m) * den**m) for mask, c in s.items() if c}
+        for m, s in enumerate(s_terms)
+    ]
+
+
 def _hand_made_series() -> LambdaSeries:
     # negative and fractional coefficients, several weights per degree
     return LambdaSeries(
@@ -367,6 +410,64 @@ def test_rim_hooks_match_the_abacus_oracle():
             assert rim_hooks(lam, k) == _abacus_rim_hooks(lam, k), (lam, k)
 
 
+def _h_r_of_p_k(k: int, r: int) -> tuple[dict, int]:
+    """h_r[p_k] = sum over mu of r of p_{k mu} / z_mu, as integer
+    p-coefficients over their common denominator."""
+    terms = {tuple(k * part for part in mu): Fraction(1, z_lambda(mu)) for mu in partitions_of(r)}
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {mu: int(c * den) for mu, c in terms.items()}, den
+
+
+def test_ribbon_strips_match_the_p_expansion_of_h_r_of_p_k():
+    for lam in partitions_upto(8):
+        for k in range(1, 5):
+            start = {beta_mask(lam, lam.size + 4 * k): 1}
+            strips = ribbon_strips(start, k, 4)
+            assert len(strips) == 5
+            for r in range(5):
+                terms, den = _h_r_of_p_k(k, r)
+                oracle = {}
+                for mask, c in _horner(terms, start, 1, {}).items():
+                    if c:
+                        assert c % den == 0, (lam, k, r)
+                        oracle[mask] = c // den
+                assert strips[r] == oracle, (lam, k, r)
+    # an integer combination of masks, one shared bead count
+    rng = random.Random(5)
+    start = {beta_mask(lam, 16): rng.randrange(-5, 6) for lam in partitions_upto(6)}
+    for k in (1, 2, 3):
+        strips = ribbon_strips(start, k, 3)
+        for r in range(4):
+            terms, den = _h_r_of_p_k(k, r)
+            oracle = _horner(terms, start, 1, {})
+            assert {m: c for m, c in strips[r].items() if c} == {
+                m: c // den for m, c in oracle.items() if c
+            }, (k, r)
+
+
+def test_ribbon_strips_of_one_ribbon_slide_one_bead():
+    rng = random.Random(17)
+    start = {beta_mask(lam, 14): rng.randrange(-4, 5) for lam in partitions_upto(7)}
+    for k in range(1, 7):
+        assert ribbon_strips(start, k, 1)[1] == slide_beads(start, k, {}), k
+
+
+def test_jacobi_trudi_multiplies_back_to_schur():
+    for lam in partitions_upto(7):
+        total = SymFunc.zero()
+        for mu, c in _jacobi_trudi(lam).items():
+            term = SymFunc.scalar(c)
+            for part in mu:
+                term = term * h_sym(part)
+            total = total + term
+        assert total == SymFunc.schur(lam), lam
+    # e_7 = sum over the 2^6 compositions alpha of 7 of -+h_alpha, which
+    # merge into one term per partition of 7
+    column = _jacobi_trudi(Partition((1,) * 7))
+    assert len(column) == len(partitions_of(7))
+    assert sum(abs(c) for c in column.values()) == 2**6
+
+
 def test_p_action_matches_the_partition_horner():
     starts = (EMPTY, Partition((2, 1)), Partition((3, 3, 1)))
     for start in starts:
@@ -405,14 +506,40 @@ def test_exp_h_matches_the_fraction_recurrence():
     assert exp_h(_steep_series()).coefficient(4).coeff((1,) * 8) != 0
 
 
-def test_exp_h_runs_on_the_schur_side(monkeypatch):
-    # The recurrence acts on Schur shapes; no p-basis product is formed.
-    def refuse(*args):
-        raise AssertionError("exp_h multiplied in the p basis")
+def _multi_row_series() -> LambdaSeries:
+    # Jacobi-Trudi gives h-monomials of several parts, so p_k[g_a] is a
+    # product of ribbon strips of different sizes, and D is 7, not 1.
+    return LambdaSeries({1: sf("s[2,2,1] - s[3,1]"), 2: sf("s[1^3] + 1/7")}, 4)
 
-    inputs = (ch_B(1, 6), _steep_series())
+
+def test_exp_h_masks_match_the_p_monomial_oracle():
+    # The two routes scale S_m by different D, so E_m = S_m / (m! D^m) is
+    # compared; a larger bead count than the bound must change nothing.
+    cases = [ch_B(n, d) for n in (1, 3, 5) for d in range(1, 9)]
+    cases += [_hand_made_series(), _steep_series(), _multi_row_series()]
+    for g in cases:
+        beads = symfunc.exp_h_weight_bound(g)
+        for extra in (0, 3):
+            fast = _exp_h_masks(g, beads + extra)
+            slow = _p_monomial_exp_h_masks(g, beads + extra)
+            assert _normalised_masks(*fast) == _normalised_masks(*slow), (g, extra)
+    for n in (1, 3, 5):
+        assert _exp_h_masks(ch_B(n, 8))[1] == 1
+    assert _exp_h_masks(_multi_row_series())[1] == 7
+
+
+def test_exp_h_runs_on_the_schur_side(monkeypatch):
+    # The recurrence acts on Schur shapes in the h-basis: no p-basis
+    # product, no p-expansion, no character value and no rim-hook pass.
+    def refuse(*args):
+        raise AssertionError("exp_h left the h-basis route")
+
+    inputs = (ch_B(1, 6), _steep_series(), _multi_row_series())
     expected = [_fraction_exp_h(g) for g in inputs]
-    monkeypatch.setattr(symfunc, "_p_mul_into", refuse)
+    for module, name in ((symfunc, "_p_mul_into"), (symfunc, "_horner"),
+                         (symfunc, "murnaghan_nakayama"), (partitions, "murnaghan_nakayama"),
+                         (SymFunc, "to_p")):
+        monkeypatch.setattr(module, name, refuse)
     assert [exp_h(g) for g in inputs] == expected
 
 
