@@ -2,13 +2,15 @@
 
 Each command runs in a fresh interpreter, so this module imports only
 what `cohomology`, `series` and `oracle` need; `json`, `graphs` and
-`invariants` are imported by the commands that use them.
+`invariants` are imported by the commands that use them.  The parser is
+the standard library's `argparse`.  A usage error or an internal
+inconsistency exits 2, a refused configuration 3.
 """
 
+import argparse
+import os
 import sys
 from fractions import Fraction
-
-import click
 
 from .branching import ClassSeries, render_class, render_class_series
 from .labels import L_CLASS_INDEX_CAP, l_class, l_class_image, render_label_combination
@@ -28,12 +30,12 @@ FORMATS = ("text", "json", "latex")
 
 
 def _fail_config(message: str):
-    click.echo(f"configuration error: {message}", err=True)
+    print(f"configuration error: {message}", file=sys.stderr)
     sys.exit(3)
 
 
 def _fail_internal(message: str):
-    click.echo(f"internal inconsistency: {message}", err=True)
+    print(f"internal inconsistency: {message}", file=sys.stderr)
     sys.exit(2)
 
 
@@ -58,17 +60,6 @@ def _latex_class(cls) -> str:
     return " + ".join(bits)
 
 
-@click.group()
-def main():
-    """Stable cohomology of Torelli groups of even-dimensional handlebody doubles."""
-
-
-@main.command()
-@click.option("--dim", "two_n", type=int, required=True, help="Manifold dimension 2n.")
-@click.option("--max-degree", type=int, required=True, help="Highest cohomological degree.")
-@click.option("--variant", default="disc", help="disc, point or closed.")
-@click.option("--genus", type=int, default=None, help="Finite genus for the trust window.")
-@click.option("--format", "fmt", default="text", help="text, json or latex.")
 def cohomology(two_n, max_degree, variant, genus, fmt):
     """Decompose each degree into irreducible classes."""
     try:
@@ -93,7 +84,7 @@ def cohomology(two_n, max_degree, variant, genus, fmt):
             "trusted_up_to": table.trusted_up_to,
             "footnotes": list(table.footnotes),
         }
-        click.echo(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
         return
     for d, cls in enumerate(table.entries):
         if fmt == "latex":
@@ -102,18 +93,13 @@ def cohomology(two_n, max_degree, variant, genus, fmt):
             line = f"H^{d} = {render_class(cls)}"
         if table.trusted_up_to is not None and d > table.trusted_up_to:
             line += "  % beyond trusted range" if fmt == "latex" else "  [beyond trusted range]"
-        click.echo(line)
+        print(line)
     if table.trusted_up_to is not None and fmt == "text":
-        click.echo(f"trusted through degree {table.trusted_up_to}")
+        print(f"trusted through degree {table.trusted_up_to}")
     for note in table.footnotes:
-        click.echo(f"note: {note}")
+        print(f"note: {note}")
 
 
-@main.command()
-@click.option("--dim", "two_n", type=int, required=True)
-@click.option("--max-degree", type=int, required=True)
-@click.option("--stage", required=True, help="|".join(STAGES))
-@click.option("--variant", default="disc", help="Variant applied at the final stage.")
 def series(two_n, max_degree, stage, variant):
     """Print one intermediate series of the computation."""
     if stage not in STAGES:
@@ -127,17 +113,13 @@ def series(two_n, max_degree, stage, variant):
         _fail_internal(str(exc))
     snap = table.snapshots[stage]
     if isinstance(snap, LambdaSeries):
-        click.echo(render_series(snap))
+        print(render_series(snap))
     elif isinstance(snap, ClassSeries):
-        click.echo(render_class_series(snap))
+        print(render_class_series(snap))
     else:
-        click.echo(str(snap))
+        print(str(snap))
 
 
-@main.command()
-@click.option("--dim", "two_n", type=int, required=True)
-@click.option("--qmax", type=int, required=True)
-@click.option("--dmax", type=int, required=True)
 def oracle(two_n, qmax, dmax):
     """Cross-check the series against direct enumeration, cell by cell."""
     try:
@@ -146,20 +128,17 @@ def oracle(two_n, qmax, dmax):
         _fail_config(str(exc))
     for cell in report.cells:
         status = "pass" if cell.ok else "FAIL"
-        click.echo(f"q={cell.q} d={cell.d} {status}")
+        print(f"q={cell.q} d={cell.d} {status}")
         if not cell.ok:
-            click.echo(f"  enumerated: {cell.lhs}")
-            click.echo(f"  series:     {cell.rhs}")
+            print(f"  enumerated: {cell.lhs}")
+            print(f"  series:     {cell.rhs}")
     bad = len(report.failures())
     if bad:
-        click.echo(f"{bad} of {len(report.cells)} cells FAIL")
+        print(f"{bad} of {len(report.cells)} cells FAIL")
     else:
-        click.echo(f"all {len(report.cells)} cells pass")
+        print(f"all {len(report.cells)} cells pass")
 
 
-@main.command()
-@click.option("--max", "max_index", type=int, required=True, help="Highest index.")
-@click.option("--dim", "two_n", type=int, default=None, help="Also print the label-ring image.")
 def lclass(max_index, two_n):
     """Print the Hirzebruch polynomials, optionally with their images."""
     if max_index < 1:
@@ -172,25 +151,17 @@ def lclass(max_index, two_n):
             _fail_config(f"dimension must be a positive even integer, got {two_n}")
         n = two_n // 2
     for i in range(1, max_index + 1):
-        click.echo(f"L_{i} = {l_class(i)}")
+        print(f"L_{i} = {l_class(i)}")
         if n is not None:
             if 4 * i - 2 * n > 0:
                 image = l_class_image(i, n)
-                click.echo(
+                print(
                     f"  kappa image in dimension {two_n}: {render_label_combination(image)}"
                 )
             else:
-                click.echo(f"  kappa image in dimension {two_n}: degree {4 * i - 2 * n}, none")
+                print(f"  kappa image in dimension {two_n}: degree {4 * i - 2 * n}, none")
 
 
-@main.group()
-def graph():
-    """Operations on marked graphs."""
-
-
-@graph.command("reduce")
-@click.argument("file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--variant", default="P0", help="P0, P or Pprime.")
 def graph_reduce(file, variant):
     """Contract a graph file down to labelled partitions."""
     import json
@@ -214,18 +185,9 @@ def graph_reduce(file, variant):
                 ],
             }
         )
-    click.echo(json.dumps({"n": vec.n, "legs": list(vec.ground), "terms": terms}, indent=2))
+    print(json.dumps({"n": vec.n, "legs": list(vec.ground), "terms": terms}, indent=2))
 
 
-@main.group()
-def invariants():
-    """Invariant-theory oracles."""
-
-
-@invariants.command("rank")
-@click.option("--g", "genus", type=int, required=True)
-@click.option("--set-size", type=int, required=True)
-@click.option("--epsilon", type=int, required=True)
 def invariants_rank(genus, set_size, epsilon):
     """Rank of the span of matching tensors inside the full tensor power."""
     from .invariants import matching_span_rank
@@ -240,22 +202,88 @@ def invariants_rank(genus, set_size, epsilon):
         rank, count = matching_span_rank(set_size, genus, epsilon)
     except ValueError as exc:
         _fail_config(str(exc))
-    click.echo(
+    print(
         f"set size {set_size}, genus {genus}, epsilon {epsilon:+d}: "
         f"rank {rank} of {count} matchings"
     )
 
 
-@main.command("range")
-@click.option("--dim", "two_n", type=int, required=True)
-@click.option("--genus", type=int, required=True)
 def range_cmd(two_n, genus):
     """Largest degree trusted at the given genus."""
     try:
-        click.echo(stable_range(two_n, genus))
+        print(stable_range(two_n, genus))
     except (ConfigError, Unsupported) as exc:
         _fail_config(str(exc))
 
 
+def _existing_file(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"path {path!r} is a directory")
+    return path
+
+
+def _command(commands, name: str, run):
+    """A subcommand whose options reach run as keywords."""
+    sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__, allow_abbrev=False)
+    sub.set_defaults(run=run)
+    return sub
+
+
+def _group(commands, name: str, doc: str):
+    sub = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+    return sub.add_subparsers(metavar="COMMAND", required=True)
+
+
+def main(argv=None) -> int:
+    """Stable cohomology of Torelli groups of even-dimensional handlebody doubles."""
+    parser = argparse.ArgumentParser(prog="torelli", description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    sub = _command(commands, "cohomology", cohomology)
+    sub.add_argument("--dim", dest="two_n", type=int, required=True, help="Manifold dimension 2n.")
+    sub.add_argument("--max-degree", type=int, required=True, help="Highest cohomological degree.")
+    sub.add_argument("--variant", default="disc", help="disc, point or closed.")
+    sub.add_argument("--genus", type=int, default=None, help="Finite genus for the trust window.")
+    sub.add_argument("--format", dest="fmt", default="text", help="text, json or latex.")
+
+    sub = _command(commands, "series", series)
+    sub.add_argument("--dim", dest="two_n", type=int, required=True)
+    sub.add_argument("--max-degree", type=int, required=True)
+    sub.add_argument("--stage", required=True, help="|".join(STAGES))
+    sub.add_argument("--variant", default="disc", help="Variant applied at the final stage.")
+
+    sub = _command(commands, "oracle", oracle)
+    sub.add_argument("--dim", dest="two_n", type=int, required=True)
+    sub.add_argument("--qmax", type=int, required=True)
+    sub.add_argument("--dmax", type=int, required=True)
+
+    sub = _command(commands, "lclass", lclass)
+    sub.add_argument("--max", dest="max_index", type=int, required=True, help="Highest index.")
+    sub.add_argument(
+        "--dim", dest="two_n", type=int, default=None, help="Also print the label-ring image."
+    )
+
+    graph = _group(commands, "graph", "Operations on marked graphs.")
+    sub = _command(graph, "reduce", graph_reduce)
+    sub.add_argument("file", type=_existing_file)
+    sub.add_argument("--variant", default="P0", help="P0, P or Pprime.")
+
+    invariants = _group(commands, "invariants", "Invariant-theory oracles.")
+    sub = _command(invariants, "rank", invariants_rank)
+    sub.add_argument("--g", dest="genus", type=int, required=True)
+    sub.add_argument("--set-size", type=int, required=True)
+    sub.add_argument("--epsilon", type=int, required=True)
+
+    sub = _command(commands, "range", range_cmd)
+    sub.add_argument("--dim", dest="two_n", type=int, required=True)
+    sub.add_argument("--genus", type=int, required=True)
+
+    options = vars(parser.parse_args(argv))
+    options.pop("run")(**options)
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

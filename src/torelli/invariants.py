@@ -23,7 +23,7 @@ reduced row echelon basis, one sparse vector per free column.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, product, repeat
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
@@ -48,10 +48,11 @@ class EpsForm:
     The symplectic representative pairs a_i with a_{g+i} with value +1
     one way and -1 the other; the orthogonal one is hyperbolic.  The
     dual basis satisfies lam(a_i_sharp, a_j) = delta_ij, and omega is
-    the copairing with entries dual[x][y].
+    the copairing with entries dual[x][y].  The gram matrix is a signed
+    permutation, so `copairing` lists the 2g nonzeros (x, y, dual[x][y])
+    alone; the dense 2g x 2g tables `gram` and `dual` are built on first
+    use.
     """
-
-    __slots__ = ("g", "epsilon", "dim", "gram", "dual")
 
     def __init__(self, g: int, epsilon: int) -> None:
         if g < 1:
@@ -61,14 +62,22 @@ class EpsForm:
         self.g = int(g)
         self.epsilon = int(epsilon)
         self.dim = 2 * g
+        # gram * gram^T = I, so dual is the transpose of gram, which holds
+        # 1 at (i, g + i) and epsilon at (g + i, i)
+        self.copairing = tuple((i, g + i, self.epsilon) for i in range(g)) + tuple(
+            (g + i, i, 1) for i in range(g)
+        )
+
+    @cached_property
+    def gram(self) -> tuple:
         gram = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for i in range(g):
-            gram[i][g + i] = Fraction(1)
-            gram[g + i][i] = Fraction(epsilon)
-        self.gram = tuple(tuple(row) for row in gram)
-        # the gram matrix is a signed permutation with gram * gram^T = I,
-        # so its inverse is its transpose
-        self.dual = tuple(zip(*self.gram))
+        for x, y, v in self.copairing:
+            gram[y][x] = Fraction(v)
+        return tuple(tuple(row) for row in gram)
+
+    @cached_property
+    def dual(self) -> tuple:
+        return tuple(zip(*self.gram))
 
     def lam(self, x: int, y: int) -> Fraction:
         return self.gram[x][y]
@@ -175,7 +184,7 @@ def omega_m(matching: Iterable[tuple[int, int]], form: EpsForm) -> DenseTensor:
 
 def _omega_nonzeros(
     matching: Iterable[tuple[int, int]], form: EpsForm
-) -> dict[int, Fraction]:
+) -> dict[int, int]:
     """The nonzero entries of omega_m(matching, form), as {flat index:
     value}, built without the dense tensor: each pair (a, b) contributes
     dual[x][y] at the one y where it is nonzero, for every x."""
@@ -184,16 +193,13 @@ def _omega_nonzeros(
     stride = {
         p: form.dim ** (len(positions) - 1 - k) for k, p in enumerate(positions)
     }
-    copairing = [
-        (x, y, v) for x, row in enumerate(form.dual) for y, v in enumerate(row) if v
-    ]
-    entries = {0: Fraction(1)}
+    entries = {0: 1}
     for a, b in pairs:
         sa, sb = stride[a], stride[b]
         entries = {
             idx + x * sa + y * sb: value * v
             for idx, value in entries.items()
-            for x, y, v in copairing
+            for x, y, v in form.copairing
         }
     return entries
 
@@ -311,8 +317,8 @@ def matching_span_rank(S, g: int, epsilon: int) -> tuple[int, int]:
         elems = sorted(int(x) for x in S)
     if len(elems) % 2:
         raise ValueError("the set size must be even")
+    _check_nonzero_budget(len(elems), 2 * g)
     form = EpsForm(g, epsilon)
-    _check_nonzero_budget(len(elems), form.dim)
     matchings = perfect_matchings(elems)
     rank = len(_pivot_rows(_omega_nonzeros(m, form) for m in matchings))
     return rank, len(matchings)

@@ -454,9 +454,12 @@ class OracleReport:
         return [cell for cell in self.cells if not cell.ok]
 
 
-# The oracle walks all Bell(q) set partitions of {1..q} for each weight q.
-# At dim 6 with d_max = q_max, q_max = 10 (Bell 115,975) takes about 2 s,
-# 11 (Bell 678,570) about 9 s and 12 (Bell 4,213,597) about 50 s.
+# The oracle walks only the set partitions of {1..q} whose block floors
+# fit d_max, but the labelled basis and its fixed points still grow about
+# fourfold per weight.  Cold CLI runs at dim 6 (shared 2-vCPU host):
+# q_max 11 with d_max 3 takes 0.1 s, q_max = d_max = 10 (Bell 115,975)
+# 1.2 s and 11 (Bell 678,570) 4.7-5.2 s; this cap refuses 12
+# (Bell 4,213,597).
 ORACLE_SET_PARTITION_CAP = 10**6
 
 # At dim 2 the basis, not the walk, sets time and memory: its largest

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .branching import ClassSeries
 from .characters import ClassFunction
@@ -465,17 +465,6 @@ def day_product(x, y) -> SignedPartitionVector:
     return SignedPartitionVector(n, sorted(ground), out)
 
 
-def _set_partitions(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if not elems:
-        yield ()
-        return
-    head, rest = elems[0], elems[1:]
-    for blocks in _set_partitions(rest):
-        yield ((head,),) + blocks
-        for i, b in enumerate(blocks):
-            yield blocks[:i] + (((head,) + b),) + blocks[i + 1 :]
-
-
 @lru_cache(maxsize=None)
 def _block_floor(n: int, size: int, variant: str) -> int:
     """Least possible degree of a part of the given size."""
@@ -490,13 +479,52 @@ def _block_floor(n: int, size: int, variant: str) -> int:
     return n * (size - 2)
 
 
+def _blocks_within(
+    elems: tuple[int, ...], n: int, variant: str, degree_cap: int
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The set partitions of elems whose block floors sum to at most
+    degree_cap, in the order of the full walk over all of them.
+
+    Blocks grow one element at a time, the last element first: each
+    element opens a new first block or joins a block, in that order.  A
+    branch is dropped once its blocks cannot stay within the cap.  The
+    floors are not monotone in the size (at n = 3 they are 1, 4, 3, 6, 9
+    for sizes 1 to 5), so a block that may still grow is bounded by the
+    least floor of any size at or above its own.  No floor is negative,
+    so neither a new block nor a grown one lowers the bound.
+    """
+    floor = [0] + [_block_floor(n, size, variant) for size in range(1, len(elems) + 1)]
+    reach = floor[:]
+    for size in range(len(elems) - 1, 0, -1):
+        reach[size] = min(reach[size], reach[size + 1])
+    out: list[tuple[tuple[int, ...], ...]] = []
+
+    def grow(i: int, blocks: tuple, bound: int) -> None:
+        if i < 0:
+            if sum(floor[len(b)] for b in blocks) <= degree_cap:
+                out.append(blocks)
+            return
+        head = elems[i]
+        if bound + reach[1] <= degree_cap:
+            grow(i - 1, ((head,),) + blocks, bound + reach[1])
+        for j, b in enumerate(blocks):
+            grown = bound + reach[len(b) + 1] - reach[len(b)]
+            if grown <= degree_cap:
+                grow(i - 1, blocks[:j] + ((head,) + b,) + blocks[j + 1 :], grown)
+
+    grow(len(elems) - 1, (), 0)
+    return out
+
+
 def enumerate_basis(
     ground, n: int, variant: str = "Pprime", degree_cap: int = 0
 ) -> list[LabelledPartition]:
     """All basis partitions of total degree at most degree_cap.
 
     The ground set may be given as an integer q, meaning {1, ..., q}.
-    Only the nonnegative-degree variants have finite bases.
+    Only the nonnegative-degree variants have finite bases.  Labels are
+    assigned to the blocks of each set partition that `_blocks_within`
+    keeps, so no partition whose block floors exceed the cap is walked.
     """
     if variant == "P":
         raise ValueError("the unquotiented variant has no finite basis")
@@ -508,10 +536,8 @@ def enumerate_basis(
         elems = tuple(sorted(int(x) for x in ground))
 
     out: list[LabelledPartition] = []
-    for blocks in _set_partitions(elems):
+    for blocks in _blocks_within(elems, n, variant, degree_cap):
         floors = [_block_floor(n, len(b), variant) for b in blocks]
-        if sum(floors) > degree_cap:
-            continue
 
         def assign(i: int, budget: int, acc: list) -> None:
             if i == len(blocks):

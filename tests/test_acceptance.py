@@ -31,7 +31,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-from click.testing import CliRunner
+from cli_run import invoke
 from graph_oracle import (
     igraph,
     presentation_audit,
@@ -49,7 +49,6 @@ from torelli.branching import (
     restrict_schur,
 )
 from torelli.characters import decompose
-from torelli.cli import main
 from torelli.graphs import reduce as reduce_graph
 from torelli.invariants import matching_span_rank
 from torelli.labels import LabelMonomial, l_class
@@ -96,11 +95,7 @@ def _verdict(name, ok):
 
 def test_criterion_1_dimension_six_golden_table():
     start = time.monotonic()
-    result = CliRunner().invoke(
-        main,
-        ["cohomology", "--dim", "6", "--max-degree", "4", "--format", "json"],
-        catch_exceptions=False,
-    )
+    result = invoke(["cohomology", "--dim", "6", "--max-degree", "4", "--format", "json"])
     took = time.monotonic() - start
     payload = json.loads(result.output)
     got = {
@@ -153,11 +148,7 @@ def test_criterion_2_dimension_six_stage_dumps():
 
 def test_criterion_3_dimension_two_tables():
     start = time.monotonic()
-    result = CliRunner().invoke(
-        main,
-        ["cohomology", "--dim", "2", "--max-degree", "3", "--format", "json"],
-        catch_exceptions=False,
-    )
+    result = invoke(["cohomology", "--dim", "2", "--max-degree", "3", "--format", "json"])
     took = time.monotonic() - start
     payload = json.loads(result.output)
     got = {

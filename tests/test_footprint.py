@@ -1,7 +1,7 @@
-"""The runtime footprint is pure Python plus `click`: every import in the
-package, at module level or inside a function, names the standard
-library, `click`, or `torelli` itself; and `import torelli.cli` loads
-only what its table-building commands run."""
+"""The runtime footprint is the standard library alone: every import in
+the package, at module level or inside a function, names the standard
+library or `torelli` itself; and `import torelli.cli` loads only what
+its table-building commands run."""
 
 import ast
 import os
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import torelli
 
-ALLOWED = set(sys.stdlib_module_names) | {"click", "torelli"}
+ALLOWED = set(sys.stdlib_module_names) | {"torelli"}
 
 
 def _imported_roots(tree):
@@ -25,7 +25,7 @@ def _imported_roots(tree):
             yield node.lineno, root
 
 
-def test_package_imports_only_stdlib_and_click():
+def test_package_imports_only_the_standard_library():
     modules = sorted(Path(torelli.__file__).parent.glob("*.py"))
     assert len(modules) > 5
     foreign = []
@@ -40,11 +40,12 @@ def test_package_imports_only_stdlib_and_click():
 def test_cli_import_loads_only_what_its_main_commands_run():
     # Every command starts a fresh interpreter, so the import is paid per
     # run: `json`, `dataclasses`, `graphs` and `invariants` wait until a
-    # command needs them, and the package still exports every name.
+    # command needs them, no third-party parser is loaded, and the package
+    # still exports every name.
     src = str(Path(torelli.__file__).parent.parent)
     script = (
         "import sys, torelli.cli\n"
-        "print(sorted(m for m in ('dataclasses', 'json', 'torelli.graphs', "
+        "print(sorted(m for m in ('click', 'dataclasses', 'json', 'torelli.graphs', "
         "'torelli.invariants') if m in sys.modules))\n"
         "import torelli\n"
         "missing = [name for name in torelli.__all__ if getattr(torelli, name, None) is None]\n"

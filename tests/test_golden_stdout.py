@@ -13,9 +13,8 @@ import hashlib
 import json
 
 import pytest
-from click.testing import CliRunner
+from cli_run import invoke
 
-from torelli.cli import main
 
 STAGE_DUMPS = {
     "chB": "766368ffff7e607028cd457f7db2ec5bfae2a7b414e2a5383fe2a4380bdc63b8",
@@ -63,7 +62,7 @@ GOLDEN = [
 
 @pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
 def test_stdout_is_unchanged(command, digest):
-    result = CliRunner().invoke(main, command.split())
+    result = invoke(command.split())
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
@@ -115,7 +114,7 @@ GRAPH_RUNS = [
 def _reduce_file(tmp_path, name, variant):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(GRAPH_FILES[name][0]), encoding="utf-8")
-    return CliRunner().invoke(main, ["graph", "reduce", str(path), "--variant", variant])
+    return invoke(["graph", "reduce", str(path), "--variant", variant])
 
 
 @pytest.mark.parametrize("name, variant", GRAPH_RUNS, ids=[f"{n}-{v}" for n, v in GRAPH_RUNS])

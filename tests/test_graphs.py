@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from click.testing import CliRunner
+from cli_run import invoke
 from graph_oracle import (
     NonTrivalentInput,
     compare_sign,
@@ -15,7 +15,6 @@ from graph_oracle import (
     theta_with_tail,
 )
 
-from torelli.cli import main
 from torelli import graphs
 from torelli.graphs import HALF_EDGE_CAP, ForbiddenResult, MarkedGraph, corolla, parse_graph, reduce
 from torelli.labels import LabelMonomial
@@ -196,7 +195,7 @@ def test_json_round_trip():
 def _reduce_blob(tmp_path, blob):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(blob), encoding="utf-8")
-    return CliRunner().invoke(main, ["graph", "reduce", str(path)])
+    return invoke(["graph", "reduce", str(path)])
 
 
 @pytest.mark.parametrize("label", [5, None])

@@ -1,12 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_run import invoke
 
+import torelli
 from torelli import invariants
 from torelli.branching import dim_irrep
-from torelli.cli import main
 from torelli.invariants import (
     DenseTensor,
     EpsForm,
@@ -137,12 +141,39 @@ def test_matching_span_rank_fails_fast(monkeypatch):
     for size, g in ((20, 1), (10, 3)):
         with pytest.raises(ValueError, match="oracle cap"):
             matching_span_rank(size, g, -1)
-        result = CliRunner().invoke(
-            main, ["invariants", "rank", "--g", str(g), "--set-size", str(size),
-                   "--epsilon", "-1"]
+        result = invoke(
+            ["invariants", "rank", "--g", str(g), "--set-size", str(size), "--epsilon", "-1"]
         )
         assert result.exit_code == 3
         assert "oracle cap" in result.output
+
+
+def test_a_huge_genus_is_answered_in_little_memory():
+    # The budget is checked before the form is built, and the rank reads
+    # the form's 2g nonzeros, never a 2g x 2g table.  The child runs under
+    # a 1 GiB address-space limit, so a dense table at g = 10^5 (4 * 10^10
+    # entries) fails there with MemoryError instead of filling the host.
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from torelli.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(torelli.__file__).parent.parent))
+
+    def rank(size):
+        args = ["invariants", "rank", "--g", "100000", "--set-size", str(size), "--epsilon", "1"]
+        return subprocess.run(
+            [sys.executable, "-c", script, *args],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    over = rank(4)
+    assert over.returncode == 3, over.stderr
+    assert "exceed the oracle cap of 1000000 nonzero entries" in over.stderr
+    empty = rank(0)
+    assert empty.returncode == 0, empty.stderr
+    assert empty.stdout == "set size 0, genus 100000, epsilon +1: rank 1 of 1 matchings\n"
 
 
 def _dense_rank(rows):
@@ -204,9 +235,7 @@ def test_matching_span_rank_is_the_invariant_dimension():
     assert ranks[6, 2, -1] == (14, 15)
     assert ranks[8, 2, 1] == (105, 105)
     # past the old dense-entry cap (7!! * 6^8 entries), inside the nonzero one
-    result = CliRunner().invoke(
-        main, ["invariants", "rank", "--g", "3", "--set-size", "8", "--epsilon", "-1"]
-    )
+    result = invoke(["invariants", "rank", "--g", "3", "--set-size", "8", "--epsilon", "-1"])
     assert result.exit_code == 0
     assert "rank 104 of 105 matchings" in result.output
     assert _invariant_dimension(8, 3, -1) == 104
@@ -220,9 +249,7 @@ def test_matching_span_rank_stays_off_dense_tensors(monkeypatch):
     monkeypatch.setattr(invariants, "DenseTensor", refuse)
     for eps in (1, -1):
         assert matching_span_rank(6, 3, eps) == (15, 15)
-    result = CliRunner().invoke(
-        main, ["invariants", "rank", "--g", "2", "--set-size", "8", "--epsilon", "-1"]
-    )
+    result = invoke(["invariants", "rank", "--g", "2", "--set-size", "8", "--epsilon", "-1"])
     assert result.exit_code == 0
     assert "rank 84 of 105 matchings" in result.output
 

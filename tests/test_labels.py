@@ -3,10 +3,9 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from click.testing import CliRunner
+from cli_run import invoke
 
 from torelli import cli
-from torelli.cli import main
 from torelli.labels import (
     L_CLASS_INDEX_CAP,
     IndexOutOfRange,
@@ -247,6 +246,6 @@ def test_lclass_refuses_a_large_index_before_any_work(monkeypatch):
     monkeypatch.setattr(cli, "l_class", refuse)
     monkeypatch.setattr(cli, "l_class_image", refuse)
     for args in (["--max", str(L_CLASS_INDEX_CAP + 1)], ["--max", "30", "--dim", "6"]):
-        result = CliRunner().invoke(main, ["lclass", *args])
+        result = invoke(["lclass", *args])
         assert result.exit_code == 3
         assert f"exceeds the L-class cap of {L_CLASS_INDEX_CAP}" in result.output

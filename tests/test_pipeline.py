@@ -3,11 +3,10 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
+from cli_run import invoke
 
 from torelli import branching, pipeline, setparts, symfunc
 from torelli.branching import ClassSeries, D_series, OrthSympClass, nl_product
-from torelli.cli import main
 from torelli.labels import ch_B
 from torelli.partitions import Partition, parse_partition, rim_hooks, symmetric_group_irrep_dim
 from torelli.pipeline import (
@@ -393,9 +392,7 @@ def test_a_final_division_with_a_remainder_is_refused(monkeypatch):
     )
     with pytest.raises(NegativeMultiplicity, match="not an integer"):
         compute_cohomology(PipelineConfig(two_n=2, max_degree=3, variant="point"))
-    result = CliRunner().invoke(
-        main, ["cohomology", "--dim", "2", "--max-degree", "3", "--variant", "closed"]
-    )
+    result = invoke(["cohomology", "--dim", "2", "--max-degree", "3", "--variant", "closed"])
     assert result.exit_code == 2
     assert "not an integer" in result.output
 
@@ -415,10 +412,10 @@ def test_huge_requests_are_refused_from_a_small_ch_B(monkeypatch):
         ["series", "--dim", "2", "--max-degree", "1000", "--stage", "final"],
         ["cohomology", "--dim", "6", "--max-degree", "10000", "--variant", "closed"],
     ):
-        result = CliRunner().invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 3, (args, result.output)
         assert "max degree" in result.output and "allows at least" in result.output
-    result = CliRunner().invoke(main, ["oracle", "--dim", "6", "--qmax", "3", "--dmax", "10000"])
+    result = invoke(["oracle", "--dim", "6", "--qmax", "3", "--dmax", "10000"])
     assert result.exit_code == 3, result.output
     assert "has at least" in result.output and "over the oracle cap of 300000" in result.output
 
@@ -445,7 +442,7 @@ def test_cohomology_refuses_a_large_exp_h_before_it_runs(monkeypatch):
         ["cohomology", "--dim", "2", "--max-degree", "14", "--variant", "closed"],
         ["series", "--dim", "2", "--max-degree", "14", "--stage", "chB"],
     ):
-        result = CliRunner().invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 3, args
         assert "Schur shapes of weight up to 42" in result.output
         assert "over the cap of 200000" in result.output
@@ -548,9 +545,7 @@ def test_oracle_fails_fast(monkeypatch):
     for q_max in (12, 10**9):
         with pytest.raises(ConfigError, match="oracle cap"):
             oracle_check(6, 2, q_max)
-    result = CliRunner().invoke(
-        main, ["oracle", "--dim", "6", "--qmax", "12", "--dmax", "2"]
-    )
+    result = invoke(["oracle", "--dim", "6", "--qmax", "12", "--dmax", "2"])
     assert result.exit_code == 3
     assert "4213597 set partitions" in result.output
 
@@ -584,9 +579,7 @@ def test_oracle_refuses_a_large_basis_before_exp_h(monkeypatch):
 
     monkeypatch.setattr(pipeline, "_exp_h_masks", refuse)
     monkeypatch.setattr(setparts, "enumerate_basis", refuse)
-    result = CliRunner().invoke(
-        main, ["oracle", "--dim", "2", "--qmax", "10", "--dmax", "10"]
-    )
+    result = invoke(["oracle", "--dim", "2", "--qmax", "10", "--dmax", "10"])
     assert result.exit_code == 3
     assert "weight 10 has 1829426 basis elements, over the oracle cap of 300000" in result.output
 
@@ -603,9 +596,7 @@ def test_oracle_refuses_a_basis_over_the_cap(monkeypatch):
 
     monkeypatch.setattr(setparts, "enumerate_basis", refuse)
     monkeypatch.setattr(pipeline, "ORACLE_BASIS_CAP", size - 1)
-    result = CliRunner().invoke(
-        main, ["oracle", "--dim", "2", "--qmax", "6", "--dmax", "5"]
-    )
+    result = invoke(["oracle", "--dim", "2", "--qmax", "6", "--dmax", "5"])
     assert result.exit_code == 3
     assert f"weight {q} has {size} basis elements" in result.output
     # at the cap the budget admits the run, and enumeration starts
@@ -614,12 +605,8 @@ def test_oracle_refuses_a_basis_over_the_cap(monkeypatch):
         oracle_check(2, 5, 6)
 
 
-def _run(args):
-    return CliRunner().invoke(main, args, catch_exceptions=False)
-
-
 def test_cli_cohomology_json():
-    result = _run(
+    result = invoke(
         ["cohomology", "--dim", "6", "--max-degree", "3", "--genus", "11",
          "--format", "json"]
     )
@@ -635,11 +622,11 @@ def test_cli_cohomology_json():
 
 def test_cli_deterministic_output():
     args = ["cohomology", "--dim", "6", "--max-degree", "3", "--format", "json"]
-    assert _run(args).output == _run(args).output
+    assert invoke(args).output == invoke(args).output
 
 
 def test_cli_text_output():
-    result = _run(["cohomology", "--dim", "6", "--max-degree", "2", "--genus", "11"])
+    result = invoke(["cohomology", "--dim", "6", "--max-degree", "2", "--genus", "11"])
     assert result.exit_code == 0
     assert "H^0" in result.output
     assert "V[1^2]" in result.output
@@ -647,47 +634,42 @@ def test_cli_text_output():
 
 
 def test_cli_rejects_bad_dimension():
-    runner = CliRunner()
-    result = runner.invoke(main, ["cohomology", "--dim", "5", "--max-degree", "2"])
+    result = invoke(["cohomology", "--dim", "5", "--max-degree", "2"])
     assert result.exit_code == 3
-    result = runner.invoke(
-        main, ["series", "--dim", "6", "--max-degree", "2", "--stage", "bogus"]
-    )
+    result = invoke(["series", "--dim", "6", "--max-degree", "2", "--stage", "bogus"])
     assert result.exit_code == 3
 
 
 def test_cli_rejects_unknown_format():
-    result = CliRunner().invoke(
-        main, ["cohomology", "--dim", "6", "--max-degree", "2", "--format", "bogus"]
-    )
+    result = invoke(["cohomology", "--dim", "6", "--max-degree", "2", "--format", "bogus"])
     assert result.exit_code == 3
     assert "output must be one of ('text', 'json', 'latex'), got 'bogus'" in result.output
 
 
 def test_cli_series_stage():
-    result = _run(["series", "--dim", "6", "--max-degree", "3", "--stage", "chB"])
+    result = invoke(["series", "--dim", "6", "--max-degree", "3", "--stage", "chB"])
     assert result.exit_code == 0
     assert result.output == "s[1]*t + 2*t^2 + (s[1] + s[3])*t^3\n"
 
 
 def test_cli_oracle():
-    result = _run(["oracle", "--dim", "6", "--qmax", "2", "--dmax", "2"])
+    result = invoke(["oracle", "--dim", "6", "--qmax", "2", "--dmax", "2"])
     assert result.exit_code == 0
     assert "q=1 d=1 pass" in result.output
     assert "all" in result.output and "pass" in result.output
 
 
 def test_cli_lclass():
-    result = _run(["lclass", "--max", "2", "--dim", "6"])
+    result = invoke(["lclass", "--max", "2", "--dim", "6"])
     assert result.exit_code == 0
     assert "7/45" in result.output
 
 
 def test_cli_range():
-    result = _run(["range", "--dim", "6", "--genus", "11"])
+    result = invoke(["range", "--dim", "6", "--genus", "11"])
     assert result.exit_code == 0
     assert "4" in result.output
-    bad = CliRunner().invoke(main, ["range", "--dim", "4", "--genus", "11"])
+    bad = invoke(["range", "--dim", "4", "--genus", "11"])
     assert bad.exit_code == 3
 
 
@@ -707,7 +689,7 @@ def test_cli_graph_reduce(tmp_path):
     }
     path = tmp_path / "theta.json"
     path.write_text(json.dumps(blob))
-    result = _run(["graph", "reduce", str(path)])
+    result = invoke(["graph", "reduce", str(path)])
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["n"] == 1
@@ -718,7 +700,7 @@ def test_cli_graph_reduce(tmp_path):
 
 
 def test_cli_invariants_rank():
-    result = _run(
+    result = invoke(
         ["invariants", "rank", "--g", "1", "--set-size", "4", "--epsilon", "-1"]
     )
     assert result.exit_code == 0

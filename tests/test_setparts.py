@@ -14,6 +14,8 @@ from torelli.setparts import (
     IllegalContraction,
     LabelledPartition,
     SignedPartitionVector,
+    _block_floor,
+    _blocks_within,
     apply_morphism,
     compose,
     day_product,
@@ -87,6 +89,35 @@ def test_enumerate_basis_counts():
     for (q, d), count in expected.items():
         basis = [P for P in enumerate_basis(q, 3, "P0", d) if P.degree == d]
         assert len(basis) == count, (q, d)
+
+
+def _set_partitions(elems):
+    """Test oracle: every set partition of elems, the full Bell walk that
+    `_blocks_within` prunes by block floors.  The first element opens a
+    new first block in each partition of the rest, then joins each of
+    its blocks in turn."""
+    if not elems:
+        yield ()
+        return
+    head, rest = elems[0], elems[1:]
+    for blocks in _set_partitions(rest):
+        yield ((head,),) + blocks
+        for i, b in enumerate(blocks):
+            yield blocks[:i] + (((head,) + b),) + blocks[i + 1 :]
+
+
+def test_floor_pruned_walk_matches_the_bell_walk():
+    # the same partitions in the same order: those of the full walk whose
+    # block floors fit the cap
+    for variant in ("P0", "Pprime"):
+        for n in (1, 3, 5):
+            for q in range(10):
+                elems = tuple(range(1, q + 1))
+                walk = list(_set_partitions(elems))
+                floors = [sum(_block_floor(n, len(b), variant) for b in blocks) for blocks in walk]
+                for cap in range(9):
+                    kept = [blocks for blocks, floor in zip(walk, floors) if floor <= cap]
+                    assert _blocks_within(elems, n, variant, cap) == kept, (variant, n, q, cap)
 
 
 def test_enumerate_basis_rejects_unquotiented():
