@@ -6,8 +6,11 @@ the labelling by partitions is uniform in g. The bridge to symmetric
 functions is the unitriangular change of basis between the Schur basis
 and the classes s_<lambda>. Its transition coefficients are Littlewood's
 skew Schur functions s_{lambda/delta}, summed over partitions delta with
-even rows or even columns depending on epsilon; like the skews in the
-Newell-Littlewood product, they are computed by removing rim hooks.
+even rows or even columns depending on epsilon. Those, and the skews of
+the Newell-Littlewood product, are one walk each: delta is written in
+the h-basis by Jacobi-Trudi, and each h_r^perp removes a horizontal strip
+of r boxes from lambda (`symfunc._pieri`, `partitions.ribbon_strips`
+with k = -1).
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Mapping
 
 from .partitions import EMPTY, Partition, even_columns, even_rows, mask_partition, partitions_of
@@ -23,7 +25,8 @@ from .symfunc import (
     LambdaSeries,
     SymFunc,
     _encode_series,
-    _p_action,
+    _jacobi_trudi,
+    _pieri,
     _render_parts,
     _scalar_factors,
     _times_scalar,
@@ -45,14 +48,6 @@ def _check_epsilon(epsilon: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _even_sum_p(m: int, epsilon: int) -> Mapping[Partition, Fraction]:
-    """p-expansion of the sum of s_delta over partitions delta of m with
-    even rows (epsilon = +1) or even columns (epsilon = -1); read-only."""
-    even = even_rows if epsilon == 1 else even_columns
-    return MappingProxyType(SymFunc({delta: 1 for delta in partitions_of(m) if even(delta)}).to_p())
-
-
-@lru_cache(maxsize=None)
 def restrict_coeffs(lam: Partition, epsilon: int) -> tuple[tuple[Partition, int], ...]:
     """Branching multiplicities of the Schur functor S_lam restricted down.
 
@@ -60,14 +55,19 @@ def restrict_coeffs(lam: Partition, epsilon: int) -> tuple[tuple[Partition, int]
     partitions_of order, such that the restriction is V_lam plus the sum
     of a * V_mu. By Littlewood, the sum is the skew of s_lam by the sum
     of s_delta over nonempty partitions delta with even rows
-    (epsilon = +1) or even columns (epsilon = -1).
+    (epsilon = +1) or even columns (epsilon = -1): one strip removal over
+    the summed Jacobi-Trudi expansions of those delta.
     """
     lam = Partition(lam)
     _check_epsilon(epsilon)
-    deltas: dict[Partition, Fraction] = {}
+    even = even_rows if epsilon == 1 else even_columns
+    h_terms: dict[tuple, int] = {}
     for m in range(2, lam.size + 1, 2):
-        deltas.update(_even_sum_p(m, epsilon))
-    skew = _p_action(deltas, lam, -1)
+        for delta in partitions_of(m):
+            if even(delta):
+                for mu, c in _jacobi_trudi(delta).items():
+                    h_terms[mu] = h_terms.get(mu, 0) + c
+    skew = _pieri(lam, len(lam), -1, h_terms)
     out = sorted(skew.coeffs.items(), key=lambda kv: (-kv[0].size, kv[0].sort_key()))
     return tuple((mu, int(a)) for mu, a in out)
 
@@ -312,11 +312,12 @@ def restrict_schur(f: SymFunc, epsilon: int) -> OrthSympClass:
 
 @lru_cache(maxsize=None)
 def _skew_schur(lam: Partition, alpha: Partition) -> SymFunc:
-    """s_{lam/alpha}: the p-expansion of s_alpha removes rim hooks from s_lam."""
+    """s_{lam/alpha} = s_alpha^perp s_lam: the Jacobi-Trudi expansion of
+    s_alpha removes horizontal strips from lam."""
     lam, alpha = Partition(lam), Partition(alpha)
     if not lam.contains(alpha):
         return SymFunc.zero()
-    return _p_action(SymFunc.schur(alpha).to_p(), lam, -1)
+    return _pieri(lam, len(lam), -1, _jacobi_trudi(alpha))
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,9 @@ Class functions, the Frobenius characteristic map into symmetric
 functions, and decomposition of class functions into irreducibles.
 Character values come from the rim-hook table
 `partitions.murnaghan_nakayama`, which is re-exported here under the same
-name; the plethysm layer's power-sum to Schur conversion runs the same
-rim-hook rule (`partitions.slide_beads`) forwards, so the table is checked
+name. It removes rim hooks with the one bead kernel,
+`partitions.ribbon_strips` at r = 1, which the plethysm layer's
+power-sum to Schur conversion runs forwards, so the table is checked
 against an independent border-strip scan in the tests. The enumeration
 oracle built on this module stays independent of the plethysm route
 through what it decomposes: fixed-point characters of the

@@ -20,10 +20,11 @@ from .setparts import LabelledPartition, SignedPartitionVector, _perm_parity
 
 # A graph file may hold at most this many half-edges, its legs counted
 # as half-edges. Contraction is not linear: one vertex with many loops is
-# the slowest shape found, cubic in its valence through the slot parity.
-# With 318 loops and 2 legs (640 in all, n = 3) a cold `graph reduce`
-# takes 1.6-1.7 s on a shared 2-vCPU host; a path of 319 bivalent p1
-# vertices between 2 legs (also 640), about 0.17 s.
+# the slowest shape found, quadratic in its valence, since each loop
+# contracted rescans the vertex's slots. With 318 loops and 2 legs (640
+# in all, n = 3) a cold `graph reduce` takes 0.12-0.17 s on a shared
+# 2-vCPU host, as does a path of 319 bivalent p1 vertices between 2 legs
+# (also 640); in process, 2,400 loops take about 3 s.
 HALF_EDGE_CAP = 640
 
 
@@ -215,7 +216,8 @@ class _Work:
         cur = self.slots[v]
         if sorted(cur) != sorted(target):
             raise ValueError("slot rearrangement must be a permutation")
-        if self.n % 2 and _perm_parity([cur.index(h) for h in target]):
+        position = {h: i for i, h in enumerate(cur)}
+        if self.n % 2 and _perm_parity([position[h] for h in target]):
             self.sign = -self.sign
         self.slots[v] = list(target)
 

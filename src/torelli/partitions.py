@@ -6,12 +6,15 @@ tables. They are immutable value types with a deterministic total order
 (by size, then reverse-lexicographic) so that every printed table and
 JSON document comes out in the same order on every run.
 
-The rim-hook rule, `slide_beads`, works on beta-sets kept as integer
-bitmasks, one bit per bead, and on integer combinations of them, so that
-a pass over many shapes builds no Partition until its end. `rim_hooks`
-is its cached form on a single Partition, which the character table
-`murnaghan_nakayama` reads. `ribbon_strips` generalises it from p_k to
-h_r[p_k]: r rim hooks of size k added at once, as a horizontal strip.
+`ribbon_strips` is the one routine that moves beads. It works on
+beta-sets kept as integer bitmasks, one bit per bead, and on integer
+combinations of them, so that a pass over many shapes builds no
+Partition until its end. It adds a horizontal strip of r ribbons of size
+k, h_r[p_k], or removes one, the adjoint; every product, skew,
+branching rule, power-sum conversion and fibre division of the package
+is a walk of it. With r = 1 it adds or removes one rim hook: `rim_hooks`
+is that on a single Partition, cached, and the character table
+`murnaghan_nakayama` reads it.
 """
 
 from __future__ import annotations
@@ -232,65 +235,32 @@ def mask_partition(mask: int) -> Partition:
     return tuple.__new__(Partition, parts)
 
 
-def slide_beads(terms: Mapping[int, int], k: int, out: dict[int, int]) -> dict[int, int]:
-    """Add to out, for each beta-set mask in terms with its coefficient c,
-    sign * c at every beta-set one rim hook of size |k| away; return out.
-
-    A rim hook of size |k| is one bead slid from b to the empty position
-    b + k: k > 0 adds the hook, k < 0 removes it. The sign is (-1)^leg,
-    the leg length being the number of beads strictly between b and b + k.
-    The bead count never changes, so adding a hook needs at least |k|
-    beads below the last part; removing one moves only beads at b >= |k|.
-    On Schur functions it is multiplication by the power sum p_k, or for
-    k < 0 its adjoint (Macdonald I.3, I.5); `ribbon_strips` is its
-    generalisation to h_r[p_k].
-    """
-    get = out.get
-    if k > 0:
-        for mask, c in terms.items():
-            if not c:
-                continue
-            movable = mask & ~(mask >> k)
-            while movable:
-                bit = movable & -movable
-                movable ^= bit
-                moved = mask ^ bit ^ (bit << k)
-                if (mask & ((bit << k) - (bit << 1))).bit_count() & 1:
-                    out[moved] = get(moved, 0) - c
-                else:
-                    out[moved] = get(moved, 0) + c
-    elif k < 0:
-        k = -k
-        for mask, c in terms.items():
-            if not c:
-                continue
-            movable = mask & ~(mask << k) & -(1 << k)
-            while movable:
-                bit = movable & -movable
-                movable ^= bit
-                moved = mask ^ bit ^ (bit >> k)
-                if (mask & (bit - (bit >> (k - 1)))).bit_count() & 1:
-                    out[moved] = get(moved, 0) - c
-                else:
-                    out[moved] = get(moved, 0) + c
-    return out
-
-
 def ribbon_strips(terms: Mapping[int, int], k: int, r_max: int) -> list[dict[int, int]]:
     """For r = 0, ..., r_max, the integer combination of beta-set masks
-    sum c s_mask * h_r[p_k] over the masks of terms with coefficients c.
+    sum c s_mask * h_r[p_k] over the masks of terms with coefficients c,
+    or for k < 0 sum c h_r[p_|k|]^perp s_mask, its adjoint.
 
-    Each bead moves m >= 0 steps of k along its runner (the positions
-    congruent to it mod k), strictly below the original next bead on that
-    runner, and the steps add up to r: a horizontal strip of r ribbons of
-    size k (Macdonald I.8; Lascoux, Leclerc and Thibon, J. Math. Phys. 38,
-    1997). Beads move top-down, and each move from b to b + m k carries
-    the sign (-1)^(beads strictly between them in the current mask).
+    For k > 0 each bead moves m >= 0 steps of k up its runner (the
+    positions congruent to it mod k), strictly below the original next
+    bead on that runner; for k < 0 it moves m steps of |k| down, strictly
+    above the original next-lower bead and not below 0. The steps add up
+    to r: a horizontal strip of r ribbons of size |k| added or removed
+    (Macdonald I.8; Lascoux, Leclerc and Thibon, J. Math. Phys. 38, 1997).
+    Beads move top-down, and each move carries the sign (-1)^(beads
+    strictly between its ends in the current mask); the product of the
+    signs is that of the permutation re-sorting the beads, whatever the
+    order. For |k| = 1 no move passes a bead, so no sign is counted.
     Every strip is a distinct shape, so nothing cancels within one mask.
-    With r = 1 this is `slide_beads(terms, k, ...)`; the bead count needs
-    the same room, one bead per row of every result.
+
+    With r = 1 this adds (k > 0) or removes (k < 0) every rim hook of
+    size |k|: multiplication by the power sum p_k, or its adjoint
+    (Macdonald I.3, I.5). The bead count never changes, so adding needs
+    one bead per row of every result, and removing moves only beads at
+    positions >= |k|.
     """
     out: list[dict[int, int]] = [{} for _ in range(r_max + 1)]
+    step = abs(k)
+    signed = step > 1
     for mask, c in terms.items():
         if not c:
             continue
@@ -299,16 +269,21 @@ def ribbon_strips(terms: Mapping[int, int], k: int, r_max: int) -> list[dict[int
         # Top-down, each movable bead's moves by m = 1, 2, ... steps: the
         # bits it flips and the positions it passes.
         moves = []
-        movable = mask & ~(mask >> k)
+        movable = mask & ~(mask >> step) if k > 0 else mask & ~(mask << step) & -(1 << step)
         while movable:
             bit = 1 << (movable.bit_length() - 1)
             movable ^= bit
-            dest = bit << k
-            row = [(1, bit ^ dest, dest - (bit << 1))]
-            dest <<= k
-            while len(row) < r_max and not mask & dest:
-                row.append((len(row) + 1, bit ^ dest, dest - (bit << 1)))
-                dest <<= k
+            row = []
+            if k > 0:
+                dest = bit << step
+                while len(row) < r_max and not mask & dest:
+                    row.append((len(row) + 1, bit ^ dest, dest - (bit << 1) if signed else 0))
+                    dest <<= step
+            else:
+                dest = bit >> step
+                while len(row) < r_max and dest and not mask & dest:
+                    row.append((len(row) + 1, bit ^ dest, bit - (dest << 1) if signed else 0))
+                    dest >>= step
             moves.append(row)
         last = len(moves)
         # Depth first over (next bead, mask, steps used, signed coefficient).
@@ -320,7 +295,7 @@ def ribbon_strips(terms: Mapping[int, int], k: int, r_max: int) -> list[dict[int
                 for m, flip, passed in moves[nxt - 1]:
                     if m > room:
                         break
-                    w = -v if (cur & passed).bit_count() & 1 else v
+                    w = -v if passed and (cur & passed).bit_count() & 1 else v
                     moved = cur ^ flip
                     acc = out[used + m]
                     acc[moved] = acc.get(moved, 0) + w
@@ -333,13 +308,13 @@ def ribbon_strips(terms: Mapping[int, int], k: int, r_max: int) -> list[dict[int
 def rim_hooks(lam: Partition, k: int) -> tuple[tuple[Partition, int], ...]:
     """The partitions one rim hook of size |k| away from lam, with signs.
 
-    `slide_beads` on the beta-set of lam with len(lam) + max(k, 0) beads;
-    k > 0 adds the hook, k < 0 removes it. The pairs come with the moved
-    bead in descending position. The character table below runs the rule
-    backwards, and `divide_by_fiber` reads its size-1 hooks.
+    `ribbon_strips` with r = 1 on the beta-set of lam with
+    len(lam) + max(k, 0) beads; k > 0 adds the hook, k < 0 removes it.
+    The pairs come with the moved bead in descending position. The
+    character table below reads the removals.
     """
-    slides = slide_beads({beta_mask(lam, len(lam) + max(k, 0)): 1}, k, {})
-    return tuple((mask_partition(m), sign) for m, sign in reversed(slides.items()))
+    hooks = ribbon_strips({beta_mask(lam, len(lam) + max(k, 0)): 1}, k, 1)[1]
+    return tuple((mask_partition(m), sign) for m, sign in hooks.items())
 
 
 @lru_cache(maxsize=None)

@@ -11,9 +11,10 @@ only class product is V_1 (x) V_lam, the size-1 rim hooks of lam.
 After exp_h every stage runs as one integer pass (`_StagePass`) on
 {beta-set mask: int} per degree, with one denominator: omega conjugates
 the masks, D only relabels, the quotient and the bundle factor are one
-scalar series, and the fibre division slides beads by +1 and -1. Only
-the final shapes become Partitions and their multiplicities ints; the
-other snapshots are decoded when first read. `divide_by_fiber`,
+scalar series, and the fibre division adds and removes one box
+(`partitions.ribbon_strips` with r = 1 and k = +1, -1). Only the final
+shapes become Partitions and their multiplicities ints; the other
+snapshots are decoded when first read. `divide_by_fiber`,
 `variant_adjust` and the oracle's series side run the same kernels.
 """
 
@@ -27,7 +28,7 @@ from typing import Callable, Optional
 from .branching import ClassSeries, OrthSympClass, _mask_class_series
 from .characters import decompose
 from .labels import _geometric, ch_B
-from .partitions import EMPTY, partition_count, slide_beads, symmetric_group_irrep_dim
+from .partitions import EMPTY, partition_count, ribbon_strips, symmetric_group_irrep_dim
 from .setparts import quotient_factor, quotient_series_by_L, sigma_characters
 from .symfunc import (
     LambdaSeries,
@@ -201,17 +202,18 @@ def _fiber_quotient(terms: dict[int, dict[int, int]], n: int, trunc: int) -> dic
     The quotient R satisfies R_k = A_k - V_1 (x) R_{k-n} - R_{k-2n} in
     degrees 0..trunc. The stable product V_1 (x) V_lam adds one box to lam
     plus removes one box (Koike-Terada 1987): the rim hooks of size 1,
-    whose signs are all +1, so it slides beads by +1 and by -1 on the
-    whole combination -R_{k-n}. Every mask needs `_fiber_beads` beads.
+    whose signs are all +1, so it is `ribbon_strips` with r = 1 and
+    k = +1 and -1 on the whole combination R_{k-n}. Every mask needs
+    `_fiber_beads` beads.
     """
     out: dict[int, dict[int, int]] = {}
     for k in range(trunc + 1):
         acc = dict(terms.get(k, {}))
         previous = out.get(k - n)
         if previous:
-            minus = {mask: -c for mask, c in previous.items()}
-            slide_beads(minus, 1, acc)
-            slide_beads(minus, -1, acc)
+            for step in (1, -1):
+                for mask, c in ribbon_strips(previous, step, 1)[1].items():
+                    acc[mask] = acc.get(mask, 0) - c
         for mask, c in out.get(k - 2 * n, {}).items():
             acc[mask] = acc.get(mask, 0) - c
         out[k] = {mask: c for mask, c in acc.items() if c}

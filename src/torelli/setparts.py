@@ -39,13 +39,19 @@ class IllegalContraction(ValueError):
 
 
 def _perm_parity(word: Sequence[int]) -> int:
-    """Parity of the permutation sorting word into increasing order."""
-    inv = 0
-    for i in range(len(word)):
-        for j in range(i + 1, len(word)):
-            if word[i] > word[j]:
-                inv += 1
-    return inv & 1
+    """Parity of the permutation sorting word, of distinct entries, into
+    increasing order: its length minus its number of cycles, mod 2."""
+    order = sorted(range(len(word)), key=word.__getitem__)
+    parity = len(order)
+    for i in range(len(order)):
+        if order[i] >= 0:
+            parity += 1
+            j = i
+            while order[j] >= 0:
+                nxt = order[j]
+                order[j] = -1
+                j = nxt
+    return parity & 1
 
 
 class LabelledPartition:

@@ -7,28 +7,29 @@ no operation ever claims a coefficient beyond what its inputs determine.
 Negative t-exponents are tolerated inside a series because some inputs
 are assembled from shifted pieces that only cancel at the end.
 
-The power-sum basis is the working basis of `plethysm`: there plethysm
-only relabels partitions and a product merges them. `SymFunc.to_p`
-brings each input coefficient in, reading the character table only in
-the rows it holds, and `from_p_monomials` takes each result coefficient
-back to Schur once, by adding rim hooks. That Horner pass runs on plain
-integers: shapes are beta-set bitmasks (`partitions.slide_beads`) and
-coefficients share one denominator, so only the final Schur keys become
-Partitions and Fractions. The pass is also the one Schur product:
-s_mu * s_nu applies the p-expansion of s_nu to s_mu, and run backwards,
-removing rim hooks, it gives the skew Schur functions that `branching`
-reads.
+Every move of a Schur shape is one kernel, `partitions.ribbon_strips`:
+multiplying by h_r[p_k] adds a horizontal strip of r ribbons of size k
+to every shape of an integer combination of beta-set bitmasks, and for
+negative k its adjoint removes one. Shapes stay bitmasks and
+coefficients plain integers until the end of a pass, so only the final
+Schur keys become Partitions and Fractions.
 
-`exp_h` runs its recurrence on the Schur side in the h-basis instead,
-without the character table: each coefficient of its input is written in
-h-monomials by Jacobi-Trudi (for ch_B, whose coefficients are h_q times
-scalars, that is the identity), and multiplying by h_r[p_k] adds a
-horizontal strip of r ribbons of size k to every shape of an integer
-combination of bitmasks (`partitions.ribbon_strips`), a sum with no
-cancellation. Its integer core, `_exp_h_masks`, hands those combinations
-to the table pass in `pipeline`, which multiplies them by scalar series
-and conjugates them (omega) with the helpers kept here, before any shape
-becomes a Partition.
+- A Schur product writes one factor in the h-basis by Jacobi-Trudi
+  (`_jacobi_trudi`) and adds its strips of boxes (k = 1, Pieri) to the
+  other; the skew Schur functions and the branching rules of `branching`
+  remove them (k = -1).
+- `exp_h` runs its recurrence in the h-basis without the character
+  table: each coefficient of its input is written in h-monomials (for
+  ch_B, whose coefficients are h_q times scalars, that is the identity)
+  and p_k[h_mu] adds strips of ribbons of size k, a sum with no
+  cancellation. Its integer core, `_exp_h_masks`, hands those
+  combinations to the table pass in `pipeline`, which multiplies them by
+  scalar series and conjugates them (omega) with the helpers kept here.
+- The power-sum basis is the working basis of `plethysm` alone: there
+  plethysm only relabels partitions and a product merges them.
+  `SymFunc.to_p` brings each input coefficient in, reading the character
+  table only in the rows it holds, and `from_p_monomials` takes each
+  result coefficient back to Schur once, adding rim hooks (r = 1).
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .partitions import (
     murnaghan_nakayama,
     partitions_of,
     ribbon_strips,
-    slide_beads,
     z_lambda,
 )
 
@@ -245,37 +245,19 @@ def p_sym(k: int) -> SymFunc:
 def from_p_monomials(terms: Mapping[Partition, Fraction]) -> SymFunc:
     """Schur expansion of sum_mu c_mu p_mu, of any mix of weights.
 
-    Horner's rule over the parts of mu: group the terms by their smallest
-    part k, convert what remains of each group in one recursive pass, then
-    multiply by p_k, which adds every rim hook of size k with its sign
-    (`partitions.slide_beads` run forwards). Terms that share their smaller
-    parts share all the work on them. The pass runs on plain integers:
-    shapes are beta-set bitmasks with one bead count for the whole pass,
-    and coefficients are scaled by their common denominator, which is
-    divided out at the end. Only the final shapes become Partitions.
+    Horner's rule over the parts of mu (`_horner`). The pass runs on plain
+    integers: shapes are beta-set bitmasks with one bead count for the
+    whole pass, enough for the heaviest mu, and coefficients are scaled by
+    their common denominator, which is divided out at the end. Only the
+    final shapes become Partitions.
     """
-    return _p_action(terms, EMPTY, 1)
-
-
-def _p_action(terms: Mapping[Partition, Fraction], start: Partition, direction: int) -> SymFunc:
-    """sum_mu c_mu p_mu s_start (direction 1) or sum_mu c_mu p_mu^perp s_start
-    (direction -1), where p_k^perp, the adjoint of multiplication by p_k,
-    removes every rim hook of size k with its sign (Macdonald I.3, I.5)."""
     terms = {
         mu if isinstance(mu, Partition) else Partition(mu): Fraction(c) for mu, c in terms.items()
     }
     den = lcm(*(c.denominator for c in terms.values()))
     scaled = {mu: c.numerator * (den // c.denominator) for mu, c in terms.items()}
-    return _scaled_p_action(scaled, den, start, direction)
-
-
-def _scaled_p_action(
-    terms: Mapping[tuple, int], den: int, start: Partition, direction: int
-) -> SymFunc:
-    """_p_action of sum_mu (c_mu / den) p_mu, with integer c_mu."""
-    # Adding hooks of total size w lengthens start by at most w rows.
-    beads = len(start) + (max(map(sum, terms), default=0) if direction > 0 else 0)
-    return _mask_symfunc(_horner(terms, {beta_mask(start, beads): 1}, direction, {}), den)
+    beads = max(map(sum, scaled), default=0)
+    return _mask_symfunc(_horner(scaled, {beta_mask(EMPTY, beads): 1}), den)
 
 
 def _mask_symfunc(combination: Mapping[int, int], den: int) -> SymFunc:
@@ -285,12 +267,13 @@ def _mask_symfunc(combination: Mapping[int, int], den: int) -> SymFunc:
     return out
 
 
-def _horner(
-    terms: Mapping[tuple, int], start: Mapping[int, int], direction: int, out: dict[int, int]
-) -> dict[int, int]:
-    """Add to out sum_mu c_mu p_mu (or p_mu^perp) applied to start, an
-    integer combination of beta-set masks; return out. The largest parts
-    act first, and terms that share their smaller parts share that work."""
+def _horner(terms: Mapping[tuple, int], start: Mapping[int, int]) -> dict[int, int]:
+    """sum_mu c_mu p_mu applied to start, an integer combination of
+    beta-set masks. Terms are grouped by their smallest part k, what
+    remains of each group is applied first, in one recursive pass, and
+    then p_k = h_1[p_k] adds every rim hook of size k (`ribbon_strips`
+    with r = 1). Terms that share their smaller parts share that work."""
+    out: dict[int, int] = {}
     groups: dict[int, dict[tuple, int]] = {}
     for mu, c in terms.items():
         if mu:
@@ -299,19 +282,32 @@ def _horner(
             for mask, a in start.items():
                 out[mask] = out.get(mask, 0) + c * a
     for k, rest in groups.items():
-        slide_beads(_horner(rest, start, direction, {}), direction * k, out)
+        for mask, c in ribbon_strips(_horner(rest, start), k, 1)[1].items():
+            out[mask] = out.get(mask, 0) + c
     return out
 
 
 # ---------------------------------------------------------------------------
-# Schur products: the same rim-hook pass, started at a partition
+# Schur products and skews: Pieri strips over a Jacobi-Trudi expansion
 # ---------------------------------------------------------------------------
+
+def _pieri(start: Partition, beads: int, k: int, h_terms: Mapping[tuple, int]) -> SymFunc:
+    """sum c h_mu s_start (k = 1) or sum c h_mu^perp s_start (k = -1)
+    over h_terms {h-parts mu: c}: each h_r adds or removes a horizontal
+    strip of r boxes (`_strip_horner`), on shapes with `beads` beads."""
+    acc: dict[int, int] = {}
+    _strip_horner({beta_mask(start, beads): 1}, k, {mu: [(acc, c)] for mu, c in h_terms.items()})
+    return _mask_symfunc(acc, 1)
+
 
 @lru_cache(maxsize=None)
 def _schur_product_table(mu: Partition, nu: Partition) -> tuple[tuple[Partition, int], ...]:
-    """s_mu * s_nu as (lam, c) pairs in partitions_of order: the p-expansion
-    of s_nu applied to s_mu, adding rim hooks."""
-    prod = _p_action(SymFunc.schur(nu).to_p(), mu, 1)
+    """s_mu * s_nu as (lam, c) pairs in partitions_of order: the factor
+    with fewer `_jacobi_trudi` terms adds its strips to the other, with
+    len(mu) + len(nu) beads, as many as a product has rows."""
+    if len(_jacobi_trudi(mu)) < len(_jacobi_trudi(nu)):
+        mu, nu = nu, mu
+    prod = _pieri(mu, len(mu) + len(nu), 1, _jacobi_trudi(nu))
     return tuple((lam, int(prod.coeffs[lam])) for lam in prod.support())
 
 
@@ -669,25 +665,32 @@ def _jacobi_trudi(lam: Partition) -> Mapping[tuple, int]:
     """s_lam in the h-basis, det(h_{lam_i - i + j}) (Macdonald I.3.4), as
     {h-parts in decreasing order, h_0 = 1 left out: int}; read-only.
 
-    The determinant is expanded row by row, and a column whose entry has
-    a negative index is dropped as soon as it is met, so the cost is the
-    number of terms kept (2^(l-1) for a column of length l), never l!.
+    Expanded along the first row, each minor (the rows below on the
+    columns left) once. Row r takes column j only if j >= r - lam_r, a
+    bound that grows with r, so a column choice is dropped, with every
+    larger one, once the columns left cannot meet the bounds of the rows
+    below in increasing order.
     """
-    out: dict[tuple, int] = {}
+    need = [r - part for r, part in enumerate(lam)]
+    minors: dict[tuple, dict[tuple, int]] = {(): {(): 1}}
 
-    def expand(i: int, columns: tuple, sign: int, parts: tuple) -> None:
-        if i == len(lam):
-            key = tuple(sorted(parts, reverse=True))
-            out[key] = out.get(key, 0) + sign
-            return
+    def expand(columns: tuple) -> dict[tuple, int]:
+        if columns in minors:
+            return minors[columns]
+        i = len(lam) - len(columns)
+        out: dict[tuple, int] = {}
         for pos, j in enumerate(columns):
+            rest = columns[:pos] + columns[pos + 1:]
+            if any(c < need[r] for r, c in enumerate(rest, i + 1)):
+                break
             index = lam[i] - i + j
-            if index >= 0:
-                rest = columns[:pos] + columns[pos + 1:]
-                expand(i + 1, rest, -sign if pos & 1 else sign, parts + (index,) if index else parts)
+            for parts, c in expand(rest).items():
+                key = tuple(sorted(parts + (index,), reverse=True)) if index else parts
+                out[key] = out.get(key, 0) + (-c if pos & 1 else c)
+        minors[columns] = out = {parts: c for parts, c in out.items() if c}
+        return out
 
-    expand(0, tuple(range(len(lam))), 1, ())
-    return MappingProxyType({mu: c for mu, c in out.items() if c})
+    return MappingProxyType(expand(tuple(range(len(lam)))))
 
 
 def _exp_h_masks(g: LambdaSeries, beads: Optional[int] = None) -> tuple[list[dict[int, int]], int]:
@@ -774,7 +777,7 @@ def _strip_horner(comb: Mapping[int, int], k: int, targets: Mapping[tuple, list]
 #
 # The stages after exp_h act on {t-exponent: {beta-set mask: int}} with
 # one denominator for the whole series: scalar series multiply every
-# coefficient, and the fibre division slides beads. A series of
+# coefficient, and the fibre division adds and removes boxes. A series of
 # Partition-keyed coefficients enters through `_encode_series` and leaves
 # through `_mask_series` or `branching._mask_class_series`.
 

@@ -69,3 +69,22 @@ def test_the_graph_oracle_stays_out_of_the_package():
     assert [name for name in moved if hasattr(graphs, name)] == []
     assert not hasattr(graphs.MarkedGraph, "canonical")
     assert sorted(set(_LAZY) - set(torelli.__all__)) == []
+
+
+def test_the_bead_oracle_stays_out_of_the_package():
+    # `partitions.ribbon_strips` is the one routine that moves beads; the
+    # rim-hook slide and the power-sum routes it replaced live in
+    # tests/bead_oracle.py.
+    from torelli import branching, partitions, symfunc
+
+    gone = ["slide_beads", "_p_action", "_scaled_p_action", "_even_sum_p"]
+    left = [
+        f"{module.__name__}.{name}"
+        for module in (torelli, branching, partitions, symfunc)
+        for name in gone
+        if hasattr(module, name)
+    ]
+    assert left == []
+    modules = Path(torelli.__file__).parent.glob("*.py")
+    sources = "".join(path.read_text(encoding="utf-8") for path in modules)
+    assert [name for name in gone if f"def {name}(" in sources] == []

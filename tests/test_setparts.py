@@ -16,6 +16,7 @@ from torelli.setparts import (
     SignedPartitionVector,
     _block_floor,
     _blocks_within,
+    _perm_parity,
     apply_morphism,
     compose,
     day_product,
@@ -119,6 +120,30 @@ def test_floor_pruned_walk_matches_the_bell_walk():
                     kept = [blocks for blocks, floor in zip(walk, floors) if floor <= cap]
                     assert _blocks_within(elems, n, variant, cap) == kept, (variant, n, q, cap)
 
+
+
+def _inversion_parity(word):
+    """Test oracle: the parity of the permutation sorting word, as the
+    number of out-of-order pairs, mod 2; `_perm_parity` counts cycles."""
+    inv = 0
+    for i in range(len(word)):
+        for j in range(i + 1, len(word)):
+            if word[i] > word[j]:
+                inv += 1
+    return inv & 1
+
+
+def test_perm_parity_matches_the_inversion_count():
+    rng = random.Random(31)
+    for length in [*range(9), *range(9, 201, 7), 200]:
+        for _ in range(6):
+            # distinct, non-contiguous and some negative entries
+            word = rng.sample(range(-3 * length - 5, 5 * length + 5), length)
+            assert _perm_parity(word) == _inversion_parity(word), word
+            assert _perm_parity(tuple(word)) == _inversion_parity(word), word
+    assert [_perm_parity(w) for w in ([], [7], [2, 9], [9, 2], [3, 1, 2], [10, 30, 20])] == [
+        0, 0, 0, 1, 0, 1
+    ]
 
 def test_enumerate_basis_rejects_unquotiented():
     with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ from math import factorial, lcm, perm
 
 import pytest
 
-from torelli import partitions, symfunc
-from torelli.branching import _skew_schur, restrict_coeffs
+from torelli import branching, characters, partitions, symfunc
+from torelli.branching import _skew_schur, dim_irrep, restrict_coeffs
 from torelli.labels import ch_B
 from torelli.partitions import (
     EMPTY,
@@ -19,7 +19,6 @@ from torelli.partitions import (
     beta_mask,
     ribbon_strips,
     rim_hooks,
-    slide_beads,
     z_lambda,
 )
 from torelli.symfunc import (
@@ -36,7 +35,16 @@ from torelli.symfunc import (
     p_sym,
     plethysm,
 )
-from torelli.symfunc import _exp_h_masks, _horner, _jacobi_trudi, _p_action, _stretch
+from torelli.symfunc import _exp_h_masks, _jacobi_trudi, _stretch
+
+from bead_oracle import (
+    _horner,
+    _p_action,
+    p_route_product,
+    p_route_restrict,
+    p_route_skew,
+    slide_beads,
+)
 
 
 def sf(text):
@@ -45,8 +53,8 @@ def sf(text):
 
 # Test oracle: Littlewood-Richardson coefficients counted as tableaux.
 # The program multiplies Schur functions, and skews them, by adding and
-# removing rim hooks; this counter shares no code with that route. It is
-# slow and kept only to check the program against.
+# removing horizontal strips; this counter shares no code with that
+# route. It is slow and kept only to check the program against.
 
 @lru_cache(maxsize=None)
 def _lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -178,8 +186,8 @@ def _lr_exp_h(g: LambdaSeries) -> LambdaSeries:
 
 
 # Test oracle: the rim-hook rule on Partitions, an abacus kept as a list
-# of bead positions. The program slides beads on beta-set bitmasks
-# (`partitions.slide_beads`); this shares no code with that and is kept
+# of bead positions. The program moves beads on beta-set bitmasks
+# (`partitions.ribbon_strips`); this shares no code with that and is kept
 # only to check it against.
 
 @lru_cache(maxsize=None)
@@ -340,6 +348,52 @@ def test_restrict_coeffs_match_the_tableau_oracle():
                 assert restrict_coeffs(lam, epsilon) == tuple(oracle), (lam, epsilon)
 
 
+def test_strip_routes_match_the_p_route_oracle():
+    # Products add Pieri strips, skews and branching remove them; the
+    # oracle runs each on p-expansions and the character table instead.
+    shapes = partitions_upto(6)
+    for mu in shapes:
+        for nu in shapes:
+            assert SymFunc.schur(mu) * SymFunc.schur(nu) == p_route_product(mu, nu), (mu, nu)
+            assert _skew_schur(mu, nu) == p_route_skew(mu, nu), (mu, nu)
+        for epsilon in (1, -1):
+            assert restrict_coeffs(mu, epsilon) == p_route_restrict(mu, epsilon), (mu, epsilon)
+
+
+_GUARD_PAIRS = [
+    (Partition((3, 2, 1)), Partition((2, 1))),
+    (Partition((4, 2)), Partition((1, 1))),
+    (Partition((2, 2, 2)), Partition((3,))),
+    (Partition((5, 1)), EMPTY),
+]
+
+
+def _strip_route_results():
+    return (
+        [symfunc._schur_product_table(mu, nu) for mu, nu in _GUARD_PAIRS],
+        [_skew_schur(lam, alpha) for lam, alpha in _GUARD_PAIRS],
+        [restrict_coeffs(lam, epsilon) for lam, _ in _GUARD_PAIRS for epsilon in (1, -1)],
+        [dim_irrep(lam, epsilon, 8) for lam, _ in _GUARD_PAIRS for epsilon in (1, -1)],
+    )
+
+
+def test_products_skews_and_branching_read_no_character(monkeypatch):
+    # With every cache cleared, none of them expands into power sums or
+    # reads a character value.
+    expected = _strip_route_results()
+    for cached in (symfunc._schur_product_table, symfunc.lr_coefficient, _skew_schur,
+                   restrict_coeffs, branching._class_in_schur, murnaghan_nakayama):
+        cached.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("left the strip route")
+
+    for module in (partitions, symfunc, characters):
+        monkeypatch.setattr(module, "murnaghan_nakayama", refuse)
+    monkeypatch.setattr(SymFunc, "to_p", refuse)
+    assert _strip_route_results() == expected
+
+
 def test_lr_coefficient_values():
     assert lr_coefficient(Partition((2, 1)), Partition((1,)), Partition((1, 1))) == 1
     assert lr_coefficient(Partition((3, 1)), Partition((2,)), Partition((2,))) == 1
@@ -448,8 +502,38 @@ def test_ribbon_strips_match_the_p_expansion_of_h_r_of_p_k():
 def test_ribbon_strips_of_one_ribbon_slide_one_bead():
     rng = random.Random(17)
     start = {beta_mask(lam, 14): rng.randrange(-4, 5) for lam in partitions_upto(7)}
-    for k in range(1, 7):
+    for k in [*range(1, 7), *range(-1, -7, -1)]:
         assert ribbon_strips(start, k, 1)[1] == slide_beads(start, k, {}), k
+
+
+def test_removing_strips_is_adjoint_to_adding_them():
+    # <h_r[p_k] s_mu, s_lam> = <s_mu, h_r[p_k]^perp s_lam>, both ways round:
+    # every strip added to mu is removed again from lam with the same
+    # sign, and every strip removed from lam adds back to it.
+    beads, pairs = 12, 0
+    for k in (1, 2, 3):
+        for r in (1, 2, 3):
+            for mu in partitions_upto(6):
+                start = beta_mask(mu, beads)
+                for lam, c in ribbon_strips({start: 1}, k, r)[r].items():
+                    assert ribbon_strips({lam: 1}, -k, r)[r].get(start, 0) == c, (mu, k, r)
+                    pairs += 1
+            for lam in partitions_upto(9):
+                start = beta_mask(lam, beads)
+                for mu, c in ribbon_strips({start: 1}, -k, r)[r].items():
+                    assert ribbon_strips({mu: 1}, k, r)[r].get(start, 0) == c, (lam, k, r)
+                    pairs += 1
+    assert pairs > 2500
+
+
+def test_removing_one_ribbon_matches_the_abacus_oracle():
+    # Extra beads below the shape change no removal.
+    for lam in partitions_upto(10):
+        for k in range(1, 11):
+            for extra in (0, 2):
+                hooks = ribbon_strips({beta_mask(lam, len(lam) + extra): 1}, -k, 1)[1]
+                decoded = {partitions.mask_partition(m): c for m, c in hooks.items()}
+                assert decoded == dict(_abacus_rim_hooks(lam, -k)), (lam, k, extra)
 
 
 def test_jacobi_trudi_multiplies_back_to_schur():
@@ -466,6 +550,26 @@ def test_jacobi_trudi_multiplies_back_to_schur():
     column = _jacobi_trudi(Partition((1,) * 7))
     assert len(column) == len(partitions_of(7))
     assert sum(abs(c) for c in column.values()) == 2**6
+
+
+
+def test_jacobi_trudi_matches_the_leibniz_determinant():
+    # Every permutation of the columns, none pruned, merged by h-parts.
+    from itertools import permutations
+
+    for lam in partitions_upto(8):
+        oracle = {}
+        for cols in permutations(range(len(lam))):
+            indices = [lam[i] - i + j for i, j in enumerate(cols)]
+            if min(indices, default=0) >= 0:
+                inversions = sum(a > b for x, a in enumerate(cols) for b in cols[x + 1:])
+                key = tuple(sorted((i for i in indices if i), reverse=True))
+                oracle[key] = oracle.get(key, 0) + (-1) ** inversions
+        assert dict(_jacobi_trudi(lam)) == {k: c for k, c in oracle.items() if c}, lam
+    # e_14: one term per partition of 14, from 2^13 compositions
+    column = _jacobi_trudi(Partition((1,) * 14))
+    assert len(column) == len(partitions_of(14))
+    assert sum(abs(c) for c in column.values()) == 2**13
 
 
 def test_p_action_matches_the_partition_horner():
