@@ -173,15 +173,6 @@ def _as_class(x, epsilon: int):
     return NotImplemented
 
 
-def D(f: SymFunc, epsilon: int) -> OrthSympClass:
-    """Relabel the Schur basis: s_lambda goes to the class V_lambda.
-
-    This is the coefficient-preserving isomorphism of abelian groups, not
-    a restriction of representations; use restrict_schur for the latter.
-    """
-    return OrthSympClass(epsilon, dict(f.coeffs))
-
-
 class ClassSeries:
     """A truncated series in t with OrthSympClass coefficients."""
 
@@ -266,10 +257,13 @@ def _mask_class_series(
 
 
 def D_series(series: LambdaSeries, epsilon: int) -> ClassSeries:
-    """Apply the relabelling D to every coefficient of a series."""
+    """Apply the relabelling D to every coefficient of a series: s_lambda
+    goes to the class V_lambda.  This is the coefficient-preserving
+    isomorphism of abelian groups, not a restriction of representations;
+    restrict_schur is the latter."""
     return ClassSeries(
         epsilon,
-        {k: D(c, epsilon) for k, c in series.terms.items()},
+        {k: OrthSympClass(epsilon, dict(c.coeffs)) for k, c in series.terms.items()},
         series.trunc,
     )
 
@@ -334,15 +328,6 @@ def _nl_pair(lam: Partition, mu: Partition) -> tuple[tuple[Partition, Fraction],
                 continue
             total = total + left * right
     return tuple(sorted(total.coeffs.items()))
-
-
-def nl_coefficient(lam, mu, nu) -> int:
-    """Structure constant of the stable tensor product on classes."""
-    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
-    for pair, c in _nl_pair(lam, mu):
-        if pair == nu:
-            return int(c)
-    return 0
 
 
 def nl_product(x: OrthSympClass, y: OrthSympClass) -> OrthSympClass:

@@ -1,7 +1,6 @@
 """Character theory of symmetric groups.
 
-Class functions, the Frobenius characteristic map into symmetric
-functions, and decomposition of class functions into irreducibles.
+Class functions and their decomposition into irreducibles.
 Character values come from the rim-hook table
 `partitions.murnaghan_nakayama`, which is re-exported here under the same
 name. It removes rim hooks with the one bead kernel,
@@ -20,7 +19,6 @@ from math import factorial, lcm
 from typing import Mapping
 
 from .partitions import Partition, murnaghan_nakayama, partitions_of, z_lambda
-from .symfunc import SymFunc, from_p_monomials
 
 
 class NonIntegralMultiplicity(ValueError):
@@ -80,38 +78,6 @@ class ClassFunction:
 
     def __repr__(self) -> str:
         return f"ClassFunction(q={self.q}, {self.values!r})"
-
-
-def irreducible_character(lam) -> ClassFunction:
-    """The character of the irreducible representation indexed by lam."""
-    lam = Partition(lam)
-    q = lam.size
-    return ClassFunction(
-        q, {mu: Fraction(murnaghan_nakayama(lam, mu)) for mu in partitions_of(q)}
-    )
-
-
-def trivial_character(q: int) -> ClassFunction:
-    return ClassFunction(q, {mu: Fraction(1) for mu in partitions_of(q)})
-
-
-def sign_character(q: int) -> ClassFunction:
-    # sign of a permutation of cycle type mu is (-1)^(q - number of cycles)
-    return ClassFunction(
-        q, {mu: Fraction((-1) ** (q - len(mu))) for mu in partitions_of(q)}
-    )
-
-
-def regular_character(q: int) -> ClassFunction:
-    return ClassFunction(q, {Partition((1,) * q): Fraction(factorial(q))})
-
-
-def ch_q(chi: ClassFunction) -> SymFunc:
-    """Frobenius characteristic: sum over classes of chi(mu) p_mu / z_mu."""
-    terms = {
-        mu: v / z_lambda(mu) for mu, v in chi.values.items()
-    }
-    return from_p_monomials(terms)
 
 
 def decompose(chi: ClassFunction) -> dict[Partition, int]:

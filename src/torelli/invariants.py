@@ -1,11 +1,11 @@
-"""Exact tensor computations over a 2g-dimensional bilinear space.
+"""Matching tensors over a 2g-dimensional bilinear space, and their rank.
 
-Small dense tensors with rational entries serve as an independent
-check on the combinatorial calculus: matchings evaluate to invariant
-tensors built from the form's copairing, matchings span the invariant
-subspace (injectively once 2g reaches the set size), and the same
-contract-relabel-insert recipe that acts on labelled partitions acts
-here through honest linear maps.
+`invariants rank` asks how many of the (S-1)!! perfect matchings of S
+points give independent invariant tensors of an epsilon-symmetric form
+on 2g basis vectors (`EpsForm`).  A matching evaluates to the product
+of the form's copairing over its pairs; `omega_m` builds that tensor
+densely, with exact `Fraction` entries, as the reference the sparse
+route is checked against.
 
 `matching_span_rank` builds no dense tensor.  A matching tensor is a
 product of copairings, and the copairing has one nonzero per row, so
@@ -13,24 +13,15 @@ it has exactly (2g)^(S/2) nonzero entries out of (2g)^S.  It is built
 on those alone, under the flat indices of `DenseTensor.index`, and the
 rank comes from fraction-free elimination on sparse integer rows.  Its
 budget is on those nonzeros, MATCHING_NONZERO_CAP in all.
-
-The harmonic subspace is the kernel of the pairwise contractions, and
-it comes from the same elimination: each contraction row holds the 2g
-nonzeros of the form, and back-substituting the pivot rows gives the
-reduced row echelon basis, one sparse vector per free column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, product, repeat
 from math import gcd, lcm
-from typing import Callable, Iterable, Sequence
-
-from .characters import NonIntegralMultiplicity, murnaghan_nakayama
-from .partitions import Partition, partitions_of, z_lambda
-from .setparts import BrauerMorphism, _perm_from_cycle_type, _perm_parity
+from typing import Iterable, Sequence
 
 TENSOR_ENTRY_CAP = 10**7
 # Sparse ranks within this many nonzeros in all take up to about 20 s:
@@ -79,9 +70,6 @@ class EpsForm:
     def dual(self) -> tuple:
         return tuple(zip(*self.gram))
 
-    def lam(self, x: int, y: int) -> Fraction:
-        return self.gram[x][y]
-
     def __repr__(self) -> str:
         return f"EpsForm(g={self.g}, epsilon={self.epsilon:+d})"
 
@@ -122,41 +110,8 @@ class DenseTensor:
     def get(self, assignment: Sequence[int]) -> Fraction:
         return self.entries[self.index(assignment)]
 
-    def set(self, assignment: Sequence[int], value) -> None:
-        self.entries[self.index(assignment)] = Fraction(value)
-
     def assignments(self):
         return product(range(self.dim), repeat=len(self.positions))
-
-    @staticmethod
-    def scalar(dim: int, value) -> "DenseTensor":
-        return DenseTensor(dim, (), [Fraction(value)])
-
-    def scale(self, c) -> "DenseTensor":
-        return DenseTensor(
-            self.dim, self.positions, [Fraction(c) * v for v in self.entries]
-        )
-
-    def __add__(self, other: "DenseTensor") -> "DenseTensor":
-        if (self.dim, self.positions) != (other.dim, other.positions):
-            raise ValueError("tensors live on different shapes")
-        return DenseTensor(
-            self.dim,
-            self.positions,
-            [a + b for a, b in zip(self.entries, other.entries)],
-        )
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DenseTensor):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.positions == other.positions
-            and self.entries == other.entries
-        )
 
     def __repr__(self) -> str:
         nz = sum(1 for v in self.entries if v)
@@ -248,30 +203,6 @@ def _pivot_rows(rows: Iterable[dict[int, Fraction]]) -> dict[int, dict[int, int]
     return pivots
 
 
-def _sparse_kernel(
-    rows: Iterable[dict[int, Fraction]], ncols: int
-) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Basis of the joint kernel of sparse rational rows, one sparse
-    vector {column: value} per free column, plus the free columns
-    themselves (where each vector has its 1 and the others their 0):
-    the reduced row echelon basis.  The pivot rows are back-substituted
-    in descending lead order, so each keeps only its lead and free
-    columns; then the vector of free column f holds -row[f] / row[lead]
-    at each lead."""
-    pivots = _pivot_rows(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    vectors: dict[int, dict[int, Fraction]] = {f: {f: Fraction(1)} for f in free}
-    for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
-        for col in [k for k in row if k != lead and k in pivots]:
-            row = _eliminate(row, col, pivots[col])
-        row = pivots[lead] = _primitive(row, lead)
-        for f, v in row.items():
-            if f != lead:
-                vectors[f][lead] = Fraction(-v, row[lead])
-    return [vectors[f] for f in free], free
-
-
 def perfect_matchings(elems: Iterable[int]):
     """Canonically oriented perfect matchings: each pair starts at the
     least remaining element."""
@@ -322,153 +253,3 @@ def matching_span_rank(S, g: int, epsilon: int) -> tuple[int, int]:
     matchings = perfect_matchings(elems)
     rank = len(_pivot_rows(_omega_nonzeros(m, form) for m in matchings))
     return rank, len(matchings)
-
-
-def K_on_morphism(
-    morphism: BrauerMorphism, form: EpsForm, signed: bool = False
-) -> Callable[[DenseTensor], DenseTensor]:
-    """Linear map realizing a matching morphism on tensors.
-
-    Source pairs contract through the form, the bijection relabels the
-    surviving positions, and target pairs insert the copairing.  The
-    signed flavor multiplies by the parities of the words that bring
-    the matched pairs to the front on each side.
-    """
-    src = morphism.source
-    matched_s = {x for pair in morphism.source_pairs for x in pair}
-    rest = [x for x in src if x not in matched_s]
-    mid_positions = sorted(morphism.bij[x] for x in rest)
-
-    sign = 1
-    if signed:
-        word = [x for pair in morphism.source_pairs for x in pair] + rest
-        if _perm_parity(word):
-            sign = -sign
-        word_t = [x for pair in morphism.target_pairs for x in pair]
-        word_t += [morphism.bij[x] for x in rest]
-        if _perm_parity(word_t):
-            sign = -sign
-
-    def apply(tensor: DenseTensor) -> DenseTensor:
-        if tensor.positions != src:
-            raise ValueError("tensor does not live on the morphism source")
-        if tensor.dim != form.dim:
-            raise ValueError("tensor dimension does not match the form")
-        slot = {p: k for k, p in enumerate(src)}
-        mid = DenseTensor(form.dim, mid_positions)
-        mid_slot = {p: k for k, p in enumerate(mid.positions)}
-        for assignment in tensor.assignments():
-            value = tensor.entries[tensor.index(assignment)]
-            if not value:
-                continue
-            for a, b in morphism.source_pairs:
-                value *= form.gram[assignment[slot[a]]][assignment[slot[b]]]
-                if not value:
-                    break
-            if not value:
-                continue
-            key = [0] * len(mid.positions)
-            for x in rest:
-                key[mid_slot[morphism.bij[x]]] = assignment[slot[x]]
-            mid.entries[mid.index(key)] += value
-        if not morphism.target_pairs:
-            return mid.scale(sign) if sign != 1 else mid
-        out = DenseTensor(form.dim, morphism.target)
-        out_slot = {p: k for k, p in enumerate(out.positions)}
-        for assignment in out.assignments():
-            key = [assignment[out_slot[p]] for p in mid.positions]
-            value = mid.entries[mid.index(key)]
-            if not value:
-                continue
-            for c, d in morphism.target_pairs:
-                value *= form.dual[assignment[out_slot[c]]][assignment[out_slot[d]]]
-                if not value:
-                    break
-            if value:
-                out.entries[out.index(assignment)] = sign * value
-        return out
-
-    return apply
-
-
-def contraction_rows(q: int, form: EpsForm) -> list[dict[int, Fraction]]:
-    """Constraint rows {flat index: value}, whose joint kernel is the
-    harmonic subspace: one row per pair of positions i < j and per
-    assignment of the other positions, holding the 2g nonzero entries
-    of the form in slots i and j."""
-    d = form.dim
-    if d**q > TENSOR_ENTRY_CAP:
-        raise ValueError("tensor power exceeds the oracle cap")
-    strides = [d ** (q - 1 - k) for k in range(q)]
-    pairing = [(x, y, v) for x, row in enumerate(form.gram) for y, v in enumerate(row) if v]
-    rows: list[dict[int, Fraction]] = []
-    for i in range(q):
-        for j in range(i + 1, q):
-            others = [k for k in range(q) if k not in (i, j)]
-            for rest in product(range(d), repeat=len(others)):
-                base = sum(strides[k] * v for k, v in zip(others, rest))
-                rows.append(
-                    {base + x * strides[i] + y * strides[j]: v for x, y, v in pairing}
-                )
-    return rows
-
-
-def harmonic_projection(q: int, form: EpsForm) -> list[DenseTensor]:
-    """Exact basis of the joint kernel of all pairwise contractions."""
-    if q < 0:
-        raise ValueError("tensor power must be nonnegative")
-    if q == 0:
-        return [DenseTensor.scalar(form.dim, 1)]
-    basis, _ = _sparse_kernel(contraction_rows(q, form), form.dim**q)
-    tensors = []
-    for vec in basis:
-        tensor = DenseTensor(form.dim, range(1, q + 1))
-        for k, v in vec.items():
-            tensor.entries[k] = v
-        tensors.append(tensor)
-    return tensors
-
-
-@lru_cache(maxsize=None)
-def _harmonic_traces(q: int, g: int, epsilon: int) -> tuple[tuple[Partition, Fraction], ...]:
-    """The trace of a permutation of each cycle type mu of S_q on the
-    harmonic q-tensors of EpsForm(g, epsilon), as (mu, trace) pairs.
-    In the reduced row echelon basis the vector of free column f has its
-    1 at f and 0 at every other free column, so the trace of sigma is the
-    sum over f of the entry of vec_f at sigma(f)."""
-    d = 2 * g
-    basis, free = _sparse_kernel(contraction_rows(q, EpsForm(g, epsilon)), d**q)
-    strides = [d ** (q - 1 - k) for k in range(q)]
-    traces = []
-    for mu in partitions_of(q):
-        sigma = _perm_from_cycle_type(q, mu)
-        perm = [sigma[k + 1] - 1 for k in range(q)]
-        trace = Fraction(0)
-        for vec, f in zip(basis, free):
-            digits = []
-            x = f
-            for s in strides:
-                digits.append(x // s)
-                x %= s
-            moved = sum(digits[perm[k]] * strides[k] for k in range(q))
-            trace += vec.get(moved, 0)
-        traces.append((mu, trace))
-    return tuple(traces)
-
-
-def harmonic_multiplicity(lam, form: EpsForm) -> int:
-    """Multiplicity of one symmetric-group irreducible inside the
-    harmonic subspace: the traces of `_harmonic_traces`, computed once
-    per (q, g, epsilon), weighted by the characters of lam."""
-    lam = Partition(lam)
-    q = sum(lam)
-    if q == 0:
-        return 1
-    total = Fraction(0)
-    for mu, trace in _harmonic_traces(q, form.g, form.epsilon):
-        total += Fraction(murnaghan_nakayama(lam, mu), z_lambda(mu)) * trace
-    if total.denominator != 1:
-        raise NonIntegralMultiplicity(
-            f"trace average for {lam} is {total}"
-        )
-    return int(total)

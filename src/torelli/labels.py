@@ -153,11 +153,6 @@ def parse_label(text: str, n: int) -> LabelMonomial:
     return LabelMonomial(n, e_exp, tuple(p_exps.items()))
 
 
-def labels_of_degree(n: int, d: int) -> list[LabelMonomial]:
-    """All monomials in B of degree exactly d, sorted."""
-    return [m for m in labels_up_to(n, d) if m.degree == d]
-
-
 @lru_cache(maxsize=None)
 def labels_up_to(n: int, cap: int) -> tuple[LabelMonomial, ...]:
     """All monomials in B of degree at most cap, sorted."""

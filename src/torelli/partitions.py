@@ -117,14 +117,6 @@ def partitions_of(n: int, max_length: Optional[int] = None) -> list[Partition]:
     return out
 
 
-def partitions_upto(n: int) -> list[Partition]:
-    """Partitions of 0,1,...,n concatenated, smallest size first."""
-    out: list[Partition] = []
-    for m in range(n + 1):
-        out.extend(partitions_of(m))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _partition_count(n: int, max_part: int) -> int:
     if n == 0:

@@ -1,17 +1,19 @@
-"""Labelled set partitions and their matching calculus.
+"""Labelled set partitions, their symmetric-group characters, and the
+relation quotient.
 
 Partitions of a finite ground set into parts carrying monomial labels
 from the tautological ring, graded so that a part with label c and r
-elements sits in degree |c| + n(r - 2).  Matchings act by contracting
-pairs of ground elements (merging or shrinking parts) and by inserting
-freshly matched pairs; in the signed flavours an orientation of the
-ground set is part of the data and reorderings contribute the parity
-sign raised to n.  The degree pieces are symmetric-group
-representations, and their characters feed the brute-force check of
-the main computation: `sigma_characters` enumerates the basis of one
-ground set once, for every degree up to a cap, and counts the fixed
-points of each cycle type in place, from the part of each element,
-without building a moved partition.
+elements sits in degree |c| + n(r - 2).  In the signed flavours an
+orientation of the ground set is part of the data, and a reordering
+contributes its parity sign raised to n.  `graph reduce` returns a
+`SignedPartitionVector`, a combination of such partitions on the legs.
+The degree pieces are symmetric-group representations, and their
+characters feed the brute-force check of the main computation:
+`sigma_characters` enumerates the basis of one ground set once, for
+every degree up to a cap, and counts the fixed points of each cycle
+type in place, from the part of each element, without building a moved
+partition.  `quotient_series_by_L` strikes the polynomial generators
+above half weight from a series.
 """
 
 from __future__ import annotations
@@ -27,15 +29,6 @@ from .partitions import Partition, partitions_of
 from .symfunc import LambdaSeries, SymFunc, _scalar_product
 
 VARIANTS = ("P", "P0", "Pprime")
-MODES = ("dBr", "dsBr", "Br2g", "sBr2g")
-
-
-class GroundSetOverlap(ValueError):
-    """Day products need disjoint ground sets."""
-
-
-class IllegalContraction(ValueError):
-    """Closing a unit pair requires a mode that knows the genus."""
 
 
 def _perm_parity(word: Sequence[int]) -> int:
@@ -161,39 +154,11 @@ class SignedPartitionVector:
                 cleaned[part] = c
         self.coeffs = cleaned
 
-    @staticmethod
-    def zero(n: int, ground: Iterable[int]) -> "SignedPartitionVector":
-        return SignedPartitionVector(n, ground, {})
-
-    @staticmethod
-    def basis(part: LabelledPartition) -> "SignedPartitionVector":
-        return SignedPartitionVector(part.n, part.ground, {part: Fraction(1)})
-
     def items(self) -> list[tuple[LabelledPartition, Fraction]]:
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())
 
     def coefficient(self, part: LabelledPartition) -> Fraction:
         return self.coeffs.get(part, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "SignedPartitionVector") -> "SignedPartitionVector":
-        if self.n != other.n or self.ground != other.ground:
-            raise ValueError("cannot add vectors on different ground sets")
-        out = dict(self.coeffs)
-        for part, c in other.coeffs.items():
-            out[part] = out.get(part, Fraction(0)) + c
-        return SignedPartitionVector(self.n, self.ground, out)
-
-    def __sub__(self, other: "SignedPartitionVector") -> "SignedPartitionVector":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "SignedPartitionVector":
-        c = Fraction(c)
-        return SignedPartitionVector(
-            self.n, self.ground, {p: c * v for p, v in self.coeffs.items()}
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedPartitionVector):
@@ -204,271 +169,8 @@ class SignedPartitionVector:
             other.coeffs,
         )
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for part, c in self.items():
-            if c == 1:
-                bits.append(str(part))
-            elif c == -1:
-                bits.append(f"-{part}")
-            else:
-                bits.append(f"{c}*{part}")
-        out = bits[0]
-        for b in bits[1:]:
-            out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
-        return out
-
     def __repr__(self) -> str:
-        return f"SignedPartitionVector({self!s})"
-
-
-class BrauerMorphism:
-    """A partial matching with a bijection on the leftover elements.
-
-    source_pairs are contracted, target_pairs are inserted as fresh
-    unit-labelled parts, and bij carries the remaining source elements
-    to the remaining target elements.  The written order inside each
-    pair is orientation data; reversing one pair flips the induced map
-    by the parity sign in the signed modes.
-    """
-
-    __slots__ = ("source", "target", "bij", "source_pairs", "target_pairs")
-
-    def __init__(
-        self,
-        source: Iterable[int],
-        target: Iterable[int],
-        bij: Mapping[int, int],
-        source_pairs: Sequence[tuple[int, int]] = (),
-        target_pairs: Sequence[tuple[int, int]] = (),
-    ) -> None:
-        self.source = tuple(sorted(int(x) for x in source))
-        self.target = tuple(sorted(int(x) for x in target))
-        self.source_pairs = tuple((int(a), int(b)) for a, b in source_pairs)
-        self.target_pairs = tuple((int(a), int(b)) for a, b in target_pairs)
-        self.bij = {int(k): int(v) for k, v in bij.items()}
-
-        matched_s = [x for pair in self.source_pairs for x in pair]
-        matched_t = [x for pair in self.target_pairs for x in pair]
-        if len(set(matched_s)) != len(matched_s):
-            raise ValueError("source pairs overlap")
-        if len(set(matched_t)) != len(matched_t):
-            raise ValueError("target pairs overlap")
-        if not set(matched_s) <= set(self.source):
-            raise ValueError("source pairs must use source elements")
-        if not set(matched_t) <= set(self.target):
-            raise ValueError("target pairs must use target elements")
-        free_s = set(self.source) - set(matched_s)
-        free_t = set(self.target) - set(matched_t)
-        if set(self.bij) != free_s or set(self.bij.values()) != free_t:
-            raise ValueError("bijection must match the unpaired elements")
-        if len(self.bij) != len(set(self.bij.values())):
-            raise ValueError("bijection is not injective")
-
-    def is_downward(self) -> bool:
-        return not self.target_pairs
-
-    def __repr__(self) -> str:
-        return (
-            f"BrauerMorphism({self.source}->{self.target}, "
-            f"pairs={self.source_pairs}/{self.target_pairs})"
-        )
-
-
-def compose(outer: BrauerMorphism, inner: BrauerMorphism) -> BrauerMorphism:
-    """Composite of two downward morphisms (outer after inner)."""
-    if inner.target != outer.source:
-        raise ValueError("morphisms are not composable")
-    if not (inner.is_downward() and outer.is_downward()):
-        raise ValueError("only downward morphisms compose here")
-    back = {v: k for k, v in inner.bij.items()}
-    pulled = tuple((back[a], back[b]) for a, b in outer.source_pairs)
-    bij = {
-        s: outer.bij[t]
-        for s, t in inner.bij.items()
-        if t in outer.bij
-    }
-    return BrauerMorphism(
-        inner.source,
-        outer.target,
-        bij,
-        inner.source_pairs + pulled,
-        (),
-    )
-
-
-def _phi(label: LabelMonomial, n: int, g: int | None) -> Fraction:
-    """Value of a degree-zero empty part; only e survives, and only
-    when the genus is known."""
-    if g is None:
-        return Fraction(0)
-    if label.e_exp == 1 and not label.p_exps:
-        return Fraction(2 + (-1) ** n * 2 * g)
-    return Fraction(0)
-
-
-def _normalize(
-    n: int, parts: list[tuple[tuple[int, ...], LabelMonomial]], g: int | None
-) -> tuple[Fraction, list]:
-    """Project onto the nonnegative-degree quotient."""
-    mult = Fraction(1)
-    kept = []
-    for elems, label in parts:
-        if not elems:
-            d = label.degree - 2 * n
-            if d < 0:
-                return Fraction(0), []
-            if d == 0:
-                mult *= _phi(label, n, g)
-                if not mult:
-                    return Fraction(0), []
-                continue
-            kept.append((elems, label))
-        elif len(elems) == 1 and label.degree < n:
-            return Fraction(0), []
-        else:
-            kept.append((elems, label))
-    return mult, kept
-
-
-def apply_morphism(
-    morphism: BrauerMorphism,
-    x,
-    mode: str,
-    g: int | None = None,
-    variant: str = "P0",
-) -> SignedPartitionVector:
-    """Push a vector of labelled partitions along a matching.
-
-    Contracting a pair inside one part shrinks it and multiplies the
-    label by e; contracting across two parts merges them; contracting
-    a unit-labelled pair closes it off to the scalar (-1)^n 2g, which
-    needs one of the genus-aware modes.  Inserted pairs become fresh
-    unit-labelled parts.  In the signed modes the orientation signs
-    are the parity of the reordering that brings the matched pairs to
-    the front, raised to n.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    closing = mode in ("Br2g", "sBr2g")
-    signed = mode in ("dsBr", "sBr2g")
-    if closing and g is None:
-        raise ValueError(f"mode {mode} needs a genus")
-    if not closing and g is not None:
-        raise ValueError(f"mode {mode} does not take a genus")
-    if not closing and morphism.target_pairs:
-        raise ValueError("pair insertion needs one of the genus-aware modes")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-
-    if isinstance(x, LabelledPartition):
-        x = SignedPartitionVector.basis(x)
-    if set(morphism.source) != set(x.ground):
-        raise ValueError("vector does not live on the morphism source")
-    n = x.n
-    out = SignedPartitionVector.zero(n, morphism.target)
-
-    for part, coeff in x.coeffs.items():
-        scalar = Fraction(coeff)
-        if signed:
-            word = [e for pair in morphism.source_pairs for e in pair]
-            rest0 = [e for e in x.ground if e not in set(word)]
-            if _perm_parity(word + rest0) and n % 2:
-                scalar = -scalar
-
-        work = [(set(elems), label) for elems, label in part.parts]
-        dead = False
-        for a, b in morphism.source_pairs:
-            ia = ib = None
-            for i, (elems, _) in enumerate(work):
-                if a in elems:
-                    ia = i
-                if b in elems:
-                    ib = i
-            if ia is None or ib is None:
-                raise ValueError("pair element missing from the partition")
-            if ia == ib:
-                elems, label = work[ia]
-                if len(elems) == 2 and label.is_unit():
-                    if not closing:
-                        raise IllegalContraction(
-                            "closing a unit pair needs the genus"
-                        )
-                    scalar *= Fraction((-1) ** n * 2 * g)
-                    del work[ia]
-                    if not scalar:
-                        dead = True
-                        break
-                else:
-                    elems.discard(a)
-                    elems.discard(b)
-                    work[ia] = (elems, label * LabelMonomial.e(n))
-            else:
-                ea, la = work[ia]
-                eb, lb = work[ib]
-                ea.discard(a)
-                eb.discard(b)
-                merged = (ea | eb, la * lb)
-                work = [w for i, w in enumerate(work) if i not in (ia, ib)]
-                work.append(merged)
-        if dead:
-            continue
-
-        rest = sorted(e for elems, _ in work for e in elems)
-        mapped = [
-            (tuple(morphism.bij[e] for e in elems), label)
-            for elems, label in work
-        ]
-        for a, b in morphism.target_pairs:
-            mapped.append(((a, b), LabelMonomial.unit(n)))
-        if signed:
-            word_t = [e for pair in morphism.target_pairs for e in pair]
-            word_t += [morphism.bij[e] for e in rest]
-            if _perm_parity(word_t) and n % 2:
-                scalar = -scalar
-
-        mult, kept = _normalize(n, mapped, g if closing else None)
-        scalar *= mult
-        if not scalar:
-            continue
-        result = LabelledPartition(n, kept)
-        if variant == "Pprime" and not result.in_variant("Pprime"):
-            continue
-        out = out + SignedPartitionVector(
-            n, morphism.target, {result: scalar}
-        )
-    return out
-
-
-def day_product(x, y) -> SignedPartitionVector:
-    """Monoidal product: disjoint union of partitions.
-
-    The orientation of the product is the concatenation of the two
-    ground sets, so sorting it into increasing order contributes the
-    parity sign raised to n.
-    """
-    if isinstance(x, LabelledPartition):
-        x = SignedPartitionVector.basis(x)
-    if isinstance(y, LabelledPartition):
-        y = SignedPartitionVector.basis(y)
-    if x.n != y.n:
-        raise ValueError("factors must share the weight")
-    n = x.n
-    if set(x.ground) & set(y.ground):
-        raise GroundSetOverlap(
-            f"ground sets share {sorted(set(x.ground) & set(y.ground))}"
-        )
-    ground = x.ground + y.ground
-    sign = -1 if (_perm_parity(ground) and n % 2) else 1
-    out: dict[LabelledPartition, Fraction] = {}
-    for px, cx in x.coeffs.items():
-        for py, cy in y.coeffs.items():
-            merged = LabelledPartition(n, px.parts + py.parts)
-            c = sign * cx * cy
-            out[merged] = out.get(merged, Fraction(0)) + c
-    return SignedPartitionVector(n, sorted(ground), out)
+        return f"SignedPartitionVector(n={self.n}, {self.items()!r})"
 
 
 @lru_cache(maxsize=None)

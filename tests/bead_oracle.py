@@ -14,7 +14,8 @@ it. This module keeps the routes it replaced, to be checked against:
   products, skews and Littlewood branching coefficients as they ran on
   the p-expansions of `SymFunc.to_p` and the character table.
 
-Its name keeps pytest from collecting it.
+It also holds `partitions_upto`, the shapes of every size up to a bound,
+which the differential tests walk.  Its name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,14 @@ from typing import Mapping
 
 from torelli.partitions import Partition, beta_mask, even_columns, even_rows, partitions_of
 from torelli.symfunc import SymFunc, _mask_symfunc
+
+
+def partitions_upto(n: int) -> list[Partition]:
+    """Partitions of 0,1,...,n concatenated, smallest size first."""
+    out: list[Partition] = []
+    for m in range(n + 1):
+        out.extend(partitions_of(m))
+    return out
 
 
 def slide_beads(terms: Mapping[int, int], k: int, out: dict[int, int]) -> dict[int, int]:

@@ -173,10 +173,11 @@ def compare_sign(first: MarkedGraph, second: MarkedGraph):
 
 def reduce_vector(vec: SignedGraphVector, variant: str = "P0") -> SignedPartitionVector:
     """Contract every graph of a vector with `torelli.graphs.reduce`."""
-    out = SignedPartitionVector.zero(vec.n, vec.legs)
+    coeffs: dict[LabelledPartition, Fraction] = {}
     for graph, coeff in vec.items():
-        out = out + reduce(graph, variant).scale(coeff)
-    return out
+        for part, c in reduce(graph, variant).coeffs.items():
+            coeffs[part] = coeffs.get(part, Fraction(0)) + coeff * c
+    return SignedPartitionVector(vec.n, vec.legs, coeffs)
 
 
 class _CubicWork(_Work):

@@ -1,14 +1,15 @@
 import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
 from torelli.branching import (
     OrthSympClass,
     StabilityWarning,
+    _nl_pair,
     class_to_schur,
     dim_irrep,
-    nl_coefficient,
     nl_product,
     restrict_coeffs,
     restrict_schur,
@@ -57,6 +58,15 @@ def test_nl_product_squares():
                 assert nl_product(cls(eps, {(1,): 1}), cls(eps, {lam: 1})) == cls(eps, pieri)
 
 
+def nl_coefficient(lam, mu, nu) -> int:
+    """Structure constant of the stable tensor product on classes."""
+    lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
+    for pair, c in _nl_pair(lam, mu):
+        if pair == nu:
+            return int(c)
+    return 0
+
+
 def test_nl_coefficient_frozen():
     assert nl_coefficient(Partition((1,)), Partition((1,)), EMPTY) == 1
     assert nl_coefficient(Partition((1,)), Partition((1,)), Partition((2,))) == 1
@@ -88,6 +98,46 @@ def test_dim_irrep_symplectic_rank_two():
     assert dim_irrep(Partition((1, 1)), -1, 2) == 5
     assert dim_irrep(Partition((2,)), -1, 2) == 10
     assert dim_irrep(EMPTY, -1, 2) == 1
+
+
+def _el_samra_king(lam, epsilon, g):
+    """Test oracle: dim V_lam of Sp(2g) (epsilon = -1) or O(2g)
+    (epsilon = +1) by the hook formula prod over boxes (i, j) of
+    (2g + r_ij) / h_ij (El Samra and King, J. Phys. A 12, 1979). It shares
+    no code with `_class_in_schur`, which `dim_irrep` evaluates."""
+    conj = lam.conjugate()
+
+    def part(p, k):
+        return p[k - 1] if k <= len(p) else 0
+
+    total = Fraction(1)
+    for i in range(1, len(lam) + 1):
+        for j in range(1, lam[i - 1] + 1):
+            if epsilon == -1 and i > j:
+                r = part(lam, i) + part(lam, j) - i - j + 2
+            elif epsilon == -1:
+                r = i + j - part(conj, i) - part(conj, j)
+            elif i >= j:
+                r = part(lam, i) + part(lam, j) - i - j
+            else:
+                r = i + j - part(conj, i) - part(conj, j) - 2
+            hook = lam[i - 1] - j + conj[j - 1] - i + 1
+            total *= Fraction(2 * g + r, hook)
+    return total
+
+
+def test_dim_irrep_is_the_el_samra_king_hook_formula():
+    # every |lam| <= 8, l(lam) <= g <= 11 and both epsilon: 1,172 cases
+    cases = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StabilityWarning)
+        for size in range(9):
+            for lam in partitions_of(size):
+                for g in range(max(len(lam), 1), 12):
+                    for eps in (1, -1):
+                        cases += 1
+                        assert dim_irrep(lam, eps, g) == _el_samra_king(lam, eps, g), (lam, eps, g)
+    assert cases == 1172
 
 
 def test_dim_irrep_warns_outside_stable_range():

@@ -1,22 +1,51 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from torelli.characters import (
     ClassFunction,
     NonIntegralMultiplicity,
-    ch_q,
     decompose,
-    irreducible_character,
     murnaghan_nakayama,
-    regular_character,
-    sign_character,
-    trivial_character,
 )
 from torelli.partitions import EMPTY, Partition, partitions_of, symmetric_group_irrep_dim, z_lambda
 from torelli.setparts import sigma_characters
-from torelli.symfunc import SymFunc, change_basis
+from torelli.symfunc import SymFunc, change_basis, from_p_monomials
+
+
+# Named characters and the Frobenius characteristic, built here from the
+# character table: the package decomposes only fixed-point characters.
+
+
+def irreducible_character(lam) -> ClassFunction:
+    """The character of the irreducible representation indexed by lam."""
+    lam = Partition(lam)
+    q = lam.size
+    return ClassFunction(
+        q, {mu: Fraction(murnaghan_nakayama(lam, mu)) for mu in partitions_of(q)}
+    )
+
+
+def trivial_character(q: int) -> ClassFunction:
+    return ClassFunction(q, {mu: Fraction(1) for mu in partitions_of(q)})
+
+
+def sign_character(q: int) -> ClassFunction:
+    # sign of a permutation of cycle type mu is (-1)^(q - number of cycles)
+    return ClassFunction(
+        q, {mu: Fraction((-1) ** (q - len(mu))) for mu in partitions_of(q)}
+    )
+
+
+def regular_character(q: int) -> ClassFunction:
+    return ClassFunction(q, {Partition((1,) * q): Fraction(factorial(q))})
+
+
+def ch_q(chi: ClassFunction) -> SymFunc:
+    """Frobenius characteristic: sum over classes of chi(mu) p_mu / z_mu."""
+    return from_p_monomials({mu: v / z_lambda(mu) for mu, v in chi.values.items()})
 
 
 # Test oracle: the border-strip scan that computed character values before

@@ -88,3 +88,31 @@ def test_the_bead_oracle_stays_out_of_the_package():
     modules = Path(torelli.__file__).parent.glob("*.py")
     sources = "".join(path.read_text(encoding="utf-8") for path in modules)
     assert [name for name in gone if f"def {name}(" in sources] == []
+
+
+def test_the_brauer_oracle_stays_out_of_the_package():
+    # The Brauer functor and the harmonic projection check the calculus
+    # from tests/brauer_oracle.py; `invariants` imports no other module of
+    # the package, and every export resolves through the one lazy table.
+    from importlib import import_module
+
+    from torelli import _LAZY, invariants, setparts
+
+    gone = {
+        invariants: ["K_on_morphism", "contraction_rows", "_sparse_kernel", "harmonic_projection",
+                     "_harmonic_traces", "harmonic_multiplicity"],
+        setparts: ["BrauerMorphism", "compose", "_phi", "_normalize", "apply_morphism",
+                   "day_product", "GroundSetOverlap", "IllegalContraction"],
+        invariants.DenseTensor: ["scalar", "scale", "__add__", "is_zero", "__eq__"],
+        setparts.SignedPartitionVector: ["zero", "basis", "is_zero", "__add__", "__sub__", "scale"],
+    }
+    left = [f"{owner.__name__}.{name}" for owner, names in gone.items() for name in names
+            if name in vars(owner)]
+    assert left == []
+    tree = ast.parse(Path(invariants.__file__).read_text(encoding="utf-8"))
+    relative = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    assert relative == []
+    assert sorted(_LAZY) == sorted(torelli.__all__)
+    unresolved = [name for name, module in _LAZY.items()
+                  if getattr(torelli, name) is not getattr(import_module(f"torelli.{module}"), name)]
+    assert unresolved == []

@@ -8,25 +8,29 @@ from pathlib import Path
 import pytest
 from cli_run import invoke
 
+import brauer_oracle
 import torelli
-from torelli import invariants
-from torelli.branching import dim_irrep
-from torelli.invariants import (
+from brauer_oracle import (
+    BrauerMorphism,
     DenseTensor,
-    EpsForm,
     K_on_morphism,
-    NotPerfect,
     _sparse_kernel,
-    _omega_nonzeros,
+    compose,
     contraction_rows,
     harmonic_multiplicity,
     harmonic_projection,
+)
+from torelli import invariants
+from torelli.branching import dim_irrep
+from torelli.invariants import (
+    EpsForm,
+    NotPerfect,
+    _omega_nonzeros,
     matching_span_rank,
     omega_m,
     perfect_matchings,
 )
 from torelli.partitions import Partition, partitions_of, symmetric_group_irrep_dim
-from torelli.setparts import BrauerMorphism, compose
 
 
 def _row_reduce(rows):
@@ -365,14 +369,14 @@ def test_harmonic_multiplicities_are_weyl_dimensions():
 def test_harmonic_traces_are_computed_once_per_q(monkeypatch):
     # Every lam of q reads the same traces; only the characters differ.
     calls = []
-    kernel = invariants._sparse_kernel
+    kernel = brauer_oracle._sparse_kernel
 
     def counted(*args):
         calls.append(args[1])
         return kernel(*args)
 
-    monkeypatch.setattr(invariants, "_sparse_kernel", counted)
-    invariants._harmonic_traces.cache_clear()
+    monkeypatch.setattr(brauer_oracle, "_sparse_kernel", counted)
+    brauer_oracle._harmonic_traces.cache_clear()
     for eps in (1, -1):
         values = [harmonic_multiplicity(lam, EpsForm(3, eps)) for lam in partitions_of(3)]
         assert values == [dim_irrep(lam, eps, 3) for lam in partitions_of(3)]

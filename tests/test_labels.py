@@ -15,7 +15,7 @@ from torelli.labels import (
     generator_window,
     l_class,
     l_class_image,
-    labels_of_degree,
+    labels_up_to,
     parse_label,
     poincare_series,
     render_label_combination,
@@ -54,6 +54,11 @@ def test_parse_round_trip():
         mono = parse_label(text, 3)
         assert parse_label(str(mono), 3) == mono
     assert parse_label("e*e*p2", 3) == parse_label("e^2*p2", 3)
+
+
+def labels_of_degree(n, d):
+    """All monomials in B of degree exactly d, sorted."""
+    return [m for m in labels_up_to(n, d) if m.degree == d]
 
 
 def test_labels_of_degree():

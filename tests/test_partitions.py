@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from bead_oracle import partitions_upto
 
 from torelli.partitions import (
     EMPTY,
@@ -11,7 +12,6 @@ from torelli.partitions import (
     parse_partition,
     partition_count,
     partitions_of,
-    partitions_upto,
     symmetric_group_irrep_dim,
     z_lambda,
 )

@@ -3,23 +3,25 @@ from fractions import Fraction
 
 import pytest
 
+from brauer_oracle import (
+    BrauerMorphism,
+    GroundSetOverlap,
+    IllegalContraction,
+    SignedPartitionVector,
+    apply_morphism,
+    compose,
+    day_product,
+)
 from torelli import setparts
 from torelli.characters import ClassFunction, decompose
 from torelli.labels import LabelMonomial, parse_label
 from torelli.partitions import Partition, partitions_of
 from torelli.pipeline import oracle_check
 from torelli.setparts import (
-    BrauerMorphism,
-    GroundSetOverlap,
-    IllegalContraction,
     LabelledPartition,
-    SignedPartitionVector,
     _block_floor,
     _blocks_within,
     _perm_parity,
-    apply_morphism,
-    compose,
-    day_product,
     enumerate_basis,
     _perm_from_cycle_type,
     quotient_factor,

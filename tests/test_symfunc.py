@@ -15,7 +15,6 @@ from torelli.partitions import (
     even_rows,
     murnaghan_nakayama,
     partitions_of,
-    partitions_upto,
     beta_mask,
     ribbon_strips,
     rim_hooks,
@@ -43,6 +42,7 @@ from bead_oracle import (
     p_route_product,
     p_route_restrict,
     p_route_skew,
+    partitions_upto,
     slide_beads,
 )
 
