@@ -4,9 +4,9 @@ Class functions and their decomposition into irreducibles.
 Character values come from the rim-hook table
 `partitions.murnaghan_nakayama`, which is re-exported here under the same
 name. It removes rim hooks with the one bead kernel,
-`partitions.ribbon_strips` at r = 1, which the plethysm layer's
-power-sum to Schur conversion runs forwards, so the table is checked
-against an independent border-strip scan in the tests. The enumeration
+`partitions.ribbon_strips` at r = 1, which every Schur product and
+plethysm also walks, so the table is checked against an independent
+border-strip scan in the tests. The enumeration
 oracle built on this module stays independent of the plethysm route
 through what it decomposes: fixed-point characters of the
 labelled-partition basis.

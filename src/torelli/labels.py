@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .partitions import EMPTY, Partition, partitions_of
 from .symfunc import (
@@ -27,7 +27,6 @@ from .symfunc import (
     SymFunc,
     ValuationViolation,
     _join_signed,
-    _p_mul_into,
     _render_coeff,
     h_sym,
 )
@@ -333,6 +332,18 @@ class LPolynomial:
 
     def __repr__(self) -> str:
         return f"LPolynomial(i={self.i}, {self!s})"
+
+
+def _p_mul_into(
+    out: dict, x: Mapping[Partition, Fraction], y: Mapping[Partition, Fraction]
+) -> None:
+    """out += x * y for polynomials in the Pontrjagin classes, keyed by
+    the partition of their indices: a product merges the partitions."""
+    for mu, a in x.items():
+        for nu, b in y.items():
+            # Both keys are partitions already, so Partition's cleaning is skipped.
+            key = tuple.__new__(Partition, sorted(mu + nu, reverse=True))
+            out[key] = out.get(key, 0) + a * b
 
 
 @lru_cache(maxsize=None)

@@ -11,8 +11,8 @@ beta-sets kept as integer bitmasks, one bit per bead, and on integer
 combinations of them, so that a pass over many shapes builds no
 Partition until its end. It adds a horizontal strip of r ribbons of size
 k, h_r[p_k], or removes one, the adjoint; every product, skew,
-branching rule, power-sum conversion and fibre division of the package
-is a walk of it. With r = 1 it adds or removes one rim hook: `rim_hooks`
+branching rule, plethysm and fibre division of the package is a walk of
+it. With r = 1 it adds or removes one rim hook: `rim_hooks`
 is that on a single Partition, cached, and the character table
 `murnaghan_nakayama` reads it.
 """

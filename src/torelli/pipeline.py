@@ -324,9 +324,9 @@ class _Snapshots(Mapping):
 
 
 # exp_h holds at most one coefficient per partition of weight up to
-# exp_h_weight_bound(ch_B). At dim 2 closed, degree 12 (99,133 shapes) takes
-# about 14 s and 110 MiB, degree 13 (177,970) about 32 s and 200 MiB, and
-# degree 14 has 313,065.
+# exp_h_weight_bound(ch_B). At dim 2 closed, cold CLI runs on a shared
+# 2-vCPU host: degree 12 (99,133 shapes) takes 4.6-6.3 s and 54 MiB,
+# degree 13 (177,970) 9.3-12.2 s and 87 MiB, and degree 14 has 313,065.
 EXP_H_SHAPE_CAP = 2 * 10**5
 
 
@@ -460,13 +460,13 @@ class OracleReport:
 # fit d_max, but the labelled basis and its fixed points still grow about
 # fourfold per weight.  Cold CLI runs at dim 6 (shared 2-vCPU host):
 # q_max 11 with d_max 3 takes 0.1 s, q_max = d_max = 10 (Bell 115,975)
-# 1.2 s and 11 (Bell 678,570) 4.7-5.2 s; this cap refuses 12
+# 0.9-1.0 s and 11 (Bell 678,570) 3.8-5.1 s; this cap refuses 12
 # (Bell 4,213,597).
 ORACLE_SET_PARTITION_CAP = 10**6
 
 # At dim 2 the basis, not the walk, sets time and memory: its largest
-# weight holds 31,816 elements at qmax 8 (4.5 s), 232,653 at qmax 9
-# (30 s, 400 MiB) and 1,829,426 at qmax 10.
+# weight holds 31,816 elements at qmax 8 (1.7-2.5 s), 232,653 at qmax 9
+# (17-22 s, 360 MiB) and 1,829,426 at qmax 10.
 ORACLE_BASIS_CAP = 3 * 10**5
 
 

@@ -1,8 +1,8 @@
 """The ring of symmetric functions with exact rational coefficients.
 
 Elements are stored in the Schur basis; the complete (h), elementary (e)
-and power-sum (p) families enter and leave through explicit conversion
-helpers. Truncated t-series over the ring carry a hard truncation order:
+and power-sum (p) generators enter through `h_sym`, `e_sym` and `p_sym`.
+Truncated t-series over the ring carry a hard truncation order:
 no operation ever claims a coefficient beyond what its inputs determine.
 Negative t-exponents are tolerated inside a series because some inputs
 are assembled from shifted pieces that only cancel at the end.
@@ -25,11 +25,12 @@ Schur keys become Partitions and Fractions.
   cancellation. Its integer core, `_exp_h_masks`, hands those
   combinations to the table pass in `pipeline`, which multiplies them by
   scalar series and conjugates them (omega) with the helpers kept here.
-- The power-sum basis is the working basis of `plethysm` alone: there
-  plethysm only relabels partitions and a product merges them.
-  `SymFunc.to_p` brings each input coefficient in, reading the character
-  table only in the rows it holds, and `from_p_monomials` takes each
-  result coefficient back to Schur once, adding rim hooks (r = 1).
+- `plethysm` writes its outer argument in the h-basis and takes every
+  h_m[g] it needs from one `exp_h` call, with an auxiliary grading that
+  counts m; it reads no character value either. The power-sum route it
+  replaced is a test oracle in `tests/bead_oracle.py`.
+- Only `p_sym` reads the character table: the Schur expansion of p_k is
+  its column (`_p_monomial_schur`).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .partitions import (
     murnaghan_nakayama,
     partitions_of,
     ribbon_strips,
-    z_lambda,
 )
 
 
@@ -192,20 +192,6 @@ class SymFunc:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    # -- basis conversions -----------------------------------------------------
-
-    def to_p(self) -> dict[Partition, Fraction]:
-        """Expansion in power-sum monomials, via character orthogonality:
-        p_mu has the coefficient sum_lam c_lam chi^lam(mu) / z_mu, which
-        reads the character table only in the rows lam held here."""
-        out: dict[Partition, Fraction] = {}
-        for d, piece in self.homogeneous_components().items():
-            for mu in partitions_of(d):
-                total = sum(c * murnaghan_nakayama(lam, mu) for lam, c in piece.coeffs.items())
-                if total:
-                    out[mu] = total / z_lambda(mu)
-        return out
-
     def __str__(self) -> str:
         return render_symfunc(self)
 
@@ -242,48 +228,10 @@ def p_sym(k: int) -> SymFunc:
     return SymFunc({lam: Fraction(c) for lam, c in _p_monomial_schur(Partition((k,))).items()})
 
 
-def from_p_monomials(terms: Mapping[Partition, Fraction]) -> SymFunc:
-    """Schur expansion of sum_mu c_mu p_mu, of any mix of weights.
-
-    Horner's rule over the parts of mu (`_horner`). The pass runs on plain
-    integers: shapes are beta-set bitmasks with one bead count for the
-    whole pass, enough for the heaviest mu, and coefficients are scaled by
-    their common denominator, which is divided out at the end. Only the
-    final shapes become Partitions.
-    """
-    terms = {
-        mu if isinstance(mu, Partition) else Partition(mu): Fraction(c) for mu, c in terms.items()
-    }
-    den = lcm(*(c.denominator for c in terms.values()))
-    scaled = {mu: c.numerator * (den // c.denominator) for mu, c in terms.items()}
-    beads = max(map(sum, scaled), default=0)
-    return _mask_symfunc(_horner(scaled, {beta_mask(EMPTY, beads): 1}), den)
-
-
 def _mask_symfunc(combination: Mapping[int, int], den: int) -> SymFunc:
     """sum c s_mask / den over an integer combination of beta-set masks."""
     out = SymFunc()
     out.coeffs = {mask_partition(mask): Fraction(c, den) for mask, c in combination.items() if c}
-    return out
-
-
-def _horner(terms: Mapping[tuple, int], start: Mapping[int, int]) -> dict[int, int]:
-    """sum_mu c_mu p_mu applied to start, an integer combination of
-    beta-set masks. Terms are grouped by their smallest part k, what
-    remains of each group is applied first, in one recursive pass, and
-    then p_k = h_1[p_k] adds every rim hook of size k (`ribbon_strips`
-    with r = 1). Terms that share their smaller parts share that work."""
-    out: dict[int, int] = {}
-    groups: dict[int, dict[tuple, int]] = {}
-    for mu, c in terms.items():
-        if mu:
-            groups.setdefault(mu[-1], {})[mu[:-1]] = c
-        else:
-            for mask, a in start.items():
-                out[mask] = out.get(mask, 0) + c * a
-    for k, rest in groups.items():
-        for mask, c in ribbon_strips(_horner(rest, start), k, 1)[1].items():
-            out[mask] = out.get(mask, 0) + c
     return out
 
 
@@ -357,7 +305,10 @@ def change_basis(text: str) -> SymFunc:
         elif m.group("schur"):
             tokens.append(SymFunc.schur(parse_partition(m.group("parts"))))
         elif m.group("num"):
-            tokens.append(SymFunc.scalar(Fraction(m.group("num"))))
+            try:
+                tokens.append(SymFunc.scalar(Fraction(m.group("num"))))
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {m.group('num')!r}") from None
         else:
             tokens.append(m.group("op"))
 
@@ -389,7 +340,7 @@ def change_basis(text: str) -> SymFunc:
     def parse_power(i: int) -> tuple[SymFunc, int]:
         value, i = parse_atom(i)
         if i < len(tokens) and tokens[i] == "^":
-            exp_tok = tokens[i + 1]
+            exp_tok = tokens[i + 1] if i + 1 < len(tokens) else None
             if not (isinstance(exp_tok, SymFunc) and exp_tok.is_scalar()):
                 raise ValueError("exponent must be a number")
             exp = exp_tok.coeff(EMPTY)
@@ -563,76 +514,6 @@ def _product_trunc(
     return min(x_trunc, y_trunc, val_x + y_trunc, val_y + x_trunc)
 
 
-# ---------------------------------------------------------------------------
-# Plethysm on the power-sum core
-# ---------------------------------------------------------------------------
-#
-# In the p basis plethysm is a relabelling, p_k[p_mu] = p_{k mu} and
-# p_k[t] = t^k, and a product merges partitions, so no Littlewood-Richardson
-# coefficient is needed. A p-series maps t-exponents to dicts
-# {mu: coefficient}; every coefficient of g is expanded once with `to_p`,
-# and each coefficient of the result is converted to Schur once, at the end.
-
-def _stretch(x: Mapping[Partition, Fraction], k: int) -> dict[Partition, Fraction]:
-    """p_k[x]: every part of every mu multiplied by k."""
-    return {tuple.__new__(Partition, [k * part for part in mu]): c for mu, c in x.items()}
-
-
-def _p_mul_into(
-    out: dict, x: Mapping[Partition, Fraction], y: Mapping[Partition, Fraction]
-) -> None:
-    """out += x * y, where p_mu * p_nu = p_{mu merged with nu}."""
-    for mu, a in x.items():
-        for nu, b in y.items():
-            # Both keys are partitions already, so Partition's cleaning is skipped.
-            key = tuple.__new__(Partition, sorted(mu + nu, reverse=True))
-            out[key] = out.get(key, 0) + a * b
-
-
-def _p_series_mul(
-    x: dict[int, dict], x_trunc: int, y: dict[int, dict], y_trunc: int
-) -> tuple[dict[int, dict], int]:
-    """Product of two p-series, with the truncation rule of LambdaSeries."""
-    trunc = _product_trunc(x, x_trunc, y, y_trunc)
-    out: dict[int, dict] = {}
-    for a, f in x.items():
-        for b, g in y.items():
-            if a + b <= trunc:
-                _p_mul_into(out.setdefault(a + b, {}), f, g)
-    nonzero = {k: {mu: c for mu, c in f.items() if c} for k, f in out.items()}
-    return {k: f for k, f in nonzero.items() if f}, trunc
-
-
-def _to_schur_series(x: dict[int, dict], trunc: int) -> LambdaSeries:
-    return LambdaSeries({k: from_p_monomials(c) for k, c in x.items()}, trunc)
-
-
-def plethysm(f: SymFunc, g: LambdaSeries) -> LambdaSeries:
-    """Composition f of g for a finite symmetric function f."""
-    pg = {a: c.to_p() for a, c in g.terms.items()}
-    pk_cache: dict[int, dict[int, dict]] = {}
-
-    def pk(k: int) -> dict[int, dict]:
-        # p_k[g]; its truncation order stays that of g.
-        if k not in pk_cache:
-            pk_cache[k] = {k * a: _stretch(x, k) for a, x in pg.items() if k * a <= g.trunc}
-        return pk_cache[k]
-
-    one = {0: {EMPTY: Fraction(1)}} if g.trunc >= 0 else {}
-    total: dict[int, dict] = {}
-    trunc = g.trunc
-    for mu, c in f.to_p().items():
-        term, term_trunc = one, g.trunc
-        for part in mu:
-            term, term_trunc = _p_series_mul(term, term_trunc, pk(part), g.trunc)
-        trunc = min(trunc, term_trunc)
-        for k, x in term.items():
-            acc = total.setdefault(k, {})
-            for nu, a in x.items():
-                acc[nu] = acc.get(nu, 0) + a * c
-    return _to_schur_series(total, trunc)
-
-
 def exp_h_weight_bound(g: LambdaSeries) -> int:
     """The largest weight a shape of exp_h(g) can have: the floor of
     r g.trunc, where r is the largest ratio of the weight of g_a to a.
@@ -658,6 +539,46 @@ def exp_h(g: LambdaSeries) -> LambdaSeries:
     return LambdaSeries(
         {m: _mask_symfunc(s, factorial(m) * den**m) for m, s in enumerate(s_terms)}, g.trunc
     )
+
+
+def plethysm(f: SymFunc, g: LambdaSeries) -> LambdaSeries:
+    """Composition f of g for a finite symmetric function f.
+
+    f is written in the h-basis (`_jacobi_trudi`), and h_mu[g] is the
+    product of the h_{mu_i}[g] (Macdonald I.8). One `exp_h` call gives
+    every h_m[g] with m up to M = deg f: it runs on u g, where the
+    auxiliary u counts m and u^m t^a is the exponent m B + a. With T the
+    truncation of g, B = M T + 1 exceeds every t-degree of h_m[g] for
+    m <= M, so no two terms share an exponent. A g of valuation v < 0 is
+    shifted to valuation 0 first and h_m[g] back by m v; the result is
+    known to order g.trunc + M v, as a product of M factors of g is.
+    """
+    v = min([0, *g.terms])
+    shifted = g.shift(-v)
+    top, trunc = max(f.degree(), 0), shifted.trunc
+    if trunc < 0:
+        raise ValueError(f"plethysm needs g to order t^0 at least, not t^{trunc}")
+    base = top * trunc + 1
+    encoded = LambdaSeries({base + a: c for a, c in shifted.terms.items()}, top * base + trunc)
+    h_of_g: list[dict[int, SymFunc]] = [{} for _ in range(top + 1)]
+    for e, c in exp_h(encoded).terms.items():
+        m, a = divmod(e, base)
+        if m <= top:  # at M = 0, B = 1 and only e = 0 is h_0[g] = 1
+            h_of_g[m][a] = c
+    h_series = [LambdaSeries(terms, trunc) for terms in h_of_g]
+
+    h_terms: dict[tuple, Fraction] = {}
+    for lam, c in f.coeffs.items():
+        for mu, x in _jacobi_trudi(lam).items():
+            h_terms[mu] = h_terms.get(mu, 0) + c * x
+    total = LambdaSeries.zero(g.trunc + top * v)
+    for mu, c in h_terms.items():
+        if c:
+            term = LambdaSeries.one(trunc)
+            for part in mu:
+                term = term * h_series[part]
+            total = total + term.shift(sum(mu) * v).truncate(total.trunc) * c
+    return total
 
 
 @lru_cache(maxsize=None)

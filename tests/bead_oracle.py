@@ -2,17 +2,21 @@
 
 `torelli.partitions.ribbon_strips` is the package's one routine that
 moves beads: it adds or removes horizontal strips of ribbons, and every
-Schur product, skew, branching rule, rim hook and fibre division walks
-it. This module keeps the routes it replaced, to be checked against:
+Schur product, skew, branching rule, rim hook, fibre division and
+plethysm walks it. This module keeps the routes it replaced, to be
+checked against:
 
 - `slide_beads`, which slides one bead by a rim hook of size |k| in
   either direction;
 - `_horner` and `_p_action`, the power-sum Horner pass built on it,
   which multiply (or, run backwards, skew) a Schur function by the
-  p-expansion of another;
+  p-expansion of another; `from_p_monomials` is its p -> s conversion;
+- `to_p`, the power-sum expansion read from the character table;
 - `p_route_product`, `p_route_skew` and `p_route_restrict`, the Schur
   products, skews and Littlewood branching coefficients as they ran on
-  the p-expansions of `SymFunc.to_p` and the character table.
+  the p-expansions of `to_p` and the character table;
+- `p_route_plethysm`, plethysm in the power-sum basis, where it only
+  relabels partitions.
 
 It also holds `partitions_upto`, the shapes of every size up to a bound,
 which the differential tests walk.  Its name keeps pytest from collecting it.
@@ -24,8 +28,17 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
-from torelli.partitions import Partition, beta_mask, even_columns, even_rows, partitions_of
-from torelli.symfunc import SymFunc, _mask_symfunc
+from torelli.partitions import (
+    EMPTY,
+    Partition,
+    beta_mask,
+    even_columns,
+    even_rows,
+    murnaghan_nakayama,
+    partitions_of,
+    z_lambda,
+)
+from torelli.symfunc import LambdaSeries, SymFunc, _mask_symfunc, _product_trunc
 
 
 def partitions_upto(n: int) -> list[Partition]:
@@ -112,9 +125,27 @@ def _p_action(terms: Mapping[Partition, Fraction], start: Partition, direction: 
     return _mask_symfunc(_horner(scaled, {beta_mask(start, beads): 1}, direction, {}), den)
 
 
+def from_p_monomials(terms: Mapping[Partition, Fraction]) -> SymFunc:
+    """Schur expansion of sum_mu c_mu p_mu, of any mix of weights."""
+    return _p_action(terms, EMPTY, 1)
+
+
+def to_p(f: SymFunc) -> dict[Partition, Fraction]:
+    """Expansion of f in power-sum monomials, via character orthogonality:
+    p_mu has the coefficient sum_lam c_lam chi^lam(mu) / z_mu, which reads
+    the character table only in the rows lam held in f."""
+    out: dict[Partition, Fraction] = {}
+    for d, piece in f.homogeneous_components().items():
+        for mu in partitions_of(d):
+            total = sum(c * murnaghan_nakayama(lam, mu) for lam, c in piece.coeffs.items())
+            if total:
+                out[mu] = total / z_lambda(mu)
+    return out
+
+
 def p_route_product(mu: Partition, nu: Partition) -> SymFunc:
     """s_mu * s_nu: the p-expansion of s_nu applied to s_mu."""
-    return _p_action(SymFunc.schur(nu).to_p(), Partition(mu), 1)
+    return _p_action(to_p(SymFunc.schur(nu)), Partition(mu), 1)
 
 
 def p_route_skew(lam: Partition, alpha: Partition) -> SymFunc:
@@ -122,7 +153,7 @@ def p_route_skew(lam: Partition, alpha: Partition) -> SymFunc:
     lam, alpha = Partition(lam), Partition(alpha)
     if not lam.contains(alpha):
         return SymFunc.zero()
-    return _p_action(SymFunc.schur(alpha).to_p(), lam, -1)
+    return _p_action(to_p(SymFunc.schur(alpha)), lam, -1)
 
 
 def p_route_restrict(lam: Partition, epsilon: int) -> tuple[tuple[Partition, int], ...]:
@@ -133,7 +164,50 @@ def p_route_restrict(lam: Partition, epsilon: int) -> tuple[tuple[Partition, int
     even = even_rows if epsilon == 1 else even_columns
     deltas: dict[Partition, Fraction] = {}
     for m in range(2, lam.size + 1, 2):
-        deltas.update(SymFunc({d: 1 for d in partitions_of(m) if even(d)}).to_p())
+        deltas.update(to_p(SymFunc({d: 1 for d in partitions_of(m) if even(d)})))
     skew = _p_action(deltas, lam, -1)
     out = sorted(skew.coeffs.items(), key=lambda kv: (-kv[0].size, kv[0].sort_key()))
     return tuple((mu, int(a)) for mu, a in out)
+
+
+def _stretch(x: Mapping[Partition, Fraction], k: int) -> dict[Partition, Fraction]:
+    """p_k[x]: every part of every mu multiplied by k."""
+    return {Partition([k * part for part in mu]): c for mu, c in x.items()}
+
+
+def _p_series_mul(x: dict, x_trunc: int, y: dict, y_trunc: int) -> tuple[dict, int]:
+    """Product of two p-series {t-exponent: {mu: c}}, with the truncation
+    rule of LambdaSeries, where p_mu * p_nu = p_{mu merged with nu}."""
+    trunc = _product_trunc(x, x_trunc, y, y_trunc)
+    out: dict[int, dict] = {}
+    for a, f in x.items():
+        for b, g in y.items():
+            if a + b <= trunc:
+                acc = out.setdefault(a + b, {})
+                for mu, c in f.items():
+                    for nu, d in g.items():
+                        key = Partition(mu + nu)
+                        acc[key] = acc.get(key, 0) + c * d
+    nonzero = {k: {mu: c for mu, c in f.items() if c} for k, f in out.items()}
+    return {k: f for k, f in nonzero.items() if f}, trunc
+
+
+def p_route_plethysm(f: SymFunc, g: LambdaSeries) -> LambdaSeries:
+    """f composed with g in the power-sum basis: p_k[p_mu] = p_{k mu},
+    p_k[t] = t^k, and each p_mu[g] is a product of p-series; every
+    coefficient goes back to Schur once, at the end."""
+    pg = {a: to_p(c) for a, c in g.terms.items()}
+    one = {0: {EMPTY: Fraction(1)}} if g.trunc >= 0 else {}
+    total: dict[int, dict] = {}
+    trunc = g.trunc
+    for mu, c in to_p(f).items():
+        term, term_trunc = one, g.trunc
+        for k in mu:
+            pk = {k * a: _stretch(x, k) for a, x in pg.items() if k * a <= g.trunc}
+            term, term_trunc = _p_series_mul(term, term_trunc, pk, g.trunc)
+        trunc = min(trunc, term_trunc)
+        for e, x in term.items():
+            acc = total.setdefault(e, {})
+            for nu, a in x.items():
+                acc[nu] = acc.get(nu, 0) + a * c
+    return LambdaSeries({e: from_p_monomials(x) for e, x in total.items()}, trunc)

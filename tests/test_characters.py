@@ -12,7 +12,9 @@ from torelli.characters import (
 )
 from torelli.partitions import EMPTY, Partition, partitions_of, symmetric_group_irrep_dim, z_lambda
 from torelli.setparts import sigma_characters
-from torelli.symfunc import SymFunc, change_basis, from_p_monomials
+from torelli.symfunc import SymFunc, change_basis
+
+from bead_oracle import from_p_monomials
 
 
 # Named characters and the Frobenius characteristic, built here from the

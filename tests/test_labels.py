@@ -21,7 +21,9 @@ from torelli.labels import (
     render_label_combination,
 )
 from torelli.partitions import Partition, partitions_of
-from torelli.symfunc import SymFunc, change_basis, e_sym, from_p_monomials
+from torelli.symfunc import SymFunc, change_basis, e_sym
+
+from bead_oracle import from_p_monomials
 
 
 def test_generator_window():

@@ -27,23 +27,26 @@ from torelli.symfunc import (
     change_basis,
     e_sym,
     exp_h,
-    from_p_monomials,
     h_sym,
     lr_coefficient,
     omega,
     p_sym,
     plethysm,
 )
-from torelli.symfunc import _exp_h_masks, _jacobi_trudi, _stretch
+from torelli.symfunc import _exp_h_masks, _jacobi_trudi
 
 from bead_oracle import (
     _horner,
     _p_action,
+    _stretch,
+    from_p_monomials,
+    p_route_plethysm,
     p_route_product,
     p_route_restrict,
     p_route_skew,
     partitions_upto,
     slide_beads,
+    to_p,
 )
 
 
@@ -157,14 +160,14 @@ def _lr_pk_compose(k: int, g: LambdaSeries) -> LambdaSeries:
     for a, f in g.terms.items():
         if k * a > g.trunc:
             continue
-        stretched = {Partition(tuple(k * part for part in mu)): c for mu, c in f.to_p().items()}
+        stretched = {Partition(tuple(k * part for part in mu)): c for mu, c in to_p(f).items()}
         out[k * a] = out.get(k * a, SymFunc.zero()) + _column_sum(stretched)
     return LambdaSeries(out, g.trunc)
 
 
 def _lr_plethysm(f: SymFunc, g: LambdaSeries) -> LambdaSeries:
     total = LambdaSeries.zero(g.trunc)
-    for mu, c in f.to_p().items():
+    for mu, c in to_p(f).items():
         term = LambdaSeries.one(g.trunc)
         for part in mu:
             term = _lr_series_mul(term, _lr_pk_compose(part, g))
@@ -235,7 +238,7 @@ def _fraction_exp_h(g: LambdaSeries) -> LambdaSeries:
     for a, c in g.terms.items():
         for k in range(1, g.trunc // a + 1):
             dj = dlog.setdefault(k * a, {})
-            for mu, x in c.to_p().items():
+            for mu, x in to_p(c).items():
                 key = Partition(tuple(k * part for part in mu))
                 dj[key] = dj.get(key, 0) + a * x
     exp_terms = [{EMPTY: Fraction(1)}]
@@ -260,7 +263,7 @@ def _p_monomial_exp_h_masks(g: LambdaSeries, beads: int):
     trunc = g.trunc
     dlog = {}
     for a, c in g.terms.items():
-        pa = c.to_p()
+        pa = to_p(c)
         for k in range(1, trunc // a + 1):
             dj = dlog.setdefault(k * a, {})
             for mu, x in _stretch(pa, k).items():
@@ -390,7 +393,6 @@ def test_products_skews_and_branching_read_no_character(monkeypatch):
 
     for module in (partitions, symfunc, characters):
         monkeypatch.setattr(module, "murnaghan_nakayama", refuse)
-    monkeypatch.setattr(SymFunc, "to_p", refuse)
     assert _strip_route_results() == expected
 
 
@@ -444,7 +446,7 @@ def test_power_sum_round_trip():
                 rng.randrange(-4, 5), rng.randrange(1, 4)
             )
         f = from_p_monomials(coeffs)
-        assert from_p_monomials(f.to_p()) == f
+        assert from_p_monomials(to_p(f)) == f
 
 
 def test_horner_matches_character_columns():
@@ -633,17 +635,15 @@ def test_exp_h_masks_match_the_p_monomial_oracle():
 
 
 def test_exp_h_runs_on_the_schur_side(monkeypatch):
-    # The recurrence acts on Schur shapes in the h-basis: no p-basis
-    # product, no p-expansion, no character value and no rim-hook pass.
+    # The recurrence acts on Schur shapes in the h-basis and reads no
+    # character value.
     def refuse(*args):
         raise AssertionError("exp_h left the h-basis route")
 
     inputs = (ch_B(1, 6), _steep_series(), _multi_row_series())
     expected = [_fraction_exp_h(g) for g in inputs]
-    for module, name in ((symfunc, "_p_mul_into"), (symfunc, "_horner"),
-                         (symfunc, "murnaghan_nakayama"), (partitions, "murnaghan_nakayama"),
-                         (SymFunc, "to_p")):
-        monkeypatch.setattr(module, name, refuse)
+    for module in (symfunc, partitions):
+        monkeypatch.setattr(module, "murnaghan_nakayama", refuse)
     assert [exp_h(g) for g in inputs] == expected
 
 
@@ -652,14 +652,14 @@ def test_to_p_reads_only_its_characters():
     # without filling any character-table column.
     symfunc._p_monomial_schur.cache_clear()
     murnaghan_nakayama.cache_clear()
-    expansion = SymFunc.schur((12,)).to_p()
+    expansion = to_p(SymFunc.schur((12,)))
     assert symfunc._p_monomial_schur.cache_info().misses == 0
     assert expansion == {mu: Fraction(1, z_lambda(mu)) for mu in partitions_of(12)}
 
 
 def test_p_to_s_builds_only_the_final_shapes(monkeypatch):
-    # The Horner pass keeps its intermediate shapes as bitmasks: no
-    # rim_hooks lookup, and no more Partitions than result keys.
+    # The oracle's Horner pass keeps its intermediate shapes as bitmasks:
+    # no rim_hooks lookup, and no more Partitions than result keys.
     rng = random.Random(12)
     weight12 = partitions_of(12)
     cases = (
@@ -702,11 +702,78 @@ def test_power_sum_core_matches_lr_oracle():
 
 
 def test_plethysm_laurent_truncation_matches_lr_oracle():
-    # A t^-1 term shrinks the claimed order of every product.
-    g = LambdaSeries({-1: sf("s[1]"), 0: sf("-1/2*s[2]"), 2: sf("s[1^2] + 2")}, 4)
-    for f in (sf("h2"), sf("p3"), sf("e2*h1 - 3"), SymFunc.zero()):
-        fast, slow = plethysm(f, g), _lr_plethysm(f, g)
-        assert (fast.terms, fast.trunc) == (slow.terms, slow.trunc)
+    # A t^-1 term shrinks the claimed order of every product; so does a
+    # t^-3 term of a series known only below t^0.
+    for g in (LambdaSeries({-1: sf("s[1]"), 0: sf("-1/2*s[2]"), 2: sf("s[1^2] + 2")}, 4),
+              LambdaSeries({-3: sf("s[1]"), -2: sf("2 - s[2]")}, -1)):
+        for f in (sf("h2"), sf("p3"), sf("e2*h1 - 3"), SymFunc.zero()):
+            fast, slow = plethysm(f, g), _lr_plethysm(f, g)
+            assert (fast.terms, fast.trunc) == (slow.terms, slow.trunc)
+
+
+def _random_symfunc(rng, max_size: int) -> SymFunc:
+    f = SymFunc.zero()
+    for _ in range(rng.randrange(1, 4)):
+        lam = rng.choice(partitions_of(rng.randrange(max_size + 1)))
+        f = f + SymFunc.schur(lam) * Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randrange(1, 4))
+    return f
+
+
+def _plethysm_pairs(count: int = 64) -> list:
+    """Seeded pairs (f, g): f of degree <= 4, also zero or constant; g
+    truncated at 0 to 4, with shapes of size <= 3 at exponents from -2 up,
+    so Laurent, valuation-0 and positive-valuation series all occur."""
+    rng = random.Random(31)
+    pairs = []
+    for i in range(count):
+        if i % 8 == 0:
+            f = SymFunc.zero()
+        elif i % 8 == 1:
+            f = SymFunc.scalar(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)))
+        else:
+            f = _random_symfunc(rng, 4)
+        trunc = rng.randrange(5)
+        exponents = range(rng.choice((-2, -1, 0, 0, 1)), trunc + 1)
+        picked = rng.sample(exponents, min(len(exponents), rng.randrange(1, 3)))
+        pairs.append((f, LambdaSeries({a: _random_symfunc(rng, 3) for a in picked}, trunc)))
+    return pairs
+
+
+def test_plethysm_matches_the_p_route_oracle():
+    pairs = _plethysm_pairs()
+    valuations = [g.valuation() for _, g in pairs]
+    assert min(v for v in valuations if v is not None) < 0 and 0 in valuations
+    assert sum(f.is_zero() for f, _ in pairs) and sum(f.is_scalar() and not f.is_zero() for f, _ in pairs)
+    for f, g in pairs:
+        fast, slow = plethysm(f, g), p_route_plethysm(f, g)
+        assert (fast.terms, fast.trunc) == (slow.terms, slow.trunc), (f, g)
+
+
+def test_plethysm_reads_no_character(monkeypatch):
+    # f goes to the h-basis by Jacobi-Trudi and each h_m[g] comes from
+    # exp_h, so with every cache cleared no character value is read.
+    inputs = _plethysm_pairs(16) + [
+        (p_sym(3), LambdaSeries.monomial(p_sym(2), 1, 8)),
+        (e_sym(3), LambdaSeries.monomial(e_sym(3), 0, 0)),
+    ]
+    expected = [plethysm(f, g) for f, g in inputs]
+    for cached in (symfunc._schur_product_table, symfunc.lr_coefficient, symfunc._jacobi_trudi,
+                   symfunc._p_monomial_schur, murnaghan_nakayama):
+        cached.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("plethysm read a character value")
+
+    for module in (partitions, symfunc):
+        monkeypatch.setattr(module, "murnaghan_nakayama", refuse)
+    assert [plethysm(f, g) for f, g in inputs] == expected
+
+
+def test_plethysm_refuses_a_series_known_below_t0_only():
+    # The zero series truncated at t^-2 says nothing about t^0, where h_0 = 1 sits.
+    with pytest.raises(ValueError, match="order t\\^0"):
+        plethysm(h_sym(2), LambdaSeries.zero(-2))
+    assert plethysm(h_sym(2), LambdaSeries.zero(0)) == LambdaSeries.zero(0)
 
 
 def test_exp_h_stays_off_the_lr_route():
@@ -728,6 +795,14 @@ def test_character_value_against_strips():
     assert murnaghan_nakayama(Partition((2, 2)), Partition((4,))) == 0
     assert murnaghan_nakayama(Partition((2, 2)), Partition((2, 2))) == 2
     assert murnaghan_nakayama(Partition((3, 1)), Partition((4,))) == -1
+
+
+def test_change_basis_refuses_malformed_text():
+    for text, message in (("h2^", "exponent"), ("1/0", "zero denominator"), ("h2 +", "end"),
+                          ("(h1", "parentheses"), ("h1 x", "cannot parse"), ("h1^1/2", "integer")):
+        with pytest.raises(ValueError, match=message):
+            change_basis(text)
+    assert change_basis("3/4*h2^2") == change_basis("3/4*h2*h2")
 
 
 def test_homogeneous_split():
