@@ -21,8 +21,8 @@ _LAZY = {
         "pipeline": "CohomologyTable ConfigError ExtrapolationWarning NegativeMultiplicity "
         "OracleReport PipelineConfig Unsupported compute_cohomology oracle_check "
         "stable_range variant_adjust",
-        "setparts": "LabelledPartition SignedPartitionVector enumerate_basis "
-        "quotient_series_by_L sigma_character sigma_characters",
+        "setparts": "LabelledPartition SignedPartitionVector quotient_series_by_L "
+        "sigma_character sigma_characters",
         "symfunc": "LambdaSeries SymFunc change_basis exp_h lr_coefficient omega plethysm "
         "render_series",
     }.items()

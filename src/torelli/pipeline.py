@@ -21,15 +21,14 @@ snapshots are decoded when first read. `divide_by_fiber`,
 import sys
 import warnings
 from collections.abc import Mapping
-from fractions import Fraction
-from math import factorial
-from typing import Callable, Optional
+from math import comb, factorial
+from typing import Optional
 
 from .branching import ClassSeries, OrthSympClass, _mask_class_series
 from .characters import decompose
 from .labels import _geometric, ch_B
-from .partitions import EMPTY, partition_count, ribbon_strips, symmetric_group_irrep_dim
-from .setparts import quotient_factor, quotient_series_by_L, sigma_characters
+from .partitions import partition_count, ribbon_strips
+from .setparts import _block_floor, quotient_factor, quotient_series_by_L, sigma_characters
 from .symfunc import (
     LambdaSeries,
     SymFunc,
@@ -341,20 +340,34 @@ def _shape_count(weight: int, cap: int) -> int:
     return total
 
 
-def _ch_B_within_budget(n: int, trunc: int, refuse: Callable[[LambdaSeries], None]) -> LambdaSeries:
-    """ch_B(n, trunc), once `refuse` has let it pass.
+def _refuse_shapes(chb: LambdaSeries, trunc: int) -> None:
+    """Refuse a request up to degree trunc whose plethystic exponential
+    could hold more than EXP_H_SHAPE_CAP shapes, from a ch_B of at most
+    that truncation: the largest weight exp_h_weight_bound can give at
+    trunc, from the coefficients chb has."""
+    weight = max((f.degree() * trunc // a for a, f in chb.terms.items()), default=0)
+    shapes = _shape_count(weight, EXP_H_SHAPE_CAP)
+    if shapes > EXP_H_SHAPE_CAP:
+        raise ConfigError(
+            f"max degree {trunc} allows at least {shapes} Schur shapes of weight "
+            f"up to {weight} in the plethystic exponential, over the cap of {EXP_H_SHAPE_CAP}"
+        )
+
+
+def _ch_B_within_budget(n: int, trunc: int) -> LambdaSeries:
+    """ch_B(n, trunc), once `_refuse_shapes` has let it pass.
 
     A ch_B of a smaller truncation has the same low coefficients, so it
-    gives a lower bound on each budget that ch_B sets. `refuse` sees those
-    of truncation 8, 16, 32, ... up to trunc / 2 first, so that a request
-    far over a budget is refused before the whole ch_B is built.
+    gives a lower bound on the shapes that ch_B allows. Those of
+    truncation 8, 16, 32, ... up to trunc / 2 are checked first, so that
+    a request far over the cap is refused before the whole ch_B is built.
     """
     t = 8
     while 2 * t <= trunc:
-        refuse(ch_B(n, t))
+        _refuse_shapes(ch_B(n, t), trunc)
         t *= 2
     chb = ch_B(n, trunc)
-    refuse(chb)
+    _refuse_shapes(chb, trunc)
     return chb
 
 
@@ -370,18 +383,7 @@ def compute_cohomology(cfg: PipelineConfig) -> CohomologyTable:
     n = cfg.n
     epsilon = cfg.epsilon
     trunc = cfg.max_degree
-
-    def refuse(chb: LambdaSeries) -> None:
-        # The largest weight exp_h_weight_bound can give at this degree.
-        weight = max((f.degree() * trunc // a for a, f in chb.terms.items()), default=0)
-        shapes = _shape_count(weight, EXP_H_SHAPE_CAP)
-        if shapes > EXP_H_SHAPE_CAP:
-            raise ConfigError(
-                f"max degree {trunc} allows at least {shapes} Schur shapes of weight "
-                f"up to {weight} in the plethystic exponential, over the cap of {EXP_H_SHAPE_CAP}"
-            )
-
-    chb = _ch_B_within_budget(n, trunc, refuse)
+    chb = _ch_B_within_budget(n, trunc)
     if cfg.variant == "closed":
         _warn_extrapolation(n)
     stages = _StagePass(chb, n, cfg.variant)
@@ -456,104 +458,72 @@ class OracleReport:
         return [cell for cell in self.cells if not cell.ok]
 
 
-# The oracle walks only the set partitions of {1..q} whose block floors
-# fit d_max, but the labelled basis and its fixed points still grow about
-# fourfold per weight.  Cold CLI runs at dim 6 (shared 2-vCPU host):
-# q_max 11 with d_max 3 takes 0.1 s, q_max = d_max = 10 (Bell 115,975)
-# 0.9-1.0 s and 11 (Bell 678,570) 3.8-5.1 s; this cap refuses 12
-# (Bell 4,213,597).
-ORACLE_SET_PARTITION_CAP = 10**6
-
-# At dim 2 the basis, not the walk, sets time and memory: its largest
-# weight holds 31,816 elements at qmax 8 (1.7-2.5 s), 232,653 at qmax 9
-# (17-22 s, 360 MiB) and 1,829,426 at qmax 10.
-ORACLE_BASIS_CAP = 3 * 10**5
+# sigma_characters tests each set partition that `_blocks_within` keeps
+# against each class, so a weight q costs p(q) (1 + kept(q)) fixed-point
+# checks, the 1 for the class itself. Cold CLI runs on a shared 2-vCPU
+# host, all under 35 MiB: dim 2 at qmax = dmax = 9 (741,435 checks)
+# takes 0.7-0.9 s, 10 (5.6 million) 3.2-4.0 s and 11 (43.6 million)
+# 19-23 s; dim 6 at 12 (9.2 million) 6.6-7.7 s. This cap refuses dim 6
+# at 13 (57.3 million).
+ORACLE_WALK_CAP = 5 * 10**7
 
 
-def _bell(q: int, cap: int) -> int:
-    """Number of set partitions of a q-element set, by the Bell triangle,
-    or the first Bell number past cap when that comes first, so that a
-    huge q costs nothing."""
-    row = [1]
-    for _ in range(q):
-        if row[0] > cap:
-            break
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
+def _walk_size(n: int, d_max: int, q_max: int, cap: int) -> int:
+    """The sum over q <= q_max of p(q) (1 + kept(q)), kept(q) being the
+    set partitions of q elements whose block floors fit d_max; or the
+    first running total past cap when that comes first, so that a huge
+    q_max costs nothing.
 
-
-def _basis_sizes(chb: LambdaSeries, q_max: int) -> dict[int, int]:
-    """Dimension of the weight-q part of exp_h(chb), summed over all its
-    t-degrees, for each q <= q_max: the size of the oracle's basis.
-
-    The exponential specialisation ex (p_1 -> x, p_k -> 0 for k >= 2) is a
-    ring map that sends s_lam to f^lam x^|lam| / |lam|!, so the dimension
-    of the weight-q part of f is q! [x^q] ex(f). It kills p_k[s_lam] for
-    k >= 2 unless lam is empty, so ex(exp_h(g)) = exp(ex(L)) with
-    ex(L) = sum_a ex(g_a) t^a + sum_{k>=2} sum_a c_0(a) t^{ka} / k, c_0(a)
-    being the constant term of g_a. The log-derivative recurrence of
-    exp_h gives it degree by degree, on polynomials in x of degree q_max,
-    without building exp_h(chb) itself. Omega keeps every dimension.
+    kept(q) comes from the counts by floor sum: the block of the last
+    element takes s - 1 of the other q - 1 elements and its floor.
     """
-    trunc = chb.trunc
-    # dlog[j][i]: the coefficient of x^i in j ex(L)_j.
-    dlog = [[Fraction(0)] * (q_max + 1) for _ in range(trunc + 1)]
-    for a, f in chb.terms.items():
-        for lam, c in f.coeffs.items():
-            if lam.size <= q_max:
-                dlog[a][lam.size] += a * c * symmetric_group_irrep_dim(lam) / factorial(lam.size)
-        for k in range(2, trunc // a + 1):
-            dlog[k * a][0] += a * f.coeff(EMPTY)
-    exp = [[Fraction(1)] + [Fraction(0)] * q_max]
-    for m in range(1, trunc + 1):
-        acc = [Fraction(0)] * (q_max + 1)
-        for j in range(1, m + 1):
-            for i, u in enumerate(dlog[j]):
-                if u:
-                    for i2, v in enumerate(exp[m - j][: q_max + 1 - i]):
-                        acc[i + i2] += u * v
-        exp.append([c / m for c in acc])
-    return {q: int(factorial(q) * sum(e[q] for e in exp)) for q in range(q_max + 1)}
+    floor = [0]
+    by_floor: list[dict[int, int]] = [{0: 1}]
+    total = 0
+    for q in range(q_max + 1):
+        if q:
+            floor.append(_block_floor(n, q, "Pprime"))
+            counts: dict[int, int] = {}
+            for size in range(1, q + 1):
+                ways = comb(q - 1, size - 1)
+                for f, c in by_floor[q - size].items():
+                    f += floor[size]
+                    if f <= d_max:
+                        counts[f] = counts.get(f, 0) + ways * c
+            by_floor.append(counts)
+        total += partition_count(q) * (1 + sum(by_floor[q].values()))
+        if total > cap:
+            break
+    return total
 
 
 def oracle_check(two_n: int, d_max: int, q_max: int) -> OracleReport:
     """Recompute the series one symmetric-group weight at a time.
 
-    The enumerative route lists the labelled-partition basis of each
-    weight once, takes the fixed-point character of the permutation
-    action twisted by the orientation sign in every degree, and
-    decomposes it by orthogonality. It must agree with the
-    weight-graded slice of the plethysm route, the disc `_StagePass`. A
-    q_max whose Bell number exceeds ORACLE_SET_PARTITION_CAP is rejected
-    before any work, and a weight whose basis exceeds ORACLE_BASIS_CAP
-    before exp_h and any enumeration; `_basis_sizes` counts each weight
-    from ch_B alone, first from the small ch_B of `_ch_B_within_budget`.
+    The enumerative route takes, for each weight, the fixed-point
+    character of the permutation action on the labelled-partition basis,
+    twisted by the orientation sign, in every degree at once
+    (`sigma_characters`, which counts labels on the walked set partitions
+    and builds no labelled partition), and decomposes it by
+    orthogonality. It must agree with the weight-graded slice of the
+    plethysm route, the disc `_StagePass`. A request whose walk needs
+    more than ORACLE_WALK_CAP fixed-point checks (`_walk_size`) is
+    rejected before any walk, ch_B or exp_h runs, and one whose
+    plethystic exponential could hold more than EXP_H_SHAPE_CAP shapes
+    before exp_h, as in `compute_cohomology`.
     """
     if two_n < 2 or two_n % 2:
         raise ConfigError(f"dimension must be a positive even integer, got {two_n}")
     if d_max < 0 or q_max < 0:
         raise ConfigError("bounds must be nonnegative")
-    bell = _bell(q_max, ORACLE_SET_PARTITION_CAP)
-    if bell > ORACLE_SET_PARTITION_CAP:
-        raise ConfigError(
-            f"qmax {q_max} has at least {bell} set partitions, over the "
-            f"oracle cap of {ORACLE_SET_PARTITION_CAP}"
-        )
     n = two_n // 2
-
-    def refuse(chb: LambdaSeries) -> None:
-        q, size = max(_basis_sizes(chb, q_max).items(), key=lambda qs: qs[1])
-        if size > ORACLE_BASIS_CAP:
-            at_least = "at least " if chb.trunc < d_max else ""
-            raise ConfigError(
-                f"weight {q} has {at_least}{size} basis elements, over the oracle cap of "
-                f"{ORACLE_BASIS_CAP}"
-            )
-
-    stages = _StagePass(_ch_B_within_budget(n, d_max, refuse), n, "disc")
+    checks = _walk_size(n, d_max, q_max, ORACLE_WALK_CAP)
+    if checks > ORACLE_WALK_CAP:
+        raise ConfigError(
+            f"qmax {q_max} at dmax {d_max} needs at least {checks} fixed-point checks, "
+            f"over the oracle cap of {ORACLE_WALK_CAP}"
+        )
+    stages = _StagePass(_ch_B_within_budget(n, d_max), n, "disc")
     rhs_series = _mask_series(stages.final, stages.final_den, d_max)
     cells = []
     for q in range(q_max + 1):

@@ -26,12 +26,8 @@ from typing import Iterable
 
 from torelli.graphs import MarkedGraph, _Work, reduce
 from torelli.labels import LabelMonomial, parse_label
-from torelli.setparts import (
-    LabelledPartition,
-    SignedPartitionVector,
-    _perm_parity,
-    enumerate_basis,
-)
+from basis_oracle import enumerate_basis
+from torelli.setparts import LabelledPartition, SignedPartitionVector, _perm_parity
 
 
 class NonTrivalentInput(ValueError):

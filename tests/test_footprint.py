@@ -119,3 +119,19 @@ def test_the_brauer_oracle_stays_out_of_the_package():
     unresolved = [name for name, module in _LAZY.items()
                   if getattr(torelli, name) is not getattr(import_module(f"torelli.{module}"), name)]
     assert unresolved == []
+
+
+def test_the_labelled_basis_oracle_stays_out_of_the_package():
+    # The characters count labels on the walked set partitions; the
+    # labelled basis they were counted on, and the Bell and basis caps
+    # that bounded it, live in tests/basis_oracle.py or are gone.
+    from torelli import pipeline, setparts
+
+    gone = {
+        setparts: ["enumerate_basis", "_empty_families"],
+        pipeline: ["_bell", "_basis_sizes", "ORACLE_BASIS_CAP", "ORACLE_SET_PARTITION_CAP"],
+    }
+    left = [f"{owner.__name__}.{name}" for owner, names in gone.items() for name in names
+            if hasattr(owner, name)]
+    assert left == []
+    assert "enumerate_basis" not in torelli.__all__

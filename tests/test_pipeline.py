@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 from fractions import Fraction
 
@@ -8,7 +9,13 @@ from cli_run import invoke
 from torelli import branching, pipeline, setparts, symfunc
 from torelli.branching import ClassSeries, D_series, OrthSympClass, nl_product
 from torelli.labels import ch_B
-from torelli.partitions import Partition, parse_partition, rim_hooks, symmetric_group_irrep_dim
+from torelli.partitions import (
+    Partition,
+    parse_partition,
+    partition_count,
+    rim_hooks,
+    symmetric_group_irrep_dim,
+)
 from torelli.pipeline import (
     ConfigError,
     ExtrapolationWarning,
@@ -16,9 +23,9 @@ from torelli.pipeline import (
     NegativeMultiplicity,
     PipelineConfig,
     Unsupported,
-    _basis_sizes,
     _shape_count,
     _validate_entries,
+    _walk_size,
     bundle_scalar_series,
     compute_cohomology,
     divide_by_fiber,
@@ -26,7 +33,7 @@ from torelli.pipeline import (
     stable_range,
     variant_adjust,
 )
-from torelli.setparts import quotient_factor, quotient_series_by_L
+from torelli.setparts import _blocks_within, quotient_factor, quotient_series_by_L, sigma_characters
 from torelli.symfunc import LambdaSeries, SymFunc, change_basis, exp_h, exp_h_weight_bound, omega
 
 
@@ -411,13 +418,11 @@ def test_huge_requests_are_refused_from_a_small_ch_B(monkeypatch):
         ["cohomology", "--dim", "2", "--max-degree", "1000"],
         ["series", "--dim", "2", "--max-degree", "1000", "--stage", "final"],
         ["cohomology", "--dim", "6", "--max-degree", "10000", "--variant", "closed"],
+        ["oracle", "--dim", "6", "--qmax", "3", "--dmax", "10000"],
     ):
         result = invoke(args)
         assert result.exit_code == 3, (args, result.output)
         assert "max degree" in result.output and "allows at least" in result.output
-    result = invoke(["oracle", "--dim", "6", "--qmax", "3", "--dmax", "10000"])
-    assert result.exit_code == 3, result.output
-    assert "has at least" in result.output and "over the oracle cap of 300000" in result.output
 
 
 def test_shape_bound_counts_partitions_up_to_the_weight_bound():
@@ -449,6 +454,23 @@ def test_cohomology_refuses_a_large_exp_h_before_it_runs(monkeypatch):
     shapes = _shape_count(3 * 14, pipeline.EXP_H_SHAPE_CAP)
     assert pipeline.EXP_H_SHAPE_CAP < shapes <= 313065
     assert f"max degree 14 allows at least {shapes} Schur shapes" in result.output
+
+
+def test_oracle_refuses_the_shapes_cohomology_refuses(monkeypatch):
+    # The oracle's series side is the disc pass up to dmax, so it takes
+    # the same shape refusal, however small the weight it compares.
+    def refuse(*args, **kwargs):
+        raise AssertionError("exp_h ran before the shape budget check")
+
+    monkeypatch.setattr(pipeline, "_exp_h_masks", refuse)
+    for args in (
+        ["oracle", "--dim", "2", "--qmax", "1", "--dmax", "20"],
+        ["oracle", "--dim", "2", "--qmax", "1", "--dmax", "14"],
+        ["oracle", "--dim", "6", "--qmax", "3", "--dmax", "10000"],
+    ):
+        result = invoke(args)
+        assert result.exit_code == 3, (args, result.output)
+        assert "Schur shapes" in result.output and "over the cap of 200000" in result.output
 
 
 def test_closed_variant():
@@ -534,26 +556,53 @@ def test_oracle_wider_windows(two_n, d_max, q_max):
     assert len(report.cells) == (d_max + 1) * (q_max + 1)
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("the walk, ch_B or exp_h ran before the budget check")
+
+
+def _refuse_the_walk(monkeypatch):
+    for module, name in ((pipeline, "ch_B"), (pipeline, "_exp_h_masks"), (setparts, "_blocks_within")):
+        monkeypatch.setattr(module, name, _refuse)
+
+
 def test_oracle_fails_fast(monkeypatch):
-    # Bell(12) = 4,213,597 set partitions is over the cap; nothing may be
-    # enumerated before the request is rejected, and a huge qmax is
-    # rejected as fast
-    def refuse(*args, **kwargs):
-        raise AssertionError("basis enumerated before the budget check")
-
-    monkeypatch.setattr(setparts, "enumerate_basis", refuse)
-    for q_max in (12, 10**9):
+    # dim 6 at qmax = dmax = 13 needs 57,288,862 fixed-point checks, over
+    # the cap; nothing may be walked before the request is rejected, and a
+    # huge qmax is rejected at once
+    _refuse_the_walk(monkeypatch)
+    for d_max, q_max in ((13, 13), (2, 10**9), (10**9, 10**9)):
+        start = time.perf_counter()
         with pytest.raises(ConfigError, match="oracle cap"):
-            oracle_check(6, 2, q_max)
-    result = invoke(["oracle", "--dim", "6", "--qmax", "12", "--dmax", "2"])
+            oracle_check(6, d_max, q_max)
+        assert time.perf_counter() - start < 1.0
+    result = invoke(["oracle", "--dim", "6", "--qmax", "13", "--dmax", "13"])
     assert result.exit_code == 3
-    assert "4213597 set partitions" in result.output
+    assert "needs at least 57288862 fixed-point checks" in result.output
 
 
-# Test oracle for _basis_sizes: the count it replaced, the dimensions
-# sum_lam c_lam f^lam of the weight-q slices of the whole pre-D series.
-# It needs exp_h of ch_B, which is what the count avoids; kept only to
-# check the exponential specialisation against.
+# Test oracle for the walk cap: the set partitions `_blocks_within`
+# keeps, walked and counted.
+
+def _walked_checks(n, d_max, q_max):
+    checks = 0
+    for q in range(q_max + 1):
+        kept = list(_blocks_within(tuple(range(1, q + 1)), n, "Pprime", d_max))
+        checks += partition_count(q) * (1 + len(kept))
+    return checks
+
+
+def test_walk_size_counts_the_kept_set_partitions():
+    for n, d_max, q_max in ((1, 6, 8), (1, 8, 8), (3, 8, 9), (3, 3, 12), (5, 9, 10), (2, 5, 7)):
+        checks = _walked_checks(n, d_max, q_max)
+        assert _walk_size(n, d_max, q_max, 10**9) == checks, (n, d_max, q_max)
+        # past the cap, the count stops at the first running total over it
+        assert _walk_size(n, d_max, q_max, checks - 1) == checks
+        assert _walk_size(n, d_max, q_max + 5, checks - 1) == checks
+
+
+# Test oracle for the basis sizes: the dimensions sum_lam c_lam f^lam of
+# the weight-q slices of the whole pre-D series, which the identity
+# values of the characters must give.
 
 def _pre_d_basis_sizes(n, d_max, q_max):
     pre_d = _oracle_pre_d(ch_B(n, d_max), n)
@@ -568,40 +617,33 @@ def _pre_d_basis_sizes(n, d_max, q_max):
 @pytest.mark.parametrize("two_n, d_max, q_max", [(2, 6, 8), (6, 8, 8), (10, 9, 9), (2, 8, 8)])
 def test_basis_sizes_match_the_pre_d_count(two_n, d_max, q_max):
     n = two_n // 2
-    assert _basis_sizes(ch_B(n, d_max), q_max) == _pre_d_basis_sizes(n, d_max, q_max)
+    sizes = {
+        q: sum(chi.value((1,) * q) for chi in sigma_characters(q, n, d_max).values())
+        for q in range(q_max + 1)
+    }
+    assert sizes == _pre_d_basis_sizes(n, d_max, q_max)
 
 
 def test_oracle_refuses_a_large_basis_before_exp_h(monkeypatch):
-    # dim 2 at weight 10 has 1,829,426 basis elements; the count needs
-    # only ch_B, so neither exp_h nor the enumeration may run
-    def refuse(*args, **kwargs):
-        raise AssertionError("exp_h or the basis ran before the budget check")
-
-    monkeypatch.setattr(pipeline, "_exp_h_masks", refuse)
-    monkeypatch.setattr(setparts, "enumerate_basis", refuse)
-    result = invoke(["oracle", "--dim", "2", "--qmax", "10", "--dmax", "10"])
+    # dim 2 at weight 12 walks all 4,213,597 set partitions against 77
+    # classes; the count needs neither ch_B nor the walk
+    _refuse_the_walk(monkeypatch)
+    result = invoke(["oracle", "--dim", "2", "--qmax", "12", "--dmax", "12"])
     assert result.exit_code == 3
-    assert "weight 10 has 1829426 basis elements, over the oracle cap of 300000" in result.output
+    assert "needs at least 368059449 fixed-point checks, over the oracle cap of 50000000" in result.output
 
 
 def test_oracle_refuses_a_basis_over_the_cap(monkeypatch):
-    # The largest basis of a weight is counted from ch_B, as the
-    # dimensions of the weight-q slices of its plethystic exponential,
-    # before anything is enumerated
-    sizes = {q: len(setparts.enumerate_basis(q, 1, "Pprime", 5)) for q in range(7)}
-    q, size = max(sizes.items(), key=lambda qs: qs[1])
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("basis enumerated before the budget check")
-
-    monkeypatch.setattr(setparts, "enumerate_basis", refuse)
-    monkeypatch.setattr(pipeline, "ORACLE_BASIS_CAP", size - 1)
+    # The walk is counted before it runs: one check over the cap refuses,
+    # and at the cap the walk starts
+    checks = _walked_checks(1, 5, 6)
+    monkeypatch.setattr(setparts, "_blocks_within", _refuse)
+    monkeypatch.setattr(pipeline, "ORACLE_WALK_CAP", checks - 1)
     result = invoke(["oracle", "--dim", "2", "--qmax", "6", "--dmax", "5"])
     assert result.exit_code == 3
-    assert f"weight {q} has {size} basis elements" in result.output
-    # at the cap the budget admits the run, and enumeration starts
-    monkeypatch.setattr(pipeline, "ORACLE_BASIS_CAP", size)
-    with pytest.raises(AssertionError, match="basis enumerated"):
+    assert f"needs at least {checks} fixed-point checks" in result.output
+    monkeypatch.setattr(pipeline, "ORACLE_WALK_CAP", checks)
+    with pytest.raises(AssertionError, match="the walk"):
         oracle_check(2, 5, 6)
 
 

@@ -1,8 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+import basis_oracle
+from basis_oracle import enumerate_basis
 from brauer_oracle import (
     BrauerMorphism,
     GroundSetOverlap,
@@ -12,7 +15,6 @@ from brauer_oracle import (
     compose,
     day_product,
 )
-from torelli import setparts
 from torelli.characters import ClassFunction, decompose
 from torelli.labels import LabelMonomial, parse_label
 from torelli.partitions import Partition, partitions_of
@@ -21,9 +23,8 @@ from torelli.setparts import (
     LabelledPartition,
     _block_floor,
     _blocks_within,
-    _perm_parity,
-    enumerate_basis,
     _perm_from_cycle_type,
+    _perm_parity,
     quotient_factor,
     sigma_character,
     sigma_characters,
@@ -120,8 +121,18 @@ def test_floor_pruned_walk_matches_the_bell_walk():
                 floors = [sum(_block_floor(n, len(b), variant) for b in blocks) for blocks in walk]
                 for cap in range(9):
                     kept = [blocks for blocks, floor in zip(walk, floors) if floor <= cap]
-                    assert _blocks_within(elems, n, variant, cap) == kept, (variant, n, q, cap)
+                    assert list(_blocks_within(elems, n, variant, cap)) == kept, (
+                        variant, n, q, cap,
+                    )
 
+
+def test_walk_charges_the_elements_still_to_place():
+    # Forty elements at n = 1 need floors of at least 40 / 3 (a triple's
+    # floor is 1), so nothing fits a cap of 6; the walk must see that at
+    # the root, not after the dead branches of the blocks placed so far.
+    start = time.perf_counter()
+    assert list(_blocks_within(tuple(range(1, 41)), 1, "Pprime", 6)) == []
+    assert time.perf_counter() - start < 1.0
 
 
 def _inversion_parity(word):
@@ -148,8 +159,11 @@ def test_perm_parity_matches_the_inversion_count():
     ]
 
 def test_enumerate_basis_rejects_unquotiented():
-    with pytest.raises(ValueError):
-        enumerate_basis(2, 3, "P", 4)
+    for variant, message in (("P", "no finite basis"), ("Q", "unknown variant")):
+        with pytest.raises(ValueError, match=message):
+            enumerate_basis(2, 3, variant, 4)
+        with pytest.raises(ValueError, match=message):
+            sigma_characters(2, 3, 4, variant)
 
 
 def test_sigma_character_small():
@@ -193,39 +207,30 @@ def _transport_character(q, n, degree, variant):
 
 
 def test_sigma_characters_match_transport_oracle():
+    # three routes: the count over set partitions, the fixed points of the
+    # enumerated basis, and (below weight 8, where it is slow) transport
+    # on the basis of each degree
     for variant in ("P0", "Pprime"):
         for n in (1, 3, 5):
-            for q in range(8):
+            for q in range(9):
                 chis = sigma_characters(q, n, 8, variant)
+                assert chis == basis_oracle.sigma_characters(q, n, 8, variant), (variant, n, q)
                 assert sorted(chis) == list(range(9))
+                if q == 8:
+                    continue
                 for d, chi in chis.items():
                     assert chi == _transport_character(q, n, d, variant), (
                         variant, n, q, d,
                     )
 
 
-def test_oracle_enumerates_each_weight_once(monkeypatch):
-    # one enumeration per weight q, and no partition built beyond it:
-    # fixed points are counted without transporting any basis element
-    calls, listed, built = [], [0], [0]
-    enumerate_once = setparts.enumerate_basis
-    init = LabelledPartition.__init__
+def test_oracle_builds_no_labelled_partition(monkeypatch):
+    # the characters count labels on the walked set partitions
+    def refuse(self, n, parts):
+        raise AssertionError("a labelled partition was built")
 
-    def counted_enumeration(ground, n, variant="Pprime", degree_cap=0):
-        calls.append(ground)
-        basis = enumerate_once(ground, n, variant, degree_cap)
-        listed[0] += len(basis)
-        return basis
-
-    def counted_init(self, n, parts):
-        built[0] += 1
-        init(self, n, parts)
-
-    monkeypatch.setattr(setparts, "enumerate_basis", counted_enumeration)
-    monkeypatch.setattr(LabelledPartition, "__init__", counted_init)
+    monkeypatch.setattr(LabelledPartition, "__init__", refuse)
     assert oracle_check(6, 6, 6).ok
-    assert calls == list(range(7))
-    assert built[0] == listed[0] > 0
 
 
 def test_day_product_sign():
