@@ -7,25 +7,29 @@ contracting a loop multiplies the label by e; reorderings contribute
 parity signs (per-vertex slot permutations count with multiplicity n,
 odd-degree vertices anticommute, and reversing a matched pair costs
 the same parity).  Every graph contracts to a signed labelled
-partition of its legs.
+partition of its legs, whatever the order of the contractions, so
+`reduce` contracts all of them at once: each connected component is
+one part, and the sign is the parity of one permutation of the
+half-edges and one of the legs.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .labels import LabelMonomial, parse_label
+from .labels import LabelMonomial, _is_number, parse_label
 from .setparts import LabelledPartition, SignedPartitionVector, _perm_parity
 
 
 # A graph file may hold at most this many half-edges, its legs counted
-# as half-edges. Contraction is not linear: one vertex with many loops is
-# the slowest shape found, quadratic in its valence, since each loop
-# contracted rescans the vertex's slots. With 318 loops and 2 legs (640
-# in all, n = 3) a cold `graph reduce` takes 0.12-0.17 s on a shared
-# 2-vCPU host, as does a path of 319 bivalent p1 vertices between 2 legs
-# (also 640); in process, 2,400 loops take about 3 s.
-HALF_EDGE_CAP = 640
+# as half-edges. `reduce` is one pass, so reading the file and printing
+# the result cost as much as the contraction. The slowest shape found is
+# many small components: with 12,000 ends in 6,000 univalent p1 vertices,
+# one leg each (n = 3), a cold `graph reduce` takes 0.28-0.33 s and
+# 27 MiB on a shared 2-vCPU host, and 0.39-0.50 s at 20,000. At 12,000, a
+# path of bivalent p1 vertices takes 0.26-0.28 s, one vertex with about
+# 6,000 loops 0.19-0.20 s, a random matching of valences 3 to 5 0.25 s.
+HALF_EDGE_CAP = 12_000
 
 
 class ForbiddenResult(ValueError):
@@ -105,7 +109,6 @@ class MarkedGraph:
     def degree(self) -> int:
         return sum(self.vertex_degrees())
 
-
     def _encoding(self):
         return (
             self.n,
@@ -139,7 +142,6 @@ class MarkedGraph:
         }
 
 
-
 def corolla(n: int, label: LabelMonomial, legs: Iterable[int]) -> MarkedGraph:
     """Single vertex with its slots matched to the given legs in order."""
     legs = tuple(legs)
@@ -168,7 +170,7 @@ def parse_graph(data) -> MarkedGraph:
     hev = [_integer(h["vertex"], f"half-edge {i} vertex") for i, h in enumerate(data["half_edges"])]
 
     def end(text: str) -> tuple[str, int]:
-        if text[:1] in ("h", "L"):
+        if text[:1] in ("h", "L") and _is_number(text[1:]):
             return (text[0], int(text[1:]))
         raise ValueError(f"bad matching id {text!r}")
 
@@ -176,128 +178,73 @@ def parse_graph(data) -> MarkedGraph:
     return MarkedGraph(n, data["legs"], labels, hev, matching)
 
 
-class _Work:
-    """Mutable graph with incremental sign tracking.
-
-    Half-edges keep their original ids; the current half-edge order is
-    the concatenation of the per-vertex slot lists.  Every mutation
-    multiplies the running sign by the factor relating the old
-    presentation to the new one.
-    """
-
-    def __init__(self, graph: MarkedGraph) -> None:
-        self.n = graph.n
-        self.legs = graph.legs
-        self.labels: list[LabelMonomial] = list(graph.labels)
-        self.slots: list[list[int]] = [
-            [h for h, v in enumerate(graph.half_edge_vertex) if v == i]
-            for i in range(len(graph.labels))
-        ]
-        self.pairs: list[list[tuple[str, int]]] = [
-            [a, b] for a, b in graph.matching
-        ]
-        self.sign = 1
-
-    def owner(self, hid: int) -> int:
-        for i, fiber in enumerate(self.slots):
-            if hid in fiber:
-                return i
-        raise ValueError(f"half-edge {hid} not found")
-
-    def degree(self, i: int) -> int:
-        return self.labels[i].degree + self.n * (len(self.slots[i]) - 2)
-
-    def flip_pair(self, idx: int) -> None:
-        self.pairs[idx].reverse()
-        if self.n % 2:
-            self.sign = -self.sign
-
-    def arrange_slots(self, v: int, target: list[int]) -> None:
-        cur = self.slots[v]
-        if sorted(cur) != sorted(target):
-            raise ValueError("slot rearrangement must be a permutation")
-        position = {h: i for i, h in enumerate(cur)}
-        if self.n % 2 and _perm_parity([position[h] for h in target]):
-            self.sign = -self.sign
-        self.slots[v] = list(target)
-
-    def move_vertex(self, i: int, j: int) -> None:
-        """Move the vertex at position i to position j of the shortened
-        list, anticommuting past odd-degree vertices."""
-        if i == j:
-            return
-        odd_i = self.degree(i) % 2
-        lab = self.labels.pop(i)
-        slo = self.slots.pop(i)
-        lo, hi = (j, i) if j < i else (i, j)
-        if odd_i:
-            crossed = sum(1 for k in range(lo, hi) if self.degree(k) % 2)
-            if crossed % 2:
-                self.sign = -self.sign
-        self.labels.insert(j, lab)
-        self.slots.insert(j, slo)
-
-    def contract_pair(self, idx: int) -> None:
-        """Contract one matched pair of half-edges (edge or loop)."""
-        a, b = self.pairs[idx]
-        if a[0] != "h" or b[0] != "h":
-            raise ValueError("can only contract half-edge pairs")
-        u, v = self.owner(a[1]), self.owner(b[1])
-        if u == v:
-            rest = [h for h in self.slots[u] if h not in (a[1], b[1])]
-            self.arrange_slots(u, [a[1], b[1]] + rest)
-            self.slots[u] = rest
-            self.labels[u] = self.labels[u] * LabelMonomial.e(self.n)
-            del self.pairs[idx]
-            return
-        if u > v:
-            self.flip_pair(idx)
-            a, b = self.pairs[idx]
-            u, v = v, u
-        rest_u = [h for h in self.slots[u] if h != a[1]]
-        self.arrange_slots(u, rest_u + [a[1]])
-        rest_v = [h for h in self.slots[v] if h != b[1]]
-        self.arrange_slots(v, [b[1]] + rest_v)
-        self.move_vertex(v, u + 1)
-        self.labels[u] = self.labels[u] * self.labels[u + 1]
-        self.slots[u] = rest_u + rest_v
-        del self.labels[u + 1]
-        del self.slots[u + 1]
-        del self.pairs[idx]
-
-
-def reduce(graph: MarkedGraph, variant: str = "P0", _rng=None) -> SignedPartitionVector:
+def reduce(graph: MarkedGraph, variant: str = "P0") -> SignedPartitionVector:
     """Contract all internal edges and loops down to a labelled partition.
 
-    After contraction the orientation word lists each slot's partner
-    leg in half-edge order and then the leg-leg pairs in matching
-    order; its parity against the sorted legs contributes the final
-    sign (with multiplicity n).  `_rng` picks the edge to contract at
-    each step, so that tests can check the order does not matter.
+    One pass over the matching: a union-find joins the ends of every
+    half-edge pair, and a pair whose ends are already joined is a loop.
+    Each component becomes one part, labelled by the product of its
+    vertex labels times e^loops, holding the legs matched to its
+    half-edges; each leg-leg pair becomes a unit-labelled part of two.
+
+    For even n the sign is +1: label degrees are even, so no step of the
+    calculus changes it. For odd n every reordering is a permutation of
+    the half-edges, a vertex moving as the block of its slots.
+    Contracting a pair moves its ends together, in the order written, and
+    deletes them; a block of two commutes with everything, so all the
+    contractions, in any order, cost the parity of the word of the
+    half-edge pairs as written followed by the remaining half-edges. The
+    partition then reads the legs these meet, then the leg-leg pairs,
+    against the sorted legs, and a half-edge-leg pair written leg first
+    costs -1. Taking the remaining half-edges sorted by leg changes both
+    parities alike.
     """
     n = graph.n
-    w = _Work(graph)
-    while True:
-        hh = [i for i, (a, b) in enumerate(w.pairs) if a[0] == "h" and b[0] == "h"]
-        if not hh:
-            break
-        w.contract_pair(hh[0] if _rng is None else _rng.choice(hh))
-    for idx, (a, b) in enumerate(w.pairs):
-        if a[0] == "L" and b[0] == "h":
-            w.flip_pair(idx)
-    leg_of = {a[1]: b[1] for a, b in w.pairs if a[0] == "h"}
-    word = [leg_of[h] for fiber in w.slots for h in fiber]
-    ll = [(a[1], b[1]) for a, b in w.pairs if a[0] == "L" and b[0] == "L"]
-    for pa, pb in ll:
-        word.extend((pa, pb))
-    if n % 2 and _perm_parity(word):
-        w.sign = -w.sign
-    parts = [
-        (tuple(leg_of[h] for h in fiber), w.labels[i])
-        for i, fiber in enumerate(w.slots)
-    ]
-    parts += [((pa, pb), LabelMonomial.unit(n)) for pa, pb in ll]
-    partition = LabelledPartition(n, parts)
+    vertex = graph.half_edge_vertex
+    parent = list(range(len(graph.labels)))
+    loops = [0] * len(parent)
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    word: list[int] = []
+    leg_of: dict[int, int] = {}
+    leg_pairs: list[int] = []
+    flips = 0
+    for a, b in graph.matching:
+        if a[0] == b[0] == "h":
+            word += (a[1], b[1])
+            u, v = find(vertex[a[1]]), find(vertex[b[1]])
+            if u == v:
+                loops[u] += 1
+            else:
+                parent[u] = v
+                loops[v] += loops[u]
+        elif a[0] == b[0]:
+            leg_pairs += (a[1], b[1])
+        else:
+            if a[0] == "L":
+                a, b = b, a
+                flips += 1
+            leg_of[a[1]] = b[1]
+    kept = sorted(leg_of, key=leg_of.__getitem__)
+    sign = 1
+    if n % 2:
+        legs = [leg_of[h] for h in kept] + leg_pairs
+        sign = (-1) ** (flips + _perm_parity(word + kept) + _perm_parity(legs))
+    parts: dict[int, list] = {}
+    for v, label in enumerate(graph.labels):
+        root = find(v)
+        if root in parts:
+            parts[root][1] *= label
+        else:
+            parts[root] = [[], label * LabelMonomial.e(n, loops[root]) if loops[root] else label]
+    for h in kept:
+        parts[find(vertex[h])][0].append(leg_of[h])
+    units = [(leg_pairs[i:i + 2], LabelMonomial.unit(n)) for i in range(0, len(leg_pairs), 2)]
+    partition = LabelledPartition(n, list(parts.values()) + units)
     if not partition.in_variant(variant):
         raise ForbiddenResult(f"reduced partition {partition} leaves variant {variant}")
-    return SignedPartitionVector(n, graph.legs, {partition: w.sign})
+    return SignedPartitionVector(n, graph.legs, {partition: sign})

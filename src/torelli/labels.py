@@ -125,6 +125,12 @@ class LabelMonomial:
         return f"LabelMonomial(n={self.n}, {self!s})"
 
 
+def _is_number(text: str) -> bool:
+    """Whether text is ASCII digits alone; int() would also read signs,
+    spaces, underscores ("1_0" is 10) and the digits of other scripts."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_label(text: str, n: int) -> LabelMonomial:
     """Parse monomial syntax like "e^2*p1" or "1"."""
     text = text.strip()
@@ -134,15 +140,15 @@ def parse_label(text: str, n: int) -> LabelMonomial:
     p_exps: dict[int, int] = {}
     for factor in text.split("*"):
         factor = factor.strip()
-        if "^" in factor:
-            base, _, exp_text = factor.partition("^")
-            exp = int(exp_text)
-        else:
-            base, exp = factor, 1
+        base, caret, exp_text = factor.partition("^")
+        exp_text = exp_text.strip() if caret else "1"
+        if not _is_number(exp_text):
+            raise ValueError(f"unrecognized label factor {factor!r}")
+        exp = int(exp_text)
         base = base.strip()
         if base == "e":
             e_exp += exp
-        elif base.startswith("p"):
+        elif base[:1] == "p" and _is_number(base[1:]):
             i = int(base[1:])
             p_exps[i] = p_exps.get(i, 0) + exp
         elif base == "1":

@@ -277,17 +277,21 @@ class _StagePass:
     the disc variant) bundle_scalar_series, and the closed variant divides
     by the fibre (`_fiber_quotient`). One bead count holds every shape.
     The plethysm, pre-D and final series are kept as {degree: {mask: int}}
-    over `den`; nothing becomes a Partition until it is decoded.
+    over `den`; nothing becomes a Partition until it is decoded. With
+    max_weight (the disc variant only), exp_h keeps only the shapes of
+    weight up to it: the later disc stages keep the weight of each shape.
     """
 
     __slots__ = ("plethysm", "pre_d", "den", "final", "final_den")
 
-    def __init__(self, chb: LambdaSeries, n: int, variant: str):
+    def __init__(self, chb: LambdaSeries, n: int, variant: str, max_weight: Optional[int] = None):
         trunc = chb.trunc
         beads = exp_h_weight_bound(chb)
         if variant == "closed":
             beads = _fiber_beads(beads, trunc, n)
-        s_terms, d = _exp_h_masks(chb, beads)
+        if max_weight is not None:
+            beads = min(beads, max_weight)
+        s_terms, d = _exp_h_masks(chb, beads, max_weight)
         self.plethysm, self.den = _over_one_denominator(
             dict(enumerate(s_terms)), {m: factorial(m) * d**m for m in range(len(s_terms))}
         )
@@ -523,7 +527,7 @@ def oracle_check(two_n: int, d_max: int, q_max: int) -> OracleReport:
             f"qmax {q_max} at dmax {d_max} needs at least {checks} fixed-point checks, "
             f"over the oracle cap of {ORACLE_WALK_CAP}"
         )
-    stages = _StagePass(_ch_B_within_budget(n, d_max), n, "disc")
+    stages = _StagePass(_ch_B_within_budget(n, d_max), n, "disc", q_max)
     rhs_series = _mask_series(stages.final, stages.final_den, d_max)
     cells = []
     for q in range(q_max + 1):

@@ -614,10 +614,16 @@ def _jacobi_trudi(lam: Partition) -> Mapping[tuple, int]:
     return MappingProxyType(expand(tuple(range(len(lam)))))
 
 
-def _exp_h_masks(g: LambdaSeries, beads: Optional[int] = None) -> tuple[list[dict[int, int]], int]:
+def _exp_h_masks(
+    g: LambdaSeries, beads: Optional[int] = None, max_weight: Optional[int] = None
+) -> tuple[list[dict[int, int]], int]:
     """The integer core of exp_h: [S_0, ..., S_trunc] and D, such that
     E_m = S_m / (m! D^m), each S_m a {beta-set mask: int} with `beads`
     beads, at least (and by default) `exp_h_weight_bound(g)`.
+
+    With max_weight, each S_m drops its shapes heavier than that once it
+    is complete, and `beads` need only reach max_weight: a strip only
+    adds boxes, so no lighter shape comes from a dropped one.
 
     Each g_a is written in the h-basis (`_jacobi_trudi`), and
     p_k[h_mu] = prod_i h_{mu_i}[p_k]. D is the common denominator of the
@@ -652,6 +658,8 @@ def _exp_h_masks(g: LambdaSeries, beads: Optional[int] = None) -> tuple[list[dic
     s_terms: list[dict[int, int]] = []
     for source, acc in enumerate(accs):
         s = {mask: c for mask, c in acc.items() if c}
+        if max_weight is not None:
+            s = {mask: c for mask, c in s.items() if sum(mask_partition(mask)) <= max_weight}
         s_terms.append(s)
         if not s:
             continue

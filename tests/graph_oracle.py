@@ -1,9 +1,12 @@
 """Test oracle for the graph calculus: an independent route, not used by the package.
 
 `torelli.graphs.reduce` contracts every edge of a marked graph down to a
-labelled partition.  This module keeps the slower checks that route is
-compared against:
+labelled partition in one pass.  This module keeps the slower checks
+that route is compared against:
 
+- `contract_in_order`, the sequential contraction on a mutable `_Work`
+  graph, one half-edge pair at a time in matching order or in an order
+  a random generator picks, with the sign tracked at every step;
 - `canonical`, a brute-force minimal relabelling of a graph over all
   vertex and slot orders, with the sign relating the two presentations;
   `compare_sign` and `SignedGraphVector` read graphs through it;
@@ -24,8 +27,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Iterable
 
-from torelli.graphs import MarkedGraph, _Work, reduce
-from torelli.labels import LabelMonomial, parse_label
+from torelli.graphs import ForbiddenResult, MarkedGraph, reduce
+from torelli.labels import LabelMonomial, labels_up_to, parse_label
 from basis_oracle import enumerate_basis
 from torelli.setparts import LabelledPartition, SignedPartitionVector, _perm_parity
 
@@ -174,6 +177,134 @@ def reduce_vector(vec: SignedGraphVector, variant: str = "P0") -> SignedPartitio
         for part, c in reduce(graph, variant).coeffs.items():
             coeffs[part] = coeffs.get(part, Fraction(0)) + coeff * c
     return SignedPartitionVector(vec.n, vec.legs, coeffs)
+
+
+class _Work:
+    """Mutable graph with incremental sign tracking.
+
+    Half-edges keep their original ids; the current half-edge order is
+    the concatenation of the per-vertex slot lists.  Every mutation
+    multiplies the running sign by the factor relating the old
+    presentation to the new one.
+    """
+
+    def __init__(self, graph: MarkedGraph) -> None:
+        self.n = graph.n
+        self.legs = graph.legs
+        self.labels: list[LabelMonomial] = list(graph.labels)
+        self.slots: list[list[int]] = [
+            [h for h, v in enumerate(graph.half_edge_vertex) if v == i]
+            for i in range(len(graph.labels))
+        ]
+        self.pairs: list[list[tuple[str, int]]] = [
+            [a, b] for a, b in graph.matching
+        ]
+        self.sign = 1
+
+    def owner(self, hid: int) -> int:
+        for i, fiber in enumerate(self.slots):
+            if hid in fiber:
+                return i
+        raise ValueError(f"half-edge {hid} not found")
+
+    def degree(self, i: int) -> int:
+        return self.labels[i].degree + self.n * (len(self.slots[i]) - 2)
+
+    def flip_pair(self, idx: int) -> None:
+        self.pairs[idx].reverse()
+        if self.n % 2:
+            self.sign = -self.sign
+
+    def arrange_slots(self, v: int, target: list[int]) -> None:
+        cur = self.slots[v]
+        if sorted(cur) != sorted(target):
+            raise ValueError("slot rearrangement must be a permutation")
+        position = {h: i for i, h in enumerate(cur)}
+        if self.n % 2 and _perm_parity([position[h] for h in target]):
+            self.sign = -self.sign
+        self.slots[v] = list(target)
+
+    def move_vertex(self, i: int, j: int) -> None:
+        """Move the vertex at position i to position j of the shortened
+        list, anticommuting past odd-degree vertices."""
+        if i == j:
+            return
+        odd_i = self.degree(i) % 2
+        lab = self.labels.pop(i)
+        slo = self.slots.pop(i)
+        lo, hi = (j, i) if j < i else (i, j)
+        if odd_i:
+            crossed = sum(1 for k in range(lo, hi) if self.degree(k) % 2)
+            if crossed % 2:
+                self.sign = -self.sign
+        self.labels.insert(j, lab)
+        self.slots.insert(j, slo)
+
+    def contract_pair(self, idx: int) -> None:
+        """Contract one matched pair of half-edges (edge or loop)."""
+        a, b = self.pairs[idx]
+        if a[0] != "h" or b[0] != "h":
+            raise ValueError("can only contract half-edge pairs")
+        u, v = self.owner(a[1]), self.owner(b[1])
+        if u == v:
+            rest = [h for h in self.slots[u] if h not in (a[1], b[1])]
+            self.arrange_slots(u, [a[1], b[1]] + rest)
+            self.slots[u] = rest
+            self.labels[u] = self.labels[u] * LabelMonomial.e(self.n)
+            del self.pairs[idx]
+            return
+        if u > v:
+            self.flip_pair(idx)
+            a, b = self.pairs[idx]
+            u, v = v, u
+        rest_u = [h for h in self.slots[u] if h != a[1]]
+        self.arrange_slots(u, rest_u + [a[1]])
+        rest_v = [h for h in self.slots[v] if h != b[1]]
+        self.arrange_slots(v, [b[1]] + rest_v)
+        self.move_vertex(v, u + 1)
+        self.labels[u] = self.labels[u] * self.labels[u + 1]
+        self.slots[u] = rest_u + rest_v
+        del self.labels[u + 1]
+        del self.slots[u + 1]
+        del self.pairs[idx]
+
+
+def contract_in_order(graph: MarkedGraph, variant: str = "P0", rng=None) -> SignedPartitionVector:
+    """The sequential reference for `torelli.graphs.reduce`: contract one
+    half-edge pair at a time on a `_Work`, the first left in the
+    matching or one that rng picks, tracking the sign at every step.
+
+    After contraction the orientation word lists each slot's partner
+    leg in half-edge order and then the leg-leg pairs in matching
+    order; its parity against the sorted legs contributes the final
+    sign (with multiplicity n).
+    """
+    n = graph.n
+    w = _Work(graph)
+    while True:
+        hh = [i for i, (a, b) in enumerate(w.pairs) if a[0] == "h" and b[0] == "h"]
+        if not hh:
+            break
+        w.contract_pair(hh[0] if rng is None else rng.choice(hh))
+    for idx, (a, b) in enumerate(w.pairs):
+        if a[0] == "L" and b[0] == "h":
+            w.flip_pair(idx)
+    leg_of = {a[1]: b[1] for a, b in w.pairs if a[0] == "h"}
+    word = [leg_of[h] for fiber in w.slots for h in fiber]
+    ll = [(a[1], b[1]) for a, b in w.pairs if a[0] == "L" and b[0] == "L"]
+    for pa, pb in ll:
+        word.extend((pa, pb))
+    if n % 2 and _perm_parity(word):
+        w.sign = -w.sign
+    parts = [
+        (tuple(leg_of[h] for h in fiber), w.labels[i])
+        for i, fiber in enumerate(w.slots)
+    ]
+    parts += [((pa, pb), LabelMonomial.unit(n)) for pa, pb in ll]
+    partition = LabelledPartition(n, parts)
+    if not partition.in_variant(variant):
+        raise ForbiddenResult(f"reduced partition {partition} leaves variant {variant}")
+    return SignedPartitionVector(n, graph.legs, {partition: w.sign})
 
 
 class _CubicWork(_Work):
@@ -708,6 +839,26 @@ def random_graph(rng, n: int, leaf_labels) -> MarkedGraph | None:
         return None
     rng.shuffle(pool)
     matching = [(pool[2 * i], pool[2 * i + 1]) for i in range(len(pool) // 2)]
+    try:
+        return MarkedGraph(n, range(1, q + 1), labels, hev, matching)
+    except ValueError:
+        return None
+
+
+def random_general_graph(rng, n: int) -> MarkedGraph | None:
+    """Up to five vertices of valence 0 to 5 with labels of degree at
+    most 4 n + 2 and up to five legs, matched at random; None when the
+    ends are odd in number or a vertex has nonpositive degree."""
+    valences = [rng.randrange(0, 6) for _ in range(rng.randrange(0, 6))]
+    q = rng.randrange(0, 6)
+    pool = labels_up_to(n, 4 * n + 2)
+    labels = [rng.choice(pool) for _ in valences]
+    hev = [v for v, val in enumerate(valences) for _ in range(val)]
+    ends = [("h", i) for i in range(len(hev))] + [("L", x) for x in range(1, q + 1)]
+    if len(ends) % 2:
+        return None
+    rng.shuffle(ends)
+    matching = [(ends[i], ends[i + 1]) for i in range(0, len(ends), 2)]
     try:
         return MarkedGraph(n, range(1, q + 1), labels, hev, matching)
     except ValueError:

@@ -60,13 +60,18 @@ def test_cli_import_loads_only_what_its_main_commands_run():
 
 
 def test_the_graph_oracle_stays_out_of_the_package():
-    # The cubic rewriting, the canonical forms and the presentation audit
-    # check the contraction from tests/graph_oracle.py; the package keeps
-    # one contraction route, and every lazy export is a public name.
+    # The sequential contraction, the cubic rewriting, the canonical forms
+    # and the presentation audit check the contraction from
+    # tests/graph_oracle.py; the package keeps one contraction route, the
+    # one-pass `reduce`, and every lazy export is a public name.
+    from inspect import signature
+
     from torelli import _LAZY, graphs
 
-    moved = ["reduce_trivalent", "presentation_audit", "SignedGraphVector", "compare_sign", "canonical"]
+    moved = ["reduce_trivalent", "presentation_audit", "SignedGraphVector", "compare_sign", "canonical",
+             "_Work", "contract_in_order"]
     assert [name for name in moved if hasattr(graphs, name)] == []
+    assert list(signature(graphs.reduce).parameters) == ["graph", "variant"]
     assert not hasattr(graphs.MarkedGraph, "canonical")
     assert sorted(set(_LAZY) - set(torelli.__all__)) == []
 

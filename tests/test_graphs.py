@@ -1,14 +1,17 @@
 import json
 import random
+import time
 
 import pytest
 from cli_run import invoke
 from graph_oracle import (
     NonTrivalentInput,
     compare_sign,
+    contract_in_order,
     igraph,
     is_trivalent_mode,
     presentation_audit,
+    random_general_graph,
     random_graph,
     reduce_trivalent,
     reduce_vector,
@@ -105,10 +108,52 @@ def test_contraction_order_confluence():
             continue
         base = reduce(g, variant="P")
         for _ in range(3):
-            shuffled = reduce(g, variant="P", _rng=rng)
+            shuffled = contract_in_order(g, "P", rng)
             assert shuffled.coeffs == base.coeffs, g.to_json()
         count += 1
     assert count == 120
+
+
+def test_one_pass_matches_the_sequential_contraction_on_general_graphs():
+    rng = random.Random(19)
+    signs = set()
+    count = 0
+    while count < 2000:
+        n = rng.randrange(1, 6)
+        g = random_general_graph(rng, n)
+        if g is None:
+            continue
+        fast = reduce(g, variant="P")
+        assert fast == contract_in_order(g, "P", rng), g.to_json()
+        signs.update(fast.coeffs.values())
+        count += 1
+    assert signs == {1, -1}
+
+
+def _looped_vertex(loops):
+    # one unit vertex with the given loops and legs 1 and 2
+    matching = [(("h", 2 * i), ("h", 2 * i + 1)) for i in range(loops)]
+    matching += [(("h", 2 * loops), ("L", 1)), (("L", 2), ("h", 2 * loops + 1))]
+    return MarkedGraph(3, (1, 2), [U3], [0] * (2 * loops + 2), matching)
+
+
+def _path(vertices):
+    # bivalent p1 vertices in a row between legs 1 and 2
+    ends = [("L", 1)] + [("h", i) for i in range(2 * vertices)] + [("L", 2)]
+    matching = [(ends[i], ends[i + 1]) for i in range(0, len(ends), 2)]
+    return MarkedGraph(3, (1, 2), [P1] * vertices, [i // 2 for i in range(2 * vertices)], matching)
+
+
+def test_reduce_is_one_pass_over_the_matching():
+    for graph, part in (
+        (_looped_vertex(2400), LabelledPartition(3, [((1, 2), LabelMonomial.e(3, 2400))])),
+        (_path(3000), LabelledPartition(3, [((1, 2), LabelMonomial.p(3, 1, 3000))])),
+    ):
+        start = time.perf_counter()
+        vec = reduce(graph)
+        assert time.perf_counter() - start < 0.1
+        assert abs(vec.coefficient(part)) == 1
+    assert reduce(_looped_vertex(600)) == contract_in_order(_looped_vertex(600))
 
 
 def test_edge_slide_identity():
@@ -217,8 +262,16 @@ def test_a_non_string_label_is_a_configuration_error(tmp_path, label):
         (lambda b: b["half_edges"][1].update(vertex=False), "half-edge 1 vertex must be an integer, got False"),
         (lambda b: b.update(n=3.0), "n must be an integer, got 3.0"),
         (lambda b: b.update(n=True), "n must be an integer, got True"),
+        (lambda b: b["matching"][0].__setitem__(0, "h 0"), "bad matching id 'h 0'"),
+        (lambda b: b["matching"][1].__setitem__(0, "h+1"), "bad matching id 'h+1'"),
+        (lambda b: b["matching"][1].__setitem__(0, "h1_0"), "bad matching id 'h1_0'"),
+        (lambda b: b["matching"][1].__setitem__(1, "L\u0662"), "bad matching id 'L\u0662'"),
+        (lambda b: b["vertices"][0].update(label="e^1_0"), "unrecognized label factor 'e^1_0'"),
     ],
-    ids=["float-leg", "string-legs", "float-vertex", "bool-vertex", "float-n", "bool-n"],
+    ids=[
+        "float-leg", "string-legs", "float-vertex", "bool-vertex", "float-n", "bool-n",
+        "spaced-id", "signed-id", "underscored-id", "arabic-indic-id", "underscored-exponent",
+    ],
 )
 def test_a_malformed_id_is_a_configuration_error(tmp_path, edit, message):
     blob = corolla(3, P1, (1, 2)).to_json()

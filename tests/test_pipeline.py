@@ -556,6 +556,32 @@ def test_oracle_wider_windows(two_n, d_max, q_max):
     assert len(report.cells) == (d_max + 1) * (q_max + 1)
 
 
+@pytest.mark.parametrize(
+    "two_n, q_max, d_max",
+    [(2, 0, 6), (2, 2, 10), (2, 8, 8), (4, 5, 9), (6, 2, 20), (6, 8, 8), (8, 4, 12)],
+)
+def test_the_oracle_series_side_drops_only_shapes_heavier_than_qmax(two_n, q_max, d_max):
+    n = two_n // 2
+    chb = pipeline._ch_B_within_budget(n, d_max)
+    full = pipeline._StagePass(chb, n, "disc")
+    cut = pipeline._StagePass(chb, n, "disc", q_max)
+    whole = symfunc._mask_series(full.final, full.final_den, d_max)
+    light = symfunc._mask_series(cut.final, cut.final_den, d_max)
+    for d in range(d_max + 1):
+        assert max((sum(lam) for lam in light.coefficient(d).coeffs), default=0) <= q_max
+        for q in range(q_max + 1):
+            assert light.coefficient(d).homogeneous_part(q) == whole.coefficient(d).homogeneous_part(q)
+
+
+def test_the_oracle_builds_no_shape_heavier_than_qmax():
+    # the untruncated series side builds shapes of weight up to 39 here
+    start = time.perf_counter()
+    report = oracle_check(2, 13, 1)
+    assert time.perf_counter() - start < 1.0
+    assert report.ok, report.failures()
+    assert len(report.cells) == 28
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("the walk, ch_B or exp_h ran before the budget check")
 
