@@ -4,7 +4,8 @@ Each command runs in a fresh interpreter, so this module imports only
 what `cohomology`, `series` and `oracle` need; `json`, `graphs` and
 `invariants` are imported by the commands that use them.  The parser is
 the standard library's `argparse`.  A usage error or an internal
-inconsistency exits 2, a refused configuration 3.
+inconsistency exits 2, a refused configuration 3, and a closed stdout
+(its reader gone, as in `torelli ... | head`) 1, with no message.
 """
 
 import argparse
@@ -281,7 +282,13 @@ def main(argv=None) -> int:
     sub.add_argument("--genus", type=int, required=True)
 
     options = vars(parser.parse_args(argv))
-    options.pop("run")(**options)
+    try:
+        options.pop("run")(**options)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: send the interpreter's flush at exit to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     return 0
 
 

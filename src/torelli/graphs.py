@@ -163,10 +163,14 @@ def parse_graph(data) -> MarkedGraph:
         )
     n = _integer(data["n"], "n")
     labels = []
+    parsed: dict[str, LabelMonomial] = {}
     for i, v in enumerate(data["vertices"]):
-        if not isinstance(v["label"], str):
-            raise ValueError(f"vertex {i} has label {v['label']!r}, not a string")
-        labels.append(parse_label(v["label"], n))
+        text = v["label"]
+        if not isinstance(text, str):
+            raise ValueError(f"vertex {i} has label {text!r}, not a string")
+        if text not in parsed:
+            parsed[text] = parse_label(text, n)
+        labels.append(parsed[text])
     hev = [_integer(h["vertex"], f"half-edge {i} vertex") for i, h in enumerate(data["half_edges"])]
 
     def end(text: str) -> tuple[str, int]:

@@ -12,9 +12,9 @@ combinations of them, so that a pass over many shapes builds no
 Partition until its end. It adds a horizontal strip of r ribbons of size
 k, h_r[p_k], or removes one, the adjoint; every product, skew,
 branching rule, plethysm and fibre division of the package is a walk of
-it. With r = 1 it adds or removes one rim hook: `rim_hooks`
-is that on a single Partition, cached, and the character table
-`murnaghan_nakayama` reads it.
+it. With r = 1 it adds or removes one rim hook, multiplication by the
+power sum p_k or its adjoint: the symmetric-group character table,
+`symfunc._p_monomial_schur`, is built from those products.
 """
 
 from __future__ import annotations
@@ -294,35 +294,3 @@ def ribbon_strips(terms: Mapping[int, int], k: int, r_max: int) -> list[dict[int
                     if m < room and nxt < last:
                         stack.append((nxt, moved, used + m, w))
     return out
-
-
-@lru_cache(maxsize=None)
-def rim_hooks(lam: Partition, k: int) -> tuple[tuple[Partition, int], ...]:
-    """The partitions one rim hook of size |k| away from lam, with signs.
-
-    `ribbon_strips` with r = 1 on the beta-set of lam with
-    len(lam) + max(k, 0) beads; k > 0 adds the hook, k < 0 removes it.
-    The pairs come with the moved bead in descending position. The
-    character table below reads the removals.
-    """
-    hooks = ribbon_strips({beta_mask(lam, len(lam) + max(k, 0)): 1}, k, 1)[1]
-    return tuple((mask_partition(m), sign) for m, sign in hooks.items())
-
-
-@lru_cache(maxsize=None)
-def murnaghan_nakayama(lam: Partition, mu: Partition) -> int:
-    """Value of the irreducible character chi^lam on the class mu.
-
-    The Murnaghan-Nakayama rule: remove every rim hook of size mu_1 from
-    lam (`rim_hooks` with k = -mu_1), with its sign, and recurse on the
-    rest of mu. This is the one character table of the package:
-    class-function decompositions and the Schur expansion of a power sum
-    read it.
-    """
-    lam, mu = Partition(lam), Partition(mu)
-    if lam.size != mu.size:
-        raise ValueError("character argument must have matching size")
-    if not mu:
-        return 1
-    rest = Partition(mu[1:])
-    return sum(sign * murnaghan_nakayama(inner, rest) for inner, sign in rim_hooks(lam, -mu[0]))

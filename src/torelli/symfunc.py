@@ -29,8 +29,8 @@ Schur keys become Partitions and Fractions.
   h_m[g] it needs from one `exp_h` call, with an auxiliary grading that
   counts m; it reads no character value either. The power-sum route it
   replaced is a test oracle in `tests/bead_oracle.py`.
-- Only `p_sym` reads the character table: the Schur expansion of p_k is
-  its column (`_p_monomial_schur`).
+- The character table is `_p_monomial_schur`, the Schur expansion of a
+  power-sum monomial; `p_sym` and `characters` read its columns.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .partitions import (
     Partition,
     beta_mask,
     mask_partition,
-    murnaghan_nakayama,
     partitions_of,
     ribbon_strips,
 )
@@ -71,14 +70,16 @@ def _p_monomial_schur(mu: Partition) -> Mapping[Partition, int]:
 
     This is the column {lam: chi^lam(mu)} of the character table, nonzero
     entries only, in the order of partitions_of; read-only, since every
-    caller shares the cached mapping.
+    caller shares the cached mapping. p_mu = p_(mu_1) p_(mu_2, ...):
+    `ribbon_strips` with r = 1 adds every signed rim hook of size mu_1 to
+    the cached column of the rest, on |mu| beads (Macdonald I.7).
     """
-    column = {}
-    for lam in partitions_of(mu.size):
-        value = murnaghan_nakayama(lam, mu)
-        if value:
-            column[lam] = value
-    return MappingProxyType(column)
+    if not mu:
+        return MappingProxyType({EMPTY: 1})
+    rest = _p_monomial_schur(Partition(mu[1:]))
+    hooks = ribbon_strips({beta_mask(lam, mu.size): c for lam, c in rest.items()}, mu[0], 1)[1]
+    column = {mask_partition(mask): c for mask, c in hooks.items() if c}
+    return MappingProxyType({lam: column[lam] for lam in partitions_of(mu.size) if lam in column})
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,11 @@ checked against:
 - `_horner` and `_p_action`, the power-sum Horner pass built on it,
   which multiply (or, run backwards, skew) a Schur function by the
   p-expansion of another; `from_p_monomials` is its p -> s conversion;
-- `to_p`, the power-sum expansion read from the character table;
+- `rim_hooks` and `murnaghan_nakayama`, the character table as the
+  recursive Murnaghan-Nakayama rule on cached rim hooks of one
+  Partition, which the power-sum columns of `symfunc._p_monomial_schur`
+  replaced;
+- `to_p`, the power-sum expansion read from that character table;
 - `p_route_product`, `p_route_skew` and `p_route_restrict`, the Schur
   products, skews and Littlewood branching coefficients as they ran on
   the p-expansions of `to_p` and the character table;
@@ -25,6 +29,7 @@ which the differential tests walk.  Its name keeps pytest from collecting it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Mapping
 
@@ -34,8 +39,9 @@ from torelli.partitions import (
     beta_mask,
     even_columns,
     even_rows,
-    murnaghan_nakayama,
+    mask_partition,
     partitions_of,
+    ribbon_strips,
     z_lambda,
 )
 from torelli.symfunc import LambdaSeries, SymFunc, _mask_symfunc, _product_trunc
@@ -128,6 +134,35 @@ def _p_action(terms: Mapping[Partition, Fraction], start: Partition, direction: 
 def from_p_monomials(terms: Mapping[Partition, Fraction]) -> SymFunc:
     """Schur expansion of sum_mu c_mu p_mu, of any mix of weights."""
     return _p_action(terms, EMPTY, 1)
+
+
+@lru_cache(maxsize=None)
+def rim_hooks(lam: Partition, k: int) -> tuple[tuple[Partition, int], ...]:
+    """The partitions one rim hook of size |k| away from lam, with signs.
+
+    `ribbon_strips` with r = 1 on the beta-set of lam with
+    len(lam) + max(k, 0) beads; k > 0 adds the hook, k < 0 removes it.
+    The pairs come with the moved bead in descending position.
+    """
+    hooks = ribbon_strips({beta_mask(lam, len(lam) + max(k, 0)): 1}, k, 1)[1]
+    return tuple((mask_partition(m), sign) for m, sign in hooks.items())
+
+
+@lru_cache(maxsize=None)
+def murnaghan_nakayama(lam: Partition, mu: Partition) -> int:
+    """Value of the irreducible character chi^lam on the class mu.
+
+    The Murnaghan-Nakayama rule: remove every rim hook of size mu_1 from
+    lam (`rim_hooks` with k = -mu_1), with its sign, and recurse on the
+    rest of mu.
+    """
+    lam, mu = Partition(lam), Partition(mu)
+    if lam.size != mu.size:
+        raise ValueError("character argument must have matching size")
+    if not mu:
+        return 1
+    rest = Partition(mu[1:])
+    return sum(sign * murnaghan_nakayama(inner, rest) for inner, sign in rim_hooks(lam, -mu[0]))
 
 
 def to_p(f: SymFunc) -> dict[Partition, Fraction]:

@@ -3,6 +3,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from bead_oracle import rim_hooks
 
 from torelli.branching import (
     OrthSympClass,
@@ -15,7 +16,7 @@ from torelli.branching import (
     restrict_schur,
     render_class,
 )
-from torelli.partitions import EMPTY, Partition, partitions_of, rim_hooks
+from torelli.partitions import EMPTY, Partition, partitions_of
 from torelli.symfunc import SymFunc, change_basis, omega
 
 

@@ -12,8 +12,9 @@ from torelli.characters import (
 )
 from torelli.partitions import EMPTY, Partition, partitions_of, symmetric_group_irrep_dim, z_lambda
 from torelli.setparts import sigma_characters
-from torelli.symfunc import SymFunc, change_basis
+from torelli.symfunc import SymFunc, _p_monomial_schur, change_basis
 
+import bead_oracle
 from bead_oracle import from_p_monomials
 
 
@@ -118,6 +119,26 @@ def test_two_routes_agree():
                 assert murnaghan_nakayama(lam, mu) == _strip_scan(lam, mu, memo), (lam, mu)
 
 
+def test_power_sum_columns_are_the_character_table():
+    # The one table against the rim-hook recursion it replaced, and for
+    # q <= 7 against the border-strip scan, which shares no code with it.
+    memo = {}
+    pairs = 0
+    for q in range(11):
+        shapes = partitions_of(q)
+        for mu in shapes:
+            column = _p_monomial_schur(mu)
+            assert list(column) == [lam for lam in shapes if lam in column]
+            assert 0 not in column.values()
+            for lam in shapes:
+                value = column.get(lam, 0)
+                assert value == bead_oracle.murnaghan_nakayama(lam, mu), (lam, mu)
+                if q <= 7:
+                    assert value == _strip_scan(lam, mu, memo), (lam, mu)
+                pairs += 1
+    assert pairs == 3583
+
+
 def test_orthogonality():
     for q in range(1, 7):
         parts = partitions_of(q)
@@ -174,12 +195,16 @@ def test_decompose_rejects_non_characters():
 
 
 # Test oracle for decompose: the Fraction inner product it replaced,
-# sum over classes of chi(mu) chi^lam(mu) / z_mu.
+# sum over classes of chi(mu) chi^lam(mu) / z_mu, on the rim-hook
+# recursion rather than the power-sum columns decompose sums.
 def _fraction_decompose(chi):
     out = {}
     for lam in partitions_of(chi.q):
         total = sum(
-            (v * murnaghan_nakayama(lam, mu) / z_lambda(mu) for mu, v in chi.values.items()),
+            (
+                v * bead_oracle.murnaghan_nakayama(lam, mu) / z_lambda(mu)
+                for mu, v in chi.values.items()
+            ),
             Fraction(0),
         )
         if total.denominator != 1:

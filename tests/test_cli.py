@@ -76,3 +76,25 @@ def test_the_module_runs_as_a_script():
     )
     result = invoke(args)
     assert (child.returncode, child.stdout) == (0, result.stdout) == (0, "4\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["range", "--dim", "6", "--genus", "11"], ["cohomology", "--dim", "2", "--max-degree", "9"]],
+    ids=["small-output", "output-over-the-pipe-buffer"],
+)
+def test_a_closed_stdout_exits_1_without_a_traceback(args):
+    # The read end of the child's stdout is closed before it writes; the
+    # cohomology table (103,909 bytes) is larger than a 64 KiB pipe buffer.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(torelli.__file__).parent.parent))
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "torelli.cli", *args],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 1
+    assert "Traceback" not in child.stderr and "BrokenPipeError" not in child.stderr, child.stderr

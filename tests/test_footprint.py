@@ -79,12 +79,15 @@ def test_the_graph_oracle_stays_out_of_the_package():
 def test_the_bead_oracle_stays_out_of_the_package():
     # `partitions.ribbon_strips` is the one routine that moves beads; the
     # rim-hook slide and the power-sum routes it replaced, plethysm's
-    # among them, live in tests/bead_oracle.py. The p-monomial merge is
-    # left only to `labels.l_class`.
+    # among them, and the rim-hook recursion for character values live in
+    # tests/bead_oracle.py. The p-monomial merge is left only to
+    # `labels.l_class`; the character table is `symfunc._p_monomial_schur`,
+    # which `characters.murnaghan_nakayama` only reads.
     from torelli import branching, partitions, symfunc
 
     gone = ["slide_beads", "_p_action", "_scaled_p_action", "_even_sum_p", "to_p",
-            "from_p_monomials", "_horner", "_stretch", "_p_series_mul", "_to_schur_series"]
+            "from_p_monomials", "_horner", "_stretch", "_p_series_mul", "_to_schur_series",
+            "rim_hooks"]
     left = [
         f"{module.__name__}.{name}"
         for module in (torelli, branching, partitions, symfunc, symfunc.SymFunc)
@@ -96,6 +99,10 @@ def test_the_bead_oracle_stays_out_of_the_package():
     sources = {path.name: path.read_text(encoding="utf-8") for path in modules}
     assert [name for name in gone if any(f"def {name}(" in text for text in sources.values())] == []
     assert [name for name, text in sources.items() if "def _p_mul_into(" in text] == ["labels.py"]
+    assert [module.__name__ for module in (partitions, symfunc)
+            if hasattr(module, "murnaghan_nakayama")] == []
+    assert [name for name, text in sources.items()
+            if "def murnaghan_nakayama(" in text] == ["characters.py"]
 
 
 def test_the_brauer_oracle_stays_out_of_the_package():

@@ -306,6 +306,30 @@ def test_a_graph_over_the_half_edge_cap_is_refused_before_reduce(tmp_path, monke
     assert f"over the cap of {HALF_EDGE_CAP}" in result.output
 
 
+def test_parse_graph_parses_each_distinct_label_once(monkeypatch):
+    # 5,000 one-leg p1 vertices: 10,000 ends, under the cap.
+    vertices = 5000
+    blob = {
+        "n": 3,
+        "legs": list(range(1, vertices + 1)),
+        "vertices": [{"label": "p1"}] * vertices,
+        "half_edges": [{"vertex": i} for i in range(vertices)],
+        "matching": [[f"h{i}", f"L{i + 1}"] for i in range(vertices)],
+    }
+    assert 2 * vertices <= HALF_EDGE_CAP
+    texts = []
+    original = graphs.parse_label
+
+    def counted(text, n):
+        texts.append(text)
+        return original(text, n)
+
+    monkeypatch.setattr(graphs, "parse_label", counted)
+    graph = parse_graph(blob)
+    assert texts == ["p1"]
+    assert graph.labels == (P1,) * vertices
+
+
 def test_presentation_audit():
     report = presentation_audit(3, 5)
     assert report["ok"]

@@ -4,6 +4,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from bead_oracle import rim_hooks
 from cli_run import invoke
 
 from torelli import branching, pipeline, setparts, symfunc
@@ -13,7 +14,6 @@ from torelli.partitions import (
     Partition,
     parse_partition,
     partition_count,
-    rim_hooks,
     symmetric_group_irrep_dim,
 )
 from torelli.pipeline import (

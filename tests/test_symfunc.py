@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, perm
@@ -13,11 +14,9 @@ from torelli.partitions import (
     Partition,
     even_columns,
     even_rows,
-    murnaghan_nakayama,
     partitions_of,
     beta_mask,
     ribbon_strips,
-    rim_hooks,
     z_lambda,
 )
 from torelli.symfunc import (
@@ -35,16 +34,19 @@ from torelli.symfunc import (
 )
 from torelli.symfunc import _exp_h_masks, _jacobi_trudi
 
+import bead_oracle
 from bead_oracle import (
     _horner,
     _p_action,
     _stretch,
     from_p_monomials,
+    murnaghan_nakayama,
     p_route_plethysm,
     p_route_product,
     p_route_restrict,
     p_route_skew,
     partitions_upto,
+    rim_hooks,
     slide_beads,
     to_p,
 )
@@ -380,19 +382,41 @@ def _strip_route_results():
     )
 
 
+def _refuse_character_reads(monkeypatch, message):
+    """Clear the character table's caches, and make the table
+    (`symfunc._p_monomial_schur`) and its lookup
+    (`characters.murnaghan_nakayama`) raise in every module that holds
+    a reference to either."""
+    tables = (symfunc._p_monomial_schur, characters.murnaghan_nakayama)
+    for table in tables:
+        table.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError(message)
+
+    holders = [
+        (module, name)
+        for module in list(sys.modules.values())
+        for name, value in list(getattr(module, "__dict__", {}).items())
+        if any(value is table for table in tables)
+    ]
+    for module, name in holders:
+        monkeypatch.setattr(module, name, refuse)
+    assert {(module.__name__, name) for module, name in holders} >= {
+        ("torelli.symfunc", "_p_monomial_schur"),
+        ("torelli.characters", "_p_monomial_schur"),
+        ("torelli.characters", "murnaghan_nakayama"),
+    }
+
+
 def test_products_skews_and_branching_read_no_character(monkeypatch):
     # With every cache cleared, none of them expands into power sums or
     # reads a character value.
     expected = _strip_route_results()
     for cached in (symfunc._schur_product_table, symfunc.lr_coefficient, _skew_schur,
-                   restrict_coeffs, branching._class_in_schur, murnaghan_nakayama):
+                   restrict_coeffs, branching._class_in_schur):
         cached.cache_clear()
-
-    def refuse(*args):
-        raise AssertionError("left the strip route")
-
-    for module in (partitions, symfunc, characters):
-        monkeypatch.setattr(module, "murnaghan_nakayama", refuse)
+    _refuse_character_reads(monkeypatch, "left the strip route")
     assert _strip_route_results() == expected
 
 
@@ -637,13 +661,9 @@ def test_exp_h_masks_match_the_p_monomial_oracle():
 def test_exp_h_runs_on_the_schur_side(monkeypatch):
     # The recurrence acts on Schur shapes in the h-basis and reads no
     # character value.
-    def refuse(*args):
-        raise AssertionError("exp_h left the h-basis route")
-
     inputs = (ch_B(1, 6), _steep_series(), _multi_row_series())
     expected = [_fraction_exp_h(g) for g in inputs]
-    for module in (symfunc, partitions):
-        monkeypatch.setattr(module, "murnaghan_nakayama", refuse)
+    _refuse_character_reads(monkeypatch, "exp_h left the h-basis route")
     assert [exp_h(g) for g in inputs] == expected
 
 
@@ -667,7 +687,7 @@ def test_p_to_s_builds_only_the_final_shapes(monkeypatch):
         {mu: Fraction(rng.randrange(-9, 10), rng.randrange(1, 8)) for mu in weight12},
     )
     calls = {"rim_hooks": 0, "Partition": 0}
-    original_rim_hooks, original_new = partitions.rim_hooks, Partition.__new__
+    original_rim_hooks, original_new = bead_oracle.rim_hooks, Partition.__new__
 
     def counted_rim_hooks(*args):
         calls["rim_hooks"] += 1
@@ -679,8 +699,7 @@ def test_p_to_s_builds_only_the_final_shapes(monkeypatch):
 
     results = []
     with monkeypatch.context() as patch:
-        patch.setattr(partitions, "rim_hooks", counted_rim_hooks)
-        patch.setattr(symfunc, "rim_hooks", counted_rim_hooks, raising=False)
+        patch.setattr(bead_oracle, "rim_hooks", counted_rim_hooks)
         patch.setattr(Partition, "__new__", staticmethod(counted_new))
         for terms in cases:
             calls.update(rim_hooks=0, Partition=0)
@@ -757,15 +776,9 @@ def test_plethysm_reads_no_character(monkeypatch):
         (e_sym(3), LambdaSeries.monomial(e_sym(3), 0, 0)),
     ]
     expected = [plethysm(f, g) for f, g in inputs]
-    for cached in (symfunc._schur_product_table, symfunc.lr_coefficient, symfunc._jacobi_trudi,
-                   symfunc._p_monomial_schur, murnaghan_nakayama):
+    for cached in (symfunc._schur_product_table, symfunc.lr_coefficient, symfunc._jacobi_trudi):
         cached.cache_clear()
-
-    def refuse(*args):
-        raise AssertionError("plethysm read a character value")
-
-    for module in (partitions, symfunc):
-        monkeypatch.setattr(module, "murnaghan_nakayama", refuse)
+    _refuse_character_reads(monkeypatch, "plethysm read a character value")
     assert [plethysm(f, g) for f, g in inputs] == expected
 
 
