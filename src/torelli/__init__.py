@@ -11,7 +11,7 @@ _LAZY = {
     name: module
     for module, names in {
         "branching": "ClassSeries D_series OrthSympClass class_to_schur dim_irrep "
-        "nl_product render_class render_class_series restrict_coeffs restrict_schur",
+        "nl_product restrict_coeffs restrict_schur",
         "characters": "ClassFunction decompose murnaghan_nakayama",
         "graphs": "MarkedGraph corolla parse_graph reduce",
         "invariants": "DenseTensor EpsForm matching_span_rank omega_m perfect_matchings",
@@ -23,8 +23,7 @@ _LAZY = {
         "stable_range variant_adjust",
         "setparts": "LabelledPartition SignedPartitionVector quotient_series_by_L "
         "sigma_character sigma_characters",
-        "symfunc": "LambdaSeries SymFunc change_basis exp_h lr_coefficient omega plethysm "
-        "render_series",
+        "symfunc": "LambdaSeries SymFunc change_basis exp_h lr_coefficient omega plethysm",
     }.items()
     for name in names.split()
 }

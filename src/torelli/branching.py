@@ -11,6 +11,13 @@ the Newell-Littlewood product, are one walk each: delta is written in
 the h-basis by Jacobi-Trudi, and each h_r^perp removes a horizontal strip
 of r boxes from lambda (`symfunc._pieri`, `partitions.ribbon_strips`
 with k = -1).
+
+`OrthSympClass` and `ClassSeries` are the kinds of `symfunc._Combination`
+and `symfunc._Series` whose product is Newell-Littlewood (`_nl_pair`),
+whose letter is V and whose epsilon must match; their arithmetic,
+encoding, decoding and rendering are the ones of `SymFunc` and
+`LambdaSeries`. `EpsilonMismatch` is defined in `symfunc` and raised
+from here too.
 """
 
 from __future__ import annotations
@@ -20,21 +27,16 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .partitions import EMPTY, Partition, even_columns, even_rows, mask_partition, partitions_of
+from .partitions import EMPTY, Partition, even_columns, even_rows, partitions_of
 from .symfunc import (
+    EpsilonMismatch,
     LambdaSeries,
     SymFunc,
-    _encode_series,
+    _Combination,
     _jacobi_trudi,
     _pieri,
-    _render_parts,
-    _scalar_factors,
-    _times_scalar,
+    _Series,
 )
-
-
-class EpsilonMismatch(ValueError):
-    """Symplectic and orthogonal classes were mixed in one expression."""
 
 
 class StabilityWarning(UserWarning):
@@ -72,26 +74,33 @@ def restrict_coeffs(lam: Partition, epsilon: int) -> tuple[tuple[Partition, int]
     return tuple((mu, int(a)) for mu, a in out)
 
 
-class OrthSympClass:
-    """An integer combination of stable irreducibles V_lambda.
+def _exact(c, den: int = 1):
+    """c / den, an int when it is integral and a Fraction otherwise."""
+    if type(c) is int:
+        whole, rest = divmod(c, den)
+        return Fraction(c, den) if rest else whole
+    c = Fraction(c) / den
+    return c.numerator if c.denominator == 1 else c
+
+
+class OrthSympClass(_Combination):
+    """An integer combination of stable irreducibles V_lambda; the product
+    is Newell-Littlewood (`_nl_pair`).
 
     Coefficients are exact: an integral one is kept as an int, any other
     as a Fraction, so that a table's multiplicities are plain ints.
     """
 
-    __slots__ = ("epsilon", "coeffs")
+    __slots__ = ()
+    letter = "V"
+    _coefficient = staticmethod(_exact)
 
     def __init__(self, epsilon: int, coeffs: Mapping[Partition, int | Fraction]):
-        self.epsilon = _check_epsilon(epsilon)
-        cleaned: dict[Partition, int | Fraction] = {}
-        for lam, c in coeffs.items():
-            if c:
-                if type(c) is not int:
-                    c = Fraction(c)
-                    if c.denominator == 1:
-                        c = c.numerator
-                cleaned[Partition(lam)] = c
-        self.coeffs = cleaned
+        super().__init__(coeffs, _check_epsilon(epsilon))
+
+    @staticmethod
+    def _basis_product(lam: Partition, mu: Partition):
+        return _nl_pair(lam, mu)
 
     @staticmethod
     def zero(epsilon: int) -> "OrthSympClass":
@@ -99,161 +108,27 @@ class OrthSympClass:
 
     @staticmethod
     def unit(epsilon: int) -> "OrthSympClass":
-        return OrthSympClass(epsilon, {EMPTY: Fraction(1)})
-
-    def coeff(self, lam) -> Fraction:
-        return self.coeffs.get(Partition(lam), Fraction(0))
-
-    def support(self) -> list[Partition]:
-        return sorted(self.coeffs, key=Partition.sort_key)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _match(self, other: "OrthSympClass") -> None:
-        if self.epsilon != other.epsilon:
-            raise EpsilonMismatch("cannot combine classes of opposite epsilon")
-
-    def __add__(self, other):
-        other = _as_class(other, self.epsilon)
-        if other is NotImplemented:
-            return NotImplemented
-        self._match(other)
-        merged = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            merged[lam] = merged.get(lam, Fraction(0)) + c
-        return OrthSympClass(self.epsilon, merged)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_class(other, self.epsilon)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + other * -1
-
-    def __rsub__(self, other):
-        other = _as_class(other, self.epsilon)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self) -> "OrthSympClass":
-        return self * -1
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return OrthSympClass(
-                self.epsilon, {lam: c * other for lam, c in self.coeffs.items()}
-            )
-        if isinstance(other, OrthSympClass):
-            return nl_product(self, other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        other = _as_class(other, self.epsilon)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.epsilon == other.epsilon and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.epsilon, frozenset(self.coeffs.items())))
+        return OrthSympClass(epsilon, {EMPTY: 1})
 
     def __repr__(self) -> str:
-        return f"OrthSympClass(eps={self.epsilon:+d}, {render_class(self)!r})"
+        return f"OrthSympClass(eps={self.epsilon:+d}, {str(self)!r})"
 
 
-def _as_class(x, epsilon: int):
-    if isinstance(x, OrthSympClass):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return OrthSympClass(epsilon, {EMPTY: Fraction(x)})
-    return NotImplemented
-
-
-class ClassSeries:
+class ClassSeries(_Series):
     """A truncated series in t with OrthSympClass coefficients."""
 
-    __slots__ = ("epsilon", "terms", "trunc")
+    __slots__ = ()
+    kind = OrthSympClass
 
     def __init__(self, epsilon: int, terms: Mapping[int, OrthSympClass], trunc: int):
-        self.epsilon = _check_epsilon(epsilon)
-        self.trunc = int(trunc)
-        cleaned: dict[int, OrthSympClass] = {}
-        for k, c in terms.items():
-            if k > self.trunc:
-                continue
-            if isinstance(c, (int, Fraction)):
-                c = OrthSympClass(epsilon, {EMPTY: Fraction(c)})
-            if c.epsilon != epsilon:
-                raise EpsilonMismatch("series coefficient has wrong epsilon")
-            if not c.is_zero():
-                cleaned[int(k)] = c
-        self.terms = cleaned
+        super().__init__(terms, trunc, _check_epsilon(epsilon))
 
     @staticmethod
     def zero(epsilon: int, trunc: int) -> "ClassSeries":
         return ClassSeries(epsilon, {}, trunc)
 
-    def coefficient(self, k: int) -> OrthSympClass:
-        if k > self.trunc:
-            raise ValueError(f"coefficient of t^{k} beyond truncation {self.trunc}")
-        return self.terms.get(k, OrthSympClass.zero(self.epsilon))
-
-    def longest_column(self) -> int:
-        """The largest number of rows of a shape in the series."""
-        return max((len(lam) for c in self.terms.values() for lam in c.coeffs), default=0)
-
-    def encode(self, beads: int) -> tuple[dict[int, dict[int, int]], int]:
-        """The coefficients as integer combinations of beta-set masks with
-        `beads` beads (at least `longest_column()`), and their denominator."""
-        return _encode_series({k: c.coeffs for k, c in self.terms.items()}, beads)
-
-    def mul_scalar_series(self, scalar: LambdaSeries) -> "ClassSeries":
-        """Multiply by a series whose coefficients are scalar symmetric
-        functions, on the integer combinations of masks."""
-        trunc = min(self.trunc, scalar.trunc)
-        terms, den = self.encode(self.longest_column())
-        factors, scalar_den = _scalar_factors(scalar)
-        return _mask_class_series(
-            self.epsilon, _times_scalar(terms, factors, trunc), den * scalar_den, trunc
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClassSeries):
-            return NotImplemented
-        return (
-            self.epsilon == other.epsilon
-            and self.trunc == other.trunc
-            and self.terms == other.terms
-        )
-
     def __repr__(self) -> str:
-        return f"ClassSeries(eps={self.epsilon:+d}, {render_class_series(self)!r})"
-
-
-def _mask_class(epsilon: int, combination: Mapping[int, int], den: int) -> OrthSympClass:
-    """sum c V_mask / den over an integer combination of beta-set masks."""
-    out = OrthSympClass.__new__(OrthSympClass)
-    out.epsilon = epsilon
-    if den == 1:
-        out.coeffs = {mask_partition(mask): c for mask, c in combination.items() if c}
-        return out
-    out.coeffs = {}
-    for mask, c in combination.items():
-        if c:
-            whole, rest = divmod(c, den)
-            out.coeffs[mask_partition(mask)] = Fraction(c, den) if rest else whole
-    return out
-
-
-def _mask_class_series(
-    epsilon: int, terms: Mapping[int, Mapping[int, int]], den: int, trunc: int
-) -> ClassSeries:
-    """The ClassSeries of {t-exponent: {beta-set mask: int}} over den."""
-    return ClassSeries(epsilon, {k: _mask_class(epsilon, c, den) for k, c in terms.items()}, trunc)
+        return f"ClassSeries(eps={self.epsilon:+d}, {str(self)!r})"
 
 
 def D_series(series: LambdaSeries, epsilon: int) -> ClassSeries:
@@ -261,11 +136,8 @@ def D_series(series: LambdaSeries, epsilon: int) -> ClassSeries:
     goes to the class V_lambda.  This is the coefficient-preserving
     isomorphism of abelian groups, not a restriction of representations;
     restrict_schur is the latter."""
-    return ClassSeries(
-        epsilon,
-        {k: OrthSympClass(epsilon, dict(c.coeffs)) for k, c in series.terms.items()},
-        series.trunc,
-    )
+    terms = {k: OrthSympClass(epsilon, c.coeffs) for k, c in series.terms.items()}
+    return ClassSeries(epsilon, terms, series.trunc)
 
 
 @lru_cache(maxsize=None)
@@ -334,12 +206,7 @@ def nl_product(x: OrthSympClass, y: OrthSympClass) -> OrthSympClass:
     """Stable tensor product of classes, bilinear in both arguments."""
     if x.epsilon != y.epsilon:
         raise EpsilonMismatch("cannot multiply classes of opposite epsilon")
-    out: dict[Partition, Fraction] = {}
-    for lam, a in x.coeffs.items():
-        for mu, b in y.coeffs.items():
-            for nu, c in _nl_pair(lam, mu):
-                out[nu] = out.get(nu, Fraction(0)) + a * b * c
-    return OrthSympClass(x.epsilon, out)
+    return x * y
 
 
 def schur_dim(mu, n_vars: int) -> Fraction:
@@ -375,21 +242,3 @@ def dim_irrep(lam, epsilon: int, g: int) -> int:
     if total.denominator != 1:
         raise ValueError("dimension evaluation must be an integer")
     return int(total)
-
-
-def render_class(x: OrthSympClass, letter: str = "V") -> str:
-    """Human-readable form like 2 + V[2,1^2] + 3*V[1^2]."""
-    if x.is_zero():
-        return "0"
-    return _render_parts(
-        sorted(x.coeffs.items(), key=lambda kv: kv[0].sort_key()), letter
-    )
-
-
-def render_class_series(s: ClassSeries, letter: str = "V") -> str:
-    from .symfunc import _render_series_parts
-
-    return _render_series_parts(
-        {k: render_class(c, letter) for k, c in s.terms.items()},
-        {k: len(c.coeffs) for k, c in s.terms.items()},
-    )

@@ -13,7 +13,6 @@ import os
 import sys
 from fractions import Fraction
 
-from .branching import ClassSeries, render_class, render_class_series
 from .labels import L_CLASS_INDEX_CAP, l_class, l_class_image, render_label_combination
 from .pipeline import (
     STAGES,
@@ -25,7 +24,6 @@ from .pipeline import (
     oracle_check,
     stable_range,
 )
-from .symfunc import LambdaSeries, render_series
 
 FORMATS = ("text", "json", "latex")
 
@@ -91,7 +89,7 @@ def cohomology(two_n, max_degree, variant, genus, fmt):
         if fmt == "latex":
             line = f"H^{{{d}}} &= {_latex_class(cls)} \\\\"
         else:
-            line = f"H^{d} = {render_class(cls)}"
+            line = f"H^{d} = {cls}"
         if table.trusted_up_to is not None and d > table.trusted_up_to:
             line += "  % beyond trusted range" if fmt == "latex" else "  [beyond trusted range]"
         print(line)
@@ -112,13 +110,7 @@ def series(two_n, max_degree, stage, variant):
         _fail_config(str(exc))
     except NegativeMultiplicity as exc:
         _fail_internal(str(exc))
-    snap = table.snapshots[stage]
-    if isinstance(snap, LambdaSeries):
-        print(render_series(snap))
-    elif isinstance(snap, ClassSeries):
-        print(render_class_series(snap))
-    else:
-        print(str(snap))
+    print(table.snapshots[stage])
 
 
 def oracle(two_n, qmax, dmax):

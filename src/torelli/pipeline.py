@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from math import comb, factorial
 from typing import Optional
 
-from .branching import ClassSeries, OrthSympClass, _mask_class_series
+from .branching import ClassSeries, OrthSympClass
 from .characters import decompose
 from .labels import _geometric, ch_B
 from .partitions import partition_count, ribbon_strips
@@ -34,7 +34,6 @@ from .symfunc import (
     SymFunc,
     _conjugate_masks,
     _exp_h_masks,
-    _mask_series,
     _over_one_denominator,
     _scalar_factors,
     _times_scalar,
@@ -219,32 +218,16 @@ def _fiber_quotient(terms: dict[int, dict[int, int]], n: int, trunc: int) -> dic
     return out
 
 
-def _scale_and_divide(
-    terms: dict[int, dict[int, int]], scalar: LambdaSeries, n: int, closed: bool, trunc: int
-) -> tuple[dict[int, dict[int, int]], int]:
-    """terms times a series of scalars, then divided by the fibre when
-    closed; and the denominator of the scalars, which the result gains."""
-    factors, scalar_den = _scalar_factors(scalar)
-    terms = _times_scalar(terms, factors, trunc)
-    if closed:
-        terms = _fiber_quotient(terms, n, trunc)
-    return terms, scalar_den
-
-
 def variant_adjust(series: ClassSeries, cfg: PipelineConfig) -> ClassSeries:
     """Apply the bundle variant: the point and closed variants multiply by
     bundle_scalar_series, and the closed one then divides by the fibre."""
     if cfg.variant == "disc":
         return series
-    closed = cfg.variant == "closed"
-    if closed:
-        _warn_extrapolation(cfg.n)
-    rows = series.longest_column()
-    terms, den = series.encode(_fiber_beads(rows, series.trunc, cfg.n) if closed else rows)
-    terms, scalar_den = _scale_and_divide(
-        terms, bundle_scalar_series(cfg.n, series.trunc), cfg.n, closed, series.trunc
-    )
-    return _mask_class_series(series.epsilon, terms, den * scalar_den, series.trunc)
+    series = series.mul_scalar_series(bundle_scalar_series(cfg.n, series.trunc))
+    if cfg.variant == "point":
+        return series
+    _warn_extrapolation(cfg.n)
+    return divide_by_fiber(series, cfg.n)
 
 
 def divide_by_fiber(series: ClassSeries, n: int) -> ClassSeries:
@@ -252,7 +235,8 @@ def divide_by_fiber(series: ClassSeries, n: int) -> ClassSeries:
     class-valued Poincare series 1 + V_1 t^n + t^{2n}, by `_fiber_quotient`
     on the coefficients as integer combinations of beta-set masks."""
     terms, den = series.encode(_fiber_beads(series.longest_column(), series.trunc, n))
-    return _mask_class_series(series.epsilon, _fiber_quotient(terms, n, series.trunc), den, series.trunc)
+    terms = _fiber_quotient(terms, n, series.trunc)
+    return series._from_masks(terms, den, series.trunc, series.epsilon)
 
 
 def _validate_entries(series: ClassSeries, max_degree: int) -> tuple[OrthSympClass, ...]:
@@ -302,7 +286,10 @@ class _StagePass:
         scalar = quotient_factor(n, trunc)
         if variant != "disc":
             scalar = scalar * bundle_scalar_series(n, trunc)
-        self.final, scalar_den = _scale_and_divide(self.pre_d, scalar, n, variant == "closed", trunc)
+        factors, scalar_den = _scalar_factors(scalar)
+        self.final = _times_scalar(self.pre_d, factors, trunc)
+        if variant == "closed":
+            self.final = _fiber_quotient(self.final, n, trunc)
         self.final_den = self.den * scalar_den
 
 
@@ -391,13 +378,13 @@ def compute_cohomology(cfg: PipelineConfig) -> CohomologyTable:
     if cfg.variant == "closed":
         _warn_extrapolation(n)
     stages = _StagePass(chb, n, cfg.variant)
-    final = _mask_class_series(epsilon, stages.final, stages.final_den, trunc)
+    final = ClassSeries._from_masks(stages.final, stages.final_den, trunc, epsilon)
     snapshots = _Snapshots(
         {"chB": chb, "final": final},
         {
-            "plethysm": lambda: _mask_series(stages.plethysm, stages.den, trunc),
-            "pre-D": lambda: _mask_series(stages.pre_d, stages.den, trunc),
-            "post-D": lambda: _mask_class_series(epsilon, stages.pre_d, stages.den, trunc),
+            "plethysm": lambda: LambdaSeries._from_masks(stages.plethysm, stages.den, trunc),
+            "pre-D": lambda: LambdaSeries._from_masks(stages.pre_d, stages.den, trunc),
+            "post-D": lambda: ClassSeries._from_masks(stages.pre_d, stages.den, trunc, epsilon),
         },
     )
     entries = _validate_entries(final, cfg.max_degree)
@@ -528,7 +515,7 @@ def oracle_check(two_n: int, d_max: int, q_max: int) -> OracleReport:
             f"over the oracle cap of {ORACLE_WALK_CAP}"
         )
     stages = _StagePass(_ch_B_within_budget(n, d_max), n, "disc", q_max)
-    rhs_series = _mask_series(stages.final, stages.final_den, d_max)
+    rhs_series = LambdaSeries._from_masks(stages.final, stages.final_den, d_max)
     cells = []
     for q in range(q_max + 1):
         terms = {}

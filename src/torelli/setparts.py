@@ -25,11 +25,10 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .branching import ClassSeries
 from .characters import ClassFunction
 from .labels import LabelMonomial, labels_up_to
 from .partitions import Partition, partitions_of
-from .symfunc import LambdaSeries, SymFunc, _scalar_product
+from .symfunc import LambdaSeries, SymFunc
 
 VARIANTS = ("P", "P0", "Pprime")
 
@@ -384,15 +383,7 @@ def quotient_factor(n: int, trunc: int) -> LambdaSeries:
 
 
 def quotient_series_by_L(series, n: int):
-    """Strike the polynomial generators above half weight from a series.
-
-    Works for plain symmetric-function series and for series of
-    orthogonal or symplectic classes. Either way the coefficients become
-    integer combinations of beta-set masks, are multiplied by the scalar
-    series `quotient_factor` and are decoded once.
-    """
-    if isinstance(series, LambdaSeries):
-        return _scalar_product(series, quotient_factor(n, series.trunc))
-    if isinstance(series, ClassSeries):
-        return series.mul_scalar_series(quotient_factor(n, series.trunc))
-    raise TypeError("expected a truncated series")
+    """Strike the polynomial generators above half weight from a series
+    of symmetric functions or of orthogonal or symplectic classes: its
+    `mul_scalar_series` by `quotient_factor`."""
+    return series.mul_scalar_series(quotient_factor(n, series.trunc))

@@ -7,6 +7,16 @@ no operation ever claims a coefficient beyond what its inputs determine.
 Negative t-exponents are tolerated inside a series because some inputs
 are assembled from shifted pieces that only cancel at the end.
 
+The stable Sp/O classes of `branching` are the same free abelian group
+on partitions with another product, Newell-Littlewood (Koike-Terada
+1987). So one exact combination type, `_Combination`, holds the
+arithmetic, equality, hashing, rendering and mask decoding of both
+`SymFunc` and `branching.OrthSympClass`; each supplies only its product
+of two basis elements, its letter, how it stores a coefficient and its
+epsilon. One series type, `_Series`, does the same for `LambdaSeries`
+and `branching.ClassSeries`, including `mul_scalar_series`, the product
+by a series of scalars on integer combinations of masks.
+
 Every move of a Schur shape is one kernel, `partitions.ribbon_strips`:
 multiplying by h_r[p_k] adds a horizontal strip of r ribbons of size k
 to every shape of an integer combination of beta-set bitmasks, and for
@@ -60,6 +70,10 @@ class ValuationViolation(ValueError):
     """A series failed a required lower bound on its t-valuation."""
 
 
+class EpsilonMismatch(ValueError):
+    """Symplectic and orthogonal classes were mixed in one expression."""
+
+
 # ---------------------------------------------------------------------------
 # Power sums: Schur expansions are columns of the character table
 # ---------------------------------------------------------------------------
@@ -83,36 +97,51 @@ def _p_monomial_schur(mu: Partition) -> Mapping[Partition, int]:
 
 
 # ---------------------------------------------------------------------------
-# SymFunc
+# Exact combinations keyed by partitions: Schur functions and Sp/O classes
 # ---------------------------------------------------------------------------
 
-class SymFunc:
-    """A finite rational linear combination of Schur functions."""
+class _Combination:
+    """A finite exact linear combination of basis elements indexed by
+    partitions: {Partition: coefficient}, with no zero coefficient.
 
-    __slots__ = ("coeffs",)
+    A kind supplies the product of two basis elements (`_basis_product`),
+    the `letter` it renders with, how it stores c / den (`_coefficient`)
+    and its epsilon: None, or the sign of a classical group, which two
+    combinations must share to meet. A number c is c times the basis
+    element of the empty partition, the unit of every kind's product, and
+    equals and hashes as that combination.
+    """
 
-    def __init__(self, coeffs: Optional[Mapping[Partition, Fraction]] = None):
-        cleaned: dict[Partition, Fraction] = {}
-        if coeffs:
-            for lam, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    cleaned[Partition(lam)] = c
+    __slots__ = ("coeffs", "epsilon")
+    letter: str
+
+    def __init__(self, coeffs: Optional[Mapping] = None, epsilon: Optional[int] = None):
+        self.epsilon = epsilon
+        cleaned = {}
+        for lam, c in (coeffs or {}).items():
+            c = self._coefficient(c)
+            if c:
+                cleaned[Partition(lam)] = c
         self.coeffs = cleaned
 
-    # -- constructors ------------------------------------------------------
+    @classmethod
+    def _of(cls, coeffs: dict, epsilon: Optional[int]):
+        """The combination of cls with these coefficients, taken as they are."""
+        out = object.__new__(cls)
+        out.coeffs, out.epsilon = coeffs, epsilon
+        return out
 
-    @staticmethod
-    def zero() -> "SymFunc":
-        return SymFunc()
+    def _new(self, coeffs: Mapping[Partition, object]):
+        """A combination of this kind and epsilon; zero coefficients drop."""
+        store = self._coefficient
+        return self._of({lam: store(c) for lam, c in coeffs.items() if c}, self.epsilon)
 
-    @staticmethod
-    def scalar(c) -> "SymFunc":
-        return SymFunc({EMPTY: Fraction(c)})
-
-    @staticmethod
-    def schur(lam) -> "SymFunc":
-        return SymFunc({Partition(lam): Fraction(1)})
+    @classmethod
+    def _from_masks(cls, comb: Mapping[int, int], den: int, epsilon: Optional[int] = None):
+        """sum c b_mask / den over an integer combination of beta-set masks."""
+        quotient = cls._coefficient
+        coeffs = {mask_partition(mask): quotient(c, den) for mask, c in comb.items() if c}
+        return cls._of(coeffs, epsilon)
 
     # -- queries -------------------------------------------------------------
 
@@ -126,86 +155,119 @@ class SymFunc:
         return self.coeffs.get(Partition(lam), Fraction(0))
 
     def support(self) -> list[Partition]:
-        return sorted(self.coeffs, key=lambda p: p.sort_key())
+        return sorted(self.coeffs, key=Partition.sort_key)
 
     def degree(self) -> int:
         """Largest homogeneous degree present; -1 for the zero element."""
         return max((lam.size for lam in self.coeffs), default=-1)
 
-    def homogeneous_part(self, d: int) -> "SymFunc":
-        return SymFunc({lam: c for lam, c in self.coeffs.items() if lam.size == d})
+    def homogeneous_part(self, d: int):
+        return self._of({lam: c for lam, c in self.coeffs.items() if lam.size == d}, self.epsilon)
 
-    def homogeneous_components(self) -> dict[int, "SymFunc"]:
-        out: dict[int, dict[Partition, Fraction]] = {}
+    def homogeneous_components(self) -> dict:
+        out: dict[int, dict] = {}
         for lam, c in self.coeffs.items():
             out.setdefault(lam.size, {})[lam] = c
-        return {d: SymFunc(m) for d, m in sorted(out.items())}
+        return {d: self._of(m, self.epsilon) for d, m in sorted(out.items())}
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _coerce(self, other):
+        """other as a combination of this kind and epsilon, a number as a
+        multiple of the unit; None for anything else."""
+        if isinstance(other, (int, Fraction)):
+            return self._new({EMPTY: other})
+        if type(other) is not type(self):
+            return None
+        if other.epsilon != self.epsilon:
+            raise EpsilonMismatch("cannot combine classes of opposite epsilon")
+        return other
+
     def __add__(self, other):
-        if not isinstance(other, (SymFunc, int, Fraction)):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        other = _as_symfunc(other)
         merged = dict(self.coeffs)
         for lam, c in other.coeffs.items():
-            merged[lam] = merged.get(lam, Fraction(0)) + c
-        return SymFunc(merged)
+            merged[lam] = merged.get(lam, 0) + c
+        return self._new(merged)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "SymFunc":
-        return SymFunc({lam: -c for lam, c in self.coeffs.items()})
+    def __neg__(self):
+        return self._of({lam: -c for lam, c in self.coeffs.items()}, self.epsilon)
 
     def __sub__(self, other):
-        if not isinstance(other, (SymFunc, int, Fraction)):
-            return NotImplemented
-        return self + (-_as_symfunc(other))
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
-        if not isinstance(other, (SymFunc, int, Fraction)):
-            return NotImplemented
-        return _as_symfunc(other) + (-self)
+        other = self._coerce(other)
+        return NotImplemented if other is None else other + -self
 
     def __mul__(self, other):
-        if isinstance(other, SymFunc) and other.is_scalar():
-            other = other.coeff(EMPTY)
         if isinstance(other, (int, Fraction)):
-            return SymFunc({lam: c * other for lam, c in self.coeffs.items()})
-        if not isinstance(other, SymFunc):
+            return self._new({lam: c * other for lam, c in self.coeffs.items()})
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
+        if other.is_scalar():
+            return self * other.coeff(EMPTY)
         if self.is_scalar():
             return other * self.coeff(EMPTY)
-        out: dict[Partition, Fraction] = {}
+        out: dict[Partition, object] = {}
         for mu, a in self.coeffs.items():
             for nu, b in other.coeffs.items():
-                for lam, c in _schur_product_table(mu, nu):
-                    out[lam] = out.get(lam, Fraction(0)) + a * b * c
-        return SymFunc(out)
+                for lam, c in self._basis_product(mu, nu):
+                    out[lam] = out.get(lam, 0) + a * b * c
+        return self._new(out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (SymFunc, int, Fraction)):
+        if isinstance(other, (int, Fraction)):
+            other = self._new({EMPTY: other})
+        elif type(other) is not type(self):
             return NotImplemented
-        return self.coeffs == _as_symfunc(other).coeffs
+        return self.epsilon == other.epsilon and self.coeffs == other.coeffs
 
-    def __hash__(self):
+    def __hash__(self) -> int:
+        if self.is_scalar():
+            return hash(self.coeffs.get(EMPTY, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def __str__(self) -> str:
-        return render_symfunc(self)
+        if not self.coeffs:
+            return "0"
+        return _render_parts([(lam, self.coeffs[lam]) for lam in self.support()], self.letter)
+
+
+class SymFunc(_Combination):
+    """A finite rational linear combination of Schur functions, each
+    coefficient a Fraction; the product is Littlewood-Richardson."""
+
+    __slots__ = ()
+    letter = "s"
+    _coefficient = Fraction
+
+    @staticmethod
+    def _basis_product(mu: Partition, nu: Partition):
+        return _schur_product_table(mu, nu)
+
+    @staticmethod
+    def zero() -> "SymFunc":
+        return SymFunc()
+
+    @staticmethod
+    def scalar(c) -> "SymFunc":
+        return SymFunc({EMPTY: c})
+
+    @staticmethod
+    def schur(lam) -> "SymFunc":
+        return SymFunc({lam: 1})
 
     def __repr__(self) -> str:
         return f"SymFunc({self.coeffs!r})"
-
-
-def _as_symfunc(x) -> SymFunc:
-    if isinstance(x, SymFunc):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return SymFunc.scalar(x)
-    raise TypeError(f"cannot interpret {x!r} as a symmetric function")
 
 
 def h_sym(k: int) -> SymFunc:
@@ -226,14 +288,7 @@ def p_sym(k: int) -> SymFunc:
     """Power sum p_k, expanded into hook Schur functions."""
     if k == 0:
         return SymFunc.scalar(1)
-    return SymFunc({lam: Fraction(c) for lam, c in _p_monomial_schur(Partition((k,))).items()})
-
-
-def _mask_symfunc(combination: Mapping[int, int], den: int) -> SymFunc:
-    """sum c s_mask / den over an integer combination of beta-set masks."""
-    out = SymFunc()
-    out.coeffs = {mask_partition(mask): Fraction(c, den) for mask, c in combination.items() if c}
-    return out
+    return SymFunc(_p_monomial_schur(Partition((k,))))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +301,7 @@ def _pieri(start: Partition, beads: int, k: int, h_terms: Mapping[tuple, int]) -
     strip of r boxes (`_strip_horner`), on shapes with `beads` beads."""
     acc: dict[int, int] = {}
     _strip_horner({beta_mask(start, beads): 1}, k, {mu: [(acc, c)] for mu, c in h_terms.items()})
-    return _mask_symfunc(acc, 1)
+    return SymFunc._from_masks(acc, 1)
 
 
 @lru_cache(maxsize=None)
@@ -373,51 +428,64 @@ def change_basis(text: str) -> SymFunc:
 
 
 # ---------------------------------------------------------------------------
-# LambdaSeries
+# Truncated series over one kind of combination
 # ---------------------------------------------------------------------------
 
-class LambdaSeries:
-    """Truncated series in t with SymFunc coefficients.
+class _Series:
+    """A truncated series in t whose coefficients are combinations of one
+    kind (`kind`) and one epsilon.
 
     Exponents may be negative; the truncation order is the largest
     exponent whose coefficient the series claims to know.
     """
 
-    __slots__ = ("terms", "trunc")
+    __slots__ = ("terms", "trunc", "epsilon")
+    kind: type
 
-    def __init__(self, terms: Mapping[int, SymFunc], trunc: int):
+    def __init__(self, terms: Mapping[int, object], trunc: int, epsilon: Optional[int] = None):
+        self.epsilon = epsilon
         self.trunc = int(trunc)
-        cleaned: dict[int, SymFunc] = {}
+        cleaned = {}
         for k, f in terms.items():
-            if k > self.trunc:
-                continue
-            f = _as_symfunc(f)
-            if not f.is_zero():
-                cleaned[int(k)] = f
+            if k <= self.trunc:
+                f = self._as_coefficient(f)
+                if f.coeffs:
+                    cleaned[int(k)] = f
         self.terms = cleaned
 
-    # -- constructors ------------------------------------------------------
+    @classmethod
+    def _of(cls, terms: Mapping[int, _Combination], trunc: int, epsilon: Optional[int]):
+        """The series of cls with these coefficients up to trunc; zero
+        coefficients drop."""
+        out = object.__new__(cls)
+        out.epsilon, out.trunc = epsilon, trunc
+        out.terms = {k: f for k, f in terms.items() if k <= trunc and f.coeffs}
+        return out
 
-    @staticmethod
-    def zero(trunc: int) -> "LambdaSeries":
-        return LambdaSeries({}, trunc)
+    @classmethod
+    def _from_masks(
+        cls, terms: Mapping[int, Mapping[int, int]], den: int, trunc: int, epsilon: Optional[int] = None
+    ):
+        """The series of {t-exponent: {beta-set mask: int}} over den."""
+        decode = cls.kind._from_masks
+        return cls._of({k: decode(comb, den, epsilon) for k, comb in terms.items()}, trunc, epsilon)
 
-    @staticmethod
-    def one(trunc: int) -> "LambdaSeries":
-        return LambdaSeries({0: SymFunc.scalar(1)}, trunc)
-
-    @staticmethod
-    def monomial(f, exp: int, trunc: int) -> "LambdaSeries":
-        return LambdaSeries({exp: _as_symfunc(f)}, trunc)
+    def _as_coefficient(self, f) -> _Combination:
+        """f as a coefficient of this series, a number as a multiple of the unit."""
+        c = self.kind._of({}, self.epsilon)._coerce(f)
+        if c is None:
+            raise TypeError(f"cannot interpret {f!r} as a coefficient of {type(self).__name__}")
+        return c
 
     # -- queries -------------------------------------------------------------
 
-    def coefficient(self, k: int) -> SymFunc:
+    def coefficient(self, k: int) -> _Combination:
         if k > self.trunc:
             raise ValuationViolation(
                 f"coefficient of t^{k} requested beyond truncation order {self.trunc}"
             )
-        return self.terms.get(k, SymFunc.zero())
+        f = self.terms.get(k)
+        return self.kind._of({}, self.epsilon) if f is None else f
 
     def valuation(self) -> Optional[int]:
         """Smallest exponent present, or None for the (truncated) zero series."""
@@ -426,76 +494,128 @@ class LambdaSeries:
     def exponents(self) -> list[int]:
         return sorted(self.terms)
 
+    def longest_column(self) -> int:
+        """The largest number of rows of a shape in the series."""
+        return max((len(lam) for f in self.terms.values() for lam in f.coeffs), default=0)
+
+    def encode(self, beads: int) -> tuple[dict[int, dict[int, int]], int]:
+        """The coefficients as integer combinations of beta-set masks with
+        `beads` beads (at least `longest_column()`), over one denominator."""
+        den = lcm(*(c.denominator for f in self.terms.values() for c in f.coeffs.values()))
+        out = {
+            k: {beta_mask(lam, beads): c.numerator * (den // c.denominator)
+                for lam, c in f.coeffs.items()}
+            for k, f in self.terms.items()
+        }
+        return out, den
+
     # -- arithmetic ----------------------------------------------------------
 
-    def _coerce(self, other) -> "LambdaSeries":
-        if isinstance(other, LambdaSeries):
+    def _coerce(self, other):
+        if type(other) is type(self):
+            if other.epsilon != self.epsilon:
+                raise EpsilonMismatch("cannot combine classes of opposite epsilon")
             return other
-        if isinstance(other, (int, Fraction, SymFunc)):
-            return LambdaSeries({0: _as_symfunc(other)}, self.trunc)
-        raise TypeError(f"cannot interpret {other!r} as a series")
+        return self._of({0: self._as_coefficient(other)}, self.trunc, self.epsilon)
 
-    def __add__(self, other) -> "LambdaSeries":
+    def __add__(self, other):
         other = self._coerce(other)
-        trunc = min(self.trunc, other.trunc)
         merged = dict(self.terms)
         for k, f in other.terms.items():
-            merged[k] = merged.get(k, SymFunc.zero()) + f
-        return LambdaSeries(merged, trunc)
+            merged[k] = merged[k] + f if k in merged else f
+        return self._of(merged, min(self.trunc, other.trunc), self.epsilon)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "LambdaSeries":
-        return LambdaSeries({k: -f for k, f in self.terms.items()}, self.trunc)
+    def __neg__(self):
+        return self._of({k: -f for k, f in self.terms.items()}, self.trunc, self.epsilon)
 
-    def __sub__(self, other) -> "LambdaSeries":
-        return self + (-self._coerce(other))
+    def __sub__(self, other):
+        return self + -self._coerce(other)
 
-    def __rsub__(self, other) -> "LambdaSeries":
-        return self._coerce(other) + (-self)
+    def __rsub__(self, other):
+        return self._coerce(other) + -self
 
-    def __mul__(self, other) -> "LambdaSeries":
-        if isinstance(other, (int, Fraction, SymFunc)):
-            f = _as_symfunc(other)
-            return LambdaSeries({k: g * f for k, g in self.terms.items()}, self.trunc)
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            f = self._as_coefficient(other)
+            return self._of({k: g * f for k, g in self.terms.items()}, self.trunc, self.epsilon)
         other = self._coerce(other)
         trunc = _product_trunc(self.terms, self.trunc, other.terms, other.trunc)
-        out: dict[int, SymFunc] = {}
+        out: dict[int, _Combination] = {}
         for a, f in self.terms.items():
             for b, g in other.terms.items():
                 k = a + b
-                if k > trunc:
-                    continue
-                prod = f * g
-                if k in out:
-                    out[k] = out[k] + prod
-                else:
-                    out[k] = prod
-        return LambdaSeries(out, trunc)
+                if k <= trunc:
+                    out[k] = out[k] + f * g if k in out else f * g
+        return self._of(out, trunc, self.epsilon)
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "LambdaSeries":
-        """Multiply by the exact monomial t^k."""
-        return LambdaSeries({a + k: f for a, f in self.terms.items()}, self.trunc + k)
+    def mul_scalar_series(self, scalar: "LambdaSeries"):
+        """Multiply by a series whose coefficients are scalars, on integer
+        combinations of masks, with the truncation rule of a product."""
+        trunc = _product_trunc(self.terms, self.trunc, scalar.terms, scalar.trunc)
+        terms, den = self.encode(self.longest_column())
+        factors, scalar_den = _scalar_factors(scalar)
+        terms = _times_scalar(terms, factors, trunc)
+        return self._from_masks(terms, den * scalar_den, trunc, self.epsilon)
 
-    def truncate(self, d: int) -> "LambdaSeries":
+    def shift(self, k: int):
+        """Multiply by the exact monomial t^k."""
+        return self._of({a + k: f for a, f in self.terms.items()}, self.trunc + k, self.epsilon)
+
+    def truncate(self, d: int):
         if d > self.trunc:
             raise ValuationViolation(
                 f"cannot extend knowledge from order {self.trunc} to {d}"
             )
-        return LambdaSeries({k: f for k, f in self.terms.items() if k <= d}, d)
+        return self._of(self.terms, d, self.epsilon)
 
-    def map_coefficients(self, fn: Callable[[SymFunc], SymFunc]) -> "LambdaSeries":
-        return LambdaSeries({k: fn(f) for k, f in self.terms.items()}, self.trunc)
+    def map_coefficients(self, fn: Callable[[_Combination], _Combination]):
+        return self._of({k: fn(f) for k, f in self.terms.items()}, self.trunc, self.epsilon)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, LambdaSeries):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.trunc == other.trunc and self.terms == other.terms
+        return (self.epsilon, self.trunc, self.terms) == (other.epsilon, other.trunc, other.terms)
 
     def __str__(self) -> str:
-        return render_series(self)
+        if not self.terms:
+            return "0"
+        pieces = []
+        for k in self.exponents():
+            f = self.terms[k]
+            body = str(f)
+            t_part = "t" if k == 1 else f"t^{k}"
+            if k == 0:
+                pieces.append(body)
+            elif len(f.coeffs) > 1:
+                pieces.append(f"({body})*{t_part}")
+            elif body in ("1", "-1"):
+                pieces.append(body[:-1] + t_part)
+            else:
+                pieces.append(f"{body}*{t_part}")
+        return _join_signed(pieces)
+
+
+class LambdaSeries(_Series):
+    """Truncated series in t with SymFunc coefficients."""
+
+    __slots__ = ()
+    kind = SymFunc
+
+    @staticmethod
+    def zero(trunc: int) -> "LambdaSeries":
+        return LambdaSeries({}, trunc)
+
+    @staticmethod
+    def one(trunc: int) -> "LambdaSeries":
+        return LambdaSeries({0: 1}, trunc)
+
+    @staticmethod
+    def monomial(f, exp: int, trunc: int) -> "LambdaSeries":
+        return LambdaSeries({exp: f}, trunc)
 
     def __repr__(self) -> str:
         return f"LambdaSeries({self.terms!r}, trunc={self.trunc})"
@@ -537,8 +657,8 @@ def exp_h(g: LambdaSeries) -> LambdaSeries:
     Partitions, with the denominator m! D^m.
     """
     s_terms, den = _exp_h_masks(g)
-    return LambdaSeries(
-        {m: _mask_symfunc(s, factorial(m) * den**m) for m, s in enumerate(s_terms)}, g.trunc
+    return LambdaSeries._of(
+        {m: SymFunc._from_masks(s, factorial(m) * den**m) for m, s in enumerate(s_terms)}, g.trunc, None
     )
 
 
@@ -708,8 +828,8 @@ def _strip_horner(comb: Mapping[int, int], k: int, targets: Mapping[tuple, list]
 # The stages after exp_h act on {t-exponent: {beta-set mask: int}} with
 # one denominator for the whole series: scalar series multiply every
 # coefficient, and the fibre division adds and removes boxes. A series of
-# Partition-keyed coefficients enters through `_encode_series` and leaves
-# through `_mask_series` or `branching._mask_class_series`.
+# Partition-keyed coefficients enters through `_Series.encode` and leaves
+# through `_Series._from_masks`.
 
 def _over_one_denominator(
     terms: Mapping[int, Mapping[int, int]], dens: Mapping[int, int]
@@ -725,20 +845,6 @@ def _over_one_denominator(
     for k, (comb, common, r) in reduced.items():
         scale = den // r
         out[k] = comb if common == scale == 1 else {m: c // common * scale for m, c in comb.items()}
-    return out, den
-
-
-def _encode_series(
-    coeffs: Mapping[int, Mapping[Partition, Fraction]], beads: int
-) -> tuple[dict[int, dict[int, int]], int]:
-    """A series of Partition-keyed int or Fraction coefficients as integer
-    combinations of beta-set masks with `beads` beads, over one
-    denominator."""
-    den = lcm(*(c.denominator for f in coeffs.values() for c in f.values()))
-    out = {
-        k: {beta_mask(lam, beads): c.numerator * (den // c.denominator) for lam, c in f.items()}
-        for k, f in coeffs.items()
-    }
     return out, den
 
 
@@ -763,21 +869,6 @@ def _times_scalar(
                 for mask, x in comb.items():
                     acc[mask] = get(mask, 0) + x * c
     return {k: {mask: c for mask, c in acc.items() if c} for k, acc in out.items()}
-
-
-def _scalar_product(series: LambdaSeries, scalar: LambdaSeries) -> LambdaSeries:
-    """series * scalar for a series of scalars, with the truncation rule
-    of LambdaSeries products, on integer combinations of masks."""
-    trunc = _product_trunc(series.terms, series.trunc, scalar.terms, scalar.trunc)
-    rows = max((len(lam) for f in series.terms.values() for lam in f.coeffs), default=0)
-    terms, den = _encode_series({k: f.coeffs for k, f in series.terms.items()}, rows)
-    factors, scalar_den = _scalar_factors(scalar)
-    return _mask_series(_times_scalar(terms, factors, trunc), den * scalar_den, trunc)
-
-
-def _mask_series(terms: Mapping[int, Mapping[int, int]], den: int, trunc: int) -> LambdaSeries:
-    """The LambdaSeries of {t-exponent: {beta-set mask: int}} over den."""
-    return LambdaSeries({k: _mask_symfunc(c, den) for k, c in terms.items()}, trunc)
 
 
 def _conjugate_masks(comb: Mapping[int, int], beads: int) -> dict[int, int]:
@@ -819,37 +910,3 @@ def _render_parts(items, letter: str) -> str:
         symbol = None if lam == EMPTY else f"{letter}[{lam}]"
         pieces.append(_render_coeff(c, symbol))
     return _join_signed(pieces)
-
-
-def _render_series_parts(bodies: dict[int, str], nterms: dict[int, int]) -> str:
-    if not bodies:
-        return "0"
-    pieces = []
-    for k in sorted(bodies):
-        body = bodies[k]
-        if k == 0:
-            pieces.append(body)
-            continue
-        t_part = "t" if k == 1 else f"t^{k}"
-        if nterms.get(k, 1) > 1:
-            pieces.append(f"({body})*{t_part}")
-        elif body == "1":
-            pieces.append(t_part)
-        elif body == "-1":
-            pieces.append(f"-{t_part}")
-        else:
-            pieces.append(f"{body}*{t_part}")
-    return _join_signed(pieces)
-
-
-def render_symfunc(f: SymFunc, letter: str = "s") -> str:
-    if f.is_zero():
-        return "0"
-    return _render_parts([(lam, f.coeffs[lam]) for lam in f.support()], letter)
-
-
-def render_series(s: LambdaSeries, letter: str = "s") -> str:
-    return _render_series_parts(
-        {k: render_symfunc(s.terms[k], letter) for k in s.exponents()},
-        {k: len(s.terms[k].coeffs) for k in s.exponents()},
-    )

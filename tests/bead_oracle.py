@@ -44,7 +44,7 @@ from torelli.partitions import (
     ribbon_strips,
     z_lambda,
 )
-from torelli.symfunc import LambdaSeries, SymFunc, _mask_symfunc, _product_trunc
+from torelli.symfunc import LambdaSeries, SymFunc, _product_trunc
 
 
 def partitions_upto(n: int) -> list[Partition]:
@@ -128,7 +128,7 @@ def _p_action(terms: Mapping[Partition, Fraction], start: Partition, direction: 
     scaled = {mu: c.numerator * (den // c.denominator) for mu, c in terms.items()}
     # Adding hooks of total size w lengthens start by at most w rows.
     beads = len(start) + (max(map(sum, scaled), default=0) if direction > 0 else 0)
-    return _mask_symfunc(_horner(scaled, {beta_mask(start, beads): 1}, direction, {}), den)
+    return SymFunc._from_masks(_horner(scaled, {beta_mask(start, beads): 1}, direction, {}), den)
 
 
 def from_p_monomials(terms: Mapping[Partition, Fraction]) -> SymFunc:

@@ -1,3 +1,4 @@
+import operator
 import random
 import warnings
 from fractions import Fraction
@@ -6,6 +7,8 @@ import pytest
 from bead_oracle import rim_hooks
 
 from torelli.branching import (
+    ClassSeries,
+    EpsilonMismatch,
     OrthSympClass,
     StabilityWarning,
     _nl_pair,
@@ -14,10 +17,9 @@ from torelli.branching import (
     nl_product,
     restrict_coeffs,
     restrict_schur,
-    render_class,
 )
 from torelli.partitions import EMPTY, Partition, partitions_of
-from torelli.symfunc import SymFunc, change_basis, omega
+from torelli.symfunc import LambdaSeries, SymFunc, change_basis, omega
 
 
 def sf(text):
@@ -191,9 +193,48 @@ def test_plethysm_restrictions_degree_six():
 
 def test_render_class():
     x = cls(-1, {(1, 1): 2, (): 1, (2, 1): 1})
-    assert render_class(x) == "1 + 2*V[1^2] + V[2,1]"
+    assert str(x) == "1 + 2*V[1^2] + V[2,1]"
 
 
 def test_negative_multiplicities_render():
     x = cls(-1, {(1,): -1})
-    assert "-" in render_class(x)
+    assert "-" in str(x)
+
+
+def test_integral_class_coefficients_are_ints():
+    x = cls(1, {(1,): Fraction(4, 2), (2,): 2.0, (3,): Fraction(1, 2), (1, 1): 0.0})
+    assert x.coeffs == {(1,): 2, (2,): 2, (3,): Fraction(1, 2)}
+    assert [type(x.coeff(lam)) for lam in ((1,), (2,), (3,))] == [int, int, Fraction]
+    assert [type(c) for c in (x * 2).coeffs.values()] == [int, int, int]
+
+
+def test_opposite_epsilons_do_not_mix():
+    sp, o = cls(-1, {(1,): 1}), cls(1, {(1,): 1})
+    for combine in (operator.add, operator.sub, operator.mul, nl_product):
+        with pytest.raises(EpsilonMismatch):
+            combine(sp, o)
+    with pytest.raises(EpsilonMismatch):
+        ClassSeries(-1, {0: sp, 1: o}, 2)
+    with pytest.raises(EpsilonMismatch):
+        ClassSeries(-1, {0: sp}, 2) + ClassSeries(1, {0: o}, 2)
+    assert sp != o
+
+
+def test_schur_functions_and_classes_do_not_mix():
+    s1, v1 = SymFunc.schur((1,)), OrthSympClass(-1, {(1,): 1})
+    for combine in (operator.add, operator.mul):
+        with pytest.raises(TypeError):
+            combine(s1, v1)
+        with pytest.raises(TypeError):
+            combine(LambdaSeries.one(2), ClassSeries.zero(-1, 2))
+    with pytest.raises(TypeError):
+        ClassSeries.zero(-1, 2) + LambdaSeries.one(2)
+    assert (s1 == v1) is False
+
+
+def test_equal_scalars_hash_alike():
+    pairs = ((SymFunc.scalar(3), 3), (SymFunc.zero(), 0), (OrthSympClass.unit(-1), 1),
+             (SymFunc.scalar(Fraction(1, 2)), Fraction(1, 2)), (OrthSympClass.zero(1), 0))
+    for combination, number in pairs:
+        assert combination == number
+        assert len({combination, number}) == 1

@@ -147,3 +147,27 @@ def test_the_labelled_basis_oracle_stays_out_of_the_package():
             if hasattr(owner, name)]
     assert left == []
     assert "enumerate_basis" not in torelli.__all__
+
+
+def test_one_combination_type_and_one_series_type():
+    # Schur functions and Sp/O classes share the arithmetic of
+    # symfunc._Combination, their series that of symfunc._Series; the
+    # per-kind encoders, decoders and renderers they replaced are gone,
+    # and no caller branches on the series kind.
+    from inspect import getsource
+
+    from torelli import cli, setparts
+    from torelli.branching import ClassSeries, OrthSympClass
+    from torelli.symfunc import LambdaSeries, SymFunc
+
+    assert OrthSympClass.__add__ is SymFunc.__add__
+    assert ClassSeries.mul_scalar_series is LambdaSeries.mul_scalar_series
+    gone = ["_mask_class", "_mask_class_series", "_as_class", "_as_symfunc", "_encode_series",
+            "_scalar_product", "render_class_series", "_mask_symfunc", "_mask_series",
+            "render_class", "render_series", "render_symfunc", "_scale_and_divide"]
+    modules = sorted(Path(torelli.__file__).parent.glob("*.py"))
+    sources = {path.name: path.read_text(encoding="utf-8") for path in modules}
+    assert [name for name in gone if any(f"def {name}(" in text for text in sources.values())] == []
+    assert [name for name in gone if name in torelli.__all__] == []
+    assert [f.__name__ for f in (setparts.quotient_series_by_L, cli.series)
+            if "isinstance" in getsource(f)] == []

@@ -358,7 +358,8 @@ def test_mask_kernels_on_a_column_at_the_bead_bound():
 
 
 def test_quotient_of_a_laurent_series_matches_the_series_product():
-    # LambdaSeries products shrink the claimed order by a t^-1 term.
+    # Series products shrink the claimed order by a t^-1 term, for
+    # symmetric functions and for classes alike.
     series = LambdaSeries(
         {
             -1: change_basis("1/2*s[1^4] - s[2]"),
@@ -372,6 +373,10 @@ def test_quotient_of_a_laurent_series_matches_the_series_product():
         got = quotient_series_by_L(series, n)
         assert got == series * quotient_factor(n, series.trunc)
         assert got.trunc == 8
+        for epsilon in (-1, 1):
+            got = quotient_series_by_L(D_series(series, epsilon), n)
+            assert got == D_series(series * quotient_factor(n, 9), epsilon)
+            assert got.trunc == 8
 
 
 def test_the_table_builds_no_symmetric_function_after_exp_h(monkeypatch):
@@ -565,8 +570,8 @@ def test_the_oracle_series_side_drops_only_shapes_heavier_than_qmax(two_n, q_max
     chb = pipeline._ch_B_within_budget(n, d_max)
     full = pipeline._StagePass(chb, n, "disc")
     cut = pipeline._StagePass(chb, n, "disc", q_max)
-    whole = symfunc._mask_series(full.final, full.final_den, d_max)
-    light = symfunc._mask_series(cut.final, cut.final_den, d_max)
+    whole = LambdaSeries._from_masks(full.final, full.final_den, d_max)
+    light = LambdaSeries._from_masks(cut.final, cut.final_den, d_max)
     for d in range(d_max + 1):
         assert max((sum(lam) for lam in light.coefficient(d).coeffs), default=0) <= q_max
         for q in range(q_max + 1):
