@@ -128,8 +128,8 @@ def oracle(two_n, qmax, dmax):
     bad = len(report.failures())
     if bad:
         print(f"{bad} of {len(report.cells)} cells FAIL")
-    else:
-        print(f"all {len(report.cells)} cells pass")
+        sys.exit(2)
+    print(f"all {len(report.cells)} cells pass")
 
 
 def lclass(max_index, two_n):

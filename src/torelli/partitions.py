@@ -91,11 +91,12 @@ class Partition(tuple):
 EMPTY = Partition()
 
 
-def partitions_of(n: int, max_length: Optional[int] = None) -> list[Partition]:
-    """All partitions of n in reverse-lexicographic order.
+@lru_cache(maxsize=None)
+def partitions_of(n: int, max_length: Optional[int] = None) -> tuple[Partition, ...]:
+    """All partitions of n in reverse-lexicographic order, built once.
 
     The order starts at (n) and ends at (1,...,1); an optional bound on
-    the number of parts filters the list without changing the order.
+    the number of parts filters the tuple without changing the order.
     """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
@@ -114,7 +115,7 @@ def partitions_of(n: int, max_length: Optional[int] = None) -> list[Partition]:
             prefix.pop()
 
     extend([], n, n)
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

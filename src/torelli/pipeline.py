@@ -449,13 +449,13 @@ class OracleReport:
         return [cell for cell in self.cells if not cell.ok]
 
 
-# sigma_characters tests each set partition that `_blocks_within` keeps
-# against each class, so a weight q costs p(q) (1 + kept(q)) fixed-point
-# checks, the 1 for the class itself. Cold CLI runs on a shared 2-vCPU
-# host, all under 35 MiB: dim 2 at qmax = dmax = 9 (741,435 checks)
-# takes 0.7-0.9 s, 10 (5.6 million) 3.2-4.0 s and 11 (43.6 million)
-# 19-23 s; dim 6 at 12 (9.2 million) 6.6-7.7 s. This cap refuses dim 6
-# at 13 (57.3 million).
+# Each class of weight q walks to the kept set partitions it fixes, some
+# of the kept(q), so p(q) (1 + kept(q)) bounds the walks of sigma_characters.
+# Cold CLI runs on a shared 2-vCPU host, five each, all under 20 MiB:
+# dim 2 at qmax = dmax = 9 (bound 741,435) takes 0.2-0.3 s, 10 (5.6
+# million) 0.8-1.2 s and 11 (43.6 million) 3.0-3.8 s; dim 6 at 12 (9.2
+# million) 1.3-1.9 s. This cap refuses dim 6 at 13 (57.3 million), and
+# is not recounted for the tighter walks.
 ORACLE_WALK_CAP = 5 * 10**7
 
 
@@ -463,7 +463,8 @@ def _walk_size(n: int, d_max: int, q_max: int, cap: int) -> int:
     """The sum over q <= q_max of p(q) (1 + kept(q)), kept(q) being the
     set partitions of q elements whose block floors fit d_max; or the
     first running total past cap when that comes first, so that a huge
-    q_max costs nothing.
+    q_max costs nothing.  It bounds the cycle walks of sigma_characters:
+    the p(q) classes each walk to a subset of the kept(q) set partitions.
 
     kept(q) comes from the counts by floor sum: the block of the last
     element takes s - 1 of the other q - 1 elements and its floor.
@@ -494,14 +495,14 @@ def oracle_check(two_n: int, d_max: int, q_max: int) -> OracleReport:
     The enumerative route takes, for each weight, the fixed-point
     character of the permutation action on the labelled-partition basis,
     twisted by the orientation sign, in every degree at once
-    (`sigma_characters`, which counts labels on the walked set partitions
-    and builds no labelled partition), and decomposes it by
+    (`sigma_characters`, which counts labels on the set partitions each
+    class fixes and builds no labelled partition), and decomposes it by
     orthogonality. It must agree with the weight-graded slice of the
-    plethysm route, the disc `_StagePass`. A request whose walk needs
-    more than ORACLE_WALK_CAP fixed-point checks (`_walk_size`) is
-    rejected before any walk, ch_B or exp_h runs, and one whose
-    plethystic exponential could hold more than EXP_H_SHAPE_CAP shapes
-    before exp_h, as in `compute_cohomology`.
+    plethysm route, the disc `_StagePass`. A request whose walk bound
+    (`_walk_size`) passes ORACLE_WALK_CAP is rejected before any walk,
+    ch_B or exp_h runs, and one whose plethystic exponential could hold
+    more than EXP_H_SHAPE_CAP shapes before exp_h, as in
+    `compute_cohomology`.
     """
     if two_n < 2 or two_n % 2:
         raise ConfigError(f"dimension must be a positive even integer, got {two_n}")

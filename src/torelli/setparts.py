@@ -9,25 +9,23 @@ contributes its parity sign raised to n.  `graph reduce` returns a
 `SignedPartitionVector`, a combination of such partitions on the legs.
 The degree pieces are symmetric-group representations, and their
 characters feed the brute-force check of the main computation:
-`sigma_characters` walks the set partitions of one ground set whose
-block floors fit a degree cap (`_blocks_within`), once for every degree
-up to the cap, and counts the labels each permutation fixes on each of
-them by degree, without building a labelled partition.  The basis
-itself, and the fixed points counted on it, are a test oracle in
-`tests/basis_oracle.py`.  `quotient_series_by_L` strikes the polynomial
-generators above half weight from a series.
+`sigma_characters` builds, for each permutation, the set partitions it
+fixes from its cycles (`_orbit_types`), and counts the labels fixed on
+them by degree, without building a labelled partition.  The basis, and
+the walk over all set partitions with a test per class, are test
+oracles in `tests/basis_oracle.py`.  `quotient_series_by_L` strikes the
+polynomial generators above half weight from a series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .characters import ClassFunction
 from .labels import LabelMonomial, labels_up_to
-from .partitions import Partition, partitions_of
+from .partitions import partitions_of
 from .symfunc import LambdaSeries, SymFunc
 
 VARIANTS = ("P", "P0", "Pprime")
@@ -189,56 +187,62 @@ def _block_floor(n: int, size: int, variant: str) -> int:
     return n * (size - 2)
 
 
-def _blocks_within(
-    elems: tuple[int, ...], n: int, variant: str, degree_cap: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The set partitions of elems whose block floors sum to at most
-    degree_cap, in the order of the full walk over all of them.
+def _orbit_types(q: int, n: int, variant: str, degree_cap: int) -> list[dict[tuple, int]]:
+    """For each class of weight q, in partitions_of order, the set
+    partitions its permutation fixes whose block floors sum to at most
+    degree_cap, counted by the sorted (block size, orbit length) pairs
+    of their block orbits.
 
-    Blocks grow one element at a time, the last element first: each
-    element opens a new first block or joins a block, in that order.  A
-    branch is dropped once either of two lower bounds on the floors of
-    its completions passes the cap.  The floors are not monotone in the
-    size (at n = 3 they are 1, 4, 3, 6, 9 for sizes 1 to 5), so the first
-    bound charges a block that may still grow the least floor of any
+    One walk per class places whole cycles.  An orbit of p blocks takes
+    every p-th element of each of its cycles into each block, so p
+    divides the cycle's length l.  Each cycle joins an open orbit whose
+    p divides l, in any of p placements, or opens one for each such p,
+    as if joining an empty orbit (0, p) in one placement; a leaf counts
+    the product of its placements.  The identity's walk is the walk over
+    all set partitions.  A branch is dropped once either of two lower
+    bounds on the floors of its completions passes the cap.  The floors
+    are not monotone in the size (at n = 3 they are 1, 4, 3, 6, 9 for
+    sizes 1 to 5), so the first charges a block the least floor of any
     size at or above its own.  The second charges every element, placed
     or not, the least floor share m = min_s floor(s) / s, and a block the
-    least excess floor(s) - s m of any size at or above its own; it is
-    kept times den = argmin_s floor(s) / s, as an integer.  Only the second
-    sees the elements still to place: a large ground set with a small cap
-    keeps nothing and is dropped at the root.  No floor or excess is
-    negative, so neither a new block nor a grown one lowers a bound.
+    least excess floor(s) - s m of any size at or above its own, times
+    den = argmin_s floor(s) / s to keep it an integer; so no cycle of a
+    ground set too large for the cap is placed.
     """
-    size_range = range(1, len(elems) + 1)
+    size_range = range(1, q + 1)
     floor = [0] + [_block_floor(n, size, variant) for size in size_range]
     den = min(size_range, key=lambda size: Fraction(floor[size], size), default=1)
-    num = floor[den] if elems else 0
+    num = floor[den] if q else 0
     reach = floor[:]
     excess = [f * den - size * num for size, f in enumerate(floor)]
-    for size in range(len(elems) - 1, 0, -1):
+    for size in range(q - 1, 0, -1):
         reach[size] = min(reach[size], reach[size + 1])
         excess[size] = min(excess[size], excess[size + 1])
-    excess_cap = degree_cap * den - len(elems) * num
+    excess_cap = degree_cap * den - q * num
+    opening = [tuple((0, p) for p in range(1, size + 1) if size % p == 0) for size in range(q + 1)]
 
-    def grow(i: int, blocks: tuple, bound: int, extra: int):
-        if i < 0:
-            if sum(floor[len(b)] for b in blocks) <= degree_cap:
-                yield blocks
+    def grow(cycles, i: int, orbits: tuple, bound: int, extra: int, ways: int, types: dict):
+        if i == len(cycles):
+            if sum(p * floor[s] for s, p in orbits) <= degree_cap:
+                key = tuple(sorted(orbits))
+                types[key] = types.get(key, 0) + ways
             return
-        head = elems[i]
-        if bound + reach[1] <= degree_cap and extra + excess[1] <= excess_cap:
-            yield from grow(i - 1, ((head,),) + blocks, bound + reach[1], extra + excess[1])
-        for j, b in enumerate(blocks):
-            size = len(b)
-            grown = bound + reach[size + 1] - reach[size]
-            grown_extra = extra + excess[size + 1] - excess[size]
-            if grown <= degree_cap and grown_extra <= excess_cap:
-                yield from grow(
-                    i - 1, blocks[:j] + ((head,) + b,) + blocks[j + 1 :], grown, grown_extra
-                )
+        length = cycles[i]
+        for j, (s, p) in enumerate(orbits + opening[length]):
+            if length % p == 0:
+                t = s + length // p
+                grown = bound + p * (reach[t] - reach[s])
+                grown_extra = extra + p * (excess[t] - excess[s])
+                if grown <= degree_cap and grown_extra <= excess_cap:
+                    grown_orbits = orbits[:j] + ((t, p),) + orbits[j + 1 :]
+                    placements = p if s else 1
+                    grow(cycles, i + 1, grown_orbits, grown, grown_extra, ways * placements, types)
 
-    if excess_cap >= 0:
-        yield from grow(len(elems) - 1, (), 0, 0)
+    classes = partitions_of(q)
+    out: list[dict[tuple, int]] = [{} for _ in classes]
+    for mu, types in zip(classes, out):
+        grow(mu, 0, (), 0, 0, 1, types)
+    return out
 
 
 def _label_series(n: int, d_max: int, variant: str) -> tuple[list[list[int]], list[int]]:
@@ -267,17 +271,6 @@ def _label_series(n: int, d_max: int, variant: str) -> tuple[list[list[int]], li
     return by_size, empty
 
 
-def _perm_from_cycle_type(q: int, mu: Partition) -> dict[int, int]:
-    sigma: dict[int, int] = {}
-    start = 1
-    for length in mu:
-        for i in range(start, start + length - 1):
-            sigma[i] = i + 1
-        sigma[start + length - 1] = start
-        start += length
-    return sigma
-
-
 def sigma_characters(
     q: int, n: int, d_max: int, variant: str = "Pprime"
 ) -> dict[int, ClassFunction]:
@@ -287,55 +280,21 @@ def sigma_characters(
     line, by their sign raised to n.  The character at sigma counts the
     labelled partitions sigma fixes (Frobenius / Burnside): sigma must
     permute the blocks, and the labels must be constant on each block
-    orbit.  So each set partition that `_blocks_within` keeps, and that
-    sigma maps onto itself, adds the product over its block orbits of
-    G_s(t^p), for an orbit of p blocks of size s, where G_s counts the
-    labels of a part of size s by degree; the empty parts, which every
-    sigma fixes, multiply the sum.  sigma maps the blocks onto blocks
-    when it keeps the size of the block of each element and the pairs
-    (block of x, block of sigma x) are no more than the blocks.  The set
-    partitions are counted by their orbit types, and each type's product
-    is formed once per class.  No labelled partition is built.
+    orbit.  So each set partition that sigma fixes and whose block
+    floors fit d_max adds the product over its block orbits of G_s(t^p),
+    for an orbit of p blocks of size s, where G_s counts the labels of a
+    part of size s by degree; the empty parts, which every sigma fixes,
+    multiply the sum.  `_orbit_types` counts those set partitions by
+    orbit type, and each type's product is formed once per class.
     """
     if variant == "P":
         raise ValueError("the unquotiented variant has no finite basis")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     classes = partitions_of(q)
-    # moves[k](word) is the word read through the k-th permutation, as a
-    # tuple; itemgetter of a single index would return the item itself.
-    moves = []
-    for mu in classes:
-        sigma = _perm_from_cycle_type(q, mu)
-        moves.append(itemgetter(*[sigma[x] - 1 for x in range(1, q + 1)]) if q > 1 else tuple)
-    orbit_types: list[dict[tuple, int]] = [{} for _ in classes]
-    for blocks in _blocks_within(tuple(range(1, q + 1)), n, variant, d_max):
-        block = [0] * q
-        for k, b in enumerate(blocks):
-            for x in b:
-                block[x - 1] = k
-        sizes = tuple(len(blocks[k]) for k in block)
-        for types, move in zip(orbit_types, moves):
-            if move(sizes) != sizes:
-                continue
-            pairs = set(zip(block, move(block)))
-            if len(pairs) > len(blocks):
-                continue
-            image = dict(pairs)
-            orbits = []
-            for start in range(len(blocks)):
-                p, k = 0, start
-                while k in image:
-                    k = image.pop(k)
-                    p += 1
-                if p:
-                    orbits.append((len(blocks[start]), p))
-            key = tuple(sorted(orbits))
-            types[key] = types.get(key, 0) + 1
-
     by_size, empty = _label_series(n, d_max, variant)
     fixed = [[0] * len(classes) for _ in range(d_max + 1)]
-    for k, types in enumerate(orbit_types):
+    for k, types in enumerate(_orbit_types(q, n, variant, d_max)):
         for key, count in types.items():
             series = empty
             for size, p in key:

@@ -1,28 +1,94 @@
-"""Test oracle: the labelled-partition basis, built element by element.
+"""Test oracles: the labelled-partition basis, built element by element,
+and the set-partition walk that tests each set partition against each
+class.
 
-`enumerate_basis` lists every basis partition of a ground set up to a
-degree cap, and `sigma_characters` counts, for each cycle type, the
-basis elements its permutation fixes.  The package's
-`setparts.sigma_characters` counts the same fixed points from the set
-partitions alone, by the Frobenius / Burnside product over block orbits,
-and builds no `LabelledPartition`; this module is the slow route it is
-checked against, and `graph_oracle.presentation_audit` reads its basis.
+`_blocks_within` walks the set partitions of a ground set whose block
+floors fit a degree cap, one element at a time.  `enumerate_basis`
+labels their blocks, and `sigma_characters` counts, for each cycle type,
+the basis elements its permutation fixes.  `set_partition_characters`
+tests every walked set partition against every class and counts the
+labels on the fixed ones by orbit type.  The package's
+`setparts.sigma_characters` counts the same fixed points by one walk
+over the cycles of each class, and builds no `LabelledPartition`; this
+module holds the slow routes it is checked against, and
+`graph_oracle.presentation_audit` reads its basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
+from typing import Iterator
 
 from torelli.characters import ClassFunction
 from torelli.labels import labels_up_to
-from torelli.partitions import partitions_of
-from torelli.setparts import (
-    VARIANTS,
-    LabelledPartition,
-    _block_floor,
-    _blocks_within,
-    _perm_from_cycle_type,
-)
+from torelli.partitions import Partition, partitions_of
+from torelli.setparts import VARIANTS, LabelledPartition, _block_floor, _label_series
+
+
+def _blocks_within(
+    elems: tuple[int, ...], n: int, variant: str, degree_cap: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The set partitions of elems whose block floors sum to at most
+    degree_cap, in the order of the full walk over all of them.
+
+    Blocks grow one element at a time, the last element first: each
+    element opens a new first block or joins a block, in that order.  A
+    branch is dropped once either of two lower bounds on the floors of
+    its completions passes the cap.  The floors are not monotone in the
+    size (at n = 3 they are 1, 4, 3, 6, 9 for sizes 1 to 5), so the first
+    bound charges a block that may still grow the least floor of any
+    size at or above its own.  The second charges every element, placed
+    or not, the least floor share m = min_s floor(s) / s, and a block the
+    least excess floor(s) - s m of any size at or above its own; it is
+    kept times den = argmin_s floor(s) / s, as an integer.  Only the second
+    sees the elements still to place: a large ground set with a small cap
+    keeps nothing and is dropped at the root.  No floor or excess is
+    negative, so neither a new block nor a grown one lowers a bound.
+    """
+    size_range = range(1, len(elems) + 1)
+    floor = [0] + [_block_floor(n, size, variant) for size in size_range]
+    den = min(size_range, key=lambda size: Fraction(floor[size], size), default=1)
+    num = floor[den] if elems else 0
+    reach = floor[:]
+    excess = [f * den - size * num for size, f in enumerate(floor)]
+    for size in range(len(elems) - 1, 0, -1):
+        reach[size] = min(reach[size], reach[size + 1])
+        excess[size] = min(excess[size], excess[size + 1])
+    excess_cap = degree_cap * den - len(elems) * num
+
+    def grow(i: int, blocks: tuple, bound: int, extra: int):
+        if i < 0:
+            if sum(floor[len(b)] for b in blocks) <= degree_cap:
+                yield blocks
+            return
+        head = elems[i]
+        if bound + reach[1] <= degree_cap and extra + excess[1] <= excess_cap:
+            yield from grow(i - 1, ((head,),) + blocks, bound + reach[1], extra + excess[1])
+        for j, b in enumerate(blocks):
+            size = len(b)
+            grown = bound + reach[size + 1] - reach[size]
+            grown_extra = extra + excess[size + 1] - excess[size]
+            if grown <= degree_cap and grown_extra <= excess_cap:
+                yield from grow(
+                    i - 1, blocks[:j] + ((head,) + b,) + blocks[j + 1 :], grown, grown_extra
+                )
+
+    if excess_cap >= 0:
+        yield from grow(len(elems) - 1, (), 0, 0)
+
+
+def _perm_from_cycle_type(q: int, mu: Partition) -> dict[int, int]:
+    """The permutation of {1, ..., q} whose cycles are runs of consecutive
+    integers of the lengths in mu, as a dict."""
+    sigma: dict[int, int] = {}
+    start = 1
+    for length in mu:
+        for i in range(start, start + length - 1):
+            sigma[i] = i + 1
+        sigma[start + length - 1] = start
+        start += length
+    return sigma
 
 
 def enumerate_basis(
@@ -141,4 +207,85 @@ def sigma_characters(
             q, {mu: Fraction(c * s) for mu, c, s in zip(classes, counts, signs)}
         )
         for d, counts in fixed.items()
+    }
+
+
+def set_partition_characters(
+    q: int, n: int, d_max: int, variant: str = "Pprime"
+) -> dict[int, ClassFunction]:
+    """Test oracle: the characters of `setparts.sigma_characters`, by one
+    walk over all set partitions and a fixed-point test per class.
+
+    Permutations act on the ground set and, through the orientation
+    line, by their sign raised to n.  The character at sigma counts the
+    labelled partitions sigma fixes (Frobenius / Burnside): sigma must
+    permute the blocks, and the labels must be constant on each block
+    orbit.  So each set partition that `_blocks_within` keeps, and that
+    sigma maps onto itself, adds the product over its block orbits of
+    G_s(t^p), for an orbit of p blocks of size s, where G_s counts the
+    labels of a part of size s by degree; the empty parts, which every
+    sigma fixes, multiply the sum.  sigma maps the blocks onto blocks
+    when it keeps the size of the block of each element and the pairs
+    (block of x, block of sigma x) are no more than the blocks.  The set
+    partitions are counted by their orbit types, and each type's product
+    is formed once per class.  No labelled partition is built.
+    """
+    if variant == "P":
+        raise ValueError("the unquotiented variant has no finite basis")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    classes = partitions_of(q)
+    # moves[k](word) is the word read through the k-th permutation, as a
+    # tuple; itemgetter of a single index would return the item itself.
+    moves = []
+    for mu in classes:
+        sigma = _perm_from_cycle_type(q, mu)
+        moves.append(itemgetter(*[sigma[x] - 1 for x in range(1, q + 1)]) if q > 1 else tuple)
+    orbit_types: list[dict[tuple, int]] = [{} for _ in classes]
+    for blocks in _blocks_within(tuple(range(1, q + 1)), n, variant, d_max):
+        block = [0] * q
+        for k, b in enumerate(blocks):
+            for x in b:
+                block[x - 1] = k
+        sizes = tuple(len(blocks[k]) for k in block)
+        for types, move in zip(orbit_types, moves):
+            if move(sizes) != sizes:
+                continue
+            pairs = set(zip(block, move(block)))
+            if len(pairs) > len(blocks):
+                continue
+            image = dict(pairs)
+            orbits = []
+            for start in range(len(blocks)):
+                p, k = 0, start
+                while k in image:
+                    k = image.pop(k)
+                    p += 1
+                if p:
+                    orbits.append((len(blocks[start]), p))
+            key = tuple(sorted(orbits))
+            types[key] = types.get(key, 0) + 1
+
+    by_size, empty = _label_series(n, d_max, variant)
+    fixed = [[0] * len(classes) for _ in range(d_max + 1)]
+    for k, types in enumerate(orbit_types):
+        for key, count in types.items():
+            series = empty
+            for size, p in key:
+                # times G_size(t^p)
+                g = by_size[size]
+                new = [0] * (d_max + 1)
+                for a, c in enumerate(series):
+                    if c:
+                        for b in range(0, d_max - a + 1, p):
+                            new[a + b] += c * g[b // p]
+                series = new
+            for d, c in enumerate(series):
+                fixed[d][k] += count * c
+    signs = [(-1) ** ((q - len(mu)) * n) for mu in classes]
+    return {
+        d: ClassFunction(
+            q, {mu: Fraction(c * s) for mu, c, s in zip(classes, counts, signs)}
+        )
+        for d, counts in enumerate(fixed)
     }

@@ -29,12 +29,13 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
+from basis_oracle import _perm_from_cycle_type
 from torelli import invariants, setparts
 from torelli.characters import NonIntegralMultiplicity, murnaghan_nakayama
 from torelli.invariants import TENSOR_ENTRY_CAP, EpsForm, _eliminate, _pivot_rows, _primitive
 from torelli.labels import LabelMonomial
 from torelli.partitions import Partition, partitions_of, z_lambda
-from torelli.setparts import VARIANTS, LabelledPartition, _perm_from_cycle_type, _perm_parity
+from torelli.setparts import VARIANTS, LabelledPartition, _perm_parity
 
 MODES = ("dBr", "dsBr", "Br2g", "sBr2g")
 

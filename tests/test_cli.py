@@ -9,6 +9,7 @@ import pytest
 from cli_run import invoke
 
 import torelli
+from torelli import pipeline
 
 # every command, with the options its help must name
 OPTIONS = {
@@ -98,3 +99,21 @@ def test_a_closed_stdout_exits_1_without_a_traceback(args):
         os.close(write_end)
     assert child.returncode == 1
     assert "Traceback" not in child.stderr and "BrokenPipeError" not in child.stderr, child.stderr
+
+
+def test_a_failing_oracle_exits_2_after_its_report(monkeypatch):
+    # One enumerated character doubled at q = 2, d = 2 fails one cell.
+    characters = pipeline.sigma_characters
+
+    def doubled(q, n, d_max, variant):
+        chis = characters(q, n, d_max, variant)
+        if q == 2:
+            chis[2] = chis[2] * 2
+        return chis
+
+    monkeypatch.setattr(pipeline, "sigma_characters", doubled)
+    result = invoke(["oracle", "--dim", "6", "--qmax", "3", "--dmax", "3"])
+    assert result.exit_code == 2, result.output
+    lines = result.stdout.splitlines()
+    assert [line for line in lines if "FAIL" in line] == ["q=2 d=2 FAIL", "1 of 16 cells FAIL"]
+    assert lines[-1] == "1 of 16 cells FAIL"

@@ -134,13 +134,15 @@ def test_the_brauer_oracle_stays_out_of_the_package():
 
 
 def test_the_labelled_basis_oracle_stays_out_of_the_package():
-    # The characters count labels on the walked set partitions; the
-    # labelled basis they were counted on, and the Bell and basis caps
-    # that bounded it, live in tests/basis_oracle.py or are gone.
+    # The characters count labels on the set partitions each class fixes;
+    # the labelled basis they were counted on, the walk over all set
+    # partitions with its per-class test, and the Bell and basis caps
+    # live in tests/basis_oracle.py or are gone.
     from torelli import pipeline, setparts
 
     gone = {
-        setparts: ["enumerate_basis", "_empty_families"],
+        setparts: ["enumerate_basis", "_empty_families", "_blocks_within", "_perm_from_cycle_type",
+                   "itemgetter"],
         pipeline: ["_bell", "_basis_sizes", "ORACLE_BASIS_CAP", "ORACLE_SET_PARTITION_CAP"],
     }
     left = [f"{owner.__name__}.{name}" for owner, names in gone.items() for name in names

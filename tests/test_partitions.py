@@ -29,7 +29,7 @@ def test_enumeration_order_and_max_length():
     parts = partitions_of(4)
     assert parts[0] == Partition((4,))
     assert parts[-1] == Partition((1, 1, 1, 1))
-    assert parts == sorted(parts, key=lambda p: p.sort_key())
+    assert list(parts) == sorted(parts, key=lambda p: p.sort_key())
     short = partitions_of(6, max_length=2)
     assert all(p.length <= 2 for p in short)
     assert len(short) == 4

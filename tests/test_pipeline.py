@@ -4,6 +4,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from basis_oracle import _blocks_within
 from bead_oracle import rim_hooks
 from cli_run import invoke
 
@@ -33,7 +34,7 @@ from torelli.pipeline import (
     stable_range,
     variant_adjust,
 )
-from torelli.setparts import _blocks_within, quotient_factor, quotient_series_by_L, sigma_characters
+from torelli.setparts import quotient_factor, quotient_series_by_L, sigma_characters
 from torelli.symfunc import LambdaSeries, SymFunc, change_basis, exp_h, exp_h_weight_bound, omega
 
 
@@ -592,7 +593,7 @@ def _refuse(*args, **kwargs):
 
 
 def _refuse_the_walk(monkeypatch):
-    for module, name in ((pipeline, "ch_B"), (pipeline, "_exp_h_masks"), (setparts, "_blocks_within")):
+    for module, name in ((pipeline, "ch_B"), (pipeline, "_exp_h_masks"), (setparts, "_orbit_types")):
         monkeypatch.setattr(module, name, _refuse)
 
 
@@ -668,7 +669,7 @@ def test_oracle_refuses_a_basis_over_the_cap(monkeypatch):
     # The walk is counted before it runs: one check over the cap refuses,
     # and at the cap the walk starts
     checks = _walked_checks(1, 5, 6)
-    monkeypatch.setattr(setparts, "_blocks_within", _refuse)
+    monkeypatch.setattr(setparts, "_orbit_types", _refuse)
     monkeypatch.setattr(pipeline, "ORACLE_WALK_CAP", checks - 1)
     result = invoke(["oracle", "--dim", "2", "--qmax", "6", "--dmax", "5"])
     assert result.exit_code == 3

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import basis_oracle
-from basis_oracle import enumerate_basis
+from basis_oracle import _blocks_within, _perm_from_cycle_type, enumerate_basis
 from brauer_oracle import (
     BrauerMorphism,
     GroundSetOverlap,
@@ -22,8 +22,6 @@ from torelli.pipeline import oracle_check
 from torelli.setparts import (
     LabelledPartition,
     _block_floor,
-    _blocks_within,
-    _perm_from_cycle_type,
     _perm_parity,
     quotient_factor,
     sigma_character,
@@ -133,6 +131,29 @@ def test_walk_charges_the_elements_still_to_place():
     start = time.perf_counter()
     assert list(_blocks_within(tuple(range(1, 41)), 1, "Pprime", 6)) == []
     assert time.perf_counter() - start < 1.0
+
+
+def test_cycle_walks_match_the_per_class_test():
+    # one walk over the cycles of each class against the route it
+    # replaced: one walk over all set partitions, each tested against
+    # every class
+    for n, caps in ((1, (0, 2)), (3, (1, 4)), (5, (2, 9))):
+        for cap in caps:
+            for variant in ("P0", "Pprime"):
+                for q in range(11):
+                    assert sigma_characters(q, n, cap, variant) == (
+                        basis_oracle.set_partition_characters(q, n, cap, variant)
+                    ), (n, cap, variant, q)
+
+
+def test_cycle_walks_charge_the_elements_still_to_place():
+    # Thirty elements at n = 1 need floors of at least 10, over a cap of
+    # 6: each of the 5,604 classes must stop before placing a cycle.
+    start = time.perf_counter()
+    chis = sigma_characters(30, 1, 6)
+    assert time.perf_counter() - start < 1.0
+    assert sorted(chis) == list(range(7))
+    assert [d for d, chi in chis.items() if chi.values] == []
 
 
 def _inversion_parity(word):
