@@ -163,16 +163,15 @@ def restrict_schur(f: SymFunc, epsilon: int) -> OrthSympClass:
 
     On the character of a polynomial GL-representation this computes the
     decomposition of its restriction to the symplectic or orthogonal
-    group, one V_mu per basis element: s_lam restricts to V_lam plus the
-    lower terms prescribed by restrict_coeffs.
+    group. By Littlewood, s_lam restricts to V_lam plus the a V_mu of
+    restrict_coeffs, so f restricts to the sum of those times the
+    coefficients c_lam of f.
     """
     out: dict[Partition, Fraction] = {}
-    rem = f
-    while not rem.is_zero():
-        top = max(rem.support(), key=Partition.sort_key)
-        c = rem.coeff(top)
-        out[top] = out.get(top, Fraction(0)) + c
-        rem = rem - _class_in_schur(top, epsilon) * c
+    for lam, c in f.coeffs.items():
+        out[lam] = out.get(lam, 0) + c
+        for mu, a in restrict_coeffs(lam, epsilon):
+            out[mu] = out.get(mu, 0) + a * c
     return OrthSympClass(epsilon, out)
 
 

@@ -3,9 +3,12 @@
 Each command runs in a fresh interpreter, so this module imports only
 what `cohomology`, `series` and `oracle` need; `json`, `graphs` and
 `invariants` are imported by the commands that use them.  The parser is
-the standard library's `argparse`.  A usage error or an internal
-inconsistency exits 2, a refused configuration 3, and a closed stdout
-(its reader gone, as in `torelli ... | head`) 1, with no message.
+the standard library's `argparse`.  Commands raise and `main` alone
+picks the exit code: 2 for a usage error or an internal inconsistency
+(`NegativeMultiplicity`), 3 for a refused configuration (`ConfigError`,
+`Unsupported`), each with one line on stderr, and 1, with no message,
+for a closed stdout (as in `torelli ... | head`).  The oracle exits 2
+after a report with a failing cell.
 """
 
 import argparse
@@ -20,22 +23,13 @@ from .pipeline import (
     NegativeMultiplicity,
     PipelineConfig,
     Unsupported,
+    _check_dimension,
     compute_cohomology,
     oracle_check,
     stable_range,
 )
 
 FORMATS = ("text", "json", "latex")
-
-
-def _fail_config(message: str):
-    print(f"configuration error: {message}", file=sys.stderr)
-    sys.exit(3)
-
-
-def _fail_internal(message: str):
-    print(f"internal inconsistency: {message}", file=sys.stderr)
-    sys.exit(2)
 
 
 def _coeff_json(c: Fraction):
@@ -61,15 +55,10 @@ def _latex_class(cls) -> str:
 
 def cohomology(two_n, max_degree, variant, genus, fmt):
     """Decompose each degree into irreducible classes."""
-    try:
-        cfg = PipelineConfig(two_n=two_n, max_degree=max_degree, variant=variant, g=genus)
-        if fmt not in FORMATS:
-            raise ConfigError(f"output must be one of {FORMATS}, got {fmt!r}")
-        table = compute_cohomology(cfg)
-    except ConfigError as exc:
-        _fail_config(str(exc))
-    except NegativeMultiplicity as exc:
-        _fail_internal(str(exc))
+    cfg = PipelineConfig(two_n=two_n, max_degree=max_degree, variant=variant, g=genus)
+    if fmt not in FORMATS:
+        raise ConfigError(f"output must be one of {FORMATS}, got {fmt!r}")
+    table = compute_cohomology(cfg)
     if fmt == "json":
         import json
 
@@ -102,23 +91,14 @@ def cohomology(two_n, max_degree, variant, genus, fmt):
 def series(two_n, max_degree, stage, variant):
     """Print one intermediate series of the computation."""
     if stage not in STAGES:
-        _fail_config(f"stage must be one of {STAGES}, got {stage!r}")
-    try:
-        cfg = PipelineConfig(two_n=two_n, max_degree=max_degree, variant=variant)
-        table = compute_cohomology(cfg)
-    except ConfigError as exc:
-        _fail_config(str(exc))
-    except NegativeMultiplicity as exc:
-        _fail_internal(str(exc))
+        raise ConfigError(f"stage must be one of {STAGES}, got {stage!r}")
+    table = compute_cohomology(PipelineConfig(two_n=two_n, max_degree=max_degree, variant=variant))
     print(table.snapshots[stage])
 
 
 def oracle(two_n, qmax, dmax):
     """Cross-check the series against direct enumeration, cell by cell."""
-    try:
-        report = oracle_check(two_n, dmax, qmax)
-    except ConfigError as exc:
-        _fail_config(str(exc))
+    report = oracle_check(two_n, dmax, qmax)
     for cell in report.cells:
         status = "pass" if cell.ok else "FAIL"
         print(f"q={cell.q} d={cell.d} {status}")
@@ -135,13 +115,12 @@ def oracle(two_n, qmax, dmax):
 def lclass(max_index, two_n):
     """Print the Hirzebruch polynomials, optionally with their images."""
     if max_index < 1:
-        _fail_config(f"--max must be positive, got {max_index}")
+        raise ConfigError(f"--max must be positive, got {max_index}")
     if max_index > L_CLASS_INDEX_CAP:
-        _fail_config(f"--max {max_index} exceeds the L-class cap of {L_CLASS_INDEX_CAP}")
+        raise ConfigError(f"--max {max_index} exceeds the L-class cap of {L_CLASS_INDEX_CAP}")
     n = None
     if two_n is not None:
-        if two_n < 2 or two_n % 2:
-            _fail_config(f"dimension must be a positive even integer, got {two_n}")
+        _check_dimension(two_n)
         n = two_n // 2
     for i in range(1, max_index + 1):
         print(f"L_{i} = {l_class(i)}")
@@ -166,7 +145,7 @@ def graph_reduce(file, variant):
             g = parse_graph(fh.read())
         vec = reduce_graph(g, variant=variant)
     except (ValueError, KeyError, TypeError) as exc:
-        _fail_config(f"cannot reduce {file}: {exc}")
+        raise ConfigError(f"cannot reduce {file}: {exc}") from exc
     terms = []
     for part, c in vec.items():
         terms.append(
@@ -186,15 +165,15 @@ def invariants_rank(genus, set_size, epsilon):
     from .invariants import matching_span_rank
 
     if genus < 1:
-        _fail_config(f"genus must be positive, got {genus}")
+        raise ConfigError(f"genus must be positive, got {genus}")
     if epsilon not in (1, -1):
-        _fail_config(f"epsilon must be 1 or -1, got {epsilon}")
+        raise ConfigError(f"epsilon must be 1 or -1, got {epsilon}")
     if set_size < 0 or set_size % 2:
-        _fail_config(f"set size must be even and nonnegative, got {set_size}")
+        raise ConfigError(f"set size must be even and nonnegative, got {set_size}")
     try:
         rank, count = matching_span_rank(set_size, genus, epsilon)
     except ValueError as exc:
-        _fail_config(str(exc))
+        raise ConfigError(str(exc)) from exc
     print(
         f"set size {set_size}, genus {genus}, epsilon {epsilon:+d}: "
         f"rank {rank} of {count} matchings"
@@ -203,10 +182,7 @@ def invariants_rank(genus, set_size, epsilon):
 
 def range_cmd(two_n, genus):
     """Largest degree trusted at the given genus."""
-    try:
-        print(stable_range(two_n, genus))
-    except (ConfigError, Unsupported) as exc:
-        _fail_config(str(exc))
+    print(stable_range(two_n, genus))
 
 
 def _existing_file(path: str) -> str:
@@ -277,6 +253,12 @@ def main(argv=None) -> int:
     try:
         options.pop("run")(**options)
         sys.stdout.flush()
+    except (ConfigError, Unsupported) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 3
+    except NegativeMultiplicity as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The reader is gone: send the interpreter's flush at exit to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -18,7 +18,6 @@ snapshots are decoded when first read. `divide_by_fiber`,
 `variant_adjust` and the oracle's series side run the same kernels.
 """
 
-import sys
 import warnings
 from collections.abc import Mapping
 from math import comb, factorial
@@ -66,49 +65,36 @@ VARIANTS = ("disc", "point", "closed")
 STAGES = ("chB", "plethysm", "pre-D", "post-D", "final")
 
 
+def _check_dimension(two_n) -> None:
+    if not isinstance(two_n, int) or two_n < 2 or two_n % 2:
+        raise ConfigError(f"dimension must be a positive even integer, got {two_n}")
+
+
+def _check_genus(g) -> None:
+    if not isinstance(g, int) or g < 1:
+        raise ConfigError(f"genus must be a positive integer, got {g}")
+
+
 class PipelineConfig:
-    """One validated request: immutable, equal by value and hashable."""
+    """One validated request: dimension, degree, variant and optional genus."""
 
     __slots__ = ("two_n", "max_degree", "variant", "g")
 
     def __init__(self, two_n: int, max_degree: int, variant: str = "disc", g: Optional[int] = None):
-        if not isinstance(two_n, int) or two_n < 2 or two_n % 2:
-            raise ConfigError(f"dimension must be a positive even integer, got {two_n}")
+        _check_dimension(two_n)
         if not isinstance(max_degree, int) or max_degree < 0:
             raise ConfigError(f"max degree must be a nonnegative integer, got {max_degree}")
         if variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        if g is not None and (not isinstance(g, int) or g < 1):
-            raise ConfigError(f"genus must be a positive integer, got {g}")
+        if g is not None:
+            _check_genus(g)
         if two_n == 4:
             warnings.warn(
                 "dimension 4 tables are limit-only; no finite stable range is known",
                 LimitOnlyCaveat,
                 stacklevel=2,
             )
-        for name, value in zip(self.__slots__, (two_n, max_degree, variant, g)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"PipelineConfig is immutable; cannot set {name}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"PipelineConfig is immutable; cannot delete {name}")
-
-    def _fields(self) -> tuple:
-        return (self.two_n, self.max_degree, self.variant, self.g)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PipelineConfig):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields()))
-        return f"PipelineConfig({fields})"
+        self.two_n, self.max_degree, self.variant, self.g = two_n, max_degree, variant, g
 
     @property
     def n(self) -> int:
@@ -149,10 +135,8 @@ class CohomologyTable:
 
 def stable_range(two_n: int, g: int) -> int:
     """Largest degree in which the stable answer is proven at this genus."""
-    if not isinstance(two_n, int) or two_n < 2 or two_n % 2:
-        raise ConfigError(f"dimension must be a positive even integer, got {two_n}")
-    if not isinstance(g, int) or g < 1:
-        raise ConfigError(f"genus must be a positive integer, got {g}")
+    _check_dimension(two_n)
+    _check_genus(g)
     if two_n == 4:
         raise Unsupported("dimension 4 has no known stable range at finite genus")
     if two_n == 2:
@@ -169,21 +153,13 @@ def bundle_scalar_series(n: int, trunc: int) -> LambdaSeries:
     return out
 
 
-def _outside_this_module() -> int:
-    """The warnings stacklevel of the nearest caller outside this module,
-    for a warning issued by the function that calls this one."""
-    frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_code.co_filename == __file__:
-        frame, level = frame.f_back, level + 1
-    return level
-
-
 def _warn_extrapolation(n: int) -> None:
+    """Warn at the caller of compute_cohomology or variant_adjust."""
     if n > 1:
         warnings.warn(
             "closed tables above dimension 2 extrapolate the fibre division",
             ExtrapolationWarning,
-            stacklevel=_outside_this_module(),
+            stacklevel=3,
         )
 
 
@@ -348,18 +324,17 @@ def _refuse_shapes(chb: LambdaSeries, trunc: int) -> None:
 def _ch_B_within_budget(n: int, trunc: int) -> LambdaSeries:
     """ch_B(n, trunc), once `_refuse_shapes` has let it pass.
 
-    A ch_B of a smaller truncation has the same low coefficients, so it
-    gives a lower bound on the shapes that ch_B allows. Those of
-    truncation 8, 16, 32, ... up to trunc / 2 are checked first, so that
-    a request far over the cap is refused before the whole ch_B is built.
+    The check reads ch_B of truncation min(trunc, 2n) only, which has the
+    low coefficients of the whole ch_B, and the weight it finds is the
+    whole one: the largest deg * trunc // a falls at the lowest exponent
+    a of h_1, h_2 or h_3; each of those is at most 2n (a label e on a
+    part of 1 or 2 elements, an unlabelled part of 3 at t^n); and h_q
+    first comes at t^{n(q - 2)}, where q / (n(q - 2)) falls for q >= 3.
+    So a request far over the cap is refused before ch_B is built.
     """
-    t = 8
-    while 2 * t <= trunc:
-        _refuse_shapes(ch_B(n, t), trunc)
-        t *= 2
-    chb = ch_B(n, trunc)
-    _refuse_shapes(chb, trunc)
-    return chb
+    head = ch_B(n, min(trunc, 2 * n))
+    _refuse_shapes(head, trunc)
+    return head if trunc <= 2 * n else ch_B(n, trunc)
 
 
 def compute_cohomology(cfg: PipelineConfig) -> CohomologyTable:
@@ -504,16 +479,15 @@ def oracle_check(two_n: int, d_max: int, q_max: int) -> OracleReport:
     more than EXP_H_SHAPE_CAP shapes before exp_h, as in
     `compute_cohomology`.
     """
-    if two_n < 2 or two_n % 2:
-        raise ConfigError(f"dimension must be a positive even integer, got {two_n}")
+    _check_dimension(two_n)
     if d_max < 0 or q_max < 0:
         raise ConfigError("bounds must be nonnegative")
     n = two_n // 2
-    checks = _walk_size(n, d_max, q_max, ORACLE_WALK_CAP)
-    if checks > ORACLE_WALK_CAP:
+    walks = _walk_size(n, d_max, q_max, ORACLE_WALK_CAP)
+    if walks > ORACLE_WALK_CAP:
         raise ConfigError(
-            f"qmax {q_max} at dmax {d_max} needs at least {checks} fixed-point checks, "
-            f"over the oracle cap of {ORACLE_WALK_CAP}"
+            f"qmax {q_max} at dmax {d_max} has a walk bound, p(q)(1 + kept(q)) summed over q, "
+            f"of at least {walks}, over the oracle cap of {ORACLE_WALK_CAP}"
         )
     stages = _StagePass(_ch_B_within_budget(n, d_max), n, "disc", q_max)
     rhs_series = LambdaSeries._from_masks(stages.final, stages.final_den, d_max)

@@ -47,6 +47,17 @@ def _perm_parity(word: Sequence[int]) -> int:
     return parity & 1
 
 
+def _allowed(label: LabelMonomial, size: int, variant: str) -> bool:
+    """Whether a part of `size` elements may carry `label` in P0 or P':
+    an empty part needs degree above 2n, a singleton degree at least n,
+    and in P' a pair a label other than 1."""
+    if size == 0:
+        return label.degree > 2 * label.n
+    if size == 1:
+        return label.degree >= label.n
+    return not (size == 2 and variant == "Pprime" and label.is_unit())
+
+
 class LabelledPartition:
     """A partition of a finite set of integers into labelled parts.
 
@@ -89,16 +100,9 @@ class LabelledPartition:
     def in_variant(self, variant: str) -> bool:
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
-        if variant == "P":
-            return True
-        for elems, label in self.parts:
-            if not elems and label.degree <= 2 * self.n:
-                return False
-            if len(elems) == 1 and label.degree < self.n:
-                return False
-            if variant == "Pprime" and len(elems) == 2 and label.is_unit():
-                return False
-        return True
+        return variant == "P" or all(
+            _allowed(label, len(elems), variant) for elems, label in self.parts
+        )
 
     def sort_key(self):
         return (
@@ -175,16 +179,10 @@ class SignedPartitionVector:
 
 @lru_cache(maxsize=None)
 def _block_floor(n: int, size: int, variant: str) -> int:
-    """Least possible degree of a part of the given size."""
-    if size == 1:
-        pool = [m.degree for m in labels_up_to(n, 4 * n) if m.degree >= n]
-        return min(pool) - n
-    if size == 2:
-        if variant == "Pprime":
-            pool = [m.degree for m in labels_up_to(n, 4 * n) if not m.is_unit()]
-            return min(pool)
-        return 0
-    return n * (size - 2)
+    """Least possible degree of a part of the given size: its least
+    allowed label degree plus n(size - 2)."""
+    labels = labels_up_to(n, 4 * n)
+    return min(m.degree for m in labels if _allowed(m, size, variant)) + n * (size - 2)
 
 
 def _orbit_types(q: int, n: int, variant: str, degree_cap: int) -> list[dict[tuple, int]]:
@@ -256,16 +254,13 @@ def _label_series(n: int, d_max: int, variant: str) -> tuple[list[list[int]], li
         counts = [0] * (d_max + 1)
         for label in labels:
             d = label.degree + n * (size - 2)
-            if d > d_max or (size == 1 and label.degree < n):
-                continue
-            if size == 2 and variant == "Pprime" and label.is_unit():
-                continue
-            counts[d] += 1
+            if d <= d_max and _allowed(label, size, variant):
+                counts[d] += 1
         by_size.append(counts)
     empty = [1] + [0] * d_max
     for label in labels:
-        step = label.degree - 2 * n
-        if step > 0:
+        if _allowed(label, 0, variant):
+            step = label.degree - 2 * n
             for d in range(step, d_max + 1):
                 empty[d] += empty[d - step]
     return by_size, empty

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from bead_oracle import rim_hooks
 
+from torelli import branching
 from torelli.branching import (
     ClassSeries,
     EpsilonMismatch,
@@ -158,6 +159,32 @@ def test_class_to_schur_round_trip():
             mults = {rng.choice(pool): rng.randrange(1, 4) for _ in range(3)}
             x = cls(eps, mults)
             assert restrict_schur(class_to_schur(x), eps) == x
+
+
+# Test oracle for restrict_schur: triangular elimination, which peels the
+# largest shape off with the Schur expansion of its class until nothing
+# is left.
+
+def _restrict_by_elimination(f, epsilon):
+    out = {}
+    rem = f
+    while not rem.is_zero():
+        top = max(rem.support(), key=Partition.sort_key)
+        c = rem.coeff(top)
+        out[top] = out.get(top, Fraction(0)) + c
+        rem = rem - branching._class_in_schur(top, epsilon) * c
+    return OrthSympClass(epsilon, out)
+
+
+def test_restrict_schur_matches_the_elimination_oracle():
+    rng = random.Random(28)
+    pool = [Partition(p) for q in range(9) for p in partitions_of(q)]
+    for eps in (-1, 1):
+        for _ in range(150):
+            f = SymFunc(
+                {rng.choice(pool): Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)}
+            )
+            assert restrict_schur(f, eps) == _restrict_by_elimination(f, eps), (f, eps)
 
 
 def test_plethysm_restrictions_degree_six():

@@ -411,8 +411,8 @@ def test_a_final_division_with_a_remainder_is_refused(monkeypatch):
 
 
 def test_huge_requests_are_refused_from_a_small_ch_B(monkeypatch):
-    # The budgets read ch_B at truncations 8, 16, 32, ... first, so a
-    # huge degree is refused without the whole ch_B.
+    # The budgets read ch_B at truncation 2n first, so a huge degree is
+    # refused without the whole ch_B.
     original = pipeline.ch_B
 
     def small_only(n, trunc):
@@ -429,6 +429,30 @@ def test_huge_requests_are_refused_from_a_small_ch_B(monkeypatch):
         result = invoke(args)
         assert result.exit_code == 3, (args, result.output)
         assert "max degree" in result.output and "allows at least" in result.output
+
+
+def test_the_shape_pre_check_reads_the_weight_bound_of_the_whole_ch_B(monkeypatch):
+    # With a cap of 0 every request is refused, and the refusal names the
+    # weight it read from ch_B at truncation min(T, 2n) alone; it must be
+    # exp_h_weight_bound of the whole ch_B(n, T).
+    original = pipeline.ch_B
+    built = []
+
+    def recorded(n, trunc):
+        built.append((n, trunc))
+        return original(n, trunc)
+
+    monkeypatch.setattr(pipeline, "ch_B", recorded)
+    monkeypatch.setattr(pipeline, "EXP_H_SHAPE_CAP", 0)
+    start = time.perf_counter()
+    for n in range(1, 11):
+        for trunc in range(31):
+            built.clear()
+            weight = exp_h_weight_bound(ch_B(n, trunc))
+            with pytest.raises(ConfigError, match=f"of weight up to {weight} in"):
+                pipeline._ch_B_within_budget(n, trunc)
+            assert built == [(n, min(trunc, 2 * n))]
+    assert time.perf_counter() - start < 2.0
 
 
 def test_shape_bound_counts_partitions_up_to_the_weight_bound():
@@ -598,8 +622,8 @@ def _refuse_the_walk(monkeypatch):
 
 
 def test_oracle_fails_fast(monkeypatch):
-    # dim 6 at qmax = dmax = 13 needs 57,288,862 fixed-point checks, over
-    # the cap; nothing may be walked before the request is rejected, and a
+    # dim 6 at qmax = dmax = 13 has a walk bound of 57,288,862, over the
+    # cap; nothing may be walked before the request is rejected, and a
     # huge qmax is rejected at once
     _refuse_the_walk(monkeypatch)
     for d_max, q_max in ((13, 13), (2, 10**9), (10**9, 10**9)):
@@ -609,7 +633,7 @@ def test_oracle_fails_fast(monkeypatch):
         assert time.perf_counter() - start < 1.0
     result = invoke(["oracle", "--dim", "6", "--qmax", "13", "--dmax", "13"])
     assert result.exit_code == 3
-    assert "needs at least 57288862 fixed-point checks" in result.output
+    assert "summed over q, of at least 57288862, over the oracle cap" in result.output
 
 
 # Test oracle for the walk cap: the set partitions `_blocks_within`
@@ -662,7 +686,7 @@ def test_oracle_refuses_a_large_basis_before_exp_h(monkeypatch):
     _refuse_the_walk(monkeypatch)
     result = invoke(["oracle", "--dim", "2", "--qmax", "12", "--dmax", "12"])
     assert result.exit_code == 3
-    assert "needs at least 368059449 fixed-point checks, over the oracle cap of 50000000" in result.output
+    assert "of at least 368059449, over the oracle cap of 50000000" in result.output
 
 
 def test_oracle_refuses_a_basis_over_the_cap(monkeypatch):
@@ -673,7 +697,7 @@ def test_oracle_refuses_a_basis_over_the_cap(monkeypatch):
     monkeypatch.setattr(pipeline, "ORACLE_WALK_CAP", checks - 1)
     result = invoke(["oracle", "--dim", "2", "--qmax", "6", "--dmax", "5"])
     assert result.exit_code == 3
-    assert f"needs at least {checks} fixed-point checks" in result.output
+    assert f"summed over q, of at least {checks}, over the oracle cap" in result.output
     monkeypatch.setattr(pipeline, "ORACLE_WALK_CAP", checks)
     with pytest.raises(AssertionError, match="the walk"):
         oracle_check(2, 5, 6)
