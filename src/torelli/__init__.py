@@ -14,7 +14,7 @@ _LAZY = {
         "nl_product restrict_coeffs restrict_schur",
         "characters": "ClassFunction decompose murnaghan_nakayama",
         "graphs": "MarkedGraph corolla parse_graph reduce",
-        "invariants": "DenseTensor EpsForm matching_span_rank omega_m perfect_matchings",
+        "invariants": "EpsForm matching_span_rank omega_m perfect_matchings",
         "labels": "LabelMonomial ch_B l_class l_class_image parse_label poincare_series",
         "partitions": "Partition parse_partition partitions_of symmetric_group_irrep_dim "
         "z_lambda",

@@ -164,12 +164,6 @@ def invariants_rank(genus, set_size, epsilon):
     """Rank of the span of matching tensors inside the full tensor power."""
     from .invariants import matching_span_rank
 
-    if genus < 1:
-        raise ConfigError(f"genus must be positive, got {genus}")
-    if epsilon not in (1, -1):
-        raise ConfigError(f"epsilon must be 1 or -1, got {epsilon}")
-    if set_size < 0 or set_size % 2:
-        raise ConfigError(f"set size must be even and nonnegative, got {set_size}")
     try:
         rank, count = matching_span_rank(set_size, genus, epsilon)
     except ValueError as exc:

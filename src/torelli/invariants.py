@@ -3,27 +3,25 @@
 `invariants rank` asks how many of the (S-1)!! perfect matchings of S
 points give independent invariant tensors of an epsilon-symmetric form
 on 2g basis vectors (`EpsForm`).  A matching evaluates to the product
-of the form's copairing over its pairs; `omega_m` builds that tensor
-densely, with exact `Fraction` entries, as the reference the sparse
-route is checked against.
+of the form's copairing over its pairs.  The copairing has one nonzero
+per row, so a matching tensor has exactly (2g)^(S/2) nonzero entries
+out of (2g)^S, and `_omega_nonzeros` builds it on those alone, as
+{flat index: value} over its positions in increasing order.
+`omega_m` returns them as a `MatchingTensor` with `Fraction` entries.
 
-`matching_span_rank` builds no dense tensor.  A matching tensor is a
-product of copairings, and the copairing has one nonzero per row, so
-it has exactly (2g)^(S/2) nonzero entries out of (2g)^S.  It is built
-on those alone, under the flat indices of `DenseTensor.index`, and the
-rank comes from fraction-free elimination on sparse integer rows.  Its
-budget is on those nonzeros, MATCHING_NONZERO_CAP in all.
+`matching_span_rank` takes the same nonzeros as integer rows and gets
+the rank from fraction-free elimination on them.  Its budget is on
+those nonzeros, MATCHING_NONZERO_CAP in all.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
-TENSOR_ENTRY_CAP = 10**7
 # Sparse ranks within this many nonzeros in all take up to about 20 s:
 # (10, g=2) has 967,680 and (12, g=1) 665,280; (10, g=3) has 7,348,320.
 MATCHING_NONZERO_CAP = 10**6
@@ -37,114 +35,66 @@ class EpsForm:
     """A nondegenerate epsilon-symmetric form on 2g basis vectors.
 
     The symplectic representative pairs a_i with a_{g+i} with value +1
-    one way and -1 the other; the orthogonal one is hyperbolic.  The
-    dual basis satisfies lam(a_i_sharp, a_j) = delta_ij, and omega is
-    the copairing with entries dual[x][y].  The gram matrix is a signed
-    permutation, so `copairing` lists the 2g nonzeros (x, y, dual[x][y])
-    alone; the dense 2g x 2g tables `gram` and `dual` are built on first
-    use.
+    one way and -1 the other; the orthogonal one is hyperbolic.  Its
+    matrix is a signed permutation, and so is the inverse form omega,
+    the copairing: `copairing` lists omega's 2g nonzeros (x, y, value)
+    alone, and the package builds no 2g x 2g table.  The constructor
+    checks the genus and the sign and builds nothing, so a rank can
+    check its set size and budget before any of the 2g nonzeros exist.
     """
 
     def __init__(self, g: int, epsilon: int) -> None:
         if g < 1:
-            raise ValueError("genus must be positive")
+            raise ValueError(f"genus must be positive, got {g}")
         if epsilon not in (1, -1):
-            raise ValueError("epsilon must be +1 or -1")
+            raise ValueError(f"epsilon must be 1 or -1, got {epsilon}")
         self.g = int(g)
         self.epsilon = int(epsilon)
-        self.dim = 2 * g
-        # gram * gram^T = I, so dual is the transpose of gram, which holds
-        # 1 at (i, g + i) and epsilon at (g + i, i)
-        self.copairing = tuple((i, g + i, self.epsilon) for i in range(g)) + tuple(
+        self.dim = 2 * self.g
+
+    @cached_property
+    def copairing(self) -> tuple[tuple[int, int, int], ...]:
+        # The form holds 1 at (i, g + i) and epsilon at (g + i, i); times
+        # its transpose it gives the identity, so omega is that transpose.
+        g = self.g
+        return tuple((i, g + i, self.epsilon) for i in range(g)) + tuple(
             (g + i, i, 1) for i in range(g)
         )
-
-    @cached_property
-    def gram(self) -> tuple:
-        gram = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for x, y, v in self.copairing:
-            gram[y][x] = Fraction(v)
-        return tuple(tuple(row) for row in gram)
-
-    @cached_property
-    def dual(self) -> tuple:
-        return tuple(zip(*self.gram))
 
     def __repr__(self) -> str:
         return f"EpsForm(g={self.g}, epsilon={self.epsilon:+d})"
 
 
-class DenseTensor:
-    """Exact tensor over positions carrying one index each."""
+class MatchingTensor:
+    """The nonzero entries of a tensor over positions carrying one index
+    each in range(dim), as {flat index: Fraction}: the indices at the
+    positions, in increasing order, are the base-dim digits of the flat
+    index."""
 
     __slots__ = ("dim", "positions", "entries")
 
-    def __init__(
-        self,
-        dim: int,
-        positions: Iterable[int],
-        entries: Sequence[Fraction] | None = None,
-    ) -> None:
-        self.dim = int(dim)
-        self.positions = tuple(sorted(int(p) for p in positions))
-        if len(set(self.positions)) != len(self.positions):
-            raise ValueError("positions must be distinct")
-        size = self.dim ** len(self.positions)
-        if size > TENSOR_ENTRY_CAP:
-            raise ValueError(
-                f"tensor with {size} entries exceeds the oracle cap"
-            )
-        if entries is None:
-            self.entries = [Fraction(0)] * size
-        else:
-            self.entries = [Fraction(v) for v in entries]
-            if len(self.entries) != size:
-                raise ValueError("entry count does not match the shape")
-
-    def index(self, assignment: Sequence[int]) -> int:
-        idx = 0
-        for v in assignment:
-            idx = idx * self.dim + v
-        return idx
-
-    def get(self, assignment: Sequence[int]) -> Fraction:
-        return self.entries[self.index(assignment)]
-
-    def assignments(self):
-        return product(range(self.dim), repeat=len(self.positions))
+    def __init__(self, dim: int, positions: tuple[int, ...], entries: dict[int, Fraction]) -> None:
+        self.dim = dim
+        self.positions = positions
+        self.entries = entries
 
     def __repr__(self) -> str:
-        nz = sum(1 for v in self.entries if v)
-        return f"DenseTensor(dim={self.dim}, positions={self.positions}, nonzero={nz})"
-
-
-def omega_m(matching: Iterable[tuple[int, int]], form: EpsForm) -> DenseTensor:
-    """Invariant tensor of an ordered perfect matching."""
-    pairs = [(int(a), int(b)) for a, b in matching]
-    elems = [x for pair in pairs for x in pair]
-    if len(set(elems)) != len(elems):
-        raise NotPerfect("matching repeats an element")
-    out = DenseTensor(form.dim, elems)
-    slot = {p: k for k, p in enumerate(out.positions)}
-    for assignment in out.assignments():
-        value = Fraction(1)
-        for a, b in pairs:
-            value *= form.dual[assignment[slot[a]]][assignment[slot[b]]]
-            if not value:
-                break
-        if value:
-            out.entries[out.index(assignment)] = value
-    return out
+        return (
+            f"MatchingTensor(dim={self.dim}, positions={self.positions}, "
+            f"nonzero={len(self.entries)})"
+        )
 
 
 def _omega_nonzeros(
     matching: Iterable[tuple[int, int]], form: EpsForm
 ) -> dict[int, int]:
-    """The nonzero entries of omega_m(matching, form), as {flat index:
-    value}, built without the dense tensor: each pair (a, b) contributes
-    dual[x][y] at the one y where it is nonzero, for every x."""
+    """The nonzero entries of the matching tensor, as {flat index:
+    value}: each pair (a, b) contributes the copairing's value at the
+    one y where it is nonzero, for every x."""
     pairs = [(int(a), int(b)) for a, b in matching]
     positions = sorted(x for pair in pairs for x in pair)
+    if len(set(positions)) != len(positions):
+        raise NotPerfect("matching repeats an element")
     stride = {
         p: form.dim ** (len(positions) - 1 - k) for k, p in enumerate(positions)
     }
@@ -157,6 +107,18 @@ def _omega_nonzeros(
             for x, y, v in form.copairing
         }
     return entries
+
+
+def omega_m(matching: Iterable[tuple[int, int]], form: EpsForm) -> MatchingTensor:
+    """Invariant tensor of an ordered perfect matching, on its nonzero
+    entries, as exact `Fraction`s."""
+    pairs = [(int(a), int(b)) for a, b in matching]
+    entries = _omega_nonzeros(pairs, form)
+    return MatchingTensor(
+        form.dim,
+        tuple(sorted(x for pair in pairs for x in pair)),
+        {k: Fraction(v) for k, v in entries.items()},
+    )
 
 
 def _eliminate(row: dict[int, int], col: int, pivot: dict[int, int]) -> dict[int, int]:
@@ -241,15 +203,19 @@ def _check_nonzero_budget(size: int, dim: int) -> None:
 
 def matching_span_rank(S, g: int, epsilon: int) -> tuple[int, int]:
     """Exact rank of the matching invariants, with the dimension of the
-    formal matching space they come from."""
+    formal matching space they come from.  S is the set size, for the
+    points 1..S, or the points themselves.  The genus, the sign and the
+    set size are checked in that order, then the budget, before any
+    matching or copairing is built."""
+    form = EpsForm(g, epsilon)
     if isinstance(S, int):
-        elems = range(1, S + 1)
+        size, elems = S, range(1, S + 1)
     else:
         elems = sorted(int(x) for x in S)
-    if len(elems) % 2:
-        raise ValueError("the set size must be even")
-    _check_nonzero_budget(len(elems), 2 * g)
-    form = EpsForm(g, epsilon)
+        size = len(elems)
+    if size < 0 or size % 2:
+        raise ValueError(f"set size must be even and nonnegative, got {size}")
+    _check_nonzero_budget(size, form.dim)
     matchings = perfect_matchings(elems)
     rank = len(_pivot_rows(_omega_nonzeros(m, form) for m in matchings))
     return rank, len(matchings)

@@ -1,18 +1,25 @@
-"""Test oracle for the categorical model: an independent route, not used by the package.
+"""Test oracle for the categorical model and the dense matching tensors:
+independent routes, not used by the package.
 
 The package computes the cohomology as Sp/O characters and checks it
 against fixed-point characters of the labelled-partition basis; it
-needs neither the Brauer category nor the harmonic tensors.  This module
-keeps the paper's categorical model, to check the calculus against:
+needs neither the Brauer category nor the harmonic tensors, and it
+builds matching tensors only on their nonzero entries.  This module
+keeps the paper's categorical model and the dense tensors, to check the
+calculus and the sparse route against:
 
 - `BrauerMorphism`, `compose` and `apply_morphism`, the downward
   (signed) Brauer category acting on labelled partitions by contracting
   and inserting pairs, and `day_product`, its monoidal product; they
   act on `SignedPartitionVector`, the package's vector with the
   vector-space helpers only they use;
+- `DenseTensor`, `gram`, `dual` and `dense_omega_m`, the dense
+  reference for the package's sparse matching tensors: every one of the
+  (2g)^S entries, the 2g x 2g tables of the form and its copairing, and
+  the matching tensor built entry by entry from them, which
+  `invariants.omega_m` and the rank's rows are checked against;
 - `K_on_morphism`, the same morphisms acting on dense tensors through
-  the form, the copairing and honest linear maps, on `DenseTensor`,
-  the package's tensor with the arithmetic only this module uses;
+  the form, the copairing and honest linear maps;
 - `harmonic_projection` and `harmonic_multiplicity`, the harmonic
   subspace as the joint kernel of the pairwise contractions and the
   multiplicity of each symmetric-group irreducible in it: a second,
@@ -30,14 +37,15 @@ from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from basis_oracle import _perm_from_cycle_type
-from torelli import invariants, setparts
+from torelli import setparts
 from torelli.characters import NonIntegralMultiplicity, murnaghan_nakayama
-from torelli.invariants import TENSOR_ENTRY_CAP, EpsForm, _eliminate, _pivot_rows, _primitive
+from torelli.invariants import EpsForm, NotPerfect, _eliminate, _pivot_rows, _primitive
 from torelli.labels import LabelMonomial
 from torelli.partitions import Partition, partitions_of, z_lambda
 from torelli.setparts import VARIANTS, LabelledPartition, _perm_parity
 
 MODES = ("dBr", "dsBr", "Br2g", "sBr2g")
+TENSOR_ENTRY_CAP = 10**7
 
 
 class GroundSetOverlap(ValueError):
@@ -48,15 +56,51 @@ class IllegalContraction(ValueError):
     """Closing a unit pair requires a mode that knows the genus."""
 
 
-class DenseTensor(invariants.DenseTensor):
-    """`invariants.DenseTensor` with the scalars, scaling and equality that
-    `K_on_morphism` and its tests use."""
+class DenseTensor:
+    """Exact tensor over positions carrying one index each, with all
+    dim^len(positions) entries stored: the dense reference for
+    `invariants.MatchingTensor`, which stores only the nonzeros under
+    the same flat indices."""
 
-    __slots__ = ()
+    __slots__ = ("dim", "positions", "entries")
+
+    def __init__(
+        self,
+        dim: int,
+        positions: Iterable[int],
+        entries: Sequence[Fraction] | None = None,
+    ) -> None:
+        self.dim = int(dim)
+        self.positions = tuple(sorted(int(p) for p in positions))
+        if len(set(self.positions)) != len(self.positions):
+            raise ValueError("positions must be distinct")
+        size = self.dim ** len(self.positions)
+        if size > TENSOR_ENTRY_CAP:
+            raise ValueError(
+                f"tensor with {size} entries exceeds the oracle cap"
+            )
+        if entries is None:
+            self.entries = [Fraction(0)] * size
+        else:
+            self.entries = [Fraction(v) for v in entries]
+            if len(self.entries) != size:
+                raise ValueError("entry count does not match the shape")
 
     @staticmethod
     def scalar(dim: int, value) -> "DenseTensor":
         return DenseTensor(dim, (), [Fraction(value)])
+
+    def index(self, assignment: Sequence[int]) -> int:
+        idx = 0
+        for v in assignment:
+            idx = idx * self.dim + v
+        return idx
+
+    def get(self, assignment: Sequence[int]) -> Fraction:
+        return self.entries[self.index(assignment)]
+
+    def assignments(self):
+        return product(range(self.dim), repeat=len(self.positions))
 
     def scale(self, c) -> "DenseTensor":
         return DenseTensor(
@@ -64,13 +108,52 @@ class DenseTensor(invariants.DenseTensor):
         )
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, invariants.DenseTensor):
+        if not isinstance(other, DenseTensor):
             return NotImplemented
         return (
             self.dim == other.dim
             and self.positions == other.positions
             and self.entries == other.entries
         )
+
+    def __repr__(self) -> str:
+        nz = sum(1 for v in self.entries if v)
+        return f"DenseTensor(dim={self.dim}, positions={self.positions}, nonzero={nz})"
+
+
+def gram(form: EpsForm) -> tuple[tuple[Fraction, ...], ...]:
+    """The 2g x 2g table of the form: the transpose of its copairing."""
+    table = [[Fraction(0)] * form.dim for _ in range(form.dim)]
+    for x, y, v in form.copairing:
+        table[y][x] = Fraction(v)
+    return tuple(tuple(row) for row in table)
+
+
+def dual(form: EpsForm) -> tuple[tuple[Fraction, ...], ...]:
+    """The 2g x 2g table of the copairing omega, the inverse form."""
+    return tuple(zip(*gram(form)))
+
+
+def dense_omega_m(matching: Iterable[tuple[int, int]], form: EpsForm) -> DenseTensor:
+    """Invariant tensor of an ordered perfect matching, entry by entry:
+    the product of the copairing table over the pairs at every one of
+    the (2g)^S assignments."""
+    pairs = [(int(a), int(b)) for a, b in matching]
+    elems = [x for pair in pairs for x in pair]
+    if len(set(elems)) != len(elems):
+        raise NotPerfect("matching repeats an element")
+    table = dual(form)
+    out = DenseTensor(form.dim, elems)
+    slot = {p: k for k, p in enumerate(out.positions)}
+    for assignment in out.assignments():
+        value = Fraction(1)
+        for a, b in pairs:
+            value *= table[assignment[slot[a]]][assignment[slot[b]]]
+            if not value:
+                break
+        if value:
+            out.entries[out.index(assignment)] = value
+    return out
 
 
 class SignedPartitionVector(setparts.SignedPartitionVector):
@@ -368,6 +451,8 @@ def K_on_morphism(
         if _perm_parity(word_t):
             sign = -sign
 
+    form_table, copairing_table = gram(form), dual(form)
+
     def apply(tensor: DenseTensor) -> DenseTensor:
         if tensor.positions != src:
             raise ValueError("tensor does not live on the morphism source")
@@ -381,7 +466,7 @@ def K_on_morphism(
             if not value:
                 continue
             for a, b in morphism.source_pairs:
-                value *= form.gram[assignment[slot[a]]][assignment[slot[b]]]
+                value *= form_table[assignment[slot[a]]][assignment[slot[b]]]
                 if not value:
                     break
             if not value:
@@ -400,7 +485,7 @@ def K_on_morphism(
             if not value:
                 continue
             for c, d in morphism.target_pairs:
-                value *= form.dual[assignment[out_slot[c]]][assignment[out_slot[d]]]
+                value *= copairing_table[assignment[out_slot[c]]][assignment[out_slot[d]]]
                 if not value:
                     break
             if value:
@@ -419,7 +504,7 @@ def contraction_rows(q: int, form: EpsForm) -> list[dict[int, Fraction]]:
     if d**q > TENSOR_ENTRY_CAP:
         raise ValueError("tensor power exceeds the oracle cap")
     strides = [d ** (q - 1 - k) for k in range(q)]
-    pairing = [(x, y, v) for x, row in enumerate(form.gram) for y, v in enumerate(row) if v]
+    pairing = [(x, y, v) for x, row in enumerate(gram(form)) for y, v in enumerate(row) if v]
     rows: list[dict[int, Fraction]] = []
     for i in range(q):
         for j in range(i + 1, q):

@@ -5,6 +5,7 @@ its table-building commands run."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,8 +108,10 @@ def test_the_bead_oracle_stays_out_of_the_package():
 
 def test_the_brauer_oracle_stays_out_of_the_package():
     # The Brauer functor and the harmonic projection check the calculus
-    # from tests/brauer_oracle.py; `invariants` imports no other module of
-    # the package, and every export resolves through the one lazy table.
+    # from tests/brauer_oracle.py, and the dense tensors, the form's 2g x 2g
+    # tables and their size cap check the sparse matching tensors from
+    # there; `invariants` imports no other module of the package, and
+    # every export resolves through the one lazy table.
     from importlib import import_module
 
     from torelli import _LAZY, invariants, setparts
@@ -118,12 +121,16 @@ def test_the_brauer_oracle_stays_out_of_the_package():
                      "_harmonic_traces", "harmonic_multiplicity"],
         setparts: ["BrauerMorphism", "compose", "_phi", "_normalize", "apply_morphism",
                    "day_product", "GroundSetOverlap", "IllegalContraction"],
-        invariants.DenseTensor: ["scalar", "scale", "__add__", "is_zero", "__eq__"],
         setparts.SignedPartitionVector: ["zero", "basis", "is_zero", "__add__", "__sub__", "scale"],
     }
     left = [f"{owner.__name__}.{name}" for owner, names in gone.items() for name in names
             if name in vars(owner)]
     assert left == []
+    dense = re.compile(r"\b(DenseTensor|TENSOR_ENTRY_CAP|gram|dual)\b")
+    modules = sorted(Path(torelli.__file__).parent.glob("*.py"))
+    named = [f"{path.name}: {name}" for path in modules
+             for name in dense.findall(path.read_text(encoding="utf-8"))]
+    assert named == []
     tree = ast.parse(Path(invariants.__file__).read_text(encoding="utf-8"))
     relative = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
     assert relative == []

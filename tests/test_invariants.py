@@ -17,6 +17,9 @@ from brauer_oracle import (
     _sparse_kernel,
     compose,
     contraction_rows,
+    dense_omega_m,
+    dual,
+    gram,
     harmonic_multiplicity,
     harmonic_projection,
 )
@@ -83,13 +86,14 @@ def test_form_invariants():
         for eps in (1, -1):
             form = EpsForm(g, eps)
             d = form.dim
+            form_table, copairing_table = gram(form), dual(form)
             for i in range(d):
                 for j in range(d):
-                    assert form.gram[j][i] == eps * form.gram[i][j]
-            # gram and dual are inverse
+                    assert form_table[j][i] == eps * form_table[i][j]
+            # the form and its copairing are inverse
             for j in range(d):
                 row = [
-                    sum(form.gram[j][x] * form.dual[x][y] for x in range(d))
+                    sum(form_table[j][x] * copairing_table[x][y] for x in range(d))
                     for y in range(d)
                 ]
                 assert row == [
@@ -99,18 +103,18 @@ def test_form_invariants():
 
 def test_omega_entries():
     form = EpsForm(1, -1)
-    t12 = omega_m([(1, 2)], form)
+    t12 = dense_omega_m([(1, 2)], form)
     assert t12.positions == (1, 2)
     # the invariant element is the inverse form, not the form
     assert [[t12.get((x, y)) for y in range(2)] for x in range(2)] == [
         [Fraction(0), Fraction(-1)],
         [Fraction(1), Fraction(0)],
     ]
-    t21 = omega_m([(2, 1)], form)
+    t21 = dense_omega_m([(2, 1)], form)
     assert t21.entries == [-v for v in t12.entries]
     form_o = EpsForm(2, 1)
-    assert omega_m([(2, 1)], form_o).entries == omega_m([(1, 2)], form_o).entries
-    two_pairs = omega_m([(1, 2), (3, 4)], form)
+    assert dense_omega_m([(2, 1)], form_o).entries == dense_omega_m([(1, 2)], form_o).entries
+    two_pairs = dense_omega_m([(1, 2), (3, 4)], form)
     assert len(two_pairs.entries) == 16
     assert set(two_pairs.entries) <= {Fraction(0), Fraction(1), Fraction(-1)}
     assert sum(1 for v in two_pairs.entries if v) == 4
@@ -119,6 +123,44 @@ def test_omega_entries():
 def test_omega_rejects_non_matchings():
     with pytest.raises(NotPerfect):
         omega_m([(1, 2), (2, 3)], EpsForm(1, -1))
+
+
+def test_a_repeated_element_is_refused_by_the_one_builder():
+    # the sparse builder behind both omega_m and the rank refuses a pair
+    # (1, 1), as the dense reference does
+    form = EpsForm(1, 1)
+    for build in (_omega_nonzeros, omega_m, dense_omega_m):
+        with pytest.raises(NotPerfect, match="repeats an element"):
+            build([(1, 1)], form)
+    for points in ([1, 1], [1, 2, 2, 3]):
+        with pytest.raises(NotPerfect, match="repeats an element"):
+            matching_span_rank(points, 1, 1)
+
+
+def test_rank_inputs_are_checked_in_the_library_in_order():
+    # genus, then epsilon, then set size, then the budget, in the words
+    # `invariants rank` prints
+    cases = [
+        ((2, 0, 1), "genus must be positive, got 0"),
+        ((3, 0, 2), "genus must be positive, got 0"),
+        ((3, 1, 2), "epsilon must be 1 or -1, got 2"),
+        ((20, 1, 0), "epsilon must be 1 or -1, got 0"),
+        ((3, 1, 1), "set size must be even and nonnegative, got 3"),
+        ((-2, 1, 1), "set size must be even and nonnegative, got -2"),
+        ((21, 1, 1), "set size must be even and nonnegative, got 21"),
+        (([1, 2, 3], 1, 1), "set size must be even and nonnegative, got 3"),
+        ((10, 3, 1), "10-point matching tensors in dimension 6 exceed the oracle cap"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as info:
+            matching_span_rank(*args)
+        assert str(info.value).startswith(message), (args, info.value)
+    for (g, eps), message in {
+        (0, 1): "genus must be positive, got 0",
+        (1, 2): "epsilon must be 1 or -1, got 2",
+    }.items():
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            EpsForm(g, eps)
 
 
 def test_matching_span_ranks():
@@ -205,24 +247,36 @@ def _invariant_dimension(size, g, eps):
     return total
 
 
+def _sparse_nonzeros(m, form, dense):
+    """The nonzeros of the dense reference, checked against both sparse
+    builders: `omega_m` holds them in a dict of Fractions, which
+    perfbench/stages.py reads and divides."""
+    nonzeros = {k: v for k, v in enumerate(dense.entries) if v}
+    assert _omega_nonzeros(m, form) == nonzeros, (m, form)
+    tensor = omega_m(m, form)
+    assert (tensor.dim, tensor.positions) == (dense.dim, dense.positions)
+    assert type(tensor.entries) is dict and tensor.entries == nonzeros, (m, form)
+    assert all(type(v) is Fraction for v in tensor.entries.values())
+    return nonzeros
+
+
 def test_sparse_omega_matches_dense():
     for size in (2, 4, 6):
         matchings = perfect_matchings(range(1, size + 1))
         for g in (1, 2):
             for eps in (1, -1):
                 form = EpsForm(g, eps)
-                dense = [omega_m(m, form).entries for m in matchings]
-                for m, entries in zip(matchings, dense):
-                    nonzeros = {k: v for k, v in enumerate(entries) if v}
+                dense = [dense_omega_m(m, form) for m in matchings]
+                for m, tensor in zip(matchings, dense):
+                    nonzeros = _sparse_nonzeros(m, form, tensor)
                     assert len(nonzeros) == (2 * g) ** (size // 2)
-                    assert _omega_nonzeros(m, form) == nonzeros, (m, g, eps)
                 rank = matching_span_rank(size, g, eps)
-                assert rank == (_dense_rank(dense), len(matchings)), (size, g, eps)
+                rows = [tensor.entries for tensor in dense]
+                assert rank == (_dense_rank(rows), len(matchings)), (size, g, eps)
     # reversed pairs and a ground set that is not 1..S index the same way
-    form = EpsForm(2, -1)
-    for m in ([(3, 1), (2, 4)], [(9, 2), (5, 7)]):
-        nonzeros = {k: v for k, v in enumerate(omega_m(m, form).entries) if v}
-        assert _omega_nonzeros(m, form) == nonzeros
+    for m, form in (([(3, 1), (2, 4)], EpsForm(2, -1)), ([(9, 2), (5, 7)], EpsForm(2, -1)),
+                    ([(11, 0), (3, 8), (4, 10)], EpsForm(1, 1))):
+        _sparse_nonzeros(m, form, dense_omega_m(m, form))
 
 
 def test_matching_span_rank_is_the_invariant_dimension():
@@ -250,7 +304,6 @@ def test_matching_span_rank_stays_off_dense_tensors(monkeypatch):
         raise AssertionError("dense tensor built for a rank")
 
     monkeypatch.setattr(invariants, "omega_m", refuse)
-    monkeypatch.setattr(invariants, "DenseTensor", refuse)
     for eps in (1, -1):
         assert matching_span_rank(6, 3, eps) == (15, 15)
     result = invoke(["invariants", "rank", "--g", "2", "--set-size", "8", "--epsilon", "-1"])
