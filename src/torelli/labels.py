@@ -1,10 +1,11 @@
 """The graded label algebra and its characteristic-class structure.
 
 V = Q[e, p_lo, ..., p_{n-1}] with e of degree 2n and p_i of degree 4i,
-where lo = ceil((n+1)/4). Provides the monomial basis B with its
-Poincare series under several degree selectors, the generating series
-ch(B) feeding the plethysm pipeline, and Hirzebruch L-polynomials with
-their images in B.
+where lo = ceil((n+1)/4). Provides the monomial basis B, the one label
+rule (`_allowed`) and label count by degree (`_label_counts`), the table
+by part size that ch(B) and the characters in `setparts` read, the
+Poincare series of V under degree selectors, and Hirzebruch
+L-polynomials with their images in B.
 
 An L-polynomial is the degree-i part of exp(sum_k a_k p_k(z)), the
 p_k(z) being power sums of the squared Chern roots z, written in the
@@ -60,16 +61,14 @@ class LabelMonomial:
         if self.e_exp < 0:
             raise ValueError("negative exponent")
         lo, hi = generator_window(n)
-        cleaned = []
-        for i, k in sorted(p_exps):
+        merged: dict[int, int] = {}
+        for i, k in p_exps:
             if k < 0:
                 raise ValueError("negative exponent")
-            if k == 0:
-                continue
             if not lo <= i <= hi:
                 raise ValueError(f"p_{i} is not a generator for n={n}")
-            cleaned.append((int(i), int(k)))
-        self.p_exps = tuple(cleaned)
+            merged[int(i)] = merged.get(int(i), 0) + int(k)
+        self.p_exps = tuple(sorted((i, k) for i, k in merged.items() if k))
         self.degree = 2 * self.n * self.e_exp + sum(4 * i * k for i, k in self.p_exps)
 
     @staticmethod
@@ -92,10 +91,7 @@ class LabelMonomial:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("cannot multiply labels of different half-dimension")
-        merged = dict(self.p_exps)
-        for i, k in other.p_exps:
-            merged[i] = merged.get(i, 0) + k
-        return LabelMonomial(self.n, self.e_exp + other.e_exp, tuple(merged.items()))
+        return LabelMonomial(self.n, self.e_exp + other.e_exp, self.p_exps + other.p_exps)
 
     def sort_key(self):
         return (self.degree, self.e_exp, self.p_exps)
@@ -137,7 +133,7 @@ def parse_label(text: str, n: int) -> LabelMonomial:
     if text in ("1", ""):
         return LabelMonomial.unit(n)
     e_exp = 0
-    p_exps: dict[int, int] = {}
+    p_exps = []
     for factor in text.split("*"):
         factor = factor.strip()
         base, caret, exp_text = factor.partition("^")
@@ -149,13 +145,12 @@ def parse_label(text: str, n: int) -> LabelMonomial:
         if base == "e":
             e_exp += exp
         elif base[:1] == "p" and _is_number(base[1:]):
-            i = int(base[1:])
-            p_exps[i] = p_exps.get(i, 0) + exp
+            p_exps.append((int(base[1:]), exp))
         elif base == "1":
             continue
         else:
             raise ValueError(f"unrecognized label factor {factor!r}")
-    return LabelMonomial(n, e_exp, tuple(p_exps.items()))
+    return LabelMonomial(n, e_exp, p_exps)
 
 
 @lru_cache(maxsize=None)
@@ -189,36 +184,60 @@ def labels_up_to(n: int, cap: int) -> tuple[LabelMonomial, ...]:
     return tuple(out)
 
 
-def _geometric(step: int, trunc: int) -> LambdaSeries:
-    terms = {k: SymFunc.scalar(1) for k in range(0, trunc + 1, step)}
-    return LambdaSeries(terms, trunc)
+def monomial_counts(degrees, cap: int) -> list[int]:
+    """The number of monomials in free generators of the given positive
+    degrees, in each degree 0..cap: one coin-change pass per generator."""
+    counts = [1] + [0] * cap
+    for step in degrees:
+        for d in range(step, cap + 1):
+            counts[d] += counts[d - step]
+    return counts
+
+
+@lru_cache(maxsize=None)
+def _label_counts(n: int, cap: int) -> tuple[int, ...]:
+    """The number of monomials of V in each degree 0..cap, over the
+    generator degrees 2n and 4i for i in the window."""
+    lo, hi = generator_window(n)
+    return tuple(monomial_counts([2 * n] + [4 * i for i in range(lo, hi + 1)], cap))
+
+
+def _allowed(n: int, degree: int, size: int, variant: str) -> bool:
+    """Whether a part of `size` elements may carry a label of `degree` in
+    P0 or P': an empty part needs degree above 2n, a singleton at least n,
+    and in P' a pair above 0, a label other than 1."""
+    if size == 0:
+        return degree > 2 * n
+    if size == 1:
+        return degree >= n
+    return not (size == 2 and variant == "Pprime" and degree == 0)
+
+
+def _part_label_counts(n: int, d_max: int, variant: str) -> list[list[int]]:
+    """For each part size s in 0..d_max // n + 2, the labels a part of s
+    elements may carry, counted by the degree e + n(s - 2) they give the
+    part, up to d_max.  No part of more elements fits under d_max."""
+    counts = _label_counts(n, d_max + 2 * n)
+    return [
+        [counts[e] if e >= 0 and _allowed(n, e, size, variant) else 0
+         for e in range(n * (2 - size), d_max + 1 + n * (2 - size))]
+        for size in range(d_max // n + 3)
+    ]
 
 
 def poincare_series(n: int, selector: str, trunc: int) -> LambdaSeries:
     """Poincare series of V under a degree selector.
 
-    Selectors: "all", "deg>2n", "deg>=n", "deg>0". The three proper
-    selectors subtract the finitely many monomials below their cutoff:
-    only 1, e, and single p_i can have degree at most 2n.
+    Selectors: "all", "deg>0", "deg>=n", "deg>2n"; each keeps the label
+    counts from its least degree, 0, 1, n and 2n + 1.
     """
     if 2 * n < 2:
         raise ValueError("need 2n >= 2")
-    lo, hi = generator_window(n)
-    series = _geometric(2 * n, trunc)
-    for i in range(lo, hi + 1):
-        series = series * _geometric(4 * i, trunc)
-    if selector == "all":
-        return series
-    if selector in ("deg>=n", "deg>0"):
-        return series - LambdaSeries.one(trunc)
-    if selector == "deg>2n":
-        low = LambdaSeries.one(trunc) + LambdaSeries.monomial(
-            SymFunc.scalar(1), 2 * n, trunc
-        )
-        for i in range(lo, n // 2 + 1):
-            low = low + LambdaSeries.monomial(SymFunc.scalar(1), 4 * i, trunc)
-        return series - low
-    raise ValueError(f"unknown selector {selector!r}")
+    least = {"all": 0, "deg>0": 1, "deg>=n": n, "deg>2n": 2 * n + 1}.get(selector)
+    if least is None:
+        raise ValueError(f"unknown selector {selector!r}")
+    counts = _label_counts(n, trunc)
+    return LambdaSeries({d: counts[d] for d in range(least, trunc + 1)}, trunc)
 
 
 def ch_B(n: int, trunc: int) -> LambdaSeries:
@@ -226,20 +245,17 @@ def ch_B(n: int, trunc: int) -> LambdaSeries:
 
     ch(B) = h_0 P(V_{>2n}) t^{-2n} + h_1 P(V_{>=n}) t^{-n}
           + h_2 P(V_{>0}) + sum_{q>=3} h_q P(V) t^{n(q-2)},
-    truncated at trunc; the result must have t-valuation >= 1.
+    truncated at trunc: h_q times row q of `_part_label_counts` in P',
+    with h_0 = 1.  The result must have t-valuation >= 1.  The selector
+    route is a test oracle in `tests/test_labels.py`.
     """
-    total = poincare_series(n, "deg>2n", trunc + 2 * n).shift(-2 * n).truncate(trunc)
-    piece1 = poincare_series(n, "deg>=n", trunc + n).shift(-n).truncate(trunc)
-    total = total + piece1.map_coefficients(lambda c: h_sym(1) * c)
-    piece2 = poincare_series(n, "deg>0", trunc)
-    total = total + piece2.map_coefficients(lambda c: h_sym(2) * c)
-    full = poincare_series(n, "all", trunc)
-    q = 3
-    while n * (q - 2) <= trunc:
-        shifted = full.truncate(trunc - n * (q - 2)).shift(n * (q - 2))
-        hq = h_sym(q)
-        total = total + shifted.map_coefficients(lambda c, hq=hq: hq * c)
-        q += 1
+    table = _part_label_counts(n, trunc, "Pprime")
+    h = [h_sym(q) for q in range(len(table))]
+    total = LambdaSeries(
+        {d: sum((h[q] * row[d] for q, row in enumerate(table) if row[d]), SymFunc.zero())
+         for d in range(trunc + 1)},
+        trunc,
+    )
     if any(k <= 0 for k in total.exponents()):
         raise ValuationViolation("ch(B) has a term of nonpositive t-exponent")
     return total

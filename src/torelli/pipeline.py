@@ -25,7 +25,7 @@ from typing import Optional
 
 from .branching import ClassSeries, OrthSympClass
 from .characters import decompose
-from .labels import _geometric, ch_B
+from .labels import ch_B, monomial_counts
 from .partitions import partition_count, ribbon_strips
 from .setparts import _block_floor, quotient_factor, quotient_series_by_L, sigma_characters
 from .symfunc import (
@@ -147,10 +147,8 @@ def stable_range(two_n: int, g: int) -> int:
 def bundle_scalar_series(n: int, trunc: int) -> LambdaSeries:
     """Poincare series of the full polynomial ring on the Euler class and
     all Pontrjagin classes below the top, as a scalar t-series."""
-    out = _geometric(2 * n, trunc)
-    for i in range(1, n):
-        out = out * _geometric(4 * i, trunc)
-    return out
+    counts = monomial_counts([2 * n] + [4 * i for i in range(1, n)], trunc)
+    return LambdaSeries(dict(enumerate(counts)), trunc)
 
 
 def _warn_extrapolation(n: int) -> None:
@@ -312,7 +310,7 @@ def _refuse_shapes(chb: LambdaSeries, trunc: int) -> None:
     could hold more than EXP_H_SHAPE_CAP shapes, from a ch_B of at most
     that truncation: the largest weight exp_h_weight_bound can give at
     trunc, from the coefficients chb has."""
-    weight = max((f.degree() * trunc // a for a, f in chb.terms.items()), default=0)
+    weight = exp_h_weight_bound(chb, trunc)
     shapes = _shape_count(weight, EXP_H_SHAPE_CAP)
     if shapes > EXP_H_SHAPE_CAP:
         raise ConfigError(

@@ -11,7 +11,8 @@ The degree pieces are symmetric-group representations, and their
 characters feed the brute-force check of the main computation:
 `sigma_characters` builds, for each permutation, the set partitions it
 fixes from its cycles (`_orbit_types`), and counts the labels fixed on
-them by degree, without building a labelled partition.  The basis, and
+them by degree, without building a labelled partition, from the label
+rule and counts of `labels`, the table `ch_B` reads.  The basis, and
 the walk over all set partitions with a test per class, are test
 oracles in `tests/basis_oracle.py`.  `quotient_series_by_L` strikes the
 polynomial generators above half weight from a series.
@@ -24,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .characters import ClassFunction
-from .labels import LabelMonomial, labels_up_to
+from .labels import LabelMonomial, _allowed, _label_counts, _part_label_counts
 from .partitions import partitions_of
 from .symfunc import LambdaSeries, SymFunc
 
@@ -45,17 +46,6 @@ def _perm_parity(word: Sequence[int]) -> int:
                 order[j] = -1
                 j = nxt
     return parity & 1
-
-
-def _allowed(label: LabelMonomial, size: int, variant: str) -> bool:
-    """Whether a part of `size` elements may carry `label` in P0 or P':
-    an empty part needs degree above 2n, a singleton degree at least n,
-    and in P' a pair a label other than 1."""
-    if size == 0:
-        return label.degree > 2 * label.n
-    if size == 1:
-        return label.degree >= label.n
-    return not (size == 2 and variant == "Pprime" and label.is_unit())
 
 
 class LabelledPartition:
@@ -101,7 +91,7 @@ class LabelledPartition:
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         return variant == "P" or all(
-            _allowed(label, len(elems), variant) for elems, label in self.parts
+            _allowed(self.n, label.degree, len(elems), variant) for elems, label in self.parts
         )
 
     def sort_key(self):
@@ -181,8 +171,9 @@ class SignedPartitionVector:
 def _block_floor(n: int, size: int, variant: str) -> int:
     """Least possible degree of a part of the given size: its least
     allowed label degree plus n(size - 2)."""
-    labels = labels_up_to(n, 4 * n)
-    return min(m.degree for m in labels if _allowed(m, size, variant)) + n * (size - 2)
+    counts = _label_counts(n, 4 * n)
+    least = min(d for d, c in enumerate(counts) if c and _allowed(n, d, size, variant))
+    return least + n * (size - 2)
 
 
 def _orbit_types(q: int, n: int, variant: str, degree_cap: int) -> list[dict[tuple, int]]:
@@ -244,26 +235,16 @@ def _orbit_types(q: int, n: int, variant: str, degree_cap: int) -> list[dict[tup
 
 
 def _label_series(n: int, d_max: int, variant: str) -> tuple[list[list[int]], list[int]]:
-    """The label counts by degree, up to d_max: for each block size s the
-    labels a part of s elements may carry, by the degree e + n(s - 2)
-    they give it, and the multisets of empty parts, which need labels of
-    degree above 2n.  No part of more than d_max / n + 2 elements fits."""
-    labels = labels_up_to(n, d_max + 2 * n)
-    by_size = [[0] * (d_max + 1)]
-    for size in range(1, d_max // n + 3):
-        counts = [0] * (d_max + 1)
-        for label in labels:
-            d = label.degree + n * (size - 2)
-            if d <= d_max and _allowed(label, size, variant):
-                counts[d] += 1
-        by_size.append(counts)
+    """The label counts by degree up to d_max: rows 1 and up of
+    `labels._part_label_counts` (row 0 zeroed), and the multisets of
+    empty parts, built from its row 0, a label of degree e a step e - 2n."""
+    empty_row, *by_size = _part_label_counts(n, d_max, variant)
     empty = [1] + [0] * d_max
-    for label in labels:
-        if _allowed(label, 0, variant):
-            step = label.degree - 2 * n
+    for step, count in enumerate(empty_row):
+        for _ in range(count):
             for d in range(step, d_max + 1):
                 empty[d] += empty[d - step]
-    return by_size, empty
+    return [[0] * (d_max + 1)] + by_size, empty
 
 
 def sigma_characters(

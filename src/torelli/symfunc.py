@@ -635,12 +635,14 @@ def _product_trunc(
     return min(x_trunc, y_trunc, val_x + y_trunc, val_y + x_trunc)
 
 
-def exp_h_weight_bound(g: LambdaSeries) -> int:
-    """The largest weight a shape of exp_h(g) can have: the floor of
-    r g.trunc, where r is the largest ratio of the weight of g_a to a.
-    A term of j L_j comes from some p_k[g_a] with k a = j, so it weighs
-    at most r j, and a product of them of total degree m at most r m."""
-    return max((f.degree() * g.trunc // a for a, f in g.terms.items()), default=0)
+def exp_h_weight_bound(g: LambdaSeries, trunc: Optional[int] = None) -> int:
+    """The largest weight a shape of exp_h(g) can have up to degree trunc
+    (by default g.trunc): the floor of r trunc, where r is the largest
+    ratio of the weight of g_a to a.  A term of j L_j comes from some
+    p_k[g_a] with k a = j, so it weighs at most r j, and a product of
+    them of total degree m at most r m."""
+    trunc = g.trunc if trunc is None else trunc
+    return max((f.degree() * trunc // a for a, f in g.terms.items()), default=0)
 
 
 def exp_h(g: LambdaSeries) -> LambdaSeries:

@@ -170,6 +170,7 @@ REFUSALS = {
     "lclass --max 1000000": "--max 1000000 exceeds the L-class cap of 26",
     "lclass --max 2 --dim 3": "dimension must be a positive even integer, got 3",
     "graph reduce badlabel.json": "cannot reduce badlabel.json: unrecognized label factor 'q7'",
+    "graph reduce outside.json": "cannot reduce outside.json: p_9 is not a generator for n=3",
     "graph reduce badjson.json":
         "cannot reduce badjson.json: Expecting value: line 2 column 1 (char 19)",
     "invariants rank --g 0 --set-size 2 --epsilon 1": "genus must be positive, got 0",
@@ -189,6 +190,10 @@ def test_a_refused_request_exits_3_with_one_line_on_stderr(command, tmp_path, mo
     monkeypatch.chdir(tmp_path)
     (tmp_path / "badlabel.json").write_text(
         '{"n": 3, "legs": [1, 2], "vertices": [{"label": "q7"}], "half_edges": [],'
+        ' "matching": [["L1", "L2"]]}\n'
+    )
+    (tmp_path / "outside.json").write_text(
+        '{"n": 3, "legs": [1, 2], "vertices": [{"label": "p9^0"}], "half_edges": [],'
         ' "matching": [["L1", "L2"]]}\n'
     )
     (tmp_path / "badjson.json").write_text('{"n": 3, "legs": [\n')

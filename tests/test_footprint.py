@@ -180,3 +180,22 @@ def test_one_combination_type_and_one_series_type():
     assert [name for name in gone if name in torelli.__all__] == []
     assert [f.__name__ for f in (setparts.quotient_series_by_L, cli.series)
             if "isinstance" in getsource(f)] == []
+
+
+def test_one_label_rule_and_one_label_count():
+    # `labels` owns the rule for the labels a part may carry and the count
+    # of labels by degree; `setparts` and `pipeline` read them, and the
+    # products of geometric series are a test oracle in tests/test_labels.py.
+    from torelli import pipeline, setparts
+
+    modules = sorted(Path(torelli.__file__).parent.glob("*.py"))
+    sources = {path.name: path.read_text(encoding="utf-8") for path in modules}
+    assert [name for name, text in sources.items() if "def _allowed(" in text] == ["labels.py"]
+    assert [name for name, text in sources.items() if "def _geometric(" in text] == []
+    assert "labels_up_to" not in sources["setparts.py"]
+    assert not hasattr(setparts, "labels_up_to")
+    tree = ast.parse(Path(pipeline.__file__).read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "labels"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

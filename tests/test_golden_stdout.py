@@ -4,7 +4,9 @@ and graph reductions.
 Each table and stage-dump sha256 was taken from the program before its
 stages after exp_h were moved onto beta-set masks, except the dim 2
 plethysm dump and the dim 2 degree 9 closed table, which were taken
-before exp_h moved from p-monomials to ribbon strips; each graph sha256,
+before exp_h moved from p-monomials to ribbon strips, and the dim 2 and
+dim 10 chB dumps, which were taken before ch_B moved from products of
+geometric series to one table of label counts; each graph sha256,
 before the graph oracle left the package.  None may be re-taken from
 later output: a change here means the printed output changed.
 """
@@ -56,6 +58,16 @@ GOLDEN = [
     (
         "cohomology --dim 2 --max-degree 9 --variant closed",
         "8168c3a7a2ea3832775a068922a73ebe64d1b3093bb978e0b30db8a45cc0e3fe",
+    ),
+    # n = 1, whose Pontrjagin window is empty, and n = 5, where the
+    # labels of degree at most 2n are 1, e and p_2
+    (
+        "series --dim 2 --max-degree 8 --stage chB",
+        "2fa7e855dd816fbcef8c7a5451f557ec52ac126eb7610f8d7ab8496df95246dc",
+    ),
+    (
+        "series --dim 10 --max-degree 12 --stage chB",
+        "98dae094cb8800a3feb4ec6b6ada08a88a90e01dbbb785b04e198413d61508e8",
     ),
 ]
 

@@ -11,6 +11,7 @@ from torelli.labels import (
     IndexOutOfRange,
     LabelMonomial,
     _l_genus_p_coefficients,
+    _label_counts,
     ch_B,
     generator_window,
     l_class,
@@ -21,7 +22,8 @@ from torelli.labels import (
     render_label_combination,
 )
 from torelli.partitions import Partition, partitions_of
-from torelli.symfunc import SymFunc, change_basis, e_sym
+from torelli.pipeline import bundle_scalar_series
+from torelli.symfunc import LambdaSeries, SymFunc, ValuationViolation, change_basis, e_sym, h_sym
 
 from bead_oracle import from_p_monomials
 
@@ -49,6 +51,23 @@ def test_monomial_window_enforced():
         LabelMonomial.p(3, 3)
     with pytest.raises(ValueError):
         LabelMonomial.p(1, 1)
+
+
+def test_a_repeated_generator_is_one_power():
+    split = LabelMonomial(5, 0, ((2, 1), (2, 2)))
+    assert str(split) == "p2^3"
+    assert split == LabelMonomial.p(5, 2, 3)
+    assert len({split, LabelMonomial.p(5, 2, 3)}) == 1
+    assert split.degree == 24
+
+
+def test_a_generator_outside_the_window_is_refused_at_any_exponent():
+    for text in ("p9", "p9^0", "e*p9^0", "p3^0"):
+        with pytest.raises(ValueError, match="is not a generator for n=3"):
+            parse_label(text, 3)
+    with pytest.raises(ValueError, match="is not a generator for n=3"):
+        LabelMonomial(3, 1, ((9, 0),))
+    assert parse_label("p1^0*e", 3) == LabelMonomial.e(3)
 
 
 def test_parse_round_trip():
@@ -89,6 +108,89 @@ def test_poincare_series_selectors():
     assert high.coefficient(4) == SymFunc.zero()
     assert high.coefficient(6) == SymFunc.zero()
     assert high.coefficient(8) == SymFunc.scalar(2)
+
+
+def _oracle_geometric(step, trunc):
+    return LambdaSeries({k: SymFunc.scalar(1) for k in range(0, trunc + 1, step)}, trunc)
+
+
+def _oracle_poincare_series(n, selector, trunc):
+    """Test oracle: the Poincare series of V as a product of geometric
+    series, one per generator, with the selector's cut encoded a second
+    time as a subtraction.  Only 1, e, and single p_i can have degree at
+    most 2n, so "deg>2n" drops 1, e and the p_i with i <= n/2.
+    `labels.poincare_series` cuts the one label count instead."""
+    lo, hi = generator_window(n)
+    series = _oracle_geometric(2 * n, trunc)
+    for i in range(lo, hi + 1):
+        series = series * _oracle_geometric(4 * i, trunc)
+    if selector == "all":
+        return series
+    if selector in ("deg>=n", "deg>0"):
+        return series - LambdaSeries.one(trunc)
+    assert selector == "deg>2n"
+    low = LambdaSeries.one(trunc) + LambdaSeries.monomial(SymFunc.scalar(1), 2 * n, trunc)
+    for i in range(lo, n // 2 + 1):
+        low = low + LambdaSeries.monomial(SymFunc.scalar(1), 4 * i, trunc)
+    return series - low
+
+
+def _oracle_ch_B(n, trunc):
+    """Test oracle: ch(B) summed from the selector series of
+    `_oracle_poincare_series`, shifted and multiplied by h_q term by
+    term.  `labels.ch_B` reads one table of label counts by part size."""
+    total = _oracle_poincare_series(n, "deg>2n", trunc + 2 * n).shift(-2 * n).truncate(trunc)
+    piece1 = _oracle_poincare_series(n, "deg>=n", trunc + n).shift(-n).truncate(trunc)
+    total = total + piece1.map_coefficients(lambda c: h_sym(1) * c)
+    piece2 = _oracle_poincare_series(n, "deg>0", trunc)
+    total = total + piece2.map_coefficients(lambda c: h_sym(2) * c)
+    full = _oracle_poincare_series(n, "all", trunc)
+    q = 3
+    while n * (q - 2) <= trunc:
+        shifted = full.truncate(trunc - n * (q - 2)).shift(n * (q - 2))
+        hq = h_sym(q)
+        total = total + shifted.map_coefficients(lambda c, hq=hq: hq * c)
+        q += 1
+    if any(k <= 0 for k in total.exponents()):
+        raise ValuationViolation("ch(B) has a term of nonpositive t-exponent")
+    return total
+
+
+def _same_series(a, b):
+    return (a.trunc, a.terms) == (b.trunc, b.terms)
+
+
+def test_label_counts_match_the_enumerated_labels():
+    for n in range(1, 9):
+        by_degree = [0] * 31
+        for label in labels_up_to(n, 30):
+            by_degree[label.degree] += 1
+        for cap in range(31):
+            assert list(_label_counts(n, cap)) == by_degree[: cap + 1], (n, cap)
+
+
+def test_poincare_series_match_the_geometric_oracle():
+    for selector in ("all", "deg>0", "deg>=n", "deg>2n"):
+        for n in range(1, 9):
+            for trunc in range(31):
+                assert _same_series(
+                    poincare_series(n, selector, trunc), _oracle_poincare_series(n, selector, trunc)
+                ), (selector, n, trunc)
+
+
+def test_ch_b_matches_the_selector_oracle():
+    for n in range(1, 9):
+        for trunc in range(1, 31):
+            assert _same_series(ch_B(n, trunc), _oracle_ch_B(n, trunc)), (n, trunc)
+
+
+def test_bundle_scalar_series_matches_the_geometric_product():
+    for n in range(1, 9):
+        for trunc in range(31):
+            product = _oracle_geometric(2 * n, trunc)
+            for i in range(1, n):
+                product = product * _oracle_geometric(4 * i, trunc)
+            assert _same_series(bundle_scalar_series(n, trunc), product), (n, trunc)
 
 
 def test_ch_b_dimension_six():

@@ -16,12 +16,13 @@ from brauer_oracle import (
     day_product,
 )
 from torelli.characters import ClassFunction, decompose
-from torelli.labels import LabelMonomial, parse_label
+from torelli.labels import LabelMonomial, labels_up_to, parse_label
 from torelli.partitions import Partition, partitions_of
 from torelli.pipeline import oracle_check
 from torelli.setparts import (
     LabelledPartition,
     _block_floor,
+    _label_series,
     _perm_parity,
     quotient_factor,
     sigma_character,
@@ -106,6 +107,53 @@ def _set_partitions(elems):
         yield ((head,),) + blocks
         for i, b in enumerate(blocks):
             yield blocks[:i] + (((head,) + b),) + blocks[i + 1 :]
+
+
+def _oracle_allowed(label, size, variant):
+    """The label rule written on monomials: an empty part needs degree
+    above 2n, a singleton degree at least n, and in P' a pair a label
+    other than 1."""
+    if size == 0:
+        return label.degree > 2 * label.n
+    if size == 1:
+        return label.degree >= label.n
+    return not (size == 2 and variant == "Pprime" and label.is_unit())
+
+
+def _oracle_label_series(n, d_max, variant):
+    """Test oracle: `_label_series` from the enumerated labels, each
+    tested by `_oracle_allowed`, with the empty-part families grown one
+    label at a time.  `setparts._label_series` reads the one table of
+    label counts by part size in `labels`."""
+    labels = labels_up_to(n, d_max + 2 * n)
+    by_size = [[0] * (d_max + 1)]
+    for size in range(1, d_max // n + 3):
+        counts = [0] * (d_max + 1)
+        for label in labels:
+            d = label.degree + n * (size - 2)
+            if d <= d_max and _oracle_allowed(label, size, variant):
+                counts[d] += 1
+        by_size.append(counts)
+    empty = [1] + [0] * d_max
+    for label in labels:
+        if _oracle_allowed(label, 0, variant):
+            step = label.degree - 2 * n
+            for d in range(step, d_max + 1):
+                empty[d] += empty[d - step]
+    return by_size, empty
+
+
+def test_label_series_and_floors_match_the_enumerated_labels():
+    for variant in ("P0", "Pprime"):
+        for n in range(1, 9):
+            for d_max in range(25):
+                assert _label_series(n, d_max, variant) == _oracle_label_series(n, d_max, variant), (
+                    variant, n, d_max,
+                )
+            labels = labels_up_to(n, 4 * n)
+            for size in range(1, 15):
+                least = min(m.degree for m in labels if _oracle_allowed(m, size, variant))
+                assert _block_floor(n, size, variant) == least + n * (size - 2), (variant, n, size)
 
 
 def test_floor_pruned_walk_matches_the_bell_walk():
