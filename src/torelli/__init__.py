@@ -13,11 +13,10 @@ _LAZY = {
         "branching": "ClassSeries D_series OrthSympClass class_to_schur dim_irrep "
         "nl_product restrict_coeffs restrict_schur",
         "characters": "ClassFunction decompose murnaghan_nakayama",
-        "graphs": "MarkedGraph corolla parse_graph reduce",
+        "graphs": "MarkedGraph parse_graph reduce",
         "invariants": "EpsForm matching_span_rank omega_m perfect_matchings",
-        "labels": "LabelMonomial ch_B l_class l_class_image parse_label poincare_series",
-        "partitions": "Partition parse_partition partitions_of symmetric_group_irrep_dim "
-        "z_lambda",
+        "labels": "LabelMonomial ch_B l_class l_class_image parse_label",
+        "partitions": "Partition parse_partition partitions_of z_lambda",
         "pipeline": "CohomologyTable ConfigError ExtrapolationWarning NegativeMultiplicity "
         "OracleReport PipelineConfig Unsupported compute_cohomology oracle_check "
         "stable_range variant_adjust",

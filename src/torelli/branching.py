@@ -103,10 +103,6 @@ class OrthSympClass(_Combination):
         return _nl_pair(lam, mu)
 
     @staticmethod
-    def zero(epsilon: int) -> "OrthSympClass":
-        return OrthSympClass(epsilon, {})
-
-    @staticmethod
     def unit(epsilon: int) -> "OrthSympClass":
         return OrthSympClass(epsilon, {EMPTY: 1})
 
@@ -122,10 +118,6 @@ class ClassSeries(_Series):
 
     def __init__(self, epsilon: int, terms: Mapping[int, OrthSympClass], trunc: int):
         super().__init__(terms, trunc, _check_epsilon(epsilon))
-
-    @staticmethod
-    def zero(epsilon: int, trunc: int) -> "ClassSeries":
-        return ClassSeries(epsilon, {}, trunc)
 
     def __repr__(self) -> str:
         return f"ClassSeries(eps={self.epsilon:+d}, {str(self)!r})"

@@ -41,35 +41,6 @@ class ClassFunction:
                 cleaned[mu] = v
         self.values = cleaned
 
-    def value(self, mu) -> Fraction:
-        return self.values.get(Partition(mu), Fraction(0))
-
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        if self.q != other.q:
-            raise ValueError("cannot add class functions of different degrees")
-        merged = dict(self.values)
-        for mu, v in other.values.items():
-            merged[mu] = merged.get(mu, Fraction(0)) + v
-        return ClassFunction(self.q, merged)
-
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        return self + (other * -1)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ClassFunction(self.q, {m: v * other for m, v in self.values.items()})
-        if isinstance(other, ClassFunction):
-            # Pointwise product: the character of a tensor product.
-            if self.q != other.q:
-                raise ValueError("cannot multiply class functions of different degrees")
-            return ClassFunction(
-                self.q,
-                {m: v * other.values[m] for m, v in self.values.items() if m in other.values},
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassFunction):
             return NotImplemented

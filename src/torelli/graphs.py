@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .labels import LabelMonomial, _is_number, parse_label
+from .labels import LabelMonomial, parse_label
+from .partitions import _is_number
 from .setparts import LabelledPartition, SignedPartitionVector, _perm_parity
 
 
@@ -88,8 +89,7 @@ class MarkedGraph:
         want += [("L", x) for x in self.legs]
         if sorted(ends) != sorted(want):
             raise ValueError("matching must pair every half-edge and leg exactly once")
-        for i, val in enumerate(self.valences()):
-            d = self.labels[i].degree + self.n * (val - 2)
+        for i, d in enumerate(self.vertex_degrees()):
             if d <= 0:
                 raise ValueError(f"vertex {i} has nonpositive degree {d}")
 
@@ -129,24 +129,6 @@ class MarkedGraph:
     def __repr__(self) -> str:
         labels = ",".join(str(c) for c in self.labels)
         return f"MarkedGraph(n={self.n}, legs={self.legs}, labels=[{labels}])"
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "legs": list(self.legs),
-            "vertices": [{"label": str(c)} for c in self.labels],
-            "half_edges": [{"vertex": v} for v in self.half_edge_vertex],
-            "matching": [
-                [f"{tag}{val}" for tag, val in pair] for pair in self.matching
-            ],
-        }
-
-
-def corolla(n: int, label: LabelMonomial, legs: Iterable[int]) -> MarkedGraph:
-    """Single vertex with its slots matched to the given legs in order."""
-    legs = tuple(legs)
-    matching = [(("h", i), ("L", x)) for i, x in enumerate(legs)]
-    return MarkedGraph(n, legs, [label], [0] * len(legs), matching)
 
 
 def parse_graph(data) -> MarkedGraph:

@@ -3,9 +3,8 @@
 V = Q[e, p_lo, ..., p_{n-1}] with e of degree 2n and p_i of degree 4i,
 where lo = ceil((n+1)/4). Provides the monomial basis B, the one label
 rule (`_allowed`) and label count by degree (`_label_counts`), the table
-by part size that ch(B) and the characters in `setparts` read, the
-Poincare series of V under degree selectors, and Hirzebruch
-L-polynomials with their images in B.
+by part size that ch(B) and the characters in `setparts` read, and
+Hirzebruch L-polynomials with their images in B.
 
 An L-polynomial is the degree-i part of exp(sum_k a_k p_k(z)), the
 p_k(z) being power sums of the squared Chern roots z, written in the
@@ -20,9 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from .partitions import EMPTY, Partition, partitions_of
+from .partitions import EMPTY, Partition, _is_number, partitions_of
 from .symfunc import (
     LambdaSeries,
     SymFunc,
@@ -96,9 +95,6 @@ class LabelMonomial:
     def sort_key(self):
         return (self.degree, self.e_exp, self.p_exps)
 
-    def __lt__(self, other: "LabelMonomial") -> bool:
-        return self.sort_key() < other.sort_key()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelMonomial):
             return NotImplemented
@@ -119,12 +115,6 @@ class LabelMonomial:
 
     def __repr__(self) -> str:
         return f"LabelMonomial(n={self.n}, {self!s})"
-
-
-def _is_number(text: str) -> bool:
-    """Whether text is ASCII digits alone; int() would also read signs,
-    spaces, underscores ("1_0" is 10) and the digits of other scripts."""
-    return text.isascii() and text.isdigit()
 
 
 def parse_label(text: str, n: int) -> LabelMonomial:
@@ -151,37 +141,6 @@ def parse_label(text: str, n: int) -> LabelMonomial:
         else:
             raise ValueError(f"unrecognized label factor {factor!r}")
     return LabelMonomial(n, e_exp, p_exps)
-
-
-@lru_cache(maxsize=None)
-def labels_up_to(n: int, cap: int) -> tuple[LabelMonomial, ...]:
-    """All monomials in B of degree at most cap, sorted."""
-    lo, hi = generator_window(n)
-    gens = [(2 * n, "e")] + [(4 * i, i) for i in range(lo, hi + 1)]
-
-    def rec(idx: int, remaining: int) -> Iterator[tuple[int, tuple]]:
-        if idx == len(gens):
-            yield (0, ())
-            return
-        deg, name = gens[idx]
-        k = 0
-        while k * deg <= remaining:
-            for used, tail in rec(idx + 1, remaining - k * deg):
-                yield (k * deg + used, ((name, k),) + tail if k else tail)
-            k += 1
-
-    out = []
-    for _, exps in rec(0, cap):
-        e_exp = 0
-        p_exps = []
-        for name, k in exps:
-            if name == "e":
-                e_exp = k
-            else:
-                p_exps.append((name, k))
-        out.append(LabelMonomial(n, e_exp, tuple(p_exps)))
-    out.sort(key=LabelMonomial.sort_key)
-    return tuple(out)
 
 
 def monomial_counts(degrees, cap: int) -> list[int]:
@@ -223,21 +182,6 @@ def _part_label_counts(n: int, d_max: int, variant: str) -> list[list[int]]:
          for e in range(n * (2 - size), d_max + 1 + n * (2 - size))]
         for size in range(d_max // n + 3)
     ]
-
-
-def poincare_series(n: int, selector: str, trunc: int) -> LambdaSeries:
-    """Poincare series of V under a degree selector.
-
-    Selectors: "all", "deg>0", "deg>=n", "deg>2n"; each keeps the label
-    counts from its least degree, 0, 1, n and 2n + 1.
-    """
-    if 2 * n < 2:
-        raise ValueError("need 2n >= 2")
-    least = {"all": 0, "deg>0": 1, "deg>=n": n, "deg>2n": 2 * n + 1}.get(selector)
-    if least is None:
-        raise ValueError(f"unknown selector {selector!r}")
-    counts = _label_counts(n, trunc)
-    return LambdaSeries({d: counts[d] for d in range(least, trunc + 1)}, trunc)
 
 
 def ch_B(n: int, trunc: int) -> LambdaSeries:
@@ -327,14 +271,6 @@ class LPolynomial:
         for mu in self.terms:
             if mu.size != self.i:
                 raise ValueError("L-polynomial terms must be homogeneous")
-
-    def coefficient(self, mu) -> Fraction:
-        return self.terms.get(Partition(mu), Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LPolynomial):
-            return NotImplemented
-        return self.i == other.i and self.terms == other.terms
 
     def __str__(self) -> str:
         if not self.terms:

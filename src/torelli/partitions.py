@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 class Partition(tuple):
@@ -44,10 +44,6 @@ class Partition(tuple):
     @property
     def size(self) -> int:
         return sum(self)
-
-    @property
-    def length(self) -> int:
-        return len(self)
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram; an involution."""
@@ -168,37 +164,26 @@ def format_partition(lam: Partition) -> str:
     return ",".join(pieces)
 
 
+def _is_number(text: str) -> bool:
+    """Whether text is ASCII digits alone; int() would also read signs,
+    spaces, underscores ("1_0" is 10) and the digits of other scripts."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_partition(text: str) -> Partition:
-    """Inverse of format_partition; also accepts plain comma lists."""
+    """Inverse of format_partition; also accepts plain comma lists.
+    Each part and multiplicity is ASCII digits; anything else raises
+    a ValueError naming the piece."""
     text = text.strip()
     if text in ("", "0", "()", "[]"):
         return EMPTY
     parts: list[int] = []
     for piece in text.split(","):
-        piece = piece.strip()
-        if "^" in piece:
-            base, _, exp = piece.partition("^")
-            parts.extend([int(base)] * int(exp))
-        else:
-            parts.append(int(piece))
+        base, caret, exp = (s.strip() for s in piece.partition("^"))
+        if not (_is_number(base) and (_is_number(exp) or not caret)):
+            raise ValueError(f"bad partition piece {piece.strip()!r} in {text!r}")
+        parts.extend([int(base)] * (int(exp) if caret else 1))
     return Partition(parts)
-
-
-def hook_lengths(lam: Partition) -> Iterator[int]:
-    """Hook lengths of all cells of the diagram, row by row."""
-    conj = lam.conjugate()
-    for i, part in enumerate(lam):
-        for j in range(part):
-            yield (part - j) + (conj[j] - i) - 1
-
-
-def symmetric_group_irrep_dim(lam: Partition) -> int:
-    """Dimension of the irreducible S_n-representation indexed by lam."""
-    n = lam.size
-    denom = 1
-    for h in hook_lengths(lam):
-        denom *= h
-    return factorial(n) // denom
 
 
 def beta_mask(lam: Sequence[int], beads: int) -> int:

@@ -128,10 +128,6 @@ class CohomologyTable:
         self.snapshots = snapshots
         self.footnotes = footnotes
 
-    @property
-    def max_degree(self) -> int:
-        return len(self.entries) - 1
-
 
 def stable_range(two_n: int, g: int) -> int:
     """Largest degree in which the stable answer is proven at this genus."""

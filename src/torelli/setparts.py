@@ -121,15 +121,6 @@ class LabelledPartition:
     def __repr__(self) -> str:
         return f"LabelledPartition(n={self.n}, {self!s})"
 
-    def to_json(self) -> dict:
-        return {
-            "parts": [
-                {"elements": list(elems), "label": str(label)}
-                for elems, label in self.parts
-            ],
-            "degree": self.degree,
-        }
-
 
 class SignedPartitionVector:
     """Rational combination of labelled partitions on one ground set."""

@@ -164,12 +164,6 @@ class _Combination:
     def homogeneous_part(self, d: int):
         return self._of({lam: c for lam, c in self.coeffs.items() if lam.size == d}, self.epsilon)
 
-    def homogeneous_components(self) -> dict:
-        out: dict[int, dict] = {}
-        for lam, c in self.coeffs.items():
-            out.setdefault(lam.size, {})[lam] = c
-        return {d: self._of(m, self.epsilon) for d, m in sorted(out.items())}
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other):
@@ -200,10 +194,6 @@ class _Combination:
     def __sub__(self, other):
         other = self._coerce(other)
         return NotImplemented if other is None else self + -other
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else other + -self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -532,9 +522,6 @@ class _Series:
 
     def __sub__(self, other):
         return self + -self._coerce(other)
-
-    def __rsub__(self, other):
-        return self._coerce(other) + -self
 
     def __mul__(self, other):
         if type(other) is not type(self):

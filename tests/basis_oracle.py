@@ -2,6 +2,8 @@
 and the set-partition walk that tests each set partition against each
 class.
 
+`labels_up_to` lists the monomials of the label algebra up to a degree,
+one by one; the package only counts them (`labels._label_counts`).
 `_blocks_within` walks the set partitions of a ground set whose block
 floors fit a degree cap, one element at a time.  `enumerate_basis`
 labels their blocks, and `sigma_characters` counts, for each cycle type,
@@ -17,13 +19,41 @@ module holds the slow routes it is checked against, and
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterator
 
 from torelli.characters import ClassFunction
-from torelli.labels import labels_up_to
+from torelli.labels import LabelMonomial, generator_window
 from torelli.partitions import Partition, partitions_of
 from torelli.setparts import VARIANTS, LabelledPartition, _block_floor, _label_series
+
+
+@lru_cache(maxsize=None)
+def labels_up_to(n: int, cap: int) -> tuple[LabelMonomial, ...]:
+    """Test oracle: every monomial of degree at most cap in e and the p_i
+    of the window, built one exponent at a time, sorted by degree."""
+    lo, hi = generator_window(n)
+    gens = [(2 * n, "e")] + [(4 * i, i) for i in range(lo, hi + 1)]
+
+    def rec(idx: int, remaining: int) -> Iterator[tuple]:
+        if idx == len(gens):
+            yield ()
+            return
+        deg, name = gens[idx]
+        k = 0
+        while k * deg <= remaining:
+            for tail in rec(idx + 1, remaining - k * deg):
+                yield ((name, k),) + tail if k else tail
+            k += 1
+
+    out = []
+    for exps in rec(0, cap):
+        e_exp = dict(exps).pop("e", 0)
+        p_exps = tuple((name, k) for name, k in exps if name != "e")
+        out.append(LabelMonomial(n, e_exp, p_exps))
+    out.sort(key=LabelMonomial.sort_key)
+    return tuple(out)
 
 
 def _blocks_within(

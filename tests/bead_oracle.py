@@ -15,7 +15,8 @@ checked against:
   recursive Murnaghan-Nakayama rule on cached rim hooks of one
   Partition, which the power-sum columns of `symfunc._p_monomial_schur`
   replaced;
-- `to_p`, the power-sum expansion read from that character table;
+- `to_p`, the power-sum expansion read from that character table, degree
+  by degree (`homogeneous_components`);
 - `p_route_product`, `p_route_skew` and `p_route_restrict`, the Schur
   products, skews and Littlewood branching coefficients as they ran on
   the p-expansions of `to_p` and the character table;
@@ -23,15 +24,18 @@ checked against:
   relabels partitions.
 
 It also holds `partitions_upto`, the shapes of every size up to a bound,
-which the differential tests walk.  Its name keeps pytest from collecting it.
+which the differential tests walk, and `symmetric_group_irrep_dim`, the
+hook-length formula for chi^lam(1^q), an independent check of
+`characters.decompose` and of the dimensions of the invariants.  Its
+name keeps pytest from collecting it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Mapping
+from math import factorial, lcm
+from typing import Iterator, Mapping
 
 from torelli.partitions import (
     EMPTY,
@@ -165,12 +169,37 @@ def murnaghan_nakayama(lam: Partition, mu: Partition) -> int:
     return sum(sign * murnaghan_nakayama(inner, rest) for inner, sign in rim_hooks(lam, -mu[0]))
 
 
+def hook_lengths(lam: Partition) -> Iterator[int]:
+    """Hook lengths of all cells of the diagram, row by row."""
+    conj = lam.conjugate()
+    for i, part in enumerate(lam):
+        for j in range(part):
+            yield (part - j) + (conj[j] - i) - 1
+
+
+def symmetric_group_irrep_dim(lam: Partition) -> int:
+    """Test oracle: the dimension of the irreducible S_n-representation
+    indexed by lam, n! over the product of the hook lengths."""
+    denom = 1
+    for h in hook_lengths(lam):
+        denom *= h
+    return factorial(lam.size) // denom
+
+
+def homogeneous_components(f: SymFunc) -> dict[int, SymFunc]:
+    """The homogeneous parts of f by degree, in increasing degree."""
+    out: dict[int, dict] = {}
+    for lam, c in f.coeffs.items():
+        out.setdefault(lam.size, {})[lam] = c
+    return {d: SymFunc._of(m, None) for d, m in sorted(out.items())}
+
+
 def to_p(f: SymFunc) -> dict[Partition, Fraction]:
     """Expansion of f in power-sum monomials, via character orthogonality:
     p_mu has the coefficient sum_lam c_lam chi^lam(mu) / z_mu, which reads
     the character table only in the rows lam held in f."""
     out: dict[Partition, Fraction] = {}
-    for d, piece in f.homogeneous_components().items():
+    for d, piece in homogeneous_components(f).items():
         for mu in partitions_of(d):
             total = sum(c * murnaghan_nakayama(lam, mu) for lam, c in piece.coeffs.items())
             if total:

@@ -28,8 +28,8 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from typing import Iterable
 
 from torelli.graphs import ForbiddenResult, MarkedGraph, reduce
-from torelli.labels import LabelMonomial, labels_up_to, parse_label
-from basis_oracle import enumerate_basis
+from torelli.labels import LabelMonomial, parse_label
+from basis_oracle import enumerate_basis, labels_up_to
 from torelli.setparts import LabelledPartition, SignedPartitionVector, _perm_parity
 
 

@@ -253,15 +253,15 @@ def test_schur_functions_and_classes_do_not_mix():
         with pytest.raises(TypeError):
             combine(s1, v1)
         with pytest.raises(TypeError):
-            combine(LambdaSeries.one(2), ClassSeries.zero(-1, 2))
+            combine(LambdaSeries.one(2), ClassSeries(-1, {}, 2))
     with pytest.raises(TypeError):
-        ClassSeries.zero(-1, 2) + LambdaSeries.one(2)
+        ClassSeries(-1, {}, 2) + LambdaSeries.one(2)
     assert (s1 == v1) is False
 
 
 def test_equal_scalars_hash_alike():
     pairs = ((SymFunc.scalar(3), 3), (SymFunc.zero(), 0), (OrthSympClass.unit(-1), 1),
-             (SymFunc.scalar(Fraction(1, 2)), Fraction(1, 2)), (OrthSympClass.zero(1), 0))
+             (SymFunc.scalar(Fraction(1, 2)), Fraction(1, 2)), (OrthSympClass(1, {}), 0))
     for combination, number in pairs:
         assert combination == number
         assert len({combination, number}) == 1

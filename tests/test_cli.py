@@ -10,6 +10,7 @@ from cli_run import invoke
 
 import torelli
 from torelli import pipeline
+from torelli.characters import ClassFunction
 
 # every command, with the options its help must name
 OPTIONS = {
@@ -108,7 +109,7 @@ def test_a_failing_oracle_exits_2_after_its_report(monkeypatch):
     def doubled(q, n, d_max, variant):
         chis = characters(q, n, d_max, variant)
         if q == 2:
-            chis[2] = chis[2] * 2
+            chis[2] = ClassFunction(2, {mu: 2 * v for mu, v in chis[2].values.items()})
         return chis
 
     monkeypatch.setattr(pipeline, "sigma_characters", doubled)

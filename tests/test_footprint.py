@@ -199,3 +199,41 @@ def test_one_label_rule_and_one_label_count():
                if isinstance(node, ast.ImportFrom) and node.module == "labels"
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_helpers_no_command_reaches_stay_out_of_the_package():
+    # The helpers that no command, acceptance criterion or bench reached
+    # are gone; those a test oracle or fixture needs live beside it:
+    # `labels_up_to` in tests/basis_oracle.py, the hook-length formula and
+    # `homogeneous_components` in tests/bead_oracle.py, `corolla` and the
+    # JSON writer of graphs in tests/test_graphs.py. `parse_partition`,
+    # `parse_label` and `parse_graph` read numbers by one rule.
+    from torelli import branching, characters, graphs, labels, partitions, pipeline, setparts, symfunc
+
+    gone = {
+        labels: ["poincare_series", "labels_up_to"],
+        labels.LabelMonomial: ["__lt__"],
+        labels.LPolynomial: ["coefficient", "__eq__"],
+        partitions: ["symmetric_group_irrep_dim", "hook_lengths"],
+        partitions.Partition: ["length"],
+        graphs: ["corolla"],
+        graphs.MarkedGraph: ["to_json"],
+        setparts.LabelledPartition: ["to_json"],
+        characters.ClassFunction: ["value", "__add__", "__sub__", "__mul__", "__rmul__"],
+        symfunc._Combination: ["homogeneous_components", "__rsub__"],
+        symfunc._Series: ["__rsub__"],
+        branching.OrthSympClass: ["zero"],
+        branching.ClassSeries: ["zero"],
+        pipeline.CohomologyTable: ["max_degree"],
+    }
+    left = [f"{owner.__name__}.{name}" for owner, names in gone.items() for name in names
+            if name in vars(owner)]
+    assert left == []
+    moved = ["labels_up_to", "symmetric_group_irrep_dim", "hook_lengths", "corolla",
+             "homogeneous_components"]
+    modules = sorted(Path(torelli.__file__).parent.glob("*.py"))
+    sources = {path.name: path.read_text(encoding="utf-8") for path in modules}
+    assert [name for name in moved if any(f"def {name}(" in text for text in sources.values())] == []
+    assert [name for name in moved + ["poincare_series"] if name in torelli.__all__] == []
+    assert [name for name, text in sources.items() if "def _is_number(" in text] == ["partitions.py"]
+    assert labels._is_number is graphs._is_number is partitions._is_number

@@ -23,6 +23,7 @@ from brauer_oracle import (
     harmonic_multiplicity,
     harmonic_projection,
 )
+from bead_oracle import symmetric_group_irrep_dim
 from torelli import invariants
 from torelli.branching import dim_irrep
 from torelli.invariants import (
@@ -33,7 +34,7 @@ from torelli.invariants import (
     omega_m,
     perfect_matchings,
 )
-from torelli.partitions import Partition, partitions_of, symmetric_group_irrep_dim
+from torelli.partitions import Partition, partitions_of
 
 
 def _row_reduce(rows):
@@ -240,9 +241,9 @@ def _invariant_dimension(size, g, eps):
     total = 0
     for lam in partitions_of(size // 2):
         double = Partition([2 * part for part in lam])
-        if eps == 1 and lam.length <= 2 * g:
+        if eps == 1 and len(lam) <= 2 * g:
             total += symmetric_group_irrep_dim(double)
-        if eps == -1 and lam.conjugate().length <= g:
+        if eps == -1 and len(lam.conjugate()) <= g:
             total += symmetric_group_irrep_dim(double.conjugate())
     return total
 

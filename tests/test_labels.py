@@ -16,15 +16,14 @@ from torelli.labels import (
     generator_window,
     l_class,
     l_class_image,
-    labels_up_to,
     parse_label,
-    poincare_series,
     render_label_combination,
 )
 from torelli.partitions import Partition, partitions_of
 from torelli.pipeline import bundle_scalar_series
 from torelli.symfunc import LambdaSeries, SymFunc, ValuationViolation, change_basis, e_sym, h_sym
 
+from basis_oracle import labels_up_to
 from bead_oracle import from_p_monomials
 
 
@@ -90,26 +89,6 @@ def test_labels_of_degree():
     assert labels_of_degree(3, 5) == []
 
 
-def test_poincare_series_all():
-    series = poincare_series(3, "all", 12)
-    expected = [1, 0, 0, 0, 1, 0, 1, 0, 2, 0, 1, 0, 3]
-    for d, c in enumerate(expected):
-        assert series.coefficient(d) == SymFunc.scalar(c)
-
-
-def test_poincare_series_selectors():
-    full = poincare_series(3, "all", 12)
-    pos = poincare_series(3, "deg>0", 12)
-    diff = full - pos
-    assert diff.coefficient(0) == SymFunc.scalar(1)
-    assert all(diff.coefficient(d) == SymFunc.zero() for d in range(1, 13))
-    high = poincare_series(3, "deg>2n", 12)
-    # degree 6 drops e, degree 4 drops p_1, degree 8 survives whole
-    assert high.coefficient(4) == SymFunc.zero()
-    assert high.coefficient(6) == SymFunc.zero()
-    assert high.coefficient(8) == SymFunc.scalar(2)
-
-
 def _oracle_geometric(step, trunc):
     return LambdaSeries({k: SymFunc.scalar(1) for k in range(0, trunc + 1, step)}, trunc)
 
@@ -119,7 +98,7 @@ def _oracle_poincare_series(n, selector, trunc):
     series, one per generator, with the selector's cut encoded a second
     time as a subtraction.  Only 1, e, and single p_i can have degree at
     most 2n, so "deg>2n" drops 1, e and the p_i with i <= n/2.
-    `labels.poincare_series` cuts the one label count instead."""
+    `labels.ch_B` cuts the one label count instead."""
     lo, hi = generator_window(n)
     series = _oracle_geometric(2 * n, trunc)
     for i in range(lo, hi + 1):
@@ -167,15 +146,6 @@ def test_label_counts_match_the_enumerated_labels():
             by_degree[label.degree] += 1
         for cap in range(31):
             assert list(_label_counts(n, cap)) == by_degree[: cap + 1], (n, cap)
-
-
-def test_poincare_series_match_the_geometric_oracle():
-    for selector in ("all", "deg>0", "deg>=n", "deg>2n"):
-        for n in range(1, 9):
-            for trunc in range(31):
-                assert _same_series(
-                    poincare_series(n, selector, trunc), _oracle_poincare_series(n, selector, trunc)
-                ), (selector, n, trunc)
 
 
 def test_ch_b_matches_the_selector_oracle():

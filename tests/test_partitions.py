@@ -1,7 +1,8 @@
 import random
+import re
 
 import pytest
-from bead_oracle import partitions_upto
+from bead_oracle import partitions_upto, symmetric_group_irrep_dim
 
 from torelli.partitions import (
     EMPTY,
@@ -12,7 +13,6 @@ from torelli.partitions import (
     parse_partition,
     partition_count,
     partitions_of,
-    symmetric_group_irrep_dim,
     z_lambda,
 )
 
@@ -31,7 +31,7 @@ def test_enumeration_order_and_max_length():
     assert parts[-1] == Partition((1, 1, 1, 1))
     assert list(parts) == sorted(parts, key=lambda p: p.sort_key())
     short = partitions_of(6, max_length=2)
-    assert all(p.length <= 2 for p in short)
+    assert all(len(p) <= 2 for p in short)
     assert len(short) == 4
 
 
@@ -94,6 +94,15 @@ def test_text_round_trip():
         n = rng.randrange(0, 13)
         lam = rng.choice(partitions_of(n)) if n else EMPTY
         assert parse_partition(format_partition(lam)) == lam
+
+
+@pytest.mark.parametrize("text, piece", [
+    ("2^-1", "2^-1"), ("3,2^-1", "2^-1"), ("1_0", "1_0"), ("\u0663", "\u0663"),
+    ("2^", "2^"), ("3,,1", ""), ("-1", "-1"),
+])
+def test_parse_partition_refuses_anything_but_ascii_digits(text, piece):
+    with pytest.raises(ValueError, match=re.escape(f"bad partition piece {piece!r}")):
+        parse_partition(text)
 
 
 def test_irrep_dimensions():

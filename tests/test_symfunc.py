@@ -812,7 +812,9 @@ def test_character_value_against_strips():
 
 def test_change_basis_refuses_malformed_text():
     for text, message in (("h2^", "exponent"), ("1/0", "zero denominator"), ("h2 +", "end"),
-                          ("(h1", "parentheses"), ("h1 x", "cannot parse"), ("h1^1/2", "integer")):
+                          ("(h1", "parentheses"), ("h1 x", "cannot parse"), ("h1^1/2", "integer"),
+                          ("s[2^-1]", "bad partition piece '2\\^-1'"),
+                          ("h2*s[3,2^-1]", "bad partition piece '2\\^-1'")):
         with pytest.raises(ValueError, match=message):
             change_basis(text)
     assert change_basis("3/4*h2^2") == change_basis("3/4*h2*h2")
@@ -820,7 +822,7 @@ def test_change_basis_refuses_malformed_text():
 
 def test_homogeneous_split():
     f = sf("s[2] + 3*s[1] - s[3,1]")
-    parts = f.homogeneous_components()
+    parts = bead_oracle.homogeneous_components(f)
     assert set(parts) == {1, 2, 4}
     assert parts[2] == sf("s[2]")
     assert f.homogeneous_part(4) == sf("-s[3,1]")
