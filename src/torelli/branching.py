@@ -16,8 +16,8 @@ with k = -1).
 and `symfunc._Series` whose product is Newell-Littlewood (`_nl_pair`),
 whose letter is V and whose epsilon must match; their arithmetic,
 encoding, decoding and rendering are the ones of `SymFunc` and
-`LambdaSeries`. `EpsilonMismatch` is defined in `symfunc` and raised
-from here too.
+`LambdaSeries`. `EpsilonMismatch` is defined and raised in `symfunc`,
+for both kinds, and can be imported from here too.
 """
 
 from __future__ import annotations
@@ -194,9 +194,8 @@ def _nl_pair(lam: Partition, mu: Partition) -> tuple[tuple[Partition, Fraction],
 
 
 def nl_product(x: OrthSympClass, y: OrthSympClass) -> OrthSympClass:
-    """Stable tensor product of classes, bilinear in both arguments."""
-    if x.epsilon != y.epsilon:
-        raise EpsilonMismatch("cannot multiply classes of opposite epsilon")
+    """Stable tensor product of classes, bilinear in both arguments; the
+    product refuses classes of opposite epsilon."""
     return x * y
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 
 class Partition(tuple):
@@ -88,22 +88,16 @@ EMPTY = Partition()
 
 
 @lru_cache(maxsize=None)
-def partitions_of(n: int, max_length: Optional[int] = None) -> tuple[Partition, ...]:
-    """All partitions of n in reverse-lexicographic order, built once.
-
-    The order starts at (n) and ends at (1,...,1); an optional bound on
-    the number of parts filters the tuple without changing the order.
-    """
+def partitions_of(n: int) -> tuple[Partition, ...]:
+    """All partitions of n in reverse-lexicographic order, built once:
+    the order starts at (n) and ends at (1,...,1)."""
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     out: list[Partition] = []
-    limit = n if max_length is None else max_length
 
     def extend(prefix: list[int], remaining: int, max_part: int) -> None:
         if remaining == 0:
             out.append(Partition(prefix))
-            return
-        if len(prefix) >= limit:
             return
         for k in range(min(remaining, max_part), 0, -1):
             prefix.append(k)

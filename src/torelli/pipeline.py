@@ -3,15 +3,16 @@
 Chains the label-ring character through plethysm, the involution, the
 change of basis into symplectic or orthogonal classes, and the scalar
 quotient, then applies the requested bundle variant. The point and
-closed variants multiply by the scalar Poincare series of the bundle
-classes; the closed one then divides by the fibre series
+closed variants multiply by the Poincare series of the bundle classes;
+the closed one then divides by the fibre series
 1 + V_1 t^n + t^{2n} (divide_by_fiber), a three-term recurrence whose
 only class product is V_1 (x) V_lam, the size-1 rim hooks of lam.
 
 After exp_h every stage runs as one integer pass (`_StagePass`) on
 {beta-set mask: int} per degree, with one denominator: omega conjugates
-the masks, D only relabels, the quotient and the bundle factor are one
-scalar series, and the fibre division adds and removes one box
+the masks, D only relabels, the quotient and the bundle factor are
+integer t-series (ints indexed by degree) whose product multiplies every
+degree, and the fibre division adds and removes one box
 (`partitions.ribbon_strips` with r = 1 and k = +1, -1). Only the final
 shapes become Partitions and their multiplicities ints; the other
 snapshots are decoded when first read. `divide_by_fiber`,
@@ -19,7 +20,7 @@ snapshots are decoded when first read. `divide_by_fiber`,
 """
 
 import warnings
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from math import comb, factorial
 from typing import Optional
 
@@ -34,7 +35,6 @@ from .symfunc import (
     _conjugate_masks,
     _exp_h_masks,
     _over_one_denominator,
-    _scalar_factors,
     _times_scalar,
     exp_h_weight_bound,
 )
@@ -140,11 +140,11 @@ def stable_range(two_n: int, g: int) -> int:
     return (g - 3) // 2
 
 
-def bundle_scalar_series(n: int, trunc: int) -> LambdaSeries:
+def bundle_scalar_series(n: int, trunc: int) -> list[int]:
     """Poincare series of the full polynomial ring on the Euler class and
-    all Pontrjagin classes below the top, as a scalar t-series."""
-    counts = monomial_counts([2 * n] + [4 * i for i in range(1, n)], trunc)
-    return LambdaSeries(dict(enumerate(counts)), trunc)
+    all Pontrjagin classes below the top, as its integer coefficients in
+    degrees 0..trunc."""
+    return monomial_counts([2 * n] + [4 * i for i in range(1, n)], trunc)
 
 
 def _warn_extrapolation(n: int) -> None:
@@ -209,6 +209,16 @@ def divide_by_fiber(series: ClassSeries, n: int) -> ClassSeries:
     return series._from_masks(terms, den, series.trunc, series.epsilon)
 
 
+def _pass_scalar(n: int, trunc: int, variant: str) -> Sequence[int]:
+    """The integer t-series that multiplies every degree of a `_StagePass`:
+    quotient_factor, times bundle_scalar_series outside the disc variant."""
+    scalar = quotient_factor(n, trunc)
+    if variant == "disc":
+        return scalar
+    bundle = bundle_scalar_series(n, trunc)
+    return [sum(q * b for q, b in zip(scalar, bundle[d::-1])) for d in range(trunc + 1)]
+
+
 def _validate_entries(series: ClassSeries, max_degree: int) -> tuple[OrthSympClass, ...]:
     entries = []
     for d in range(max_degree + 1):
@@ -227,16 +237,16 @@ class _StagePass:
 
     `exp_h`'s integer core gives the S_m, brought to one denominator. For
     odd n, omega conjugates the masks; D only relabels. Every degree is
-    then multiplied by one scalar series, quotient_factor times (outside
-    the disc variant) bundle_scalar_series, and the closed variant divides
-    by the fibre (`_fiber_quotient`). One bead count holds every shape.
-    The plethysm, pre-D and final series are kept as {degree: {mask: int}}
-    over `den`; nothing becomes a Partition until it is decoded. With
-    max_weight (the disc variant only), exp_h keeps only the shapes of
-    weight up to it: the later disc stages keep the weight of each shape.
+    then multiplied by one integer t-series (`_pass_scalar`), which leaves
+    `den` as it is, and the closed variant divides by the fibre
+    (`_fiber_quotient`). One bead count holds every shape. The plethysm,
+    pre-D and final series are kept as {degree: {mask: int}} over `den`;
+    nothing becomes a Partition until it is decoded. With max_weight (the
+    disc variant only), exp_h keeps only the shapes of weight up to it:
+    the later disc stages keep the weight of each shape.
     """
 
-    __slots__ = ("plethysm", "pre_d", "den", "final", "final_den")
+    __slots__ = ("plethysm", "pre_d", "den", "final")
 
     def __init__(self, chb: LambdaSeries, n: int, variant: str, max_weight: Optional[int] = None):
         trunc = chb.trunc
@@ -253,14 +263,9 @@ class _StagePass:
             self.pre_d = {m: _conjugate_masks(c, beads) for m, c in self.plethysm.items()}
         else:
             self.pre_d = self.plethysm
-        scalar = quotient_factor(n, trunc)
-        if variant != "disc":
-            scalar = scalar * bundle_scalar_series(n, trunc)
-        factors, scalar_den = _scalar_factors(scalar)
-        self.final = _times_scalar(self.pre_d, factors, trunc)
+        self.final = _times_scalar(self.pre_d, _pass_scalar(n, trunc, variant), trunc)
         if variant == "closed":
             self.final = _fiber_quotient(self.final, n, trunc)
-        self.final_den = self.den * scalar_den
 
 
 class _Snapshots(Mapping):
@@ -347,7 +352,7 @@ def compute_cohomology(cfg: PipelineConfig) -> CohomologyTable:
     if cfg.variant == "closed":
         _warn_extrapolation(n)
     stages = _StagePass(chb, n, cfg.variant)
-    final = ClassSeries._from_masks(stages.final, stages.final_den, trunc, epsilon)
+    final = ClassSeries._from_masks(stages.final, stages.den, trunc, epsilon)
     snapshots = _Snapshots(
         {"chB": chb, "final": final},
         {
@@ -484,7 +489,7 @@ def oracle_check(two_n: int, d_max: int, q_max: int) -> OracleReport:
             f"of at least {walks}, over the oracle cap of {ORACLE_WALK_CAP}"
         )
     stages = _StagePass(_ch_B_within_budget(n, d_max), n, "disc", q_max)
-    rhs_series = LambdaSeries._from_masks(stages.final, stages.final_den, d_max)
+    rhs_series = LambdaSeries._from_masks(stages.final, stages.den, d_max)
     cells = []
     for q in range(q_max + 1):
         terms = {}

@@ -25,9 +25,8 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .characters import ClassFunction
-from .labels import LabelMonomial, _allowed, _label_counts, _part_label_counts
+from .labels import LabelMonomial, _allowed, _label_counts, _part_label_counts, monomial_counts
 from .partitions import partitions_of
-from .symfunc import LambdaSeries, SymFunc
 
 VARIANTS = ("P", "P0", "Pprime")
 
@@ -228,14 +227,11 @@ def _orbit_types(q: int, n: int, variant: str, degree_cap: int) -> list[dict[tup
 def _label_series(n: int, d_max: int, variant: str) -> tuple[list[list[int]], list[int]]:
     """The label counts by degree up to d_max: rows 1 and up of
     `labels._part_label_counts` (row 0 zeroed), and the multisets of
-    empty parts, built from its row 0, a label of degree e a step e - 2n."""
+    empty parts, the monomials in its row 0, a label of degree e a
+    generator of degree e - 2n."""
     empty_row, *by_size = _part_label_counts(n, d_max, variant)
-    empty = [1] + [0] * d_max
-    for step, count in enumerate(empty_row):
-        for _ in range(count):
-            for d in range(step, d_max + 1):
-                empty[d] += empty[d - step]
-    return [[0] * (d_max + 1)] + by_size, empty
+    steps = [step for step, count in enumerate(empty_row) for _ in range(count)]
+    return [[0] * (d_max + 1)] + by_size, monomial_counts(steps, d_max)
 
 
 def sigma_characters(
@@ -293,23 +289,21 @@ def sigma_character(
 
 
 @lru_cache(maxsize=None)
-def quotient_factor(n: int, trunc: int) -> LambdaSeries:
-    """The series prod_{i > n/2} (1 - t^{4i - 2n}) up to the truncation."""
-    coeffs: dict[int, Fraction] = {0: Fraction(1)}
-    i = n // 2 + 1
-    while 4 * i - 2 * n <= trunc:
-        step = 4 * i - 2 * n
-        new = dict(coeffs)
-        for k, c in coeffs.items():
-            if k + step <= trunc:
-                new[k + step] = new.get(k + step, Fraction(0)) - c
-        coeffs = new
-        i += 1
-    return LambdaSeries({k: SymFunc.scalar(c) for k, c in coeffs.items()}, trunc)
+def quotient_factor(n: int, trunc: int) -> tuple[int, ...]:
+    """The series prod_{i > n/2} (1 - t^{4i - 2n}) as its integer
+    coefficients in degrees 0..trunc (none when trunc < 0): each factor
+    strikes its step from the list in place, highest degree first."""
+    coeffs = [int(d == 0) for d in range(trunc + 1)]
+    for step in range(4 * (n // 2 + 1) - 2 * n, trunc + 1, 4):
+        for d in range(trunc, step - 1, -1):
+            coeffs[d] -= coeffs[d - step]
+    return tuple(coeffs)
 
 
 def quotient_series_by_L(series, n: int):
     """Strike the polynomial generators above half weight from a series
     of symmetric functions or of orthogonal or symplectic classes: its
-    `mul_scalar_series` by `quotient_factor`."""
+    `mul_scalar_series` by the integer list `quotient_factor` to the
+    series' own order, so a Laurent series keeps the order a series
+    product gives it."""
     return series.mul_scalar_series(quotient_factor(n, series.trunc))

@@ -15,7 +15,9 @@ arithmetic, equality, hashing, rendering and mask decoding of both
 of two basis elements, its letter, how it stores a coefficient and its
 epsilon. One series type, `_Series`, does the same for `LambdaSeries`
 and `branching.ClassSeries`, including `mul_scalar_series`, the product
-by a series of scalars on integer combinations of masks.
+by an integer t-series on integer combinations of masks. A t-series of
+scalars, such as the L-quotient and the bundle factor, is no
+`LambdaSeries` but a sequence of ints indexed by degree.
 
 Every move of a Schur shape is one kernel, `partitions.ribbon_strips`:
 multiplying by h_r[p_k] adds a horizontal strip of r ribbons of size k
@@ -34,7 +36,7 @@ Schur keys become Partitions and Fractions.
   and p_k[h_mu] adds strips of ribbons of size k, a sum with no
   cancellation. Its integer core, `_exp_h_masks`, hands those
   combinations to the table pass in `pipeline`, which multiplies them by
-  scalar series and conjugates them (omega) with the helpers kept here.
+  integer t-series and conjugates them (omega) with the helpers kept here.
 - `plethysm` writes its outer argument in the h-basis and takes every
   h_m[g] it needs from one `exp_h` call, with an auxiliary grading that
   counts m; it reads no character value either. The power-sum route it
@@ -50,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, perm
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Callable, Collection, Mapping, Optional, Sequence
 
 from .partitions import (
     EMPTY,
@@ -517,12 +519,6 @@ class _Series:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return self._of({k: -f for k, f in self.terms.items()}, self.trunc, self.epsilon)
-
-    def __sub__(self, other):
-        return self + -self._coerce(other)
-
     def __mul__(self, other):
         if type(other) is not type(self):
             f = self._as_coefficient(other)
@@ -539,14 +535,16 @@ class _Series:
 
     __rmul__ = __mul__
 
-    def mul_scalar_series(self, scalar: "LambdaSeries"):
-        """Multiply by a series whose coefficients are scalars, on integer
-        combinations of masks, with the truncation rule of a product."""
-        trunc = _product_trunc(self.terms, self.trunc, scalar.terms, scalar.trunc)
+    def mul_scalar_series(self, scalar: Sequence[int]):
+        """Multiply by an integer t-series, scalar[j] the coefficient of
+        t^j, on integer combinations of masks. The scalar series is known
+        to order len(scalar) - 1, or only to this series' own order when
+        that is lower; the product's order follows the rule of a product."""
+        known = min(self.trunc, len(scalar) - 1)
+        nonzero = [j for j, c in enumerate(scalar) if c and j <= known]
+        trunc = _product_trunc(self.terms, self.trunc, nonzero, known)
         terms, den = self.encode(self.longest_column())
-        factors, scalar_den = _scalar_factors(scalar)
-        terms = _times_scalar(terms, factors, trunc)
-        return self._from_masks(terms, den * scalar_den, trunc, self.epsilon)
+        return self._from_masks(_times_scalar(terms, scalar, trunc), den, trunc, self.epsilon)
 
     def shift(self, k: int):
         """Multiply by the exact monomial t^k."""
@@ -608,10 +606,9 @@ class LambdaSeries(_Series):
         return f"LambdaSeries({self.terms!r}, trunc={self.trunc})"
 
 
-def _product_trunc(
-    x: Mapping[int, object], x_trunc: int, y: Mapping[int, object], y_trunc: int
-) -> int:
-    """Truncation order of a product of two series, given their nonzero terms.
+def _product_trunc(x: Collection[int], x_trunc: int, y: Collection[int], y_trunc: int) -> int:
+    """Truncation order of a product of two series, given the exponents of
+    their nonzero terms.
 
     With Laurent terms present, a product coefficient near the cut may
     need factors beyond the other input's truncation, so the claimed order
@@ -815,8 +812,9 @@ def _strip_horner(comb: Mapping[int, int], k: int, targets: Mapping[tuple, list]
 # ---------------------------------------------------------------------------
 #
 # The stages after exp_h act on {t-exponent: {beta-set mask: int}} with
-# one denominator for the whole series: scalar series multiply every
-# coefficient, and the fibre division adds and removes boxes. A series of
+# one denominator for the whole series: integer t-series, lists of ints
+# by degree, multiply every coefficient and leave the denominator alone,
+# and the fibre division adds and removes boxes. A series of
 # Partition-keyed coefficients enters through `_Series.encode` and leaves
 # through `_Series._from_masks`.
 
@@ -837,22 +835,14 @@ def _over_one_denominator(
     return out, den
 
 
-def _scalar_factors(scalar: LambdaSeries) -> tuple[list[tuple[int, int]], int]:
-    """The nonzero (exponent, integer) pairs of a series of scalars over
-    their common denominator, and that denominator."""
-    factors = {j: f.coeff(EMPTY) for j, f in scalar.terms.items()}
-    den = lcm(*(c.denominator for c in factors.values()))
-    return [(j, c.numerator * (den // c.denominator)) for j, c in factors.items() if c], den
-
-
 def _times_scalar(
-    terms: Mapping[int, Mapping[int, int]], factors: list[tuple[int, int]], trunc: int
+    terms: Mapping[int, Mapping[int, int]], scalar: Sequence[int], trunc: int
 ) -> dict[int, dict[int, int]]:
-    """sum_j c_j t^j times a series of mask combinations, up to trunc."""
+    """sum_j scalar[j] t^j times a series of mask combinations, up to trunc."""
     out: dict[int, dict[int, int]] = {}
     for i, comb in terms.items():
-        for j, c in factors:
-            if i + j <= trunc:
+        for j, c in enumerate(scalar):
+            if c and i + j <= trunc:
                 acc = out.setdefault(i + j, {})
                 get = acc.get
                 for mask, x in comb.items():

@@ -206,7 +206,8 @@ def test_helpers_no_command_reaches_stay_out_of_the_package():
     # are gone; those a test oracle or fixture needs live beside it:
     # `labels_up_to` in tests/basis_oracle.py, the hook-length formula and
     # `homogeneous_components` in tests/bead_oracle.py, `corolla` and the
-    # JSON writer of graphs in tests/test_graphs.py. `parse_partition`,
+    # JSON writer of graphs in tests/test_graphs.py; a test oracle that
+    # subtracts series adds x * -1. `parse_partition`,
     # `parse_label` and `parse_graph` read numbers by one rule.
     from torelli import branching, characters, graphs, labels, partitions, pipeline, setparts, symfunc
 
@@ -221,7 +222,7 @@ def test_helpers_no_command_reaches_stay_out_of_the_package():
         setparts.LabelledPartition: ["to_json"],
         characters.ClassFunction: ["value", "__add__", "__sub__", "__mul__", "__rmul__"],
         symfunc._Combination: ["homogeneous_components", "__rsub__"],
-        symfunc._Series: ["__rsub__"],
+        symfunc._Series: ["__rsub__", "__neg__", "__sub__"],
         branching.OrthSympClass: ["zero"],
         branching.ClassSeries: ["zero"],
         pipeline.CohomologyTable: ["max_degree"],
@@ -237,3 +238,21 @@ def test_helpers_no_command_reaches_stay_out_of_the_package():
     assert [name for name in moved + ["poincare_series"] if name in torelli.__all__] == []
     assert [name for name, text in sources.items() if "def _is_number(" in text] == ["partitions.py"]
     assert labels._is_number is graphs._is_number is partitions._is_number
+
+
+def test_scalar_t_series_are_integer_lists():
+    # The L-quotient, the bundle factor and the empty parts are lists of
+    # ints by degree: no scalar series is turned back into integers over
+    # a second denominator, and `setparts` reads nothing from `symfunc`.
+    modules = sorted(Path(torelli.__file__).parent.glob("*.py"))
+    sources = {path.name: path.read_text(encoding="utf-8") for path in modules}
+    assert [name for name, text in sources.items() if "def _scalar_factors(" in text] == []
+    assert [name for name, text in sources.items() if "final_den" in text] == []
+    tree = ast.parse(sources["setparts.py"])
+    imported = [
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and "symfunc" in (node.module or ""))
+        or (isinstance(node, (ast.Import, ast.ImportFrom))
+            and any("symfunc" in alias.name for alias in node.names))
+    ]
+    assert imported == []

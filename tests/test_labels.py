@@ -106,12 +106,12 @@ def _oracle_poincare_series(n, selector, trunc):
     if selector == "all":
         return series
     if selector in ("deg>=n", "deg>0"):
-        return series - LambdaSeries.one(trunc)
+        return series + LambdaSeries.one(trunc) * -1
     assert selector == "deg>2n"
     low = LambdaSeries.one(trunc) + LambdaSeries.monomial(SymFunc.scalar(1), 2 * n, trunc)
     for i in range(lo, n // 2 + 1):
         low = low + LambdaSeries.monomial(SymFunc.scalar(1), 4 * i, trunc)
-    return series - low
+    return series + low * -1
 
 
 def _oracle_ch_B(n, trunc):
@@ -160,7 +160,9 @@ def test_bundle_scalar_series_matches_the_geometric_product():
             product = _oracle_geometric(2 * n, trunc)
             for i in range(1, n):
                 product = product * _oracle_geometric(4 * i, trunc)
-            assert _same_series(bundle_scalar_series(n, trunc), product), (n, trunc)
+            counts = bundle_scalar_series(n, trunc)
+            assert all(type(c) is int for c in counts), (n, trunc)
+            assert counts == [product.coefficient(d).coeff(()) for d in range(trunc + 1)], (n, trunc)
 
 
 def test_ch_b_dimension_six():

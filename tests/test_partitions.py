@@ -25,14 +25,11 @@ def test_enumeration_counts():
     assert len(partitions_upto(5)) == sum(expected[:6])
 
 
-def test_enumeration_order_and_max_length():
+def test_enumeration_order():
     parts = partitions_of(4)
     assert parts[0] == Partition((4,))
     assert parts[-1] == Partition((1, 1, 1, 1))
     assert list(parts) == sorted(parts, key=lambda p: p.sort_key())
-    short = partitions_of(6, max_length=2)
-    assert all(len(p) <= 2 for p in short)
-    assert len(short) == 4
 
 
 def test_constructor_cleans_its_input_once():

@@ -218,25 +218,20 @@ def test_mul_scalar_series_matches_the_nl_oracle():
         },
         6,
     )
-    scalar = LambdaSeries(
-        {0: SymFunc.scalar(1), 1: SymFunc.scalar(0), 2: SymFunc.scalar(Fraction(-3, 2)),
-         3: SymFunc.scalar(2), 5: SymFunc.scalar(Fraction(1, 7))},
-        5,
-    )
-    as_classes = ClassSeries(
-        -1, {k: OrthSympClass.unit(-1) * f.coeff(()) for k, f in scalar.terms.items()}, 5
-    )
+    # an integer series known to t^5, one order below the series
+    scalar = [1, 0, -3, 2, 0, 7]
+    as_classes = ClassSeries(-1, {k: OrthSympClass.unit(-1) * c for k, c in enumerate(scalar)}, 5)
     got = series.mul_scalar_series(scalar)
     assert got.trunc == 5
     assert got == _oracle_product(series, as_classes)
-    # t^5 V[2,1]: -1/2 * 1/7 from t^0 * t^5, plus 2/3 * 2 from t^2 * t^3
-    assert got.coefficient(5).coeff((2, 1)) == Fraction(-1, 14) + Fraction(4, 3)
+    # t^5 V[2,1]: -1/2 * 7 from t^0 * t^5, plus 2/3 * 2 from t^2 * t^3
+    assert got.coefficient(5).coeff((2, 1)) == Fraction(-7, 2) + Fraction(4, 3)
 
 
 # Test oracle for the stage pass after exp_h (`pipeline._StagePass`): the
 # Partition-keyed chain it replaced. omega acts on SymFuncs, D relabels
 # them into classes, the L-quotient and the bundle factor are two
-# products of class series by scalar series, coefficient by coefficient,
+# products of class series by integer series, coefficient by coefficient,
 # and the fibre division reads the size-1 rim hooks of one shape at a
 # time.
 
@@ -247,11 +242,12 @@ def _oracle_pre_d(chb, n):
 
 
 def _oracle_scalar_product(series, scalar):
-    trunc = min(series.trunc, scalar.trunc)
+    """A series in nonnegative powers of t times the integer list scalar,
+    known to t^(len(scalar) - 1)."""
+    trunc = min(series.trunc, len(scalar) - 1)
     out = {}
     for i, a in series.terms.items():
-        for j, f in scalar.terms.items():
-            c = f.coeff(())
+        for j, c in enumerate(scalar):
             if c and i + j <= trunc:
                 acc = out.setdefault(i + j, {})
                 for lam, x in a.coeffs.items():
@@ -338,10 +334,7 @@ def test_mask_kernels_on_a_column_at_the_bead_bound():
     assert got.coefficient(6).coeff((1,) * 8) == Fraction(3, 4)
     for n in (1, 3):
         assert divide_by_fiber(series, n) == _oracle_rim_hook_division(series, n)
-    scalar = LambdaSeries(
-        {0: SymFunc.scalar(Fraction(1, 2)), 1: SymFunc.scalar(-3), 4: SymFunc.scalar(Fraction(2, 5))},
-        6,
-    )
+    scalar = [5, -3, 0, 0, 2, 0, 0]
     assert series.mul_scalar_series(scalar) == _oracle_scalar_product(series, scalar)
     cfg = _quiet_config(4, 6, "closed")
     with warnings.catch_warnings():
@@ -351,6 +344,71 @@ def test_mask_kernels_on_a_column_at_the_bead_bound():
         _oracle_scalar_product(series, bundle_scalar_series(2, 6)), 2
     )
     assert adjusted == expected
+
+
+# Test oracle for the integer t-series (`setparts.quotient_factor`,
+# `pipeline.bundle_scalar_series`, `pipeline._pass_scalar`): the products
+# of LambdaSeries of Fraction scalars they replaced, one factor at a time.
+
+
+def _oracle_quotient_factor(n, trunc):
+    """prod_{i > n/2} (1 - t^{4i - 2n}), known to t^trunc."""
+    out = LambdaSeries.one(trunc)
+    for i in range(1, n + trunc + 1):
+        if 2 * i > n:
+            out = out * LambdaSeries({0: 1, 4 * i - 2 * n: -1}, trunc)
+    return out
+
+
+def _oracle_bundle_series(n, trunc):
+    """The product of the geometric series 1/(1 - t^d) over the degrees
+    d = 2n of e and 4i of p_i, 0 < i < n, known to t^trunc."""
+    out = LambdaSeries.one(trunc)
+    for d in [2 * n] + [4 * i for i in range(1, n)]:
+        out = out * LambdaSeries({k: 1 for k in range(0, trunc + 1, d)}, trunc)
+    return out
+
+
+def _scalar_list(series):
+    assert all(f.is_scalar() for f in series.terms.values())
+    return [series.coefficient(d).coeff(()) for d in range(series.trunc + 1)]
+
+
+def test_integer_scalar_series_match_the_lambda_series_products():
+    for n in range(1, 11):
+        for trunc in range(31):
+            quotient = _oracle_quotient_factor(n, trunc)
+            bundle = _oracle_bundle_series(n, trunc)
+            expected = {"disc": quotient, "point": quotient * bundle, "closed": quotient * bundle}
+            got = {variant: pipeline._pass_scalar(n, trunc, variant) for variant in pipeline.VARIANTS}
+            got["quotient"], got["bundle"] = quotient_factor(n, trunc), bundle_scalar_series(n, trunc)
+            expected["quotient"], expected["bundle"] = quotient, bundle
+            for name, series in expected.items():
+                assert all(type(c) is int for c in got[name]), (n, trunc, name)
+                assert list(got[name]) == _scalar_list(series), (n, trunc, name)
+    assert type(quotient_factor(3, 8)) is tuple
+    assert quotient_factor(3, 8) is quotient_factor(3, 8)
+
+
+def test_the_quotient_keeps_the_order_of_a_series_product_on_laurent_series():
+    # The integer list of quotient_factor claims no more than the
+    # LambdaSeries it replaced: known to t^T < 0, both are empty, and a
+    # product with an empty series known to t^T is known to t^(2T + 1)
+    # at most. A list [1] would claim a constant term and a larger order.
+    pieces = {-3: "s[2]", -2: "s[1]", -1: "3", 0: "s[1^2] - 1", 1: "2*s[3]", 2: "-s[1]", 3: "s[2,1]"}
+    for trunc in range(-3, 4):
+        for low in range(-3, trunc + 2):
+            terms = {k: change_basis(text) for k, text in pieces.items() if low <= k <= trunc}
+            series = LambdaSeries(terms, trunc)
+            for n in range(1, 5):
+                expected = series * _oracle_quotient_factor(n, trunc)
+                got = quotient_series_by_L(series, n)
+                assert (got.trunc, got) == (expected.trunc, expected), (trunc, low, n)
+                for epsilon in (-1, 1):
+                    got = quotient_series_by_L(D_series(series, epsilon), n)
+                    assert got == D_series(expected, epsilon), (trunc, low, n, epsilon)
+    example = LambdaSeries({-2: change_basis("s[1]"), -1: 3}, -1)
+    assert quotient_series_by_L(example, 1).trunc == -3
 
 
 def test_quotient_of_a_laurent_series_matches_the_series_product():
@@ -367,11 +425,11 @@ def test_quotient_of_a_laurent_series_matches_the_series_product():
     )
     for n in (1, 2, 3):
         got = quotient_series_by_L(series, n)
-        assert got == series * quotient_factor(n, series.trunc)
+        assert got == series * _oracle_quotient_factor(n, series.trunc)
         assert got.trunc == 8
         for epsilon in (-1, 1):
             got = quotient_series_by_L(D_series(series, epsilon), n)
-            assert got == D_series(series * quotient_factor(n, 9), epsilon)
+            assert got == D_series(series * _oracle_quotient_factor(n, 9), epsilon)
             assert got.trunc == 8
 
 
@@ -393,11 +451,15 @@ def test_the_table_builds_no_symmetric_function_after_exp_h(monkeypatch):
 
 
 def test_a_final_division_with_a_remainder_is_refused(monkeypatch):
-    # Halving the bundle factor leaves an odd multiplicity over 2.
-    original = pipeline.bundle_scalar_series
-    monkeypatch.setattr(
-        pipeline, "bundle_scalar_series", lambda n, trunc: original(n, trunc) * Fraction(1, 2)
-    )
+    # Doubling exp_h's denominator halves E_1 = V[1^3] t, an odd
+    # multiplicity over 2 that no integer scalar series can clear.
+    original = pipeline._exp_h_masks
+
+    def doubled(*args):
+        s_terms, den = original(*args)
+        return s_terms, 2 * den
+
+    monkeypatch.setattr(pipeline, "_exp_h_masks", doubled)
     with pytest.raises(NegativeMultiplicity, match="not an integer"):
         compute_cohomology(PipelineConfig(two_n=2, max_degree=3, variant="point"))
     result = invoke(["cohomology", "--dim", "2", "--max-degree", "3", "--variant", "closed"])
@@ -555,11 +617,8 @@ def test_negative_multiplicity_guard():
 
 
 def test_bundle_scalar_series():
-    series = bundle_scalar_series(1, 6)
     # 1/(1 - t^2) when the window is empty
-    assert [int(series.coefficient(k).coeff(Partition(()))) for k in range(7)] == [
-        1, 0, 1, 0, 1, 0, 1,
-    ]
+    assert bundle_scalar_series(1, 6) == [1, 0, 1, 0, 1, 0, 1]
 
 
 def test_oracle_small_windows():
@@ -590,8 +649,8 @@ def test_the_oracle_series_side_drops_only_shapes_heavier_than_qmax(two_n, q_max
     chb = pipeline._ch_B_within_budget(n, d_max)
     full = pipeline._StagePass(chb, n, "disc")
     cut = pipeline._StagePass(chb, n, "disc", q_max)
-    whole = LambdaSeries._from_masks(full.final, full.final_den, d_max)
-    light = LambdaSeries._from_masks(cut.final, cut.final_den, d_max)
+    whole = LambdaSeries._from_masks(full.final, full.den, d_max)
+    light = LambdaSeries._from_masks(cut.final, cut.den, d_max)
     for d in range(d_max + 1):
         assert max((sum(lam) for lam in light.coefficient(d).coeffs), default=0) <= q_max
         for q in range(q_max + 1):

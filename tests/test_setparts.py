@@ -28,7 +28,6 @@ from torelli.setparts import (
     sigma_character,
     sigma_characters,
 )
-from torelli.symfunc import SymFunc
 
 
 def unit(n):
@@ -398,15 +397,9 @@ def test_apply_morphism_functorial():
 
 
 def test_quotient_factor():
-    qf = quotient_factor(3, 8)
-    assert {k: qf.coefficient(k) for k in qf.exponents()} == {
-        0: SymFunc.scalar(1),
-        2: SymFunc.scalar(-1),
-        6: SymFunc.scalar(-1),
-        8: SymFunc.scalar(1),
-    }
-    qf1 = quotient_factor(1, 5)
-    assert {k: qf1.coefficient(k) for k in qf1.exponents()} == {
-        0: SymFunc.scalar(1),
-        2: SymFunc.scalar(-1),
-    }
+    # (1 - t^2)(1 - t^6) at n = 3, 1 - t^2 at n = 1 up to t^5
+    assert quotient_factor(3, 8) == (1, 0, -1, 0, 0, 0, -1, 0, 1)
+    assert quotient_factor(1, 5) == (1, 0, -1, 0, 0, 0)
+    # known to a negative order, it has no term, as the series it replaced
+    assert quotient_factor(2, -1) == quotient_factor(1, -3) == ()
+    assert all(type(c) is int for c in quotient_factor(3, 8))

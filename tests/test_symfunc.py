@@ -833,7 +833,7 @@ def test_series_arithmetic_and_truncation():
     one = LambdaSeries.one(5)
     t = LambdaSeries.monomial(SymFunc.scalar(1), 1, 5)
     geo = LambdaSeries({k: SymFunc.scalar(1) for k in range(6)}, 5)
-    assert (geo * (one - t)) == one
+    assert (geo * (one + t * -1)) == one
     # truncation is the min of the operand truncations plus valuations
     a = LambdaSeries.monomial(SymFunc.scalar(1), 2, 6)
     b = LambdaSeries.monomial(SymFunc.scalar(1), 3, 4)
