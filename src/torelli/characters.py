@@ -3,8 +3,8 @@
 Class functions and their decomposition into irreducibles. Every
 character value is an entry of one table, the power-sum columns
 `symfunc._p_monomial_schur` (p_mu = sum_lam chi^lam(mu) s_lam), which
-the tests check against a border-strip scan and the rim-hook recursion
-it replaced. The enumeration oracle built on this module stays
+the tests check against a border-strip scan and a rim-hook recursion.
+The enumeration oracle built on this module stays
 independent of the plethysm route through what it decomposes:
 fixed-point characters of the labelled-partition basis.
 """

@@ -39,16 +39,19 @@ class EpsForm:
     matrix is a signed permutation, and so is the inverse form omega,
     the copairing: `copairing` lists omega's 2g nonzeros (x, y, value)
     alone, and the package builds no 2g x 2g table.  The constructor
-    checks the genus and the sign and builds nothing, so a rank can
-    check its set size and budget before any of the 2g nonzeros exist.
+    checks the genus, an int, and the sign, and builds nothing, so a
+    rank can check its set size and budget before any of the 2g
+    nonzeros exist.
     """
 
     def __init__(self, g: int, epsilon: int) -> None:
+        if type(g) is not int:
+            raise ValueError(f"genus must be an integer, got {g!r}")
         if g < 1:
             raise ValueError(f"genus must be positive, got {g}")
         if epsilon not in (1, -1):
             raise ValueError(f"epsilon must be 1 or -1, got {epsilon}")
-        self.g = int(g)
+        self.g = g
         self.epsilon = int(epsilon)
         self.dim = 2 * self.g
 
@@ -201,21 +204,17 @@ def _check_nonzero_budget(size: int, dim: int) -> None:
             )
 
 
-def matching_span_rank(S, g: int, epsilon: int) -> tuple[int, int]:
-    """Exact rank of the matching invariants, with the dimension of the
-    formal matching space they come from.  S is the set size, for the
-    points 1..S, or the points themselves.  The genus, the sign and the
-    set size are checked in that order, then the budget, before any
-    matching or copairing is built."""
+def matching_span_rank(S: int, g: int, epsilon: int) -> tuple[int, int]:
+    """Exact rank of the matching invariants on the points 1..S, with the
+    dimension of the formal matching space they come from.  The genus,
+    the sign and the set size S are checked in that order, then the
+    budget, before any matching or copairing is built."""
     form = EpsForm(g, epsilon)
-    if isinstance(S, int):
-        size, elems = S, range(1, S + 1)
-    else:
-        elems = sorted(int(x) for x in S)
-        size = len(elems)
-    if size < 0 or size % 2:
-        raise ValueError(f"set size must be even and nonnegative, got {size}")
-    _check_nonzero_budget(size, form.dim)
-    matchings = perfect_matchings(elems)
+    if type(S) is not int:
+        raise ValueError(f"set size must be an integer, got {S!r}")
+    if S < 0 or S % 2:
+        raise ValueError(f"set size must be even and nonnegative, got {S}")
+    _check_nonzero_budget(S, form.dim)
+    matchings = perfect_matchings(range(1, S + 1))
     rank = len(_pivot_rows(_omega_nonzeros(m, form) for m in matchings))
     return rank, len(matchings)

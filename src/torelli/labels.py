@@ -172,13 +172,13 @@ def _allowed(n: int, degree: int, size: int, variant: str) -> bool:
     return not (size == 2 and variant == "Pprime" and degree == 0)
 
 
-def _part_label_counts(n: int, d_max: int, variant: str) -> list[list[int]]:
+def _part_label_counts(n: int, d_max: int) -> list[list[int]]:
     """For each part size s in 0..d_max // n + 2, the labels a part of s
-    elements may carry, counted by the degree e + n(s - 2) they give the
-    part, up to d_max.  No part of more elements fits under d_max."""
+    elements may carry in P', counted by the degree e + n(s - 2) they give
+    the part, up to d_max.  No part of more elements fits under d_max."""
     counts = _label_counts(n, d_max + 2 * n)
     return [
-        [counts[e] if e >= 0 and _allowed(n, e, size, variant) else 0
+        [counts[e] if e >= 0 and _allowed(n, e, size, "Pprime") else 0
          for e in range(n * (2 - size), d_max + 1 + n * (2 - size))]
         for size in range(d_max // n + 3)
     ]
@@ -193,7 +193,7 @@ def ch_B(n: int, trunc: int) -> LambdaSeries:
     with h_0 = 1.  The result must have t-valuation >= 1.  The selector
     route is a test oracle in `tests/test_labels.py`.
     """
-    table = _part_label_counts(n, trunc, "Pprime")
+    table = _part_label_counts(n, trunc)
     h = [h_sym(q) for q in range(len(table))]
     total = LambdaSeries(
         {d: sum((h[q] * row[d] for q, row in enumerate(table) if row[d]), SymFunc.zero())

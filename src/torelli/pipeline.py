@@ -66,12 +66,12 @@ STAGES = ("chB", "plethysm", "pre-D", "post-D", "final")
 
 
 def _check_dimension(two_n) -> None:
-    if not isinstance(two_n, int) or two_n < 2 or two_n % 2:
+    if type(two_n) is not int or two_n < 2 or two_n % 2:
         raise ConfigError(f"dimension must be a positive even integer, got {two_n}")
 
 
 def _check_genus(g) -> None:
-    if not isinstance(g, int) or g < 1:
+    if type(g) is not int or g < 1:
         raise ConfigError(f"genus must be a positive integer, got {g}")
 
 
@@ -82,7 +82,7 @@ class PipelineConfig:
 
     def __init__(self, two_n: int, max_degree: int, variant: str = "disc", g: Optional[int] = None):
         _check_dimension(two_n)
-        if not isinstance(max_degree, int) or max_degree < 0:
+        if type(max_degree) is not int or max_degree < 0:
             raise ConfigError(f"max degree must be a nonnegative integer, got {max_degree}")
         if variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -201,9 +201,9 @@ def variant_adjust(series: ClassSeries, cfg: PipelineConfig) -> ClassSeries:
 
 
 def divide_by_fiber(series: ClassSeries, n: int) -> ClassSeries:
-    """Divide a series in nonnegative powers of t by the fibre's
-    class-valued Poincare series 1 + V_1 t^n + t^{2n}, by `_fiber_quotient`
-    on the coefficients as integer combinations of beta-set masks."""
+    """Divide a series by the fibre's class-valued Poincare series
+    1 + V_1 t^n + t^{2n}, by `_fiber_quotient` on the coefficients as
+    integer combinations of beta-set masks."""
     terms, den = series.encode(_fiber_beads(series.longest_column(), series.trunc, n))
     terms = _fiber_quotient(terms, n, series.trunc)
     return series._from_masks(terms, den, series.trunc, series.epsilon)
@@ -448,7 +448,7 @@ def _walk_size(n: int, d_max: int, q_max: int, cap: int) -> int:
     total = 0
     for q in range(q_max + 1):
         if q:
-            floor.append(_block_floor(n, q, "Pprime"))
+            floor.append(_block_floor(n, q))
             counts: dict[int, int] = {}
             for size in range(1, q + 1):
                 ways = comb(q - 1, size - 1)
@@ -493,7 +493,7 @@ def oracle_check(two_n: int, d_max: int, q_max: int) -> OracleReport:
     cells = []
     for q in range(q_max + 1):
         terms = {}
-        for d, chi in sigma_characters(q, n, d_max, "Pprime").items():
+        for d, chi in sigma_characters(q, n, d_max).items():
             f = SymFunc(decompose(chi))
             if not f.is_zero():
                 terms[d] = f

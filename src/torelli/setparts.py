@@ -158,15 +158,15 @@ class SignedPartitionVector:
 
 
 @lru_cache(maxsize=None)
-def _block_floor(n: int, size: int, variant: str) -> int:
-    """Least possible degree of a part of the given size: its least
+def _block_floor(n: int, size: int) -> int:
+    """Least possible degree of a part of the given size in P': its least
     allowed label degree plus n(size - 2)."""
     counts = _label_counts(n, 4 * n)
-    least = min(d for d, c in enumerate(counts) if c and _allowed(n, d, size, variant))
+    least = min(d for d, c in enumerate(counts) if c and _allowed(n, d, size, "Pprime"))
     return least + n * (size - 2)
 
 
-def _orbit_types(q: int, n: int, variant: str, degree_cap: int) -> list[dict[tuple, int]]:
+def _orbit_types(q: int, n: int, degree_cap: int) -> list[dict[tuple, int]]:
     """For each class of weight q, in partitions_of order, the set
     partitions its permutation fixes whose block floors sum to at most
     degree_cap, counted by the sorted (block size, orbit length) pairs
@@ -189,7 +189,7 @@ def _orbit_types(q: int, n: int, variant: str, degree_cap: int) -> list[dict[tup
     ground set too large for the cap is placed.
     """
     size_range = range(1, q + 1)
-    floor = [0] + [_block_floor(n, size, variant) for size in size_range]
+    floor = [0] + [_block_floor(n, size) for size in size_range]
     den = min(size_range, key=lambda size: Fraction(floor[size], size), default=1)
     num = floor[den] if q else 0
     reach = floor[:]
@@ -224,20 +224,19 @@ def _orbit_types(q: int, n: int, variant: str, degree_cap: int) -> list[dict[tup
     return out
 
 
-def _label_series(n: int, d_max: int, variant: str) -> tuple[list[list[int]], list[int]]:
-    """The label counts by degree up to d_max: rows 1 and up of
+def _label_series(n: int, d_max: int) -> tuple[list[list[int]], list[int]]:
+    """The label counts of P' by degree up to d_max: rows 1 and up of
     `labels._part_label_counts` (row 0 zeroed), and the multisets of
     empty parts, the monomials in its row 0, a label of degree e a
     generator of degree e - 2n."""
-    empty_row, *by_size = _part_label_counts(n, d_max, variant)
+    empty_row, *by_size = _part_label_counts(n, d_max)
     steps = [step for step, count in enumerate(empty_row) for _ in range(count)]
     return [[0] * (d_max + 1)] + by_size, monomial_counts(steps, d_max)
 
 
-def sigma_characters(
-    q: int, n: int, d_max: int, variant: str = "Pprime"
-) -> dict[int, ClassFunction]:
-    """Characters of the symmetric group on every degree piece up to d_max.
+def sigma_characters(q: int, n: int, d_max: int) -> dict[int, ClassFunction]:
+    """Characters of the symmetric group on every degree piece of P' up to
+    d_max, the basis the brute-force check counts.
 
     Permutations act on the ground set and, through the orientation
     line, by their sign raised to n.  The character at sigma counts the
@@ -250,14 +249,10 @@ def sigma_characters(
     multiply the sum.  `_orbit_types` counts those set partitions by
     orbit type, and each type's product is formed once per class.
     """
-    if variant == "P":
-        raise ValueError("the unquotiented variant has no finite basis")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     classes = partitions_of(q)
-    by_size, empty = _label_series(n, d_max, variant)
+    by_size, empty = _label_series(n, d_max)
     fixed = [[0] * len(classes) for _ in range(d_max + 1)]
-    for k, types in enumerate(_orbit_types(q, n, variant, d_max)):
+    for k, types in enumerate(_orbit_types(q, n, d_max)):
         for key, count in types.items():
             series = empty
             for size, p in key:
@@ -284,8 +279,10 @@ def sigma_character(
     q: int, n: int, degree: int, variant: str = "Pprime"
 ) -> ClassFunction:
     """Character of the symmetric group on one degree piece, read from
-    sigma_characters."""
-    return sigma_characters(q, n, degree, variant)[degree]
+    sigma_characters; the variant can only be P'."""
+    if variant != "Pprime":
+        raise ValueError(f"characters are counted on the Pprime basis only, got {variant!r}")
+    return sigma_characters(q, n, degree)[degree]
 
 
 @lru_cache(maxsize=None)
@@ -304,6 +301,5 @@ def quotient_series_by_L(series, n: int):
     """Strike the polynomial generators above half weight from a series
     of symmetric functions or of orthogonal or symplectic classes: its
     `mul_scalar_series` by the integer list `quotient_factor` to the
-    series' own order, so a Laurent series keeps the order a series
-    product gives it."""
+    series' own order, which the product keeps."""
     return series.mul_scalar_series(quotient_factor(n, series.trunc))

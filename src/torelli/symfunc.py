@@ -2,10 +2,9 @@
 
 Elements are stored in the Schur basis; the complete (h), elementary (e)
 and power-sum (p) generators enter through `h_sym`, `e_sym` and `p_sym`.
-Truncated t-series over the ring carry a hard truncation order:
-no operation ever claims a coefficient beyond what its inputs determine.
-Negative t-exponents are tolerated inside a series because some inputs
-are assembled from shifted pieces that only cancel at the end.
+Truncated t-series over the ring hold nonnegative exponents only and
+carry a hard truncation order: no operation ever claims a coefficient
+beyond what its inputs determine.
 
 The stable Sp/O classes of `branching` are the same free abelian group
 on partitions with another product, Newell-Littlewood (Koike-Terada
@@ -52,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, perm
 from types import MappingProxyType
-from typing import Callable, Collection, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .partitions import (
     EMPTY,
@@ -427,8 +426,9 @@ class _Series:
     """A truncated series in t whose coefficients are combinations of one
     kind (`kind`) and one epsilon.
 
-    Exponents may be negative; the truncation order is the largest
-    exponent whose coefficient the series claims to know.
+    Exponents are nonnegative, and a negative one is refused; the
+    truncation order is the largest exponent whose coefficient the series
+    claims to know, so a product knows the smaller of its factors' orders.
     """
 
     __slots__ = ("terms", "trunc", "epsilon")
@@ -439,6 +439,8 @@ class _Series:
         self.trunc = int(trunc)
         cleaned = {}
         for k, f in terms.items():
+            if k < 0:
+                raise ValuationViolation(f"a series has no term of negative exponent, got t^{k}")
             if k <= self.trunc:
                 f = self._as_coefficient(f)
                 if f.coeffs:
@@ -524,7 +526,7 @@ class _Series:
             f = self._as_coefficient(other)
             return self._of({k: g * f for k, g in self.terms.items()}, self.trunc, self.epsilon)
         other = self._coerce(other)
-        trunc = _product_trunc(self.terms, self.trunc, other.terms, other.trunc)
+        trunc = min(self.trunc, other.trunc)
         out: dict[int, _Combination] = {}
         for a, f in self.terms.items():
             for b, g in other.terms.items():
@@ -537,25 +539,11 @@ class _Series:
 
     def mul_scalar_series(self, scalar: Sequence[int]):
         """Multiply by an integer t-series, scalar[j] the coefficient of
-        t^j, on integer combinations of masks. The scalar series is known
-        to order len(scalar) - 1, or only to this series' own order when
-        that is lower; the product's order follows the rule of a product."""
-        known = min(self.trunc, len(scalar) - 1)
-        nonzero = [j for j, c in enumerate(scalar) if c and j <= known]
-        trunc = _product_trunc(self.terms, self.trunc, nonzero, known)
+        t^j, on integer combinations of masks. The product is known to the
+        smaller of the two orders, len(scalar) - 1 for the scalar series."""
+        trunc = min(self.trunc, len(scalar) - 1)
         terms, den = self.encode(self.longest_column())
         return self._from_masks(_times_scalar(terms, scalar, trunc), den, trunc, self.epsilon)
-
-    def shift(self, k: int):
-        """Multiply by the exact monomial t^k."""
-        return self._of({a + k: f for a, f in self.terms.items()}, self.trunc + k, self.epsilon)
-
-    def truncate(self, d: int):
-        if d > self.trunc:
-            raise ValuationViolation(
-                f"cannot extend knowledge from order {self.trunc} to {d}"
-            )
-        return self._of(self.terms, d, self.epsilon)
 
     def map_coefficients(self, fn: Callable[[_Combination], _Combination]):
         return self._of({k: fn(f) for k, f in self.terms.items()}, self.trunc, self.epsilon)
@@ -606,19 +594,6 @@ class LambdaSeries(_Series):
         return f"LambdaSeries({self.terms!r}, trunc={self.trunc})"
 
 
-def _product_trunc(x: Collection[int], x_trunc: int, y: Collection[int], y_trunc: int) -> int:
-    """Truncation order of a product of two series, given the exponents of
-    their nonzero terms.
-
-    With Laurent terms present, a product coefficient near the cut may
-    need factors beyond the other input's truncation, so the claimed order
-    shrinks accordingly.
-    """
-    val_x = min(x) if x else x_trunc + 1
-    val_y = min(y) if y else y_trunc + 1
-    return min(x_trunc, y_trunc, val_x + y_trunc, val_y + x_trunc)
-
-
 def exp_h_weight_bound(g: LambdaSeries, trunc: Optional[int] = None) -> int:
     """The largest weight a shape of exp_h(g) can have up to degree trunc
     (by default g.trunc): the floor of r trunc, where r is the largest
@@ -656,17 +631,14 @@ def plethysm(f: SymFunc, g: LambdaSeries) -> LambdaSeries:
     every h_m[g] with m up to M = deg f: it runs on u g, where the
     auxiliary u counts m and u^m t^a is the exponent m B + a. With T the
     truncation of g, B = M T + 1 exceeds every t-degree of h_m[g] for
-    m <= M, so no two terms share an exponent. A g of valuation v < 0 is
-    shifted to valuation 0 first and h_m[g] back by m v; the result is
-    known to order g.trunc + M v, as a product of M factors of g is.
+    m <= M, so no two terms share an exponent. The result is known to
+    the order of g.
     """
-    v = min([0, *g.terms])
-    shifted = g.shift(-v)
-    top, trunc = max(f.degree(), 0), shifted.trunc
+    top, trunc = max(f.degree(), 0), g.trunc
     if trunc < 0:
         raise ValueError(f"plethysm needs g to order t^0 at least, not t^{trunc}")
     base = top * trunc + 1
-    encoded = LambdaSeries({base + a: c for a, c in shifted.terms.items()}, top * base + trunc)
+    encoded = LambdaSeries({base + a: c for a, c in g.terms.items()}, top * base + trunc)
     h_of_g: list[dict[int, SymFunc]] = [{} for _ in range(top + 1)]
     for e, c in exp_h(encoded).terms.items():
         m, a = divmod(e, base)
@@ -678,13 +650,13 @@ def plethysm(f: SymFunc, g: LambdaSeries) -> LambdaSeries:
     for lam, c in f.coeffs.items():
         for mu, x in _jacobi_trudi(lam).items():
             h_terms[mu] = h_terms.get(mu, 0) + c * x
-    total = LambdaSeries.zero(g.trunc + top * v)
+    total = LambdaSeries.zero(trunc)
     for mu, c in h_terms.items():
         if c:
             term = LambdaSeries.one(trunc)
             for part in mu:
                 term = term * h_series[part]
-            total = total + term.shift(sum(mu) * v).truncate(total.trunc) * c
+            total = total + term * c
     return total
 
 

@@ -4,6 +4,8 @@ class.
 
 `labels_up_to` lists the monomials of the label algebra up to a degree,
 one by one; the package only counts them (`labels._label_counts`).
+`block_floor` is the least degree of a block in P0 or P', read from the
+label rule and counts of `labels`; the package's floors are P' only.
 `_blocks_within` walks the set partitions of a ground set whose block
 floors fit a degree cap, one element at a time.  `enumerate_basis`
 labels their blocks, and `sigma_characters` counts, for each cycle type,
@@ -13,7 +15,7 @@ labels on the fixed ones by orbit type.  The package's
 `setparts.sigma_characters` counts the same fixed points by one walk
 over the cycles of each class, and builds no `LabelledPartition`; this
 module holds the slow routes it is checked against, and
-`graph_oracle.presentation_audit` reads its basis.
+`graph_oracle.presentation_audit` reads its basis in P0.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from operator import itemgetter
 from typing import Iterator
 
 from torelli.characters import ClassFunction
-from torelli.labels import LabelMonomial, generator_window
+from torelli.labels import LabelMonomial, _allowed, _label_counts, generator_window
 from torelli.partitions import Partition, partitions_of
-from torelli.setparts import VARIANTS, LabelledPartition, _block_floor, _label_series
+from torelli.setparts import VARIANTS, LabelledPartition, _label_series
 
 
 @lru_cache(maxsize=None)
@@ -56,6 +58,16 @@ def labels_up_to(n: int, cap: int) -> tuple[LabelMonomial, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def block_floor(n: int, size: int, variant: str) -> int:
+    """Least possible degree of a part of the given size in P0 or P':
+    its least allowed label degree plus n(size - 2).  The package's
+    `setparts._block_floor` knows P' alone."""
+    counts = _label_counts(n, 4 * n)
+    least = min(d for d, c in enumerate(counts) if c and _allowed(n, d, size, variant))
+    return least + n * (size - 2)
+
+
 def _blocks_within(
     elems: tuple[int, ...], n: int, variant: str, degree_cap: int
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -77,7 +89,7 @@ def _blocks_within(
     negative, so neither a new block nor a grown one lowers a bound.
     """
     size_range = range(1, len(elems) + 1)
-    floor = [0] + [_block_floor(n, size, variant) for size in size_range]
+    floor = [0] + [block_floor(n, size, variant) for size in size_range]
     den = min(size_range, key=lambda size: Fraction(floor[size], size), default=1)
     num = floor[den] if elems else 0
     reach = floor[:]
@@ -142,7 +154,7 @@ def enumerate_basis(
 
     out: list[LabelledPartition] = []
     for blocks in _blocks_within(elems, n, variant, degree_cap):
-        floors = [_block_floor(n, len(b), variant) for b in blocks]
+        floors = [block_floor(n, len(b), variant) for b in blocks]
 
         def assign(i: int, budget: int, acc: list) -> None:
             if i == len(blocks):
@@ -240,11 +252,9 @@ def sigma_characters(
     }
 
 
-def set_partition_characters(
-    q: int, n: int, d_max: int, variant: str = "Pprime"
-) -> dict[int, ClassFunction]:
-    """Test oracle: the characters of `setparts.sigma_characters`, by one
-    walk over all set partitions and a fixed-point test per class.
+def set_partition_characters(q: int, n: int, d_max: int) -> dict[int, ClassFunction]:
+    """Test oracle: the characters of `setparts.sigma_characters` on P', by
+    one walk over all set partitions and a fixed-point test per class.
 
     Permutations act on the ground set and, through the orientation
     line, by their sign raised to n.  The character at sigma counts the
@@ -260,10 +270,6 @@ def set_partition_characters(
     partitions are counted by their orbit types, and each type's product
     is formed once per class.  No labelled partition is built.
     """
-    if variant == "P":
-        raise ValueError("the unquotiented variant has no finite basis")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     classes = partitions_of(q)
     # moves[k](word) is the word read through the k-th permutation, as a
     # tuple; itemgetter of a single index would return the item itself.
@@ -272,7 +278,7 @@ def set_partition_characters(
         sigma = _perm_from_cycle_type(q, mu)
         moves.append(itemgetter(*[sigma[x] - 1 for x in range(1, q + 1)]) if q > 1 else tuple)
     orbit_types: list[dict[tuple, int]] = [{} for _ in classes]
-    for blocks in _blocks_within(tuple(range(1, q + 1)), n, variant, d_max):
+    for blocks in _blocks_within(tuple(range(1, q + 1)), n, "Pprime", d_max):
         block = [0] * q
         for k, b in enumerate(blocks):
             for x in b:
@@ -296,7 +302,7 @@ def set_partition_characters(
             key = tuple(sorted(orbits))
             types[key] = types.get(key, 0) + 1
 
-    by_size, empty = _label_series(n, d_max, variant)
+    by_size, empty = _label_series(n, d_max)
     fixed = [[0] * len(classes) for _ in range(d_max + 1)]
     for k, types in enumerate(orbit_types):
         for key, count in types.items():

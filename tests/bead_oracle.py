@@ -48,7 +48,7 @@ from torelli.partitions import (
     ribbon_strips,
     z_lambda,
 )
-from torelli.symfunc import LambdaSeries, SymFunc, _product_trunc
+from torelli.symfunc import LambdaSeries, SymFunc
 
 
 def partitions_upto(n: int) -> list[Partition]:
@@ -240,9 +240,9 @@ def _stretch(x: Mapping[Partition, Fraction], k: int) -> dict[Partition, Fractio
 
 
 def _p_series_mul(x: dict, x_trunc: int, y: dict, y_trunc: int) -> tuple[dict, int]:
-    """Product of two p-series {t-exponent: {mu: c}}, with the truncation
-    rule of LambdaSeries, where p_mu * p_nu = p_{mu merged with nu}."""
-    trunc = _product_trunc(x, x_trunc, y, y_trunc)
+    """Product of two p-series {t-exponent: {mu: c}}, known to the smaller
+    of the two orders, where p_mu * p_nu = p_{mu merged with nu}."""
+    trunc = min(x_trunc, y_trunc)
     out: dict[int, dict] = {}
     for a, f in x.items():
         for b, g in y.items():

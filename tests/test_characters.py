@@ -217,13 +217,12 @@ def _fraction_decompose(chi):
 
 def test_decompose_matches_the_fraction_inner_product():
     cases = 0
-    for variant in ("P0", "Pprime"):
-        for n in (1, 2, 3, 5):
-            for q in range(7):
-                for chi in sigma_characters(q, n, 7, variant).values():
-                    assert decompose(chi) == _fraction_decompose(chi), (variant, n, q)
-                    cases += 1
-    assert cases == 448
+    for n in (1, 2, 3, 5):
+        for q in range(7):
+            for chi in sigma_characters(q, n, 7).values():
+                assert decompose(chi) == _fraction_decompose(chi), (n, q)
+                cases += 1
+    assert cases == 224
     # Virtual characters and non-characters: the same result or message.
     rng = random.Random(5)
     outcomes = set()

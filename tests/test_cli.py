@@ -106,8 +106,8 @@ def test_a_failing_oracle_exits_2_after_its_report(monkeypatch):
     # One enumerated character doubled at q = 2, d = 2 fails one cell.
     characters = pipeline.sigma_characters
 
-    def doubled(q, n, d_max, variant):
-        chis = characters(q, n, d_max, variant)
+    def doubled(q, n, d_max):
+        chis = characters(q, n, d_max)
         if q == 2:
             chis[2] = ClassFunction(2, {mu: 2 * v for mu, v in chis[2].values.items()})
         return chis

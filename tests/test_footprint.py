@@ -207,7 +207,9 @@ def test_helpers_no_command_reaches_stay_out_of_the_package():
     # `labels_up_to` in tests/basis_oracle.py, the hook-length formula and
     # `homogeneous_components` in tests/bead_oracle.py, `corolla` and the
     # JSON writer of graphs in tests/test_graphs.py; a test oracle that
-    # subtracts series adds x * -1. `parse_partition`,
+    # subtracts series adds x * -1, and one that shifts a series does it
+    # on its terms, since a series holds no negative exponent and a
+    # product knows the smaller order. `parse_partition`,
     # `parse_label` and `parse_graph` read numbers by one rule.
     from torelli import branching, characters, graphs, labels, partitions, pipeline, setparts, symfunc
 
@@ -222,7 +224,8 @@ def test_helpers_no_command_reaches_stay_out_of_the_package():
         setparts.LabelledPartition: ["to_json"],
         characters.ClassFunction: ["value", "__add__", "__sub__", "__mul__", "__rmul__"],
         symfunc._Combination: ["homogeneous_components", "__rsub__"],
-        symfunc._Series: ["__rsub__", "__neg__", "__sub__"],
+        symfunc: ["_product_trunc"],
+        symfunc._Series: ["__rsub__", "__neg__", "__sub__", "shift", "truncate"],
         branching.OrthSympClass: ["zero"],
         branching.ClassSeries: ["zero"],
         pipeline.CohomologyTable: ["max_degree"],
@@ -235,6 +238,15 @@ def test_helpers_no_command_reaches_stay_out_of_the_package():
     modules = sorted(Path(torelli.__file__).parent.glob("*.py"))
     sources = {path.name: path.read_text(encoding="utf-8") for path in modules}
     assert [name for name in moved if any(f"def {name}(" in text for text in sources.values())] == []
+    assert [f"{path}: {name}" for path, text in sources.items()
+            for name in ("_product_trunc", "shift", "truncate") if f"def {name}(" in text] == []
+    # characters are counted on P' alone; only the label rule and the
+    # held `sigma_character` name a variant
+    from inspect import signature
+
+    counted = (setparts.sigma_characters, setparts._orbit_types, setparts._label_series,
+               setparts._block_floor, labels._part_label_counts)
+    assert [f.__name__ for f in counted if "variant" in signature(f).parameters] == []
     assert [name for name in moved + ["poincare_series"] if name in torelli.__all__] == []
     assert [name for name, text in sources.items() if "def _is_number(" in text] == ["partitions.py"]
     assert labels._is_number is graphs._is_number is partitions._is_number

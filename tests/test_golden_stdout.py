@@ -6,8 +6,9 @@ stages after exp_h were moved onto beta-set masks, except the dim 2
 plethysm dump and the dim 2 degree 9 closed table, which were taken
 before exp_h moved from p-monomials to ribbon strips, and the dim 2 and
 dim 10 chB dumps, which were taken before ch_B moved from products of
-geometric series to one table of label counts; each graph sha256,
-before the graph oracle left the package.  None may be re-taken from
+geometric series to one table of label counts, and the two `--genus`
+tables, which were taken before series lost their negative exponents;
+each graph sha256, before the graph oracle left the package.  None may be re-taken from
 later output: a change here means the printed output changed.
 """
 
@@ -68,6 +69,16 @@ GOLDEN = [
     (
         "series --dim 10 --max-degree 12 --stage chB",
         "98dae094cb8800a3feb4ec6b6ada08a88a90e01dbbb785b04e198413d61508e8",
+    ),
+    # the trust window's marks and its closing line, and the dimension 4
+    # note that no finite-genus window is known
+    (
+        "cohomology --dim 6 --max-degree 6 --genus 9",
+        "a1ab8fa89e491a977f3e4f99b4ee546a91b60a8a58d5f309e26e4ddaab3471cd",
+    ),
+    (
+        "cohomology --dim 4 --max-degree 4 --genus 3",
+        "793f93aa400ae87cb494da9d49935414d38b4b1c70f2d3faaa619be42486a77e",
     ),
 ]
 

@@ -133,15 +133,18 @@ def test_a_repeated_element_is_refused_by_the_one_builder():
     for build in (_omega_nonzeros, omega_m, dense_omega_m):
         with pytest.raises(NotPerfect, match="repeats an element"):
             build([(1, 1)], form)
-    for points in ([1, 1], [1, 2, 2, 3]):
-        with pytest.raises(NotPerfect, match="repeats an element"):
-            matching_span_rank(points, 1, 1)
 
 
 def test_rank_inputs_are_checked_in_the_library_in_order():
     # genus, then epsilon, then set size, then the budget, in the words
-    # `invariants rank` prints
+    # `invariants rank` prints; a genus and a set size are ints, not
+    # bools, floats (int() would read a genus 1.5 as 1) or point lists
     cases = [
+        ((4, 1.5, -1), "genus must be an integer, got 1.5"),
+        ((4.0, True, -1), "genus must be an integer, got True"),
+        ((4.0, 1, -1), "set size must be an integer, got 4.0"),
+        ((True, 1, 1), "set size must be an integer, got True"),
+        (([1, 1], 1, 1), "set size must be an integer, got [1, 1]"),
         ((2, 0, 1), "genus must be positive, got 0"),
         ((3, 0, 2), "genus must be positive, got 0"),
         ((3, 1, 2), "epsilon must be 1 or -1, got 2"),
@@ -149,7 +152,7 @@ def test_rank_inputs_are_checked_in_the_library_in_order():
         ((3, 1, 1), "set size must be even and nonnegative, got 3"),
         ((-2, 1, 1), "set size must be even and nonnegative, got -2"),
         ((21, 1, 1), "set size must be even and nonnegative, got 21"),
-        (([1, 2, 3], 1, 1), "set size must be even and nonnegative, got 3"),
+        (([1, 2, 3], 1, 1), "set size must be an integer, got [1, 2, 3]"),
         ((10, 3, 1), "10-point matching tensors in dimension 6 exceed the oracle cap"),
     ]
     for args, message in cases:
@@ -157,6 +160,7 @@ def test_rank_inputs_are_checked_in_the_library_in_order():
             matching_span_rank(*args)
         assert str(info.value).startswith(message), (args, info.value)
     for (g, eps), message in {
+        (1.5, -1): "genus must be an integer, got 1.5",
         (0, 1): "genus must be positive, got 0",
         (1, 2): "epsilon must be 1 or -1, got 2",
     }.items():

@@ -114,19 +114,26 @@ def _oracle_poincare_series(n, selector, trunc):
     return series + low * -1
 
 
+def _shifted(series, k, trunc):
+    """series times t^k, known to t^trunc; every exponent it keeps is at
+    least 1, since the selectors of the pieces shifted down start above
+    the shift."""
+    return LambdaSeries({a + k: f for a, f in series.terms.items()}, trunc)
+
+
 def _oracle_ch_B(n, trunc):
     """Test oracle: ch(B) summed from the selector series of
     `_oracle_poincare_series`, shifted and multiplied by h_q term by
     term.  `labels.ch_B` reads one table of label counts by part size."""
-    total = _oracle_poincare_series(n, "deg>2n", trunc + 2 * n).shift(-2 * n).truncate(trunc)
-    piece1 = _oracle_poincare_series(n, "deg>=n", trunc + n).shift(-n).truncate(trunc)
+    total = _shifted(_oracle_poincare_series(n, "deg>2n", trunc + 2 * n), -2 * n, trunc)
+    piece1 = _shifted(_oracle_poincare_series(n, "deg>=n", trunc + n), -n, trunc)
     total = total + piece1.map_coefficients(lambda c: h_sym(1) * c)
     piece2 = _oracle_poincare_series(n, "deg>0", trunc)
     total = total + piece2.map_coefficients(lambda c: h_sym(2) * c)
     full = _oracle_poincare_series(n, "all", trunc)
     q = 3
     while n * (q - 2) <= trunc:
-        shifted = full.truncate(trunc - n * (q - 2)).shift(n * (q - 2))
+        shifted = _shifted(full, n * (q - 2), trunc)
         hq = h_sym(q)
         total = total + shifted.map_coefficients(lambda c, hq=hq: hq * c)
         q += 1

@@ -61,6 +61,17 @@ def test_config_validation():
         PipelineConfig(two_n=6, max_degree=2, variant="torus")
     with pytest.raises(ConfigError):
         PipelineConfig(two_n=6, max_degree=-1)
+    # isinstance(True, int) holds, but a max degree True would give a
+    # table trusted through degree True, and a genus True a stable range
+    # of -1
+    for build, message in (
+        (lambda: PipelineConfig(6, True), "max degree must be a nonnegative integer, got True"),
+        (lambda: PipelineConfig(6, 2, g=True), "genus must be a positive integer, got True"),
+        (lambda: PipelineConfig(True, 2), "dimension must be a positive even integer, got True"),
+        (lambda: stable_range(6, True), "genus must be a positive integer, got True"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            build()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         PipelineConfig(two_n=4, max_degree=1)
@@ -390,47 +401,42 @@ def test_integer_scalar_series_match_the_lambda_series_products():
     assert quotient_factor(3, 8) is quotient_factor(3, 8)
 
 
-def test_the_quotient_keeps_the_order_of_a_series_product_on_laurent_series():
+def test_the_quotient_keeps_the_order_of_a_series_product():
     # The integer list of quotient_factor claims no more than the
-    # LambdaSeries it replaced: known to t^T < 0, both are empty, and a
-    # product with an empty series known to t^T is known to t^(2T + 1)
-    # at most. A list [1] would claim a constant term and a larger order.
-    pieces = {-3: "s[2]", -2: "s[1]", -1: "3", 0: "s[1^2] - 1", 1: "2*s[3]", 2: "-s[1]", 3: "s[2,1]"}
+    # LambdaSeries it replaced, at every valuation: the series' own order,
+    # down to the empty series known to t^T < 0.
+    pieces = {0: "s[1^2] - 1", 1: "2*s[3]", 2: "-s[1]", 3: "s[2,1]"}
     for trunc in range(-3, 4):
-        for low in range(-3, trunc + 2):
+        for low in range(max(trunc, -1) + 2):
             terms = {k: change_basis(text) for k, text in pieces.items() if low <= k <= trunc}
             series = LambdaSeries(terms, trunc)
             for n in range(1, 5):
                 expected = series * _oracle_quotient_factor(n, trunc)
                 got = quotient_series_by_L(series, n)
-                assert (got.trunc, got) == (expected.trunc, expected), (trunc, low, n)
+                assert (got.trunc, got) == (trunc, expected), (trunc, low, n)
                 for epsilon in (-1, 1):
                     got = quotient_series_by_L(D_series(series, epsilon), n)
-                    assert got == D_series(expected, epsilon), (trunc, low, n, epsilon)
-    example = LambdaSeries({-2: change_basis("s[1]"), -1: 3}, -1)
-    assert quotient_series_by_L(example, 1).trunc == -3
+                    assert (got.trunc, got) == (trunc, D_series(expected, epsilon)), (trunc, low, n, epsilon)
 
 
-def test_quotient_of_a_laurent_series_matches_the_series_product():
-    # Series products shrink the claimed order by a t^-1 term, for
-    # symmetric functions and for classes alike.
-    series = LambdaSeries(
-        {
-            -1: change_basis("1/2*s[1^4] - s[2]"),
-            0: change_basis("3"),
-            2: change_basis("-2/3*s[3,1] + s[1^2]"),
-            5: change_basis("s[2^2,1]"),
-        },
-        9,
-    )
-    for n in (1, 2, 3):
-        got = quotient_series_by_L(series, n)
-        assert got == series * _oracle_quotient_factor(n, series.trunc)
-        assert got.trunc == 8
-        for epsilon in (-1, 1):
-            got = quotient_series_by_L(D_series(series, epsilon), n)
-            assert got == D_series(series * _oracle_quotient_factor(n, 9), epsilon)
-            assert got.trunc == 8
+def test_quotient_of_a_series_matches_the_series_product():
+    # for symmetric functions and for classes alike, at every order up to
+    # a series of four terms, the first at t^0
+    pieces = {
+        0: change_basis("1/2*s[1^4] - s[2]"),
+        1: change_basis("3"),
+        3: change_basis("-2/3*s[3,1] + s[1^2]"),
+        6: change_basis("s[2^2,1]"),
+    }
+    for trunc in range(10):
+        series = LambdaSeries(pieces, trunc)
+        for n in (1, 2, 3):
+            expected = series * _oracle_quotient_factor(n, trunc)
+            got = quotient_series_by_L(series, n)
+            assert (got.trunc, got) == (trunc, expected), (trunc, n)
+            for epsilon in (-1, 1):
+                got = quotient_series_by_L(D_series(series, epsilon), n)
+                assert (got.trunc, got) == (trunc, D_series(expected, epsilon)), (trunc, n, epsilon)
 
 
 def test_the_table_builds_no_symmetric_function_after_exp_h(monkeypatch):

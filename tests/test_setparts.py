@@ -143,16 +143,18 @@ def _oracle_label_series(n, d_max, variant):
 
 
 def test_label_series_and_floors_match_the_enumerated_labels():
-    for variant in ("P0", "Pprime"):
-        for n in range(1, 9):
-            for d_max in range(25):
-                assert _label_series(n, d_max, variant) == _oracle_label_series(n, d_max, variant), (
-                    variant, n, d_max,
-                )
-            labels = labels_up_to(n, 4 * n)
-            for size in range(1, 15):
+    # the package's series and floors in P', the basis oracle's floors in
+    # P0 and P' too
+    for n in range(1, 9):
+        for d_max in range(25):
+            assert _label_series(n, d_max) == _oracle_label_series(n, d_max, "Pprime"), (n, d_max)
+        labels = labels_up_to(n, 4 * n)
+        for size in range(1, 15):
+            for variant in ("P0", "Pprime"):
                 least = min(m.degree for m in labels if _oracle_allowed(m, size, variant))
-                assert _block_floor(n, size, variant) == least + n * (size - 2), (variant, n, size)
+                floor = least + n * (size - 2)
+                assert basis_oracle.block_floor(n, size, variant) == floor, (variant, n, size)
+            assert _block_floor(n, size) == basis_oracle.block_floor(n, size, "Pprime"), (n, size)
 
 
 def test_floor_pruned_walk_matches_the_bell_walk():
@@ -163,7 +165,9 @@ def test_floor_pruned_walk_matches_the_bell_walk():
             for q in range(10):
                 elems = tuple(range(1, q + 1))
                 walk = list(_set_partitions(elems))
-                floors = [sum(_block_floor(n, len(b), variant) for b in blocks) for blocks in walk]
+                floors = [
+                    sum(basis_oracle.block_floor(n, len(b), variant) for b in blocks) for blocks in walk
+                ]
                 for cap in range(9):
                     kept = [blocks for blocks, floor in zip(walk, floors) if floor <= cap]
                     assert list(_blocks_within(elems, n, variant, cap)) == kept, (
@@ -186,11 +190,10 @@ def test_cycle_walks_match_the_per_class_test():
     # every class
     for n, caps in ((1, (0, 2)), (3, (1, 4)), (5, (2, 9))):
         for cap in caps:
-            for variant in ("P0", "Pprime"):
-                for q in range(11):
-                    assert sigma_characters(q, n, cap, variant) == (
-                        basis_oracle.set_partition_characters(q, n, cap, variant)
-                    ), (n, cap, variant, q)
+            for q in range(11):
+                assert sigma_characters(q, n, cap) == (
+                    basis_oracle.set_partition_characters(q, n, cap)
+                ), (n, cap, q)
 
 
 def test_cycle_walks_charge_the_elements_still_to_place():
@@ -230,14 +233,21 @@ def test_enumerate_basis_rejects_unquotiented():
     for variant, message in (("P", "no finite basis"), ("Q", "unknown variant")):
         with pytest.raises(ValueError, match=message):
             enumerate_basis(2, 3, variant, 4)
-        with pytest.raises(ValueError, match=message):
-            sigma_characters(2, 3, 4, variant)
+    # the package counts characters on P' alone
+    for variant in ("P", "Q", "P0"):
+        with pytest.raises(ValueError, match=f"Pprime basis only, got '{variant}'"):
+            sigma_character(2, 3, 2, variant)
 
 
 def test_sigma_character_small():
-    chi = sigma_character(2, 3, 2, "P0")
-    assert chi.values == {Partition((1, 1)): 3, Partition((2,)): -3}
-    assert decompose(chi) == {Partition((1, 1)): 3}
+    # q = 2, n = 3, degree 2: in P' the unit pair is gone, and only the two
+    # singletons labelled p_1 are left; the swap fixes them, with the sign
+    # (-1)^n of the orientation
+    chi = sigma_character(2, 3, 2, "Pprime")
+    assert chi.values == {Partition((1, 1)): 1, Partition((2,)): -1}
+    assert chi == basis_oracle.sigma_characters(2, 3, 2, "Pprime")[2]
+    assert [str(P) for P in enumerate_basis(2, 3, "Pprime", 2) if P.degree == 2] == ["(1|p1)(2|p1)"]
+    assert decompose(chi) == {Partition((1, 1)): 1}
 
 
 def test_sigma_character_triples():
@@ -277,18 +287,15 @@ def test_sigma_characters_match_transport_oracle():
     # three routes: the count over set partitions, the fixed points of the
     # enumerated basis, and (below weight 8, where it is slow) transport
     # on the basis of each degree
-    for variant in ("P0", "Pprime"):
-        for n in (1, 3, 5):
-            for q in range(9):
-                chis = sigma_characters(q, n, 8, variant)
-                assert chis == basis_oracle.sigma_characters(q, n, 8, variant), (variant, n, q)
-                assert sorted(chis) == list(range(9))
-                if q == 8:
-                    continue
-                for d, chi in chis.items():
-                    assert chi == _transport_character(q, n, d, variant), (
-                        variant, n, q, d,
-                    )
+    for n in (1, 3, 5):
+        for q in range(9):
+            chis = sigma_characters(q, n, 8)
+            assert chis == basis_oracle.sigma_characters(q, n, 8, "Pprime"), (n, q)
+            assert sorted(chis) == list(range(9))
+            if q == 8:
+                continue
+            for d, chi in chis.items():
+                assert chi == _transport_character(q, n, d, "Pprime"), (n, q, d)
 
 
 def test_oracle_builds_no_labelled_partition(monkeypatch):
