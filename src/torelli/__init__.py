@@ -13,13 +13,13 @@ _LAZY = {
         "branching": "ClassSeries D_series OrthSympClass class_to_schur dim_irrep "
         "nl_product restrict_coeffs restrict_schur",
         "characters": "ClassFunction decompose murnaghan_nakayama",
+        "errors": "ConfigError NegativeMultiplicity Unsupported",
         "graphs": "MarkedGraph parse_graph reduce",
         "invariants": "EpsForm matching_span_rank omega_m perfect_matchings",
         "labels": "LabelMonomial ch_B l_class l_class_image parse_label",
         "partitions": "Partition parse_partition partitions_of z_lambda",
-        "pipeline": "CohomologyTable ConfigError ExtrapolationWarning NegativeMultiplicity "
-        "OracleReport PipelineConfig Unsupported compute_cohomology oracle_check "
-        "stable_range variant_adjust",
+        "pipeline": "CohomologyTable ExtrapolationWarning OracleReport PipelineConfig "
+        "compute_cohomology oracle_check stable_range variant_adjust",
         "setparts": "LabelledPartition SignedPartitionVector quotient_series_by_L "
         "sigma_character sigma_characters",
         "symfunc": "LambdaSeries SymFunc change_basis exp_h lr_coefficient omega plethysm",

@@ -1,38 +1,34 @@
 """Command-line front end for the cohomology tables and their checks.
 
-Each command runs in a fresh interpreter, so this module imports only
-what `cohomology`, `series` and `oracle` need; `json`, `graphs` and
-`invariants` are imported by the commands that use them.  The parser is
+Each command runs in a fresh interpreter, so a run pays only for what
+its command needs: `import torelli.cli` loads `argparse` and the errors
+in `torelli.errors`, `main` builds the parser of the command named first
+on the command line (every parser when none is named, for the help and
+usage texts), and each command imports the modules it runs (`pipeline`,
+`labels`, `graphs`, `invariants`, `json`) in its body.  The parser is
 the standard library's `argparse`.  Commands raise and `main` alone
 picks the exit code: 2 for a usage error or an internal inconsistency
 (`NegativeMultiplicity`), 3 for a refused configuration (`ConfigError`,
 `Unsupported`), each with one line on stderr, and 1, with no message,
-for a closed stdout (as in `torelli ... | head`).  The oracle exits 2
+for a closed stdout (as in `torelli ... | head`).  The oracle returns 2
 after a report with a failing cell.
+
+`main()` without arguments reads the process's own (the console script,
+`python -m torelli.cli`): it flushes stdout and stderr and ends the
+process with `os._exit`, skipping the interpreter's teardown, so atexit
+handlers do not run.  `main(argv)` with a list returns the exit code.
 """
 
 import argparse
 import os
 import sys
-from fractions import Fraction
 
-from .labels import L_CLASS_INDEX_CAP, l_class, l_class_image, render_label_combination
-from .pipeline import (
-    STAGES,
-    ConfigError,
-    NegativeMultiplicity,
-    PipelineConfig,
-    Unsupported,
-    _check_dimension,
-    compute_cohomology,
-    oracle_check,
-    stable_range,
-)
+from .errors import ConfigError, NegativeMultiplicity, Unsupported
 
 FORMATS = ("text", "json", "latex")
 
 
-def _coeff_json(c: Fraction):
+def _coeff_json(c):
     return int(c) if c.denominator == 1 else str(c)
 
 
@@ -55,6 +51,8 @@ def _latex_class(cls) -> str:
 
 def cohomology(two_n, max_degree, variant, genus, fmt):
     """Decompose each degree into irreducible classes."""
+    from .pipeline import PipelineConfig, compute_cohomology
+
     cfg = PipelineConfig(two_n=two_n, max_degree=max_degree, variant=variant, g=genus)
     if fmt not in FORMATS:
         raise ConfigError(f"output must be one of {FORMATS}, got {fmt!r}")
@@ -90,6 +88,8 @@ def cohomology(two_n, max_degree, variant, genus, fmt):
 
 def series(two_n, max_degree, stage, variant):
     """Print one intermediate series of the computation."""
+    from .pipeline import STAGES, PipelineConfig, compute_cohomology
+
     if stage not in STAGES:
         raise ConfigError(f"stage must be one of {STAGES}, got {stage!r}")
     table = compute_cohomology(PipelineConfig(two_n=two_n, max_degree=max_degree, variant=variant))
@@ -98,6 +98,8 @@ def series(two_n, max_degree, stage, variant):
 
 def oracle(two_n, qmax, dmax):
     """Cross-check the series against direct enumeration, cell by cell."""
+    from .pipeline import oracle_check
+
     report = oracle_check(two_n, dmax, qmax)
     for cell in report.cells:
         status = "pass" if cell.ok else "FAIL"
@@ -108,18 +110,22 @@ def oracle(two_n, qmax, dmax):
     bad = len(report.failures())
     if bad:
         print(f"{bad} of {len(report.cells)} cells FAIL")
-        sys.exit(2)
+        return 2
     print(f"all {len(report.cells)} cells pass")
 
 
 def lclass(max_index, two_n):
     """Print the Hirzebruch polynomials, optionally with their images."""
+    from .labels import L_CLASS_INDEX_CAP, l_class, l_class_image, render_label_combination
+
     if max_index < 1:
         raise ConfigError(f"--max must be positive, got {max_index}")
     if max_index > L_CLASS_INDEX_CAP:
         raise ConfigError(f"--max {max_index} exceeds the L-class cap of {L_CLASS_INDEX_CAP}")
     n = None
     if two_n is not None:
+        from .pipeline import _check_dimension
+
         _check_dimension(two_n)
         n = two_n // 2
     for i in range(1, max_index + 1):
@@ -176,6 +182,8 @@ def invariants_rank(genus, set_size, epsilon):
 
 def range_cmd(two_n, genus):
     """Largest degree trusted at the given genus."""
+    from .pipeline import stable_range
+
     print(stable_range(two_n, genus))
 
 
@@ -199,53 +207,77 @@ def _group(commands, name: str, doc: str):
     return sub.add_subparsers(metavar="COMMAND", required=True)
 
 
-def main(argv=None) -> int:
-    """Stable cohomology of Torelli groups of even-dimensional handlebody doubles."""
+# The top-level commands, in the order the help lists them.
+COMMANDS = ("cohomology", "series", "oracle", "lclass", "graph", "invariants", "range")
+
+
+def _parser(argv) -> argparse.ArgumentParser:
+    """The parser with the subparser of the command argv names first, or
+    with every subparser when argv names none (help, an unknown command,
+    no arguments); a command's own parser is the same either way."""
     parser = argparse.ArgumentParser(prog="torelli", description=main.__doc__, allow_abbrev=False)
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    named = (argv[0],) if argv and argv[0] in COMMANDS else COMMANDS
 
-    sub = _command(commands, "cohomology", cohomology)
-    sub.add_argument("--dim", dest="two_n", type=int, required=True, help="Manifold dimension 2n.")
-    sub.add_argument("--max-degree", type=int, required=True, help="Highest cohomological degree.")
-    sub.add_argument("--variant", default="disc", help="disc, point or closed.")
-    sub.add_argument("--genus", type=int, default=None, help="Finite genus for the trust window.")
-    sub.add_argument("--format", dest="fmt", default="text", help="text, json or latex.")
+    if "cohomology" in named:
+        sub = _command(commands, "cohomology", cohomology)
+        sub.add_argument("--dim", dest="two_n", type=int, required=True, help="Manifold dimension 2n.")
+        sub.add_argument("--max-degree", type=int, required=True, help="Highest cohomological degree.")
+        sub.add_argument("--variant", default="disc", help="disc, point or closed.")
+        sub.add_argument("--genus", type=int, default=None, help="Finite genus for the trust window.")
+        sub.add_argument("--format", dest="fmt", default="text", help="text, json or latex.")
 
-    sub = _command(commands, "series", series)
-    sub.add_argument("--dim", dest="two_n", type=int, required=True)
-    sub.add_argument("--max-degree", type=int, required=True)
-    sub.add_argument("--stage", required=True, help="|".join(STAGES))
-    sub.add_argument("--variant", default="disc", help="Variant applied at the final stage.")
+    if "series" in named:
+        from .pipeline import STAGES
 
-    sub = _command(commands, "oracle", oracle)
-    sub.add_argument("--dim", dest="two_n", type=int, required=True)
-    sub.add_argument("--qmax", type=int, required=True)
-    sub.add_argument("--dmax", type=int, required=True)
+        sub = _command(commands, "series", series)
+        sub.add_argument("--dim", dest="two_n", type=int, required=True)
+        sub.add_argument("--max-degree", type=int, required=True)
+        sub.add_argument("--stage", required=True, help="|".join(STAGES))
+        sub.add_argument("--variant", default="disc", help="Variant applied at the final stage.")
 
-    sub = _command(commands, "lclass", lclass)
-    sub.add_argument("--max", dest="max_index", type=int, required=True, help="Highest index.")
-    sub.add_argument(
-        "--dim", dest="two_n", type=int, default=None, help="Also print the label-ring image."
-    )
+    if "oracle" in named:
+        sub = _command(commands, "oracle", oracle)
+        sub.add_argument("--dim", dest="two_n", type=int, required=True)
+        sub.add_argument("--qmax", type=int, required=True)
+        sub.add_argument("--dmax", type=int, required=True)
 
-    graph = _group(commands, "graph", "Operations on marked graphs.")
-    sub = _command(graph, "reduce", graph_reduce)
-    sub.add_argument("file", type=_existing_file)
-    sub.add_argument("--variant", default="P0", help="P0, P or Pprime.")
+    if "lclass" in named:
+        sub = _command(commands, "lclass", lclass)
+        sub.add_argument("--max", dest="max_index", type=int, required=True, help="Highest index.")
+        sub.add_argument(
+            "--dim", dest="two_n", type=int, default=None, help="Also print the label-ring image."
+        )
 
-    invariants = _group(commands, "invariants", "Invariant-theory oracles.")
-    sub = _command(invariants, "rank", invariants_rank)
-    sub.add_argument("--g", dest="genus", type=int, required=True)
-    sub.add_argument("--set-size", type=int, required=True)
-    sub.add_argument("--epsilon", type=int, required=True)
+    if "graph" in named:
+        graph = _group(commands, "graph", "Operations on marked graphs.")
+        sub = _command(graph, "reduce", graph_reduce)
+        sub.add_argument("file", type=_existing_file)
+        sub.add_argument("--variant", default="P0", help="P0, P or Pprime.")
 
-    sub = _command(commands, "range", range_cmd)
-    sub.add_argument("--dim", dest="two_n", type=int, required=True)
-    sub.add_argument("--genus", type=int, required=True)
+    if "invariants" in named:
+        invariants = _group(commands, "invariants", "Invariant-theory oracles.")
+        sub = _command(invariants, "rank", invariants_rank)
+        sub.add_argument("--g", dest="genus", type=int, required=True)
+        sub.add_argument("--set-size", type=int, required=True)
+        sub.add_argument("--epsilon", type=int, required=True)
 
-    options = vars(parser.parse_args(argv))
+    if "range" in named:
+        sub = _command(commands, "range", range_cmd)
+        sub.add_argument("--dim", dest="two_n", type=int, required=True)
+        sub.add_argument("--genus", type=int, required=True)
+    return parser
+
+
+def _run(argv: list) -> int:
+    """Parse argv, run its command and flush stdout: the exit code."""
     try:
-        options.pop("run")(**options)
+        try:
+            options = vars(_parser(argv).parse_args(argv))
+        except SystemExit as exc:  # argparse printed the help or a usage error
+            code = exc.code
+        else:
+            code = options.pop("run")(**options) or 0
         sys.stdout.flush()
     except (ConfigError, Unsupported) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -254,11 +286,23 @@ def main(argv=None) -> int:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # The reader is gone: send the interpreter's flush at exit to devnull.
+        # The reader is gone: send the last flush to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
-    return 0
+        return 1
+    return code
+
+
+def main(argv=None) -> int:
+    """Stable cohomology of Torelli groups of even-dimensional handlebody doubles."""
+    if argv is not None:
+        return _run(argv)
+    code = _run(sys.argv[1:])
+    # The process's own arguments: its output is all that is left to do,
+    # so skip the interpreter's teardown, as mypy.util.hard_exit does.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

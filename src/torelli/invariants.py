@@ -16,11 +16,14 @@ those nonzeros, MATCHING_NONZERO_CAP in all.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from math import gcd, lcm
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    # `omega_m` alone builds Fractions; the rank runs on ints.
+    from fractions import Fraction
 
 # Sparse ranks within this many nonzeros in all take up to about 20 s:
 # (10, g=2) has 967,680 and (12, g=1) 665,280; (10, g=3) has 7,348,320.
@@ -39,7 +42,7 @@ class EpsForm:
     matrix is a signed permutation, and so is the inverse form omega,
     the copairing: `copairing` lists omega's 2g nonzeros (x, y, value)
     alone, and the package builds no 2g x 2g table.  The constructor
-    checks the genus, an int, and the sign, and builds nothing, so a
+    checks the genus and the sign, both ints, and builds nothing, so a
     rank can check its set size and budget before any of the 2g
     nonzeros exist.
     """
@@ -49,10 +52,10 @@ class EpsForm:
             raise ValueError(f"genus must be an integer, got {g!r}")
         if g < 1:
             raise ValueError(f"genus must be positive, got {g}")
-        if epsilon not in (1, -1):
+        if type(epsilon) is not int or epsilon not in (1, -1):
             raise ValueError(f"epsilon must be 1 or -1, got {epsilon}")
         self.g = g
-        self.epsilon = int(epsilon)
+        self.epsilon = epsilon
         self.dim = 2 * self.g
 
     @cached_property
@@ -115,6 +118,8 @@ def _omega_nonzeros(
 def omega_m(matching: Iterable[tuple[int, int]], form: EpsForm) -> MatchingTensor:
     """Invariant tensor of an ordered perfect matching, on its nonzero
     entries, as exact `Fraction`s."""
+    from fractions import Fraction
+
     pairs = [(int(a), int(b)) for a, b in matching]
     entries = _omega_nonzeros(pairs, form)
     return MatchingTensor(

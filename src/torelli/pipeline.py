@@ -26,6 +26,7 @@ from typing import Optional
 
 from .branching import ClassSeries, OrthSympClass
 from .characters import decompose
+from .errors import ConfigError, NegativeMultiplicity, Unsupported
 from .labels import ch_B, monomial_counts
 from .partitions import partition_count, ribbon_strips
 from .setparts import _block_floor, quotient_factor, quotient_series_by_L, sigma_characters
@@ -38,18 +39,6 @@ from .symfunc import (
     _times_scalar,
     exp_h_weight_bound,
 )
-
-
-class ConfigError(ValueError):
-    """Rejected configuration."""
-
-
-class NegativeMultiplicity(ArithmeticError):
-    """A computed class had a coefficient outside the nonnegative integers."""
-
-
-class Unsupported(ValueError):
-    """No trusted-degree formula exists for this dimension."""
 
 
 class ExtrapolationWarning(UserWarning):
@@ -479,6 +468,9 @@ def oracle_check(two_n: int, d_max: int, q_max: int) -> OracleReport:
     `compute_cohomology`.
     """
     _check_dimension(two_n)
+    for name, bound in (("d_max", d_max), ("q_max", q_max)):
+        if type(bound) is not int:
+            raise ConfigError(f"{name} must be an integer, got {bound!r}")
     if d_max < 0 or q_max < 0:
         raise ConfigError("bounds must be nonnegative")
     n = two_n // 2

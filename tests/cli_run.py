@@ -1,9 +1,9 @@
 """Run the `torelli` command in process, as the tests call it.
 
 Not a test module: `invoke(args)` runs `torelli.cli.main(args)` with
-stdout and stderr captured and returns its exit code, its stdout, and
-`output`, stdout and stderr interleaved as they were written.  A
-`SystemExit` becomes the exit code; any other exception propagates.
+stdout and stderr captured and returns its exit code, its stdout, its
+stderr, and `output`, the two interleaved as they were written.  `main`
+returns the code for help and usage errors too; an exception propagates.
 """
 
 import contextlib
@@ -17,6 +17,7 @@ from torelli.cli import main
 class Result:
     exit_code: int
     stdout: str
+    stderr: str
     output: str
 
 
@@ -36,8 +37,5 @@ def invoke(args) -> Result:
     both = io.StringIO()
     out, err = _Capture(both), _Capture(both)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(args))
-        except SystemExit as exc:
-            code = 0 if exc.code is None else exc.code
-    return Result(code, out.getvalue(), both.getvalue())
+        code = main(list(args))
+    return Result(code, out.getvalue(), err.getvalue(), both.getvalue())

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,43 @@ def test_a_closed_stdout_exits_1_without_a_traceback(args):
         os.close(write_end)
     assert child.returncode == 1
     assert "Traceback" not in child.stderr and "BrokenPipeError" not in child.stderr, child.stderr
+
+
+# `main()` without arguments ends its process once stdout and stderr are
+# flushed; run through the entry perfbench/run.py times, each command must print what
+# `main(args)` prints in process and exit with the code it returns.
+ENTRY = "import sys; from torelli.cli import main; sys.exit(main())"
+PROCESS_ENDS = {
+    "range --dim 6 --genus 11": 0,
+    # 103,909 bytes, more than a 64 KiB pipe buffer
+    "cohomology --dim 2 --max-degree 9": 0,
+    "cohomology --dim 6": 2,
+    "cohomology --dim 3 --max-degree 2": 3,
+    # an ExtrapolationWarning on stderr
+    "cohomology --dim 6 --max-degree 4 --variant closed": 0,
+}
+
+
+@pytest.mark.parametrize("command", list(PROCESS_ENDS))
+def test_the_process_ends_with_what_main_prints_and_returns(command):
+    env = dict(os.environ, PYTHONPATH=str(Path(torelli.__file__).parent.parent))
+    child = subprocess.run(
+        [sys.executable, "-c", ENTRY, *command.split()],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    # pytest records warnings; show them as the interpreter would
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        result = invoke(command.split())
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+    assert result.exit_code == PROCESS_ENDS[command], result.output
+    assert (child.returncode, child.stdout, child.stderr) == (
+        result.exit_code, result.stdout, shown + result.stderr
+    )
+    if "--variant closed" in command:
+        assert "ExtrapolationWarning" in child.stderr
+    if "--max-degree 9" in command:
+        assert len(child.stdout.encode()) == 103909
 
 
 def test_a_failing_oracle_exits_2_after_its_report(monkeypatch):

@@ -40,14 +40,16 @@ def test_package_imports_only_the_standard_library():
 
 def test_cli_import_loads_only_what_its_main_commands_run():
     # Every command starts a fresh interpreter, so the import is paid per
-    # run: `json`, `dataclasses`, `graphs` and `invariants` wait until a
-    # command needs them, no third-party parser is loaded, and the package
-    # still exports every name.
+    # run: `import torelli.cli` loads argparse and the errors alone, every
+    # module of the computation and `fractions` wait until a command needs
+    # them, no third-party parser is loaded, and the package still exports
+    # every name.
     src = str(Path(torelli.__file__).parent.parent)
     script = (
         "import sys, torelli.cli\n"
         "print(sorted(m for m in ('click', 'dataclasses', 'json', 'torelli.graphs', "
-        "'torelli.invariants') if m in sys.modules))\n"
+        "'torelli.invariants', 'fractions', 'decimal', 'torelli.pipeline', 'torelli.labels', "
+        "'torelli.symfunc') if m in sys.modules))\n"
         "import torelli\n"
         "missing = [name for name in torelli.__all__ if getattr(torelli, name, None) is None]\n"
         "from torelli import branching, characters, invariants, labels, pipeline, setparts, symfunc\n"
@@ -58,6 +60,44 @@ def test_cli_import_loads_only_what_its_main_commands_run():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.splitlines()
     assert out == ["[]", "[] torelli.invariants torelli.invariants"]
+
+
+def test_a_rank_run_loads_no_fraction_and_no_pipeline():
+    # the rank runs on ints; `omega_m` alone builds Fractions
+    src = str(Path(torelli.__file__).parent.parent)
+    script = (
+        "import sys\n"
+        "from torelli.cli import main\n"
+        "code = main(['invariants', 'rank', '--g', '2', '--set-size', '6', '--epsilon', '-1'])\n"
+        "print(code, sorted(m for m in ('fractions', 'torelli.pipeline') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out == ["set size 6, genus 2, epsilon -1: rank 14 of 15 matchings", "0 []"]
+
+
+def test_nothing_in_the_package_needs_the_interpreter_teardown():
+    # `main()` ends its process with os._exit once stdout and stderr are
+    # flushed, so no module may leave work to the teardown: no atexit
+    # handler, thread, logging handler or temporary file, and no file
+    # opened for writing.
+    modules = sorted(Path(torelli.__file__).parent.glob("*.py"))
+    teardown = {"atexit", "threading", "_thread", "multiprocessing", "concurrent", "logging",
+                "tempfile"}
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{lineno} imports {root}"
+                  for lineno, root in _imported_roots(tree) if root in teardown]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), None)
+                if not (isinstance(mode, ast.Constant) and mode.value == "r"):
+                    found.append(f"{path.name}:{node.lineno} opens a file not only to read it")
+    assert found == []
 
 
 def test_the_graph_oracle_stays_out_of_the_package():

@@ -8,12 +8,15 @@ before exp_h moved from p-monomials to ribbon strips, and the dim 2 and
 dim 10 chB dumps, which were taken before ch_B moved from products of
 geometric series to one table of label counts, and the two `--genus`
 tables, which were taken before series lost their negative exponents;
-each graph sha256, before the graph oracle left the package.  None may be re-taken from
-later output: a change here means the printed output changed.
+each graph sha256, before the graph oracle left the package; and each
+parser pin, before `main` built only the parser of the command it runs.
+None may be re-taken from later output: a change here means the printed
+output changed.
 """
 
 import hashlib
 import json
+import sys
 
 import pytest
 from cli_run import invoke
@@ -151,3 +154,35 @@ def test_a_leg_pair_leaves_pprime(tmp_path):
     result = _reduce_file(tmp_path, "leg-pair", "Pprime")
     assert result.exit_code == 3
     assert "leaves variant Pprime" in result.output
+
+
+# The parser's own output at COLUMNS=80: exit code and the sha256 of
+# stdout and of stderr, for help texts and usage errors at each level.
+# argparse words its messages differently from one Python version to the
+# next (how it quotes choices, for one), so these were taken on 3.11 and
+# are checked there.
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+PARSER_PINS = {
+    "--help": (0, "f12c0640a7994f0234153c928155461cdd20de9651cdd2e4e586082a4f339420", EMPTY),
+    "cohomology --help": (0, "d373503244eec60514dc481768dc49be742d52343641f49dcceb16997f12741d", EMPTY),
+    "series --help": (0, "8727de7dfc063058321ab0dbe9fde8f185fd996a101bf1b715ab8904dcf90d77", EMPTY),
+    "invariants rank --help": (
+        0, "f0208e1f283ffcf586763bc39ee61a14d6adc067042f8cee0893d641d434ad50", EMPTY
+    ),
+    "graph reduce --help": (0, "bb5d871ed3684eced38d2163c0c9d0cd3810c74b829fdb8e19de05d4c6d1cb00", EMPTY),
+    # an unknown command lists every command
+    "bogus": (2, EMPTY, "a79205d93a709601fa99a1406b87fa3c5790609478928d72d52285cb7dcbc450"),
+    "graph": (2, EMPTY, "f499646adc6ba31730bac3a128a598ed57ec3aac3edfa7fac5e387cf2ce3276a"),
+    "cohomology --dim 2 --bogus": (
+        2, EMPTY, "3ab8ebb752a0917d5882f0c1826815701f86e262f7730dbf4e978108144b87bd"
+    ),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="parser pins were taken on Python 3.11")
+@pytest.mark.parametrize("command", list(PARSER_PINS))
+def test_parser_output_is_unchanged(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    result = invoke(command.split())
+    stdout, stderr = (hashlib.sha256(text.encode()).hexdigest() for text in (result.stdout, result.stderr))
+    assert (result.exit_code, stdout, stderr) == PARSER_PINS[command]

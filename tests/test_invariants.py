@@ -168,6 +168,16 @@ def test_rank_inputs_are_checked_in_the_library_in_order():
             EpsForm(g, eps)
 
 
+def test_epsilon_is_the_int_1_or_minus_1():
+    # True and 1.0 equal 1, and were taken as +1
+    for eps in (True, False, 1.0, -1.0, "1"):
+        with pytest.raises(ValueError, match=f"^epsilon must be 1 or -1, got {eps}$"):
+            EpsForm(1, eps)
+        with pytest.raises(ValueError, match=f"^epsilon must be 1 or -1, got {eps}$"):
+            matching_span_rank(4, 1, eps)
+    assert EpsForm(1, -1).epsilon == -1
+
+
 def test_matching_span_ranks():
     assert matching_span_rank(2, 1, -1) == (1, 1)
     # genus 1 cannot tell the three matchings of four points apart

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from cli_run import invoke
 
-from torelli import cli
+from torelli import labels
 from torelli.labels import (
     L_CLASS_INDEX_CAP,
     IndexOutOfRange,
@@ -331,8 +331,8 @@ def test_lclass_refuses_a_large_index_before_any_work(monkeypatch):
     def refuse(*args):
         raise AssertionError("L-class computed before the cap check")
 
-    monkeypatch.setattr(cli, "l_class", refuse)
-    monkeypatch.setattr(cli, "l_class_image", refuse)
+    monkeypatch.setattr(labels, "l_class", refuse)
+    monkeypatch.setattr(labels, "l_class_image", refuse)
     for args in (["--max", str(L_CLASS_INDEX_CAP + 1)], ["--max", "30", "--dim", "6"]):
         result = invoke(["lclass", *args])
         assert result.exit_code == 3

@@ -639,6 +639,19 @@ def test_oracle_small_windows():
     assert oracle_check(2, 2, 4).ok
 
 
+def test_the_oracle_refuses_a_bound_that_is_not_an_int():
+    # bools included, as in `_check_dimension`: a bound True was taken as
+    # 1 and reported back as True, and a bound 2.5 failed inside the walk
+    for args, message in {
+        (6, True, 2): "d_max must be an integer, got True",
+        (6, 2.5, 2): "d_max must be an integer, got 2.5",
+        (6, 2, False): "q_max must be an integer, got False",
+        (6, 2, "2"): "q_max must be an integer, got '2'",
+    }.items():
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            oracle_check(*args)
+
+
 @pytest.mark.parametrize("two_n, d_max, q_max", [(6, 8, 8), (2, 6, 6), (10, 9, 9)])
 def test_oracle_wider_windows(two_n, d_max, q_max):
     report = oracle_check(two_n, d_max, q_max)
