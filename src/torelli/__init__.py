@@ -11,7 +11,7 @@ _LAZY = {
     name: module
     for module, names in {
         "branching": "ClassSeries D_series OrthSympClass class_to_schur dim_irrep "
-        "nl_product restrict_coeffs restrict_schur",
+        "nl_product restrict_schur",
         "characters": "ClassFunction decompose murnaghan_nakayama",
         "errors": "ConfigError NegativeMultiplicity Unsupported",
         "graphs": "MarkedGraph parse_graph reduce",

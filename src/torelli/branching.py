@@ -2,15 +2,15 @@
 
 Elements here live in the free abelian group on irreducibles V_lambda of
 Sp(2g) (epsilon = -1) or O(2g) (epsilon = +1), in the stable range where
-the labelling by partitions is uniform in g. The bridge to symmetric
-functions is the unitriangular change of basis between the Schur basis
-and the classes s_<lambda>. Its transition coefficients are Littlewood's
-skew Schur functions s_{lambda/delta}, summed over partitions delta with
-even rows or even columns depending on epsilon. Those, and the skews of
-the Newell-Littlewood product, are one walk each: delta is written in
-the h-basis by Jacobi-Trudi, and each h_r^perp removes a horizontal strip
-of r boxes from lambda (`symfunc._pieri`, `partitions.ribbon_strips`
-with k = -1).
+the labelling by partitions is uniform in g. Both directions between
+symmetric functions and classes are Littlewood's skews by a family of
+partitions (Littlewood 1950; Koike-Terada, J. Algebra 107, 1987), one
+walk per combination (`_skew_by_family`): the family is written in the
+h-basis by Jacobi-Trudi (`_family`), and each h_r^perp removes a
+horizontal strip of r boxes (`symfunc._strip_horner`,
+`partitions.ribbon_strips` with k = -1). The skews of the
+Newell-Littlewood product walk the same strips, one pair of shapes at a
+time (`_skew_schur`).
 
 `OrthSympClass` and `ClassSeries` are the kinds of `symfunc._Combination`
 and `symfunc._Series` whose product is Newell-Littlewood (`_nl_pair`),
@@ -25,9 +25,11 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from types import MappingProxyType
 from typing import Mapping
 
-from .partitions import EMPTY, Partition, even_columns, even_rows, partitions_of
+from .partitions import EMPTY, Partition, beta_mask, even_columns, even_rows, partitions_of
 from .symfunc import (
     EpsilonMismatch,
     LambdaSeries,
@@ -36,6 +38,7 @@ from .symfunc import (
     _jacobi_trudi,
     _pieri,
     _Series,
+    _strip_horner,
 )
 
 
@@ -47,31 +50,6 @@ def _check_epsilon(epsilon: int) -> int:
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
     return epsilon
-
-
-@lru_cache(maxsize=None)
-def restrict_coeffs(lam: Partition, epsilon: int) -> tuple[tuple[Partition, int], ...]:
-    """Branching multiplicities of the Schur functor S_lam restricted down.
-
-    Returns pairs (mu, a) with |mu| < |lam|, size descending and then in
-    partitions_of order, such that the restriction is V_lam plus the sum
-    of a * V_mu. By Littlewood, the sum is the skew of s_lam by the sum
-    of s_delta over nonempty partitions delta with even rows
-    (epsilon = +1) or even columns (epsilon = -1): one strip removal over
-    the summed Jacobi-Trudi expansions of those delta.
-    """
-    lam = Partition(lam)
-    _check_epsilon(epsilon)
-    even = even_rows if epsilon == 1 else even_columns
-    h_terms: dict[tuple, int] = {}
-    for m in range(2, lam.size + 1, 2):
-        for delta in partitions_of(m):
-            if even(delta):
-                for mu, c in _jacobi_trudi(delta).items():
-                    h_terms[mu] = h_terms.get(mu, 0) + c
-    skew = _pieri(lam, len(lam), -1, h_terms)
-    out = sorted(skew.coeffs.items(), key=lambda kv: (-kv[0].size, kv[0].sort_key()))
-    return tuple((mu, int(a)) for mu, a in out)
 
 
 def _exact(c, den: int = 1):
@@ -133,44 +111,61 @@ def D_series(series: LambdaSeries, epsilon: int) -> ClassSeries:
 
 
 @lru_cache(maxsize=None)
-def _class_in_schur(lam: Partition, epsilon: int) -> SymFunc:
-    """The symmetric function representing s_<lam>: unitriangular recursion."""
-    lam = Partition(lam)
-    f = SymFunc.schur(lam)
-    for mu, a in restrict_coeffs(lam, epsilon):
-        f = f - _class_in_schur(mu, epsilon) * a
-    return f
+def _family(size: int, epsilon: int, inverse: bool) -> Mapping[tuple, int]:
+    """Littlewood's family up to `size` boxes in the h-basis, {h-parts: int};
+    read-only. Restricting, s_lam goes to sum s_<lam/delta>, the sum of
+    s_delta over delta with even rows (epsilon = +1) or even columns
+    (epsilon = -1). Inverting, s_<lam> = sum (-1)^{|gamma|/2} s_{lam/gamma}
+    over gamma of Frobenius form (a_1 + 1, ... | a_1, ...) for epsilon = +1
+    or (a_1, ... | a_1 + 1, ...) for epsilon = -1: each row of the Durfee
+    square is epsilon longer than its column."""
+    even = even_rows if epsilon == 1 else even_columns
+    terms: dict[tuple, int] = {}
+    for m in range(0, size + 1, 2):
+        for lam in partitions_of(m):
+            if inverse:
+                conj, durfee = lam.conjugate(), sum(1 for i, part in enumerate(lam) if part > i)
+                sign = (-1) ** (m // 2) * all(lam[i] - conj[i] == epsilon for i in range(durfee))
+            else:
+                sign = even(lam)
+            if sign:
+                for mu, c in _jacobi_trudi(lam).items():
+                    terms[mu] = terms.get(mu, 0) + sign * c
+    return MappingProxyType({mu: c for mu, c in terms.items() if c})
+
+
+def _skew_by_family(x: _Combination, epsilon: int, inverse: bool) -> _Combination:
+    """x skewed by Littlewood's family (`_family`): the SymFunc x as an
+    OrthSympClass, or (inverse) the classes x as a SymFunc. One
+    `_strip_horner` pass over x as beta-set masks over one denominator,
+    as many beads as its longest column, removes every h-monomial."""
+    coeffs = x.coeffs
+    beads = max(map(len, coeffs), default=0)
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    comb = {beta_mask(lam, beads): c.numerator * (den // c.denominator) for lam, c in coeffs.items()}
+    family = _family(max((lam.size for lam in coeffs), default=0), epsilon, inverse)
+    acc: dict[int, int] = {}
+    _strip_horner(comb, -1, {mu: [(acc, c)] for mu, c in family.items()})
+    return SymFunc._from_masks(acc, den) if inverse else OrthSympClass._from_masks(acc, den, epsilon)
 
 
 def class_to_schur(x: OrthSympClass) -> SymFunc:
     """Expand a combination of classes V_lambda in the Schur basis."""
-    total = SymFunc.zero()
-    for lam, c in x.coeffs.items():
-        total = total + _class_in_schur(lam, x.epsilon) * c
-    return total
+    return _skew_by_family(x, x.epsilon, inverse=True)
 
 
 def restrict_schur(f: SymFunc, epsilon: int) -> OrthSympClass:
-    """Express a symmetric function in the basis of classes s_<lambda>.
-
-    On the character of a polynomial GL-representation this computes the
-    decomposition of its restriction to the symplectic or orthogonal
-    group. By Littlewood, s_lam restricts to V_lam plus the a V_mu of
-    restrict_coeffs, so f restricts to the sum of those times the
-    coefficients c_lam of f.
-    """
-    out: dict[Partition, Fraction] = {}
-    for lam, c in f.coeffs.items():
-        out[lam] = out.get(lam, 0) + c
-        for mu, a in restrict_coeffs(lam, epsilon):
-            out[mu] = out.get(mu, 0) + a * c
-    return OrthSympClass(epsilon, out)
+    """Express a symmetric function in the basis of classes s_<lambda>: on
+    the character of a polynomial GL-representation, the decomposition of
+    its restriction to the symplectic or orthogonal group (`_family`)."""
+    return _skew_by_family(f, _check_epsilon(epsilon), inverse=False)
 
 
 @lru_cache(maxsize=None)
 def _skew_schur(lam: Partition, alpha: Partition) -> SymFunc:
     """s_{lam/alpha} = s_alpha^perp s_lam: the Jacobi-Trudi expansion of
-    s_alpha removes horizontal strips from lam."""
+    s_alpha removes horizontal strips from lam; one pair per call, cached
+    for `_nl_pair`, and `perfbench/stages.py` reads the cache by name."""
     lam, alpha = Partition(lam), Partition(alpha)
     if not lam.contains(alpha):
         return SymFunc.zero()
@@ -227,7 +222,7 @@ def dim_irrep(lam, epsilon: int, g: int) -> int:
             stacklevel=2,
         )
     total = Fraction(0)
-    for mu, c in _class_in_schur(lam, epsilon).coeffs.items():
+    for mu, c in class_to_schur(OrthSympClass(epsilon, {lam: 1})).coeffs.items():
         total += c * schur_dim(mu, 2 * g)
     if total.denominator != 1:
         raise ValueError("dimension evaluation must be an integer")

@@ -10,7 +10,7 @@ the standard library's `argparse`.  Commands raise and `main` alone
 picks the exit code: 2 for a usage error or an internal inconsistency
 (`NegativeMultiplicity`), 3 for a refused configuration (`ConfigError`,
 `Unsupported`), each with one line on stderr, and 1, with no message,
-for a closed stdout (as in `torelli ... | head`).  The oracle returns 2
+for a closed stdout (`torelli ... | head`, `>&-`).  The oracle returns 2
 after a report with a failing cell.
 
 `main()` without arguments reads the process's own (the console script,
@@ -278,6 +278,8 @@ def _run(argv: list) -> int:
             code = exc.code
         else:
             code = options.pop("run")(**options) or 0
+        if sys.stdout is None:  # started with stdout closed: any output is lost
+            return code or 1
         sys.stdout.flush()
     except (ConfigError, Unsupported) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -299,8 +301,8 @@ def main(argv=None) -> int:
     code = _run(sys.argv[1:])
     # The process's own arguments: its output is all that is left to do,
     # so skip the interpreter's teardown, as mypy.util.hard_exit does.
-    sys.stdout.flush()
-    sys.stderr.flush()
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None when started closed
+        stream.flush()
     os._exit(code)
 
 

@@ -20,6 +20,9 @@ checked against:
 - `p_route_product`, `p_route_skew` and `p_route_restrict`, the Schur
   products, skews and Littlewood branching coefficients as they ran on
   the p-expansions of `to_p` and the character table;
+- `class_in_schur`, the Schur expansion of a class s_<lam> by the
+  unitriangular recursion on those branching coefficients, which
+  Littlewood's alternating skew in `branching.class_to_schur` replaced;
 - `p_route_plethysm`, plethysm in the power-sum basis, where it only
   relabels partitions.
 
@@ -221,9 +224,10 @@ def p_route_skew(lam: Partition, alpha: Partition) -> SymFunc:
 
 
 def p_route_restrict(lam: Partition, epsilon: int) -> tuple[tuple[Partition, int], ...]:
-    """Littlewood's branching coefficients of s_lam, as restrict_coeffs
-    returns them: the skew of s_lam by the p-expansion of the sum of s_delta
-    over nonempty delta with even rows (epsilon = +1) or even columns."""
+    """Littlewood's branching coefficients of s_lam, the restriction past
+    V_lam as (mu, a) pairs, size descending: the skew of s_lam by the
+    p-expansion of the sum of s_delta over nonempty delta with even rows
+    (epsilon = +1) or even columns."""
     lam = Partition(lam)
     even = even_rows if epsilon == 1 else even_columns
     deltas: dict[Partition, Fraction] = {}
@@ -233,6 +237,18 @@ def p_route_restrict(lam: Partition, epsilon: int) -> tuple[tuple[Partition, int
     out = sorted(skew.coeffs.items(), key=lambda kv: (-kv[0].size, kv[0].sort_key()))
     return tuple((mu, int(a)) for mu, a in out)
 
+
+
+@lru_cache(maxsize=None)
+def class_in_schur(lam: Partition, epsilon: int) -> SymFunc:
+    """Test oracle: the symmetric function s_<lam> by the unitriangular
+    recursion s_<lam> = s_lam - sum a s_<mu> over the branching terms
+    (mu, a) of `p_route_restrict`, each mu smaller than lam."""
+    lam = Partition(lam)
+    f = SymFunc.schur(lam)
+    for mu, a in p_route_restrict(lam, epsilon):
+        f = f - class_in_schur(mu, epsilon) * a
+    return f
 
 def _stretch(x: Mapping[Partition, Fraction], k: int) -> dict[Partition, Fraction]:
     """p_k[x]: every part of every mu multiplied by k."""

@@ -4,9 +4,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from bead_oracle import rim_hooks
+from bead_oracle import class_in_schur, rim_hooks
 
-from torelli import branching
 from torelli.branching import (
     ClassSeries,
     EpsilonMismatch,
@@ -16,7 +15,6 @@ from torelli.branching import (
     class_to_schur,
     dim_irrep,
     nl_product,
-    restrict_coeffs,
     restrict_schur,
 )
 from torelli.partitions import EMPTY, Partition, partitions_of
@@ -31,17 +29,19 @@ def cls(epsilon, pairs):
     return OrthSympClass(epsilon, {Partition(lam): m for lam, m in pairs.items()})
 
 
+def restriction_past_top(lam, epsilon):
+    """The restriction of s_lam minus its leading class V_lam."""
+    return restrict_schur(SymFunc.schur(lam), epsilon) - cls(epsilon, {lam: 1})
+
+
 def test_restrict_degree_two():
     # symplectic: alternating square picks up the invariant form
-    assert restrict_coeffs(Partition((1, 1)), -1) == ((EMPTY, 1),)
-    assert restrict_coeffs(Partition((2,)), -1) == ()
+    assert restriction_past_top((1, 1), -1) == cls(-1, {(): 1})
+    assert restriction_past_top((2,), -1) == cls(-1, {})
     # orthogonal: symmetric square does
-    assert restrict_coeffs(Partition((2,)), 1) == ((EMPTY, 1),)
-    assert restrict_coeffs(Partition((1, 1)), 1) == ()
-    assert restrict_coeffs(Partition((2, 2)), -1) == (
-        (Partition((1, 1)), 1),
-        (EMPTY, 1),
-    )
+    assert restriction_past_top((2,), 1) == cls(1, {(): 1})
+    assert restriction_past_top((1, 1), 1) == cls(1, {})
+    assert restriction_past_top((2, 2), -1) == cls(-1, {(1, 1): 1, (): 1})
 
 
 def test_restrict_schur_linearity():
@@ -108,7 +108,8 @@ def _el_samra_king(lam, epsilon, g):
     """Test oracle: dim V_lam of Sp(2g) (epsilon = -1) or O(2g)
     (epsilon = +1) by the hook formula prod over boxes (i, j) of
     (2g + r_ij) / h_ij (El Samra and King, J. Phys. A 12, 1979). It shares
-    no code with `_class_in_schur`, which `dim_irrep` evaluates."""
+    no code with `class_to_schur`, whose Schur expansion `dim_irrep`
+    evaluates."""
     conj = lam.conjugate()
 
     def part(p, k):
@@ -151,6 +152,15 @@ def test_dim_irrep_warns_outside_stable_range():
     assert any(issubclass(w.category, StabilityWarning) for w in rec)
 
 
+def test_class_to_schur_matches_the_recursion_oracle():
+    # Littlewood's alternating skew against the unitriangular recursion
+    # on the p-route branching terms, every |lam| <= 8 in both signs
+    for eps in (-1, 1):
+        for q in range(9):
+            for lam in partitions_of(q):
+                assert class_to_schur(cls(eps, {lam: 1})) == class_in_schur(lam, eps), (lam, eps)
+
+
 def test_class_to_schur_round_trip():
     rng = random.Random(19)
     pool = [Partition(p) for q in range(5) for p in partitions_of(q)]
@@ -162,8 +172,8 @@ def test_class_to_schur_round_trip():
 
 
 # Test oracle for restrict_schur: triangular elimination, which peels the
-# largest shape off with the Schur expansion of its class until nothing
-# is left.
+# largest shape off with the Schur expansion of its class, taken from the
+# recursion oracle, until nothing is left.
 
 def _restrict_by_elimination(f, epsilon):
     out = {}
@@ -172,7 +182,7 @@ def _restrict_by_elimination(f, epsilon):
         top = max(rem.support(), key=Partition.sort_key)
         c = rem.coeff(top)
         out[top] = out.get(top, Fraction(0)) + c
-        rem = rem - branching._class_in_schur(top, epsilon) * c
+        rem = rem - class_in_schur(top, epsilon) * c
     return OrthSympClass(epsilon, out)
 
 

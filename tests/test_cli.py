@@ -1,6 +1,7 @@
 """The command-line contract: help, usage errors, refusals and the module entry point."""
 
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -102,6 +103,22 @@ def test_a_closed_stdout_exits_1_without_a_traceback(args):
     assert child.returncode == 1
     assert "Traceback" not in child.stderr and "BrokenPipeError" not in child.stderr, child.stderr
 
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [("range --dim 6 --genus 11", 1), ("cohomology --dim 3 --max-degree 2", 3), ("range --dim 6", 2)],
+    ids=["output-lost", "refused", "usage-error"],
+)
+def test_a_stdout_closed_at_start_keeps_the_exit_contract(args, code, monkeypatch):
+    # With `>&-` the child starts with no stdout, and sys.stdout is None:
+    # a success whose output is lost exits 1 with no message, and a
+    # refusal or a usage error keeps its code and its stderr.
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=str(Path(torelli.__file__).parent.parent))
+    command = shlex.join([sys.executable, "-m", "torelli.cli", *args.split()]) + " >&-"
+    child = subprocess.run(command, shell=True, env=env, stderr=subprocess.PIPE, text=True)
+    assert (child.returncode, child.stderr) == (code, invoke(args.split()).stderr)
 
 # `main()` without arguments ends its process once stdout and stderr are
 # flushed; run through the entry perfbench/run.py times, each command must print what

@@ -250,7 +250,11 @@ def test_helpers_no_command_reaches_stay_out_of_the_package():
     # subtracts series adds x * -1, and one that shifts a series does it
     # on its terms, since a series holds no negative exponent and a
     # product knows the smaller order. `parse_partition`,
-    # `parse_label` and `parse_graph` read numbers by one rule.
+    # `parse_label` and `parse_graph` read numbers by one rule. Both
+    # directions of the Sp/O change of basis are one skew by a family, so
+    # the per-shape restriction terms and the recursion that inverted them
+    # are gone; the recursion is the oracle `class_in_schur` in
+    # tests/bead_oracle.py.
     from torelli import branching, characters, graphs, labels, partitions, pipeline, setparts, symfunc
 
     gone = {
@@ -266,6 +270,7 @@ def test_helpers_no_command_reaches_stay_out_of_the_package():
         symfunc._Combination: ["homogeneous_components", "__rsub__"],
         symfunc: ["_product_trunc"],
         symfunc._Series: ["__rsub__", "__neg__", "__sub__", "shift", "truncate"],
+        branching: ["restrict_coeffs", "_class_in_schur"],
         branching.OrthSympClass: ["zero"],
         branching.ClassSeries: ["zero"],
         pipeline.CohomologyTable: ["max_degree"],
@@ -287,7 +292,8 @@ def test_helpers_no_command_reaches_stay_out_of_the_package():
     counted = (setparts.sigma_characters, setparts._orbit_types, setparts._label_series,
                setparts._block_floor, labels._part_label_counts)
     assert [f.__name__ for f in counted if "variant" in signature(f).parameters] == []
-    assert [name for name in moved + ["poincare_series"] if name in torelli.__all__] == []
+    assert [name for name in moved + ["poincare_series", "restrict_coeffs"]
+            if name in torelli.__all__] == []
     assert [name for name, text in sources.items() if "def _is_number(" in text] == ["partitions.py"]
     assert labels._is_number is graphs._is_number is partitions._is_number
 

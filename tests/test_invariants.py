@@ -296,8 +296,9 @@ def test_sparse_omega_matches_dense():
 
 def test_matching_span_rank_is_the_invariant_dimension():
     ranks = {}
+    # g <= 3 up to S = 8 and g = 4 up to S = 6
     for size in (2, 4, 6, 8):
-        for g in (1, 2):
+        for g in (1, 2, 3, 4) if size <= 6 else (1, 2, 3):
             for eps in (1, -1):
                 rank, count = matching_span_rank(size, g, eps)
                 assert rank == _invariant_dimension(size, g, eps), (size, g, eps)
@@ -307,6 +308,8 @@ def test_matching_span_rank_is_the_invariant_dimension():
     assert ranks[8, 2, -1] == (84, 105)
     assert ranks[6, 2, -1] == (14, 15)
     assert ranks[8, 2, 1] == (105, 105)
+    assert ranks[8, 3, -1] == (104, 105)
+    assert ranks[6, 4, -1] == (15, 15)
     # past the old dense-entry cap (7!! * 6^8 entries), inside the nonzero one
     result = invoke(["invariants", "rank", "--g", "3", "--set-size", "8", "--epsilon", "-1"])
     assert result.exit_code == 0

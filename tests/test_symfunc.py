@@ -7,7 +7,7 @@ from math import factorial, lcm, perm
 import pytest
 
 from torelli import branching, characters, partitions, symfunc
-from torelli.branching import ClassSeries, OrthSympClass, _skew_schur, dim_irrep, restrict_coeffs
+from torelli.branching import ClassSeries, OrthSympClass, _skew_schur, dim_irrep, restrict_schur
 from torelli.labels import ch_B
 from torelli.partitions import (
     EMPTY,
@@ -337,7 +337,12 @@ def test_skews_match_the_tableau_oracle():
                         assert _skew_schur(lam, alpha) == oracle, (lam, alpha)
 
 
-def test_restrict_coeffs_match_the_tableau_oracle():
+def _restriction_past_top(lam, epsilon):
+    """The restriction of s_lam minus its leading class V_lam."""
+    return restrict_schur(SymFunc.schur(lam), epsilon) - OrthSympClass(epsilon, {lam: 1})
+
+
+def test_restrictions_match_the_tableau_oracle():
     # Littlewood: the sum over delta with even rows or columns of c^lam_{mu delta}
     for epsilon, even in ((1, even_rows), (-1, even_columns)):
         for n in range(11):
@@ -352,7 +357,8 @@ def test_restrict_coeffs_match_the_tableau_oracle():
                         )
                         if a:
                             oracle.append((mu, a))
-                assert restrict_coeffs(lam, epsilon) == tuple(oracle), (lam, epsilon)
+                got = _restriction_past_top(lam, epsilon)
+                assert got == OrthSympClass(epsilon, dict(oracle)), (lam, epsilon)
 
 
 def test_strip_routes_match_the_p_route_oracle():
@@ -364,7 +370,8 @@ def test_strip_routes_match_the_p_route_oracle():
             assert SymFunc.schur(mu) * SymFunc.schur(nu) == p_route_product(mu, nu), (mu, nu)
             assert _skew_schur(mu, nu) == p_route_skew(mu, nu), (mu, nu)
         for epsilon in (1, -1):
-            assert restrict_coeffs(mu, epsilon) == p_route_restrict(mu, epsilon), (mu, epsilon)
+            oracle = OrthSympClass(epsilon, dict(p_route_restrict(mu, epsilon)))
+            assert _restriction_past_top(mu, epsilon) == oracle, (mu, epsilon)
 
 
 _GUARD_PAIRS = [
@@ -379,7 +386,7 @@ def _strip_route_results():
     return (
         [symfunc._schur_product_table(mu, nu) for mu, nu in _GUARD_PAIRS],
         [_skew_schur(lam, alpha) for lam, alpha in _GUARD_PAIRS],
-        [restrict_coeffs(lam, epsilon) for lam, _ in _GUARD_PAIRS for epsilon in (1, -1)],
+        [_restriction_past_top(lam, epsilon) for lam, _ in _GUARD_PAIRS for epsilon in (1, -1)],
         [dim_irrep(lam, epsilon, 8) for lam, _ in _GUARD_PAIRS for epsilon in (1, -1)],
     )
 
@@ -416,7 +423,7 @@ def test_products_skews_and_branching_read_no_character(monkeypatch):
     # reads a character value.
     expected = _strip_route_results()
     for cached in (symfunc._schur_product_table, symfunc.lr_coefficient, _skew_schur,
-                   restrict_coeffs, branching._class_in_schur):
+                   branching._family):
         cached.cache_clear()
     _refuse_character_reads(monkeypatch, "left the strip route")
     assert _strip_route_results() == expected
